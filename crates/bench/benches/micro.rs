@@ -264,6 +264,52 @@ fn batch_submit(c: &mut Criterion) {
     group.finish();
 }
 
+/// One batch shaped like the `bmi_scan` serving workload: 8 queries over
+/// daily activity vectors striped 8 ways across an 8-die SSD with 16 KiB
+/// pages — six AND windows of 30–48 days and two "at most 2 inactive
+/// days" threshold windows of 12–24 days inside one 48-wordline block.
+/// The cache is off, so every iteration senses every stripe; the sensed
+/// pages (about 40 MiB) put the batch well past the size where dies fan
+/// out to host threads.
+fn batch_bmi_window(c: &mut Criterion) {
+    use flash_cosmos::batch::QueryBatch;
+    use flash_cosmos::device::{FlashCosmosDevice, StoreHints};
+
+    let config = SsdConfig {
+        channels: 4,
+        dies_per_channel: 2,
+        planes_per_die: 2,
+        blocks_per_plane: 8,
+        wls_per_block: 48,
+        page_bytes: 16 * 1024,
+        ..SsdConfig::paper_table1()
+    };
+    let dev = FlashCosmosDevice::new(config);
+    dev.set_result_cache_capacity(0);
+    let mut rng = StdRng::seed_from_u64(12);
+    let bits = 8 * dev.config().page_bits();
+    let days: Vec<usize> = (0..96)
+        .map(|d| {
+            let v = BitVec::random_with_density(bits, 0.8, &mut rng);
+            dev.fc_write(&format!("day{d}"), &v, StoreHints::and_group("days")).unwrap().id
+        })
+        .collect();
+    let batch: QueryBatch = [(0, 48), (10, 40), (48, 30), (50, 46), (3, 33), (60, 36)]
+        .iter()
+        .map(|&(start, len)| Expr::and_vars(days[start..start + len].iter().copied()))
+        .chain([(2, 24), (60, 12)].iter().map(|&(start, len)| {
+            Expr::threshold_vars(len - 2, days[start..start + len].iter().copied())
+        }))
+        .collect();
+    let mut outs: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
+    let mut group = c.benchmark_group("batch");
+    group.sample_size(10);
+    group.bench_function("bmi_window_8q_16kib", |bench| {
+        bench.iter(|| dev.submit_into(std::hint::black_box(&batch), &mut outs).unwrap());
+    });
+    group.finish();
+}
+
 /// Die-aware placement: 16 single-stripe queries over 16 independent
 /// placement groups spread across the tiny geometry's 4 dies, versus the
 /// same workload pinned to die 0 (the pre-fix serialization). Wall time
@@ -803,6 +849,24 @@ fn mlsense_threshold(c: &mut Criterion) {
             out
         });
     });
+
+    // One chip-level `ThresholdMws` shaped like a bitmap-index window: 24
+    // wordlines of a 16 KiB page, at most 2 zeros per bitline (k = n − 2).
+    let mut cfg = ChipConfig::tiny_test();
+    cfg.geometry = chip_geometry();
+    let mut chip = NandChip::new(cfg);
+    let blk = BlockAddr::new(0, 0);
+    for wl in 0..24 {
+        let page = BitVec::random(16 * 1024 * 8, &mut rng);
+        chip.execute(Command::esp_program(blk.wordline(wl), page)).unwrap();
+    }
+    let wls: Vec<u32> = (0..24).collect();
+    group.bench_function("threshold24_16kib", |bench| {
+        bench.iter(|| {
+            chip.execute(Command::ThresholdMws { target: MwsTarget::new(blk, &wls), k: 22 })
+                .unwrap()
+        });
+    });
     group.finish();
 }
 
@@ -967,6 +1031,7 @@ criterion_group!(
     randomizer,
     batch_submit,
     batch_submit_multi_die,
+    batch_bmi_window,
     batch_resubmit_cached,
     batch_async_overlap,
     maintenance_regroup,

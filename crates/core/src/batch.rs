@@ -23,7 +23,12 @@
 //! * **Die-aware ordering** — per-stripe programs are scheduled die by
 //!   die, so the reported critical path reflects cross-die parallelism
 //!   ([`BatchStats::critical_path_us`] is the busiest die's time) while
-//!   chip time stays the serial-equivalent sum.
+//!   chip time stays the serial-equivalent sum. The host runs the dies
+//!   the same way: when a batch senses enough pages to pay for threads
+//!   (about 1 MiB, over at least two dies), each die's leaf queue runs on
+//!   its own scoped worker thread, taking only that die's chip mutex, and
+//!   one in-order pass then does all accounting — so results, stats and
+//!   every chip's random draws are bit-identical to serial execution.
 //!
 //! Results land in caller-provided buffers ([`submit_into`] — zero
 //! steady-state allocation) or freshly allocated vectors ([`submit`]),
@@ -35,9 +40,10 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use fc_bits::BitVec;
-use fc_nand::command::Command;
+use fc_nand::command::{Command, MwsTarget};
 use fc_ssd::device::DeviceError;
 use fc_ssd::pipeline::DieQueues;
 
@@ -671,6 +677,19 @@ impl DeviceCore {
         outs: &mut [BitVec],
         combined: Option<&mut DieQueues>,
     ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
+        self.execute_with(compiled, outs, combined, None)
+    }
+
+    /// [`Self::execute_compiled`] with the sensing thread count forced to
+    /// `workers` instead of decided from the batch (`None`) — the lever
+    /// the serial-versus-parallel differential tests pull.
+    fn execute_with(
+        &self,
+        compiled: &CompiledBatch,
+        outs: &mut [BitVec],
+        combined: Option<&mut DieQueues>,
+        workers: Option<usize>,
+    ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
         let mut stats = compiled.stats_seed.clone();
         let page_bits = self.ssd.config().page_bits();
         let xfer_us = self.ssd.config().page_transfer_us();
@@ -741,29 +760,21 @@ impl DeviceCore {
             })
             .collect();
 
+        // Sense every leaf (in parallel across dies when the batch is big
+        // enough), then account for the outcomes strictly in `order`: the
+        // first failing leaf in that order is the error serial execution
+        // would have hit, and every f64 sum accumulates in serial order.
+        let workers = workers.unwrap_or_else(|| self.leaf_workers(compiled, &order));
+        let outcomes = self.run_leaves(compiled, &order, workers);
         let mut own = DieQueues::for_config(self.ssd.config());
-        for (ui, li) in order {
+        for (&(ui, li), outcome) in order.iter().zip(outcomes) {
             let unit = &compiled.units[ui];
             let UnitWork::Execute { leaves, slots, direct, .. } = &unit.work else {
                 unreachable!("order only holds executable units");
             };
             let leaf = &leaves[li];
-            let mut chip = self.ssd.chip_exec(leaf.plane.die);
-            let mut latency = 0.0;
-            let mut energy = 0.0;
-            for cmd in &leaf.program.commands {
-                let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
-                latency += out.latency_us;
-                energy += out.energy_uj;
-            }
-            let mut page = chip
-                .execute(Command::ReadOut { plane: leaf.program.plane })
-                .map_err(DeviceError::Nand)?
-                .into_page()
-                .expect("read-out streams the cache latch");
-            if leaf.program.controller_not {
-                page.not_assign();
-            }
+            let (page, latency, energy) =
+                outcome.expect("a die's run stops only after a failing leaf")?;
             let senses = leaf.program.sense_count() as u64;
             stats.senses += senses;
             stats.chip_time_us += latency;
@@ -913,6 +924,118 @@ impl DeviceCore {
             outs[f.query].reset(0, false);
         }
         Ok((stats, failures))
+    }
+
+    /// Host threads to sense a batch's leaves with: one (the caller) for
+    /// small batches, else one per busy die up to the host's parallelism.
+    /// Fanning out pays only when ≥ 2 dies have work and the batch senses
+    /// at least [`FAN_OUT_MIN_SENSED_BYTES`] of pages (Σ activated
+    /// wordlines × page size) — below that, spawning threads costs more
+    /// than the dies' runs overlap.
+    fn leaf_workers(&self, compiled: &CompiledBatch, order: &[(usize, usize)]) -> usize {
+        let busy_dies = 1 + order
+            .windows(2)
+            .filter(|w| leaf_at(compiled, w[0]).plane.die != leaf_at(compiled, w[1]).plane.die)
+            .count();
+        if busy_dies < 2 {
+            return 1;
+        }
+        let wordlines: usize =
+            order.iter().map(|&at| activated_wordlines(&leaf_at(compiled, at).program)).sum();
+        if wordlines * self.ssd.config().page_bytes < FAN_OUT_MIN_SENSED_BYTES {
+            return 1;
+        }
+        host_threads().min(busy_dies)
+    }
+
+    /// Senses every leaf of `order` (die-major, so each die's leaves form
+    /// one contiguous run) and returns each outcome at its position in
+    /// `order`. A die's run always executes in order on a single thread,
+    /// so every chip sees the same command sequence — and draws its
+    /// random numbers in the same order — whatever `workers` is. With
+    /// `workers > 1` the runs are handed out, longest first, to scoped
+    /// worker threads and the calling thread; a worker holds one die's
+    /// chip mutex at a time and never the device lock (the caller's read
+    /// guard covers them all). A run stops at its first failing leaf and
+    /// leaves the rest of its slots `None` — the in-order accounting
+    /// returns that error before it reaches them.
+    fn run_leaves(
+        &self,
+        compiled: &CompiledBatch,
+        order: &[(usize, usize)],
+        workers: usize,
+    ) -> Vec<Option<LeafOutcome>> {
+        let mut slots: Vec<Option<LeafOutcome>> = (0..order.len()).map(|_| None).collect();
+        if workers <= 1 {
+            self.run_die(compiled, order, &mut slots);
+            return slots;
+        }
+        let mut runs: Vec<DieRun<'_>> = Vec::new();
+        let (mut rest, mut rest_slots) = (order, &mut slots[..]);
+        while let Some(&first) = rest.first() {
+            let die = leaf_at(compiled, first).plane.die;
+            let n = rest.iter().take_while(|&&at| leaf_at(compiled, at).plane.die == die).count();
+            let (run, tail) = rest.split_at(n);
+            let (run_slots, tail_slots) = std::mem::take(&mut rest_slots).split_at_mut(n);
+            runs.push((run, run_slots));
+            (rest, rest_slots) = (tail, tail_slots);
+        }
+        // `pop` hands out the longest runs first.
+        runs.sort_by_key(|(run, _)| run.len());
+        let workers = workers.min(runs.len());
+        let queue = Mutex::new(runs);
+        let work = || loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            let Some((run, run_slots)) = next else { break };
+            self.run_die(compiled, run, run_slots);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
+        });
+        slots
+    }
+
+    /// Senses one die's run of leaves in order into `slots`, stopping at
+    /// the first failure.
+    fn run_die(
+        &self,
+        compiled: &CompiledBatch,
+        run: &[(usize, usize)],
+        slots: &mut [Option<LeafOutcome>],
+    ) {
+        for (&at, slot) in run.iter().zip(slots) {
+            let outcome = self.sense_leaf(leaf_at(compiled, at));
+            let failed = outcome.is_err();
+            *slot = Some(outcome);
+            if failed {
+                break;
+            }
+        }
+    }
+
+    /// Executes one leaf's program on its die and streams the result page
+    /// out (complemented when the program asks the controller to).
+    fn sense_leaf(&self, leaf: &Leaf) -> LeafOutcome {
+        let mut chip = self.ssd.chip_exec(leaf.plane.die);
+        let mut latency = 0.0;
+        let mut energy = 0.0;
+        for cmd in &leaf.program.commands {
+            let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
+            latency += out.latency_us;
+            energy += out.energy_uj;
+        }
+        let mut page = chip
+            .execute(Command::ReadOut { plane: leaf.program.plane })
+            .map_err(DeviceError::Nand)?
+            .into_page()
+            .expect("read-out streams the cache latch");
+        if leaf.program.controller_not {
+            page.not_assign();
+        }
+        Ok((page, latency, energy))
     }
 
     /// Senses a controller evaluation costs: every operand page is read
@@ -1082,6 +1205,48 @@ impl DeviceCore {
         })
         .map_err(FcError::Plan)
     }
+}
+
+/// Sensed page bytes (Σ activated wordlines × page size) from which a
+/// batch's die runs fan out to host threads. Single-stripe serving batches
+/// sense a few KiB and stay on the calling thread; a bitmap-index scan
+/// over 16 KiB pages senses tens of MiB.
+const FAN_OUT_MIN_SENSED_BYTES: usize = 1 << 20;
+
+/// One sensed leaf: its read-out page, modeled latency (µs) and energy
+/// (µJ) — or the chip error that stopped it.
+type LeafOutcome = Result<(BitVec, f64, f64), FcError>;
+
+/// One die's contiguous run of an execution order, with the outcome
+/// slots it fills.
+type DieRun<'a> = (&'a [(usize, usize)], &'a mut [Option<LeafOutcome>]);
+
+/// The leaf at `(unit, leaf)` of an execution order.
+fn leaf_at(compiled: &CompiledBatch, (ui, li): (usize, usize)) -> &Leaf {
+    let UnitWork::Execute { leaves, .. } = &compiled.units[ui].work else {
+        unreachable!("execution orders only hold executable units");
+    };
+    &leaves[li]
+}
+
+/// Wordlines a program activates across all its senses.
+fn activated_wordlines(program: &planner::MwsProgram) -> usize {
+    program
+        .commands
+        .iter()
+        .map(|c| match c {
+            Command::Mws { targets, .. } => targets.iter().map(MwsTarget::wl_count).sum(),
+            Command::ThresholdMws { target, .. } => target.wl_count(),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// The host's available parallelism, asked once per process: the query
+/// is a syscall, too slow to repeat on every batch.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl FlashCosmosDevice {
@@ -1259,6 +1424,8 @@ fn nnf_cmp(a: &Nnf, b: &Nnf) -> Ordering {
 mod tests {
     use super::*;
     use crate::device::StoreHints;
+    use crate::recovery::FaultPlan;
+    use fc_nand::ispp::ProgramScheme;
     use fc_ssd::SsdConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1417,6 +1584,132 @@ mod tests {
             dev.submit_into(&batch, &mut outs).unwrap_err(),
             FcError::OutputSlots { got: 0, expected: 1 }
         ));
+    }
+
+    /// A physics-fidelity device (4 dies) holding 4 placement groups of
+    /// 4 three-stripe operands, and a batch mixing in-group AND/OR/
+    /// threshold units with cross-group (cross-die merged) queries. Every
+    /// call builds the identical device: same writes, same chip seeds.
+    /// `worn` stores the operands as plain SLC on blocks aged to 15k P/E
+    /// cycles and 6 months of retention, so senses flip bits — and which
+    /// bits flip depends on each chip's random draws, in order.
+    fn physics_fixture(worn: bool) -> (FlashCosmosDevice, QueryBatch, Vec<BitVec>) {
+        let dev = FlashCosmosDevice::new_physics(SsdConfig::tiny_test());
+        dev.set_result_cache_capacity(0);
+        let bits = 3 * dev.config().page_bits();
+        let vs = vectors(16, bits, 0xD1FF);
+        let mut groups: Vec<Vec<OperandId>> = Vec::new();
+        let mut aging = FaultPlan::new().retention(6.0);
+        for (g, chunk) in vs.chunks(4).enumerate() {
+            let mut hints = StoreHints::and_group(&format!("p{g}"));
+            if worn {
+                hints = hints.with_scheme(ProgramScheme::Slc);
+            }
+            let mut ids = Vec::new();
+            for (i, v) in chunk.iter().enumerate() {
+                let name = format!("p{g}-{i}");
+                ids.push(dev.fc_write(&name, v, hints.clone()).unwrap().id);
+                aging = aging.age(&name, 15_000);
+            }
+            groups.push(ids);
+        }
+        if worn {
+            dev.inject_faults(&aging).unwrap();
+        }
+        let mut batch = QueryBatch::new();
+        for g in &groups {
+            batch.push(Expr::and_vars(g.iter().copied()));
+            batch.push(Expr::threshold_vars(3, g.iter().copied()));
+        }
+        batch.push(Expr::or_vars(groups[1].iter().copied()));
+        batch.push(Expr::and_vars([groups[0][0], groups[2][1], groups[3][2]]));
+        batch.push(Expr::not(Expr::and_vars([groups[1][3], groups[3][0]])));
+        (dev, batch, vs)
+    }
+
+    fn execute_forced(
+        dev: &FlashCosmosDevice,
+        batch: &QueryBatch,
+        workers: usize,
+    ) -> Result<(Vec<BitVec>, BatchStats), FcError> {
+        let core = dev.core();
+        let compiled = core.compile_batch(batch)?;
+        let mut outs: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
+        let (mut stats, failures) = core.execute_with(&compiled, &mut outs, None, Some(workers))?;
+        assert!(failures.is_empty());
+        // Wall-clock merge time is the one field allowed to differ.
+        stats.merge_us = 0.0;
+        Ok((outs, stats))
+    }
+
+    #[test]
+    fn parallel_leaves_match_serial_execution() {
+        for worn in [false, true] {
+            let (serial_dev, batch, vs) = physics_fixture(worn);
+            let (parallel_dev, _, _) = physics_fixture(worn);
+            let lookup = |id: OperandId| vs[id].clone();
+            let mut flipped = 0;
+            // Several rounds, so each chip's random draws and read-disturb
+            // counters carry over from round to round.
+            for round in 0..3 {
+                let (serial, s_stats) = execute_forced(&serial_dev, &batch, 1).unwrap();
+                let (parallel, p_stats) = execute_forced(&parallel_dev, &batch, 4).unwrap();
+                assert!(s_stats.dies_used >= 3, "the batch spans dies: {}", s_stats.dies_used);
+                assert_eq!(serial, parallel, "worn {worn} round {round}: results");
+                assert_eq!(s_stats, p_stats, "worn {worn} round {round}: stats");
+                for (q, expr) in batch.queries().iter().enumerate() {
+                    let d = serial[q].hamming_distance(&expr.eval(&lookup));
+                    assert!(worn || d == 0, "round {round}: query {q} differs from eval");
+                    flipped += d;
+                }
+            }
+            assert_eq!(flipped > 0, worn, "only worn SLC blocks flip bits");
+        }
+        // Tiny pages stay far below the fan-out size.
+        let (dev, batch, _) = physics_fixture(false);
+        let core = dev.core();
+        let compiled = core.compile_batch(&batch).unwrap();
+        let mut order = Vec::new();
+        for (ui, unit) in compiled.units.iter().enumerate() {
+            if let UnitWork::Execute { leaves, .. } = &unit.work {
+                order.extend((0..leaves.len()).map(|li| (ui, li)));
+            }
+        }
+        assert_eq!(core.leaf_workers(&compiled, &order), 1);
+    }
+
+    #[test]
+    fn parallel_leaf_error_is_the_first_serial_error() {
+        // Point one leaf on each of two dies at a block the chip does not
+        // have, each at a different block so the errors are told apart.
+        // Serial order is die-major, so the lower die's error comes first.
+        let broken = |dev: &FlashCosmosDevice, batch: &QueryBatch, workers: usize| {
+            let core = dev.core();
+            let mut compiled = core.compile_batch(batch).unwrap();
+            let mut broken_dies = Vec::new();
+            for unit in &mut compiled.units {
+                let UnitWork::Execute { leaves, .. } = &mut unit.work else { continue };
+                for leaf in leaves {
+                    let Some(Command::Mws { targets, .. }) = leaf.program.commands.first_mut()
+                    else {
+                        continue;
+                    };
+                    if broken_dies.len() < 2 && !broken_dies.contains(&leaf.plane.die) {
+                        targets[0].block.block = 900 + broken_dies.len() as u32;
+                        broken_dies.push(leaf.plane.die);
+                    }
+                }
+            }
+            assert_eq!(broken_dies.len(), 2, "two dies carry a broken leaf");
+            let mut outs: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
+            let err = core.execute_with(&compiled, &mut outs, None, Some(workers)).unwrap_err();
+            format!("{err:?}")
+        };
+        let (serial_dev, batch, _) = physics_fixture(false);
+        let (parallel_dev, _, _) = physics_fixture(false);
+        let serial = broken(&serial_dev, &batch, 1);
+        assert!(serial.contains("block: 90"), "a chip address error: {serial}");
+        assert_eq!(serial, broken(&parallel_dev, &batch, 4));
     }
 
     #[test]

@@ -416,9 +416,10 @@ impl AffinityTracker {
         }
         if self.entries.len() >= self.capacity {
             // Bound the tracker: drop the coldest set (never the one
-            // being recorded — it is demonstrably live).
+            // being recorded — it is demonstrably live). Ties fall to the
+            // smallest ids, so eviction never depends on hash order.
             if let Some(coldest) =
-                self.entries.iter().min_by_key(|(_, e)| e.fused).map(|(k, _)| k.clone())
+                self.entries.iter().min_by_key(|&(ids, e)| (e.fused, ids)).map(|(k, _)| k.clone())
             {
                 self.entries.remove(&coldest);
             }
@@ -1023,6 +1024,24 @@ mod tests {
         assert_eq!(c[1].senses_per_stripe(), 4.0, "8 senses over 2 stripes");
         t.clear();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn affinity_eviction_breaks_ties_on_ids() {
+        // Every fresh tracker hashes with its own seed, so a hash-order
+        // tie-break would pick different victims across these trackers.
+        for _ in 0..16 {
+            let mut t = AffinityTracker { entries: HashMap::new(), capacity: 4 };
+            for ids in [[7, 8], [3, 9], [3, 4], [5, 6]] {
+                t.record(&ids, 1, 1, 1, false);
+            }
+            t.record(&[1, 2], 1, 1, 1, false);
+            assert!(t.entry(&[3, 4]).is_none(), "smallest tied set is evicted");
+            assert_eq!(t.len(), 4);
+            for ids in [[7, 8], [3, 9], [5, 6], [1, 2]] {
+                assert!(t.entry(&ids).is_some(), "{ids:?} survives");
+            }
+        }
     }
 
     #[test]

@@ -967,6 +967,11 @@ impl DeviceCore {
     /// lost, stuck, on a failed die, or scrub-done at their current
     /// stress fingerprint.
     fn scrub_candidates(&self) -> Vec<ScrubCandidate> {
+        // Only ECC pages are scrubbed; skip the FTL walk when none is
+        // mapped (every drain asks, and operand pages carry no ECC).
+        if self.ssd.mapped_ecc_pages() == 0 {
+            return Vec::new();
+        }
         let margin = self.ssd.ecc_correction_margin();
         let queued: HashSet<u64> = self.recovery.scrub_queue.iter().map(|j| j.lpn).collect();
         let mut candidates: Vec<ScrubCandidate> = Vec::new();

@@ -800,8 +800,8 @@ impl NandChip {
     /// physics mode derives each wordline's vote from its stress-shifted
     /// V_TH population (a cell votes when it fails to conduct at its
     /// scheme's read reference), then counts with the word-parallel
-    /// bit-sliced kernel — `mlsense::threshold_ge_serial` is the scalar
-    /// oracle both modes are property-tested against.
+    /// `mlsense::threshold_ge_into` kernel — `mlsense::threshold_ge_serial`
+    /// is the scalar oracle both modes are property-tested against.
     fn exec_threshold_mws(&mut self, target: MwsTarget, k: usize) -> Result<CmdOutput, NandError> {
         if target.pbm == 0 {
             return Err(NandError::EmptyMwsTarget);
@@ -825,7 +825,20 @@ impl NandChip {
         let plane = target.block.plane;
         let n_wls = target.wl_count();
 
-        {
+        if matches!(self.config.fidelity, Fidelity::Functional { inject_errors: false }) {
+            // Exact votes need no copies: a programmed cell stores 0, so
+            // "≥ k programmed" is "fewer than n − k + 1 stored ones" —
+            // count the stored pages and complement.
+            let Self { planes, scratch, .. } = self;
+            let block_ref = &planes[plane as usize].blocks[target.block.block as usize];
+            let stored: Vec<&BitVec> = target
+                .wls()
+                .map(|wl| &block_ref.pages[wl as usize].as_ref().expect("validated above").data)
+                .collect();
+            let SenseScratch { threshold, sensed, .. } = scratch;
+            mlsense::threshold_ge_into(&stored, (n_wls + 1).saturating_sub(k), threshold, sensed);
+            sensed.not_assign();
+        } else {
             let Self { planes, rng, scratch, config, stats, retention_months, .. } = self;
             let block_ref = &planes[plane as usize].blocks[target.block.block as usize];
             let stress = StressState {
@@ -869,8 +882,6 @@ impl NandChip {
                     }
                 }
             }
-        }
-        {
             let SenseScratch { votes, threshold, sensed, .. } = &mut self.scratch;
             let refs: Vec<&BitVec> = votes[..n_wls].iter().collect();
             mlsense::threshold_ge_into(&refs, k, threshold, sensed);

@@ -9,10 +9,12 @@
 //! the two pieces of device-side machinery that turn that observation into
 //! a compute primitive:
 //!
-//! * **Vote counting** — [`threshold_ge_into`], a word-parallel bit-sliced
-//!   ripple-carry population counter plus an MSB-down `≥ k` comparator over
-//!   the per-bitline counts, with [`threshold_ge_serial`] as the bit-exact
-//!   scalar oracle (the same kernel/oracle pairing as `ispp::pulse_rounds`).
+//! * **Vote counting** — [`threshold_ge_into`], a word-parallel counter
+//!   that works through the pages in L1-sized chunks: saturating unary
+//!   rows on the minority side of `k` when those are cheap, else a
+//!   bit-sliced ripple-carry population counter plus an MSB-down `≥ k`
+//!   comparator, with [`threshold_ge_serial`] as the bit-exact scalar
+//!   oracle (the same kernel/oracle pairing as `ispp::pulse_rounds`).
 //! * **Multi-level page codes** — Gray-code level maps for MLC/TLC cells
 //!   ([`gray_codes`]), cell-level encoding of 2–3 logical pages into one
 //!   physical page ([`encode_levels`]), and the read-side transition model
@@ -24,27 +26,65 @@ use fc_bits::BitVec;
 
 use crate::geometry::CellMode;
 
-/// Reusable buffers for [`threshold_ge_into`]: the bit-sliced count planes
-/// plus carry/comparator temporaries. Create once per chip/plane and reuse
-/// across senses — same pattern as `sense::SenseScratch`.
+/// Words per chunk of the bit-sliced counter: 4 096 bitlines, so a
+/// chunk's counter planes (≤ 7 × 512 B) stay in L1 while every vote page
+/// streams through once.
+const CHUNK_WORDS: usize = 64;
+
+/// Most rows a unary counter may take; wider votes count bit-sliced.
+const MAX_UNARY_ROWS: usize = 8;
+
+/// Words the unary counter keeps in registers at a time.
+const UNARY_LANES: usize = 4;
+
+/// Reusable buffers for [`threshold_ge_into`]: one chunk's counter planes
+/// and carry. Create once per chip/plane and reuse across senses — same
+/// pattern as `sense::SenseScratch`.
 #[derive(Debug, Default, Clone)]
 pub struct ThresholdScratch {
-    /// Bit-sliced per-bitline vote count: `planes[p]` holds bit `p` of
-    /// every bitline's count.
-    planes: Vec<BitVec>,
-    carry: BitVec,
-    tmp: BitVec,
-    gt: BitVec,
-    eq: BitVec,
+    /// Bit-sliced per-bitline vote counts of one chunk: `planes[p]` (the
+    /// `p`-th run of `CHUNK_WORDS` words) holds bit `p` of every count.
+    planes: Vec<u64>,
+    /// Ripple carry of the bit-sliced counter, one chunk wide.
+    carry: Vec<u64>,
+}
+
+/// How [`threshold_ge_into`] counts an `n`-page vote against `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Counter {
+    /// Bit-sliced ripple-carry counter with `width` planes, then an
+    /// MSB-down `≥ k` comparator: about `3 · width` word ops per vote.
+    Sliced { width: usize },
+    /// `rows` saturating unary rows — row `j` means "at least `j + 1`
+    /// counted votes" — over the set votes (`zeros: false`, answer = last
+    /// row) or the clear ones (`zeros: true`, answer = its complement,
+    /// since ≥ k ones ⇔ fewer than n − k + 1 zeros): `2 · rows` word ops
+    /// per vote, all in registers.
+    Unary { rows: usize, zeros: bool },
+}
+
+impl Counter {
+    /// The cheaper counter for `1 ≤ k ≤ n`: unary rows on the minority
+    /// side when they take fewer word ops than the bit-sliced counter.
+    fn for_vote(n: usize, k: usize) -> Self {
+        let width = usize::BITS as usize - n.leading_zeros() as usize;
+        let minority = k.min(n - k + 1);
+        if minority <= MAX_UNARY_ROWS && 2 * minority <= 3 * width {
+            Counter::Unary { rows: minority, zeros: minority < k }
+        } else {
+            Counter::Sliced { width }
+        }
+    }
 }
 
 /// Word-parallel threshold vote: sets bit `i` of `out` iff at least `k` of
 /// the `votes` pages have bit `i` set.
 ///
-/// Counts votes into a bit-sliced ripple-carry accumulator (one full-adder
-/// chain per vote page, all bitlines in parallel per 64-bit word), then
-/// compares the per-bitline counts against the constant `k` MSB-down. Cost
-/// is `O(votes · log votes)` word ops — independent of `k`.
+/// Small minorities count with saturating unary rows held in registers —
+/// `min(k, n − k + 1)` rows, 3 for a `k = n − 2` vote — reading every
+/// vote word exactly once. Otherwise a bit-sliced ripple-carry counter
+/// (`O(log n)` ops per vote) works through the pages in L1-sized chunks
+/// and compares the counts against `k` MSB-down.
 ///
 /// # Panics
 ///
@@ -57,61 +97,115 @@ pub fn threshold_ge_into(
 ) {
     assert!(!votes.is_empty(), "threshold vote needs at least one page");
     let len = votes[0].len();
-    let n = votes.len();
-    // Enough planes to hold counts up to n.
-    let width = usize::BITS as usize - n.leading_zeros() as usize;
-    scratch.planes.resize_with(width, BitVec::default);
-    for plane in &mut scratch.planes {
-        plane.reset(len, false);
-    }
-    scratch.carry.reset(len, false);
-    scratch.tmp.reset(len, false);
-
-    // Accumulate: add 1 (where the vote page is set) into the bit-sliced
-    // counter with a ripple carry across planes.
     for vote in votes {
         assert_eq!(vote.len(), len, "threshold vote pages must share a length");
-        scratch.carry.assign_from(vote);
-        for plane in &mut scratch.planes {
-            // (plane, carry) -> (plane ^ carry, plane & carry)
-            scratch.tmp.assign_from(plane);
-            scratch.tmp.and_assign(&scratch.carry);
-            plane.xor_assign(&scratch.carry);
-            scratch.carry.assign_from(&scratch.tmp);
-        }
     }
+    let n = votes.len();
+    if k == 0 || k > n {
+        // Every count is ≥ 0; no count exceeds n.
+        out.reset(len, k == 0);
+        return;
+    }
+    let pages: Vec<&[u64]> = votes.iter().map(|v| v.words()).collect();
+    let mut result = vec![0u64; pages[0].len()];
+    match Counter::for_vote(n, k) {
+        Counter::Unary { rows, zeros } => {
+            let flip = if zeros { u64::MAX } else { 0 };
+            match rows {
+                1 => unary_count::<1>(&pages, flip, &mut result),
+                2 => unary_count::<2>(&pages, flip, &mut result),
+                3 => unary_count::<3>(&pages, flip, &mut result),
+                4 => unary_count::<4>(&pages, flip, &mut result),
+                5 => unary_count::<5>(&pages, flip, &mut result),
+                6 => unary_count::<6>(&pages, flip, &mut result),
+                7 => unary_count::<7>(&pages, flip, &mut result),
+                8 => unary_count::<8>(&pages, flip, &mut result),
+                _ => unreachable!("unary counters take at most {MAX_UNARY_ROWS} rows"),
+            }
+        }
+        Counter::Sliced { width } => sliced_count(&pages, k, width, scratch, &mut result),
+    }
+    *out = BitVec::from_words(result, len);
+}
 
-    // Compare count >= k, scanning bits MSB-down:
-    //   gt |= eq & count_bit & !k_bit;   eq &= !(count_bit ^ k_bit)
-    // `k` may need more bits than the counter holds (k > n is legal and
-    // simply never satisfied), so scan over max(width, bits(k)).
-    let k_width = usize::BITS as usize - k.leading_zeros() as usize;
-    scratch.gt.reset(len, false);
-    scratch.eq.reset(len, true);
-    for bit in (0..width.max(k_width)).rev() {
-        let k_bit = (k >> bit) & 1 == 1;
-        match scratch.planes.get(bit) {
-            Some(plane) => {
-                if k_bit {
-                    scratch.eq.and_assign(plane);
-                } else {
-                    scratch.tmp.assign_from(&scratch.eq);
-                    scratch.tmp.and_assign(plane);
-                    scratch.gt.or_assign(&scratch.tmp);
-                    scratch.eq.and_not_assign(plane);
-                }
+/// Unary counting with `M` rows, `UNARY_LANES` words at a time.
+fn unary_count<const M: usize>(pages: &[&[u64]], flip: u64, out: &mut [u64]) {
+    let mut blocks = out.chunks_exact_mut(UNARY_LANES);
+    let mut w = 0;
+    for block in &mut blocks {
+        block.copy_from_slice(&unary_block::<M, UNARY_LANES>(pages, w, flip));
+        w += UNARY_LANES;
+    }
+    for o in blocks.into_remainder() {
+        *o = unary_block::<M, 1>(pages, w, flip)[0];
+        w += 1;
+    }
+}
+
+/// Counts words `w..w + L` of every page into `M` saturating rows kept in
+/// registers and returns the answer words (`flip` complements the votes
+/// and the answer for zeros-side counting).
+#[inline(always)]
+fn unary_block<const M: usize, const L: usize>(pages: &[&[u64]], w: usize, flip: u64) -> [u64; L] {
+    let mut rows = [[0u64; L]; M];
+    for page in pages {
+        let x: &[u64; L] = page[w..w + L].try_into().expect("L words");
+        // Top row first, so each vote advances a bitline by one row.
+        for j in (1..M).rev() {
+            for l in 0..L {
+                rows[j][l] |= rows[j - 1][l] & (x[l] ^ flip);
             }
-            // Count bit is implicitly 0 above the counter width.
-            None => {
-                if k_bit {
-                    scratch.eq.fill(false);
+        }
+        for l in 0..L {
+            rows[0][l] |= x[l] ^ flip;
+        }
+    }
+    rows[M - 1].map(|r| r ^ flip)
+}
+
+/// Bit-sliced counting, chunk by chunk, then the `≥ k` comparison.
+fn sliced_count(
+    pages: &[&[u64]],
+    k: usize,
+    width: usize,
+    scratch: &mut ThresholdScratch,
+    out: &mut [u64],
+) {
+    let ThresholdScratch { planes, carry } = scratch;
+    carry.resize(CHUNK_WORDS, 0);
+    for (c, out_chunk) in out.chunks_mut(CHUNK_WORDS).enumerate() {
+        let start = c * CHUNK_WORDS;
+        let cw = out_chunk.len();
+        planes.clear();
+        planes.resize(width * CHUNK_WORDS, 0);
+        for page in pages {
+            // Add 1 where the vote is set: (plane, carry) ->
+            // (plane ^ carry, plane & carry), plane by plane.
+            carry[..cw].copy_from_slice(&page[start..start + cw]);
+            for plane in planes.chunks_exact_mut(CHUNK_WORDS) {
+                for (p, c) in plane[..cw].iter_mut().zip(&mut carry[..cw]) {
+                    let t = *p & *c;
+                    *p ^= *c;
+                    *c = t;
                 }
             }
         }
+        // Compare count >= k MSB-down (k ≤ n fits the counter's width):
+        //   gt |= eq & count_bit & !k_bit;   eq &= !(count_bit ^ k_bit)
+        for (i, o) in out_chunk.iter_mut().enumerate() {
+            let (mut gt, mut eq) = (0u64, u64::MAX);
+            for bit in (0..width).rev() {
+                let count_bit = planes[bit * CHUNK_WORDS + i];
+                if (k >> bit) & 1 == 1 {
+                    eq &= count_bit;
+                } else {
+                    gt |= eq & count_bit;
+                    eq &= !count_bit;
+                }
+            }
+            *o = gt | eq;
+        }
     }
-    out.reset(len, false);
-    out.or_assign(&scratch.gt);
-    out.or_assign(&scratch.eq);
 }
 
 /// Scalar oracle for [`threshold_ge_into`]: per-bitline `filter().count()`,
@@ -242,16 +336,35 @@ mod tests {
     fn packed_threshold_matches_serial_oracle() {
         let mut scratch = ThresholdScratch::default();
         let mut out = BitVec::default();
-        for n in [1, 2, 3, 5, 9, 17, 64] {
-            let votes = vote_pages(n, 515, n as u64);
-            let refs: Vec<&BitVec> = votes.iter().collect();
-            for k in [1, 2, n / 2, n.div_ceil(2), n, n + 1, n + 40] {
-                if k == 0 {
-                    continue;
+        // 515 bits fit one chunk; 8 269 span three, the last one partial.
+        for bits in [515, 8269] {
+            for n in [1, 2, 3, 5, 9, 17, 24, 33, 48, 64] {
+                let votes = vote_pages(n, bits, (n * bits) as u64);
+                let refs: Vec<&BitVec> = votes.iter().collect();
+                let ks =
+                    [0, 1, 2, n / 2, n.div_ceil(2), n.saturating_sub(2), n - 1, n, n + 1, n + 40];
+                for k in ks {
+                    threshold_ge_into(&refs, k, &mut scratch, &mut out);
+                    assert_eq!(out, threshold_ge_serial(&refs, k), "bits={bits} n={n} k={k}");
                 }
-                threshold_ge_into(&refs, k, &mut scratch, &mut out);
-                assert_eq!(out, threshold_ge_serial(&refs, k), "n={n} k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn both_counters_are_exercised() {
+        // Majority of 64 is the bit-sliced counter's case (32 unary rows
+        // would cost more), a `k = n − 2` vote the unary counter's.
+        assert_eq!(Counter::for_vote(64, 32), Counter::Sliced { width: 7 });
+        assert_eq!(Counter::for_vote(64, 62), Counter::Unary { rows: 3, zeros: true });
+        assert_eq!(Counter::for_vote(24, 2), Counter::Unary { rows: 2, zeros: false });
+        let votes = vote_pages(64, 300, 5);
+        let refs: Vec<&BitVec> = votes.iter().collect();
+        let mut scratch = ThresholdScratch::default();
+        let mut out = BitVec::default();
+        for k in [32, 62] {
+            threshold_ge_into(&refs, k, &mut scratch, &mut out);
+            assert_eq!(out, threshold_ge_serial(&refs, k), "k={k}");
         }
     }
 

@@ -401,9 +401,18 @@ impl SsdDevice {
         (0..self.ftl_shards.len()).map(|s| self.ftl_shard(s).mapped_pages()).sum()
     }
 
-    /// A point-in-time copy of every mapping (shard by shard — the walk
+    /// Mapped logical pages whose metadata says ECC, across every shard.
+    /// Flash-Cosmos operand pages carry no ECC, so on a compute-only
+    /// device this is zero and ECC-only walks can be skipped.
+    pub fn mapped_ecc_pages(&self) -> usize {
+        (0..self.ftl_shards.len()).map(|s| self.ftl_shard(s).ecc_pages()).sum()
+    }
+
+    /// A point-in-time copy of every mapping, shard by shard — the walk
     /// that scrubbing, grown-defect discovery, and the `fc_audit`
-    /// residency pass run over; not a hot path).
+    /// residency pass run over. It copies the whole FTL, so per-drain
+    /// callers check [`SsdDevice::mapped_ecc_pages`] first when only ECC
+    /// pages matter.
     pub fn mapped_snapshot(&self) -> Vec<(u64, Ppa, PageMeta)> {
         let mut out = Vec::with_capacity(self.mapped_pages());
         for s in 0..self.ftl_shards.len() {

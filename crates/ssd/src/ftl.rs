@@ -204,6 +204,9 @@ pub struct Ftl {
     /// metadata live together, so translation+metadata reads and the
     /// full-device walks ([`Ftl::iter_mapped`]) cost one lookup, not two.
     map: HashMap<u64, (Ppa, PageMeta)>,
+    /// Entries of `map` whose metadata says ECC — kept in step by `put`
+    /// and `trim`, so "is any ECC page mapped?" costs no walk.
+    ecc_pages: usize,
     /// Next free block per domain plane (blocks are allocated whole).
     next_block: Vec<u32>,
     /// Striped-allocation cursor: (plane, open block, next wordline).
@@ -232,6 +235,7 @@ impl Ftl {
             wls_per_block: config.wls_per_block as u32,
             blocks_per_plane: config.blocks_per_plane as u32,
             map: HashMap::new(),
+            ecc_pages: 0,
             next_block: vec![0; planes],
             stripe_cursor: 0,
             stripe_open: vec![None; planes],
@@ -255,6 +259,13 @@ impl Ftl {
         self.map.len()
     }
 
+    /// Number of mapped logical pages whose metadata says ECC — zero on a
+    /// device that holds only Flash-Cosmos operands, which lets callers
+    /// skip ECC-only walks such as the scrub scan.
+    pub fn ecc_pages(&self) -> usize {
+        self.ecc_pages
+    }
+
     /// Looks up a logical page's physical address.
     pub fn translate(&self, lpn: u64) -> Option<Ppa> {
         self.map.get(&lpn).map(|&(ppa, _)| ppa)
@@ -274,7 +285,18 @@ impl Ftl {
 
     /// Unmaps a logical page (trim). Returns the freed physical address.
     pub fn trim(&mut self, lpn: u64) -> Option<Ppa> {
-        self.map.remove(&lpn).map(|(ppa, _)| ppa)
+        let (ppa, meta) = self.map.remove(&lpn)?;
+        self.ecc_pages -= usize::from(meta.ecc);
+        Some(ppa)
+    }
+
+    /// Inserts or replaces a mapping — every map insertion goes through
+    /// here so the ECC page count stays exact.
+    fn put(&mut self, lpn: u64, ppa: Ppa, meta: PageMeta) {
+        self.ecc_pages += usize::from(meta.ecc);
+        if let Some((_, old)) = self.map.insert(lpn, (ppa, meta)) {
+            self.ecc_pages -= usize::from(old.ecc);
+        }
     }
 
     /// Allocates a physical page for `lpn` and records its metadata.
@@ -295,7 +317,7 @@ impl Ftl {
             PlacementHint::Striped => self.allocate_striped()?,
             PlacementHint::Grouped { group, plane } => self.allocate_grouped(group, plane)?,
         };
-        self.map.insert(lpn, (ppa, meta));
+        self.put(lpn, ppa, meta);
         Ok(ppa)
     }
 
@@ -334,7 +356,7 @@ impl Ftl {
             return Err(FtlError::AlreadyMapped(lpn));
         }
         let ppa = self.map.get(&to).map(|&(p, _)| p).ok_or(FtlError::NotMapped(to))?;
-        self.map.insert(lpn, (ppa, meta));
+        self.put(lpn, ppa, meta);
         Ok(ppa)
     }
 
@@ -357,7 +379,7 @@ impl Ftl {
             PlacementHint::Striped => self.allocate_striped()?,
             PlacementHint::Grouped { group, plane } => self.allocate_grouped(group, plane)?,
         };
-        self.map.insert(lpn, (new, meta));
+        self.put(lpn, new, meta);
         Ok((old, new))
     }
 
@@ -437,7 +459,7 @@ impl Ftl {
     /// outside the audit harness.
     #[doc(hidden)]
     pub fn adopt_for_audit(&mut self, lpn: u64, ppa: Ppa, meta: PageMeta) {
-        self.map.insert(lpn, (ppa, meta));
+        self.put(lpn, ppa, meta);
     }
 }
 
@@ -639,6 +661,27 @@ mod tests {
         assert_eq!(f.trim(7), Some(ppa));
         assert_eq!(f.translate(7), None);
         assert_eq!(f.meta(7), None);
+    }
+
+    #[test]
+    fn ecc_page_count_follows_every_mapping_change() {
+        let mut f = ftl();
+        let fc = PageMeta::flash_cosmos(false);
+        f.allocate(1, PlacementHint::Striped, PageMeta::conventional()).unwrap();
+        f.allocate(2, grouped(GroupKey::new(0, 0), None), fc).unwrap();
+        assert_eq!(f.ecc_pages(), 1);
+        f.alias(3, 1, PageMeta::conventional()).unwrap();
+        assert_eq!(f.ecc_pages(), 2);
+        // A remap that changes the metadata moves the page between counts.
+        f.remap(1, PlacementHint::Striped, fc).unwrap();
+        f.remap(2, PlacementHint::Striped, PageMeta::conventional()).unwrap();
+        assert_eq!(f.ecc_pages(), 2);
+        f.trim(2);
+        f.trim(2);
+        assert_eq!(f.ecc_pages(), 1);
+        f.trim(3);
+        assert_eq!(f.ecc_pages(), 0);
+        assert_eq!(f.mapped_pages(), 1);
     }
 
     #[test]

@@ -220,6 +220,59 @@ fn random_expr(rng: &mut StdRng, ids: &[usize], depth: usize) -> Expr {
     }
 }
 
+/// A bitmap-index batch big enough for the executor to sense each die's
+/// leaves on its own host thread: daily activity vectors striped over 4
+/// dies of 16 KiB pages, six AND windows of 30–48 days and two "at most 2
+/// inactive days" threshold windows inside the 48-wordline block. Every
+/// result is bit-exact against `Expr::eval`, through `submit`,
+/// `submit_async` + `drain` + `wait`, and `fc_read`.
+#[test]
+fn large_bitmap_batch_fans_out_bit_exactly() {
+    let config = SsdConfig {
+        channels: 4,
+        dies_per_channel: 2,
+        blocks_per_plane: 4,
+        wls_per_block: 48,
+        page_bytes: 16 * 1024,
+        ..SsdConfig::tiny_test()
+    };
+    let dev = FlashCosmosDevice::new(config);
+    dev.set_result_cache_capacity(0);
+    let mut rng = StdRng::seed_from_u64(0xB111);
+    let stripes = 4;
+    let bits = stripes * dev.config().page_bits();
+    let days: Vec<BitVec> =
+        (0..48).map(|_| BitVec::random_with_density(bits, 0.85, &mut rng)).collect();
+    let ids: Vec<usize> = days
+        .iter()
+        .enumerate()
+        .map(|(d, v)| {
+            dev.fc_write(&format!("day{d}"), v, StoreHints::and_group("days")).unwrap().id
+        })
+        .collect();
+    let mut batch: QueryBatch = [(0, 48), (5, 40), (18, 30), (1, 33), (10, 36), (12, 31)]
+        .iter()
+        .map(|&(start, len)| Expr::and_vars(ids[start..start + len].iter().copied()))
+        .collect();
+    for (start, len) in [(3, 24), (30, 12)] {
+        batch.push(Expr::threshold_vars(len - 2, ids[start..start + len].iter().copied()));
+    }
+    let lookup = |id: usize| days[id].clone();
+    let expect: Vec<BitVec> = batch.queries().iter().map(|e| e.eval(&lookup)).collect();
+
+    let out = dev.submit(&batch).unwrap();
+    assert_eq!(out.results, expect);
+    assert!(out.stats.dies_used >= 4, "stripes spread over dies: {}", out.stats.dies_used);
+    // Each sense activates at least 12 wordlines of 16 KiB, so the batch
+    // senses well past the 1 MiB fan-out size.
+    assert!(out.stats.senses as usize * 12 * dev.config().page_bytes >= 4 << 20);
+
+    let ticket = dev.submit_async(&batch).unwrap();
+    dev.drain().unwrap();
+    assert_eq!(ticket.wait(&dev).unwrap().results, expect);
+    assert_eq!(dev.fc_read(&batch.queries()[6]).unwrap().0, expect[6]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
