@@ -24,7 +24,8 @@
 //!   generations, queued-job stamps, and placement/wear bookkeeping.
 //!
 //! Both passes are wired in under `debug_assertions` — on every batch
-//! compile and after every [`FlashCosmosDevice::drain`] — so the whole
+//! compile, and in the background tail after every
+//! [`FlashCosmosDevice::drain`] or sync read that senses — so the whole
 //! test suite runs with the analyzer armed while release builds pay
 //! nothing. [`AuditConfig`] picks what a finding does per code:
 //! [`AuditMode::Deny`] (default) panics on error-severity findings,
@@ -1174,8 +1175,8 @@ impl DeviceCore {
     /// integrity and coverage, result-cache generations, queued-job
     /// stamps, placement/wear bookkeeping — and returns the findings,
     /// sorted by `(code, location)`. Inspects only; never executes or
-    /// mutates. Wired in automatically after every drain in debug
-    /// builds (see [`crate::audit`]).
+    /// mutates. Wired in automatically after every drain or sync read
+    /// that senses, in debug builds (see [`crate::audit`]).
     pub fn audit(&self) -> Vec<Finding> {
         let mut out = Vec::new();
         self.audit_ftl_aliasing(&mut out);
@@ -1911,9 +1912,9 @@ impl FlashCosmosDevice {
     /// integrity and coverage, result-cache generations, queued-job
     /// stamps, placement/wear bookkeeping — and returns the findings,
     /// sorted by `(code, location)`. Inspects only; never executes or
-    /// mutates. Runs under the shared device lock (the automatic
-    /// post-drain hook instead audits under the exclusive lock — a
-    /// snapshot no concurrent drain can shear).
+    /// mutates. Runs under the shared device lock (the automatic hook in
+    /// the background tail instead audits under the exclusive lock — a
+    /// snapshot no concurrent reader can shear).
     pub fn audit(&self) -> Vec<Finding> {
         self.core().audit()
     }

@@ -35,6 +35,13 @@
 //! together with a [`BatchStats`] that reports the senses saved versus
 //! running every query through a serial [`FlashCosmosDevice::fc_read`].
 //!
+//! This module is the compile-and-execute half of the device's one
+//! serving path: [`submit`], [`submit_into`], `fc_read`, `fc_read_into`
+//! and `parabit_read` compile here and then run the same serve step and
+//! background tail as every drained batch (see [`crate::session`]).
+//! ParaBit differs only in its per-stripe program compiler
+//! ([`crate::parabit::compile`]).
+//!
 //! [`submit`]: FlashCosmosDevice::submit
 //! [`submit_into`]: FlashCosmosDevice::submit_into
 
@@ -50,6 +57,7 @@ use fc_ssd::pipeline::DieQueues;
 use crate::crossdie::{self, ExecPlan, Leaf, MergeTree};
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Expr, Literal, Nnf, OperandId};
+use crate::parabit;
 use crate::planner::{self, PlannerCaps};
 
 /// Identifies one query inside a [`QueryBatch`] — the index of the
@@ -184,13 +192,7 @@ impl BatchStats {
     /// this stays [`Bottleneck::Die`]/[`Bottleneck::Channel`] and breaks
     /// when the serial controller merge takes over.
     pub fn bottleneck(&self) -> Bottleneck {
-        if self.merge_us > self.busiest_die_us && self.merge_us > self.busiest_channel_us {
-            Bottleneck::Merge
-        } else if self.busiest_channel_us > self.busiest_die_us {
-            Bottleneck::Channel
-        } else {
-            Bottleneck::Die
-        }
+        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
     }
 }
 
@@ -204,6 +206,32 @@ pub enum Bottleneck {
     Channel,
     /// The controller's serial cross-die / cross-shard merge dominates.
     Merge,
+}
+
+impl Bottleneck {
+    /// The one attribution rule every stats struct reports: the merge
+    /// when it exceeds both flash lanes, else the busier of channel and
+    /// die (ties go to the die).
+    pub(crate) fn of(busiest_die_us: f64, busiest_channel_us: f64, merge_us: f64) -> Self {
+        if merge_us > busiest_die_us && merge_us > busiest_channel_us {
+            Bottleneck::Merge
+        } else if busiest_channel_us > busiest_die_us {
+            Bottleneck::Channel
+        } else {
+            Bottleneck::Die
+        }
+    }
+}
+
+/// The controller merge's share of `critical_us + merge_us`, in
+/// `[0, 1]` — 0 when the pass was pure flash work.
+pub(crate) fn merge_share(critical_us: f64, merge_us: f64) -> f64 {
+    let total = critical_us + merge_us;
+    if total <= 0.0 {
+        0.0
+    } else {
+        merge_us / total
+    }
 }
 
 /// Results of [`FlashCosmosDevice::submit`]: one vector per query, in
@@ -326,6 +354,10 @@ pub(crate) struct CompiledBatch {
     /// epoch — the staleness check for queued batches.
     pub(crate) epoch: u64,
     pub(crate) snapshot: Vec<(OperandId, u64)>,
+    /// Whether executed unit results enter the result cache. Off for
+    /// ParaBit plans: a baseline run must not turn a later Flash-Cosmos
+    /// read of the same expression into a cache hit.
+    pub(crate) memoize: bool,
 }
 
 impl CompiledBatch {
@@ -336,69 +368,10 @@ impl CompiledBatch {
 }
 
 impl DeviceCore {
-    /// Executes a batch of queries in one jointly planned device pass and
-    /// returns per-query result vectors plus [`BatchStats`].
-    ///
-    /// # Errors
-    ///
-    /// Fails like `fc_read` would on the offending
-    /// query: unknown operands, operand size mismatches *within* a query,
-    /// planner rejections, or chip errors. Queries of different vector
-    /// lengths may share a batch.
-    ///
-    /// A query that depends on a page the recovery layer lost (unreadable
-    /// after read-retry *and* parity rebuild) does **not** fail the
-    /// batch: it is reported in [`BatchResults::failures`] with an empty
-    /// result vector, while every other query completes normally.
-    pub(crate) fn submit(&self, batch: &QueryBatch) -> Result<BatchResults, FcError> {
-        let mut results: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
-        if batch.is_empty() {
-            return Ok(BatchResults { results, stats: BatchStats::default(), failures: vec![] });
-        }
-        let compiled = self.compile_batch(batch)?;
-        let (stats, failures) = self.execute_compiled(&compiled, &mut results, None)?;
-        Ok(BatchResults { results, stats, failures })
-    }
-
-    /// Like `submit`, but writes each query's result
-    /// into the caller's buffers (`outs[i]` receives query `i`, resized in
-    /// place) — the zero-copy output mode for callers that recycle
-    /// vectors across submissions.
-    ///
-    /// # Errors
-    ///
-    /// [`FcError::OutputSlots`] when `outs.len() != batch.len()`, plus
-    /// everything `submit` can return. Unlike
-    /// `submit`, this path fails fast: the first
-    /// query touching a lost page surfaces as [`FcError::QueryFailed`]
-    /// (use `submit` for partial results).
-    pub(crate) fn submit_into(
-        &self,
-        batch: &QueryBatch,
-        outs: &mut [BitVec],
-    ) -> Result<BatchStats, FcError> {
-        if outs.len() != batch.len() {
-            return Err(FcError::OutputSlots { got: outs.len(), expected: batch.len() });
-        }
-        if batch.is_empty() {
-            return Ok(BatchStats::default());
-        }
-        let compiled = self.compile_batch(batch)?;
-        let (stats, failures) = self.execute_compiled(&compiled, outs, None)?;
-        if let Some(f) = failures.first() {
-            return Err(FcError::QueryFailed {
-                query: f.query,
-                lpn: f.lpn,
-                tiers_tried: f.tiers_tried,
-            });
-        }
-        Ok(stats)
-    }
-
     /// Compiles a batch against the current placement, dedup/sharing the
     /// queries jointly and consulting the cross-batch result cache per
-    /// unit — the planning half of `submit_into`,
-    /// shared with the async submission path. Records each unit's
+    /// unit — the planning half of every Flash-Cosmos read, sync or
+    /// async. Records each unit's
     /// operand set with the maintenance affinity tracker — one
     /// observation per *submission*, so the drain-time recompile of a
     /// stale async batch uses [`Self::recompile_batch`] instead (the
@@ -431,18 +404,7 @@ impl DeviceCore {
         let mut q_pages = vec![0usize; n];
         let mut q_nnf: Vec<Nnf> = Vec::with_capacity(n);
         for (qi, expr) in batch.queries().iter().enumerate() {
-            let ids: Vec<OperandId> = expr.operands().into_iter().collect();
-            let first = *ids.first().ok_or(FcError::SizeMismatch)?;
-            let bits = self.record(first)?.bits;
-            let pages = self.record(first)?.lpns.len();
-            for &id in &ids {
-                let r = self.record(id)?;
-                if r.bits != bits || r.lpns.len() != pages {
-                    return Err(FcError::SizeMismatch);
-                }
-            }
-            q_bits[qi] = bits;
-            q_pages[qi] = pages;
+            (q_bits[qi], q_pages[qi]) = self.query_geometry(expr)?;
             q_nnf.push(expr.to_nnf());
         }
 
@@ -569,26 +531,8 @@ impl DeviceCore {
                 });
                 continue;
             }
-            let mut leaves: Vec<Leaf> = Vec::new();
-            let mut slots: Vec<usize> = Vec::new();
-            let mut direct: Vec<bool> = Vec::new();
-            let mut merges: Vec<(usize, MergeTree)> = Vec::new();
-            let mut senses = 0u64;
-            for slot in 0..unit.pages {
-                let plan = self.stripe_plan(&unit.nnf, &unit.ids, slot, caps)?;
-                senses += plan.sense_count() as u64;
-                let tree = plan.flatten(&mut leaves);
-                slots.resize(leaves.len(), slot);
-                direct.resize(leaves.len(), false);
-                // Single-leaf plans (the common co-planar case) stream
-                // their page straight into the unit output; only genuinely
-                // spanning plans buffer partials for the controller merge.
-                if let MergeTree::Leaf(i) = tree {
-                    direct[i] = true;
-                } else {
-                    merges.push((slot, tree));
-                }
-            }
+            let (work, senses) =
+                stripe_work(unit.pages, |slot| self.stripe_plan(&unit.nnf, &unit.ids, slot, caps))?;
             form_cost.entry(unit.nnf.clone()).or_insert(senses);
             if record_affinity {
                 self.session.affinity().record(
@@ -603,7 +547,7 @@ impl DeviceCore {
                 pages: unit.pages,
                 consumers: unit.consumers.clone(),
                 nnf: unit.nnf.clone(),
-                work: UnitWork::Execute { leaves, slots, direct, merges, senses },
+                work,
                 key,
             });
         }
@@ -634,14 +578,78 @@ impl DeviceCore {
             };
             stats.serial_senses += cost;
         }
-        let compiled =
-            CompiledBatch { q_bits, q_pages, units: planned, stats_seed: stats, epoch, snapshot };
+        let compiled = CompiledBatch {
+            q_bits,
+            q_pages,
+            units: planned,
+            stats_seed: stats,
+            epoch,
+            snapshot,
+            memoize: true,
+        };
         // Pass 1 of the static analyzer: lint the plan IR before any chip
         // is touched (debug builds only — release keeps the hot compile
         // path unchanged; see `crate::audit`).
         #[cfg(debug_assertions)]
         crate::audit::enforce_plan(self, &compiled);
         Ok(compiled)
+    }
+
+    /// Compiles one expression with the ParaBit baseline compiler — one
+    /// single-wordline sense per operand, stripe by stripe — into a
+    /// one-unit batch for the shared executor. No dedup, sharing or cache
+    /// lookup (the baseline is priced as it runs), and the result is not
+    /// memoized. Operands spanning dies split into per-die programs plus a
+    /// controller merge, exactly like the Flash-Cosmos plans.
+    pub(crate) fn compile_parabit(&self, expr: &Expr) -> Result<CompiledBatch, FcError> {
+        let (bits, pages) = self.query_geometry(expr)?;
+        let ids: Vec<OperandId> = expr.operands().into_iter().collect();
+        let nnf = expr.to_nnf();
+        let (work, senses) = stripe_work(pages, |slot| {
+            let map = self.stripe_map(&ids, slot)?;
+            crossdie::compile_spanning(&nnf, &|id| self.operand_plane(id, slot), &mut |sub| {
+                parabit::compile(sub, &map)
+            })
+            .map_err(FcError::Plan)
+        })?;
+        let snapshot: Vec<(OperandId, u64)> =
+            ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
+        Ok(CompiledBatch {
+            q_bits: vec![bits],
+            q_pages: vec![pages],
+            units: vec![PlannedUnit {
+                pages,
+                consumers: vec![0],
+                key: (self.epoch, nnf.clone(), snapshot.clone()),
+                nnf,
+                work,
+            }],
+            stats_seed: BatchStats {
+                queries: 1,
+                serial_senses: senses,
+                per_query: vec![QueryStats::default()],
+                ..BatchStats::default()
+            },
+            epoch: self.epoch,
+            snapshot,
+            memoize: false,
+        })
+    }
+
+    /// A query's vector length and stripe count, after checking that it
+    /// names at least one operand and that every operand it names exists
+    /// and has the same geometry.
+    fn query_geometry(&self, expr: &Expr) -> Result<(usize, usize), FcError> {
+        let ids = expr.operands();
+        let first = self.record(*ids.first().ok_or(FcError::SizeMismatch)?)?;
+        let (bits, pages) = (first.bits, first.lpns.len());
+        for &id in &ids {
+            let r = self.record(id)?;
+            if r.bits != bits || r.lpns.len() != pages {
+                return Err(FcError::SizeMismatch);
+            }
+        }
+        Ok((bits, pages))
     }
 
     /// Re-consults the result cache for every still-executable unit of a
@@ -667,17 +675,16 @@ impl DeviceCore {
 
     /// Executes a compiled batch on the chips: leaves run die-major (each
     /// die's queue is contiguous), cached units replay their memoized
-    /// pages, fresh unit results populate the cache, and every unit
-    /// accumulates into its consumers' outputs. `combined`, when given,
-    /// receives this batch's per-die occupancy on top of whatever other
-    /// batches already queued — the drain path's overlap accounting.
+    /// pages, fresh unit results populate the cache (when the batch
+    /// memoizes), and every unit accumulates into its consumers' outputs.
+    /// Returns the batch's stats, its per-query failures and its own
+    /// per-die and per-channel occupancy.
     pub(crate) fn execute_compiled(
         &self,
         compiled: &CompiledBatch,
         outs: &mut [BitVec],
-        combined: Option<&mut DieQueues>,
-    ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
-        self.execute_with(compiled, outs, combined, None)
+    ) -> Result<(BatchStats, Vec<QueryFailure>, DieQueues), FcError> {
+        self.execute_with(compiled, outs, None)
     }
 
     /// [`Self::execute_compiled`] with the sensing thread count forced to
@@ -687,9 +694,8 @@ impl DeviceCore {
         &self,
         compiled: &CompiledBatch,
         outs: &mut [BitVec],
-        combined: Option<&mut DieQueues>,
         workers: Option<usize>,
-    ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
+    ) -> Result<(BatchStats, Vec<QueryFailure>, DieQueues), FcError> {
         let mut stats = compiled.stats_seed.clone();
         let page_bits = self.ssd.config().page_bits();
         let xfer_us = self.ssd.config().page_transfer_us();
@@ -863,9 +869,6 @@ impl DeviceCore {
         stats.busiest_channel_us = own.busiest_channel_us();
         stats.critical_path_us = own.critical_path_us();
         stats.dies_used = own.dies_busy();
-        if let Some(combined) = combined {
-            combined.merge(&own);
-        }
 
         // Merge each spanning unit-stripe's buffered partial pages into
         // the unit output. Measured: the merge is the one serial stage of
@@ -908,7 +911,7 @@ impl DeviceCore {
             for &qi in &unit.consumers {
                 outs[qi].or_assign(result);
             }
-            if let Some(senses) = fresh_senses {
+            if let Some(senses) = fresh_senses.filter(|_| compiled.memoize) {
                 let mut cache = self.session.cache();
                 if cache.enabled() {
                     cache.insert(unit.key.clone(), result.clone(), senses);
@@ -923,7 +926,7 @@ impl DeviceCore {
         for f in &failures {
             outs[f.query].reset(0, false);
         }
-        Ok((stats, failures))
+        Ok((stats, failures, own))
     }
 
     /// Host threads to sense a batch's leaves with: one (the caller) for
@@ -1221,6 +1224,36 @@ type LeafOutcome = Result<(BitVec, f64, f64), FcError>;
 /// slots it fills.
 type DieRun<'a> = (&'a [(usize, usize)], &'a mut [Option<LeafOutcome>]);
 
+/// Compiles a unit's stripes with `plan` (stripe slot → cross-die plan)
+/// and flattens them into one executable leaf list. Returns the work and
+/// its total senses.
+fn stripe_work(
+    pages: usize,
+    mut plan: impl FnMut(usize) -> Result<ExecPlan, FcError>,
+) -> Result<(UnitWork, u64), FcError> {
+    let mut leaves: Vec<Leaf> = Vec::new();
+    let mut slots: Vec<usize> = Vec::new();
+    let mut direct: Vec<bool> = Vec::new();
+    let mut merges: Vec<(usize, MergeTree)> = Vec::new();
+    let mut senses = 0u64;
+    for slot in 0..pages {
+        let plan = plan(slot)?;
+        senses += plan.sense_count() as u64;
+        let tree = plan.flatten(&mut leaves);
+        slots.resize(leaves.len(), slot);
+        direct.resize(leaves.len(), false);
+        // Single-leaf plans (the common co-planar case) stream their page
+        // straight into the unit output; only genuinely spanning plans
+        // buffer partials for the controller merge.
+        if let MergeTree::Leaf(i) = tree {
+            direct[i] = true;
+        } else {
+            merges.push((slot, tree));
+        }
+    }
+    Ok((UnitWork::Execute { leaves, slots, direct, merges, senses }, senses))
+}
+
 /// The leaf at `(unit, leaf)` of an execution order.
 fn leaf_at(compiled: &CompiledBatch, (ui, li): (usize, usize)) -> &Leaf {
     let UnitWork::Execute { leaves, .. } = &compiled.units[ui].work else {
@@ -1249,11 +1282,23 @@ fn host_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// The fail-fast contract of the single-result paths (`submit_into`,
+/// `fc_read`, `parabit_read`): the first failed query is the error.
+pub(crate) fn fail_fast(failures: &[QueryFailure]) -> Result<(), FcError> {
+    match failures.first() {
+        Some(f) => {
+            Err(FcError::QueryFailed { query: f.query, lpn: f.lpn, tiers_tried: f.tiers_tried })
+        }
+        None => Ok(()),
+    }
+}
+
 impl FlashCosmosDevice {
     /// Executes a batch of queries in one jointly planned device pass and
-    /// returns per-query result vectors plus [`BatchStats`]. Runs under
-    /// the shared device lock — concurrent submitters interleave on the
-    /// per-die chip mutexes.
+    /// returns per-query result vectors plus [`BatchStats`]. Compiles and
+    /// executes under the shared device lock — concurrent submitters
+    /// interleave on the per-die chip mutexes — and then runs the same
+    /// background tail as a drain when it is due (see [`crate::session`]).
     ///
     /// # Errors
     ///
@@ -1267,7 +1312,12 @@ impl FlashCosmosDevice {
     /// batch: it is reported in [`BatchResults::failures`] with an empty
     /// result vector, while every other query completes normally.
     pub fn submit(&self, batch: &QueryBatch) -> Result<BatchResults, FcError> {
-        self.core().submit(batch)
+        let mut results: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
+        if batch.is_empty() {
+            return Ok(BatchResults { results, stats: BatchStats::default(), failures: vec![] });
+        }
+        let (stats, failures) = self.serve_now(&mut results, |core| core.compile_batch(batch))?;
+        Ok(BatchResults { results, stats, failures })
     }
 
     /// Like [`FlashCosmosDevice::submit`], but writes each query's result
@@ -1287,7 +1337,15 @@ impl FlashCosmosDevice {
         batch: &QueryBatch,
         outs: &mut [BitVec],
     ) -> Result<BatchStats, FcError> {
-        self.core().submit_into(batch, outs)
+        if outs.len() != batch.len() {
+            return Err(FcError::OutputSlots { got: outs.len(), expected: batch.len() });
+        }
+        if batch.is_empty() {
+            return Ok(BatchStats::default());
+        }
+        let (stats, failures) = self.serve_now(outs, |core| core.compile_batch(batch))?;
+        fail_fast(&failures)?;
+        Ok(stats)
     }
 }
 
@@ -1635,7 +1693,7 @@ mod tests {
         let core = dev.core();
         let compiled = core.compile_batch(batch)?;
         let mut outs: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
-        let (mut stats, failures) = core.execute_with(&compiled, &mut outs, None, Some(workers))?;
+        let (mut stats, failures, _) = core.execute_with(&compiled, &mut outs, Some(workers))?;
         assert!(failures.is_empty());
         // Wall-clock merge time is the one field allowed to differ.
         stats.merge_us = 0.0;
@@ -1702,7 +1760,7 @@ mod tests {
             }
             assert_eq!(broken_dies.len(), 2, "two dies carry a broken leaf");
             let mut outs: Vec<BitVec> = (0..batch.len()).map(|_| BitVec::zeros(0)).collect();
-            let err = core.execute_with(&compiled, &mut outs, None, Some(workers)).unwrap_err();
+            let err = core.execute_with(&compiled, &mut outs, Some(workers)).unwrap_err();
             format!("{err:?}")
         };
         let (serial_dev, batch, _) = physics_fixture(false);

@@ -42,7 +42,9 @@ use std::time::Instant;
 use fc_bits::BitVec;
 use fc_ssd::SsdConfig;
 
-use crate::batch::{BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId};
+use crate::batch::{
+    fail_fast, merge_share, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId,
+};
 use crate::crossdie::MergeOp;
 use crate::device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 use crate::expr::{Expr, Nnf, OperandId};
@@ -112,24 +114,13 @@ impl ClusterStats {
     /// What bounded this pass: the busiest die, the busiest channel bus,
     /// or the cluster controller's merge work.
     pub fn bottleneck(&self) -> Bottleneck {
-        if self.merge_us > self.busiest_die_us && self.merge_us > self.busiest_channel_us {
-            Bottleneck::Merge
-        } else if self.busiest_channel_us > self.busiest_die_us {
-            Bottleneck::Channel
-        } else {
-            Bottleneck::Die
-        }
+        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
     }
 
     /// Fraction of the end-to-end modeled+measured time spent in the
     /// controller merge, in `[0, 1]`.
     pub fn merge_share(&self) -> f64 {
-        let total = self.critical_path_us + self.merge_us;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.merge_us / total
-        }
+        merge_share(self.critical_path_us, self.merge_us)
     }
 }
 
@@ -257,13 +248,7 @@ impl FcCluster {
         let mut batch = QueryBatch::new();
         batch.push(expr.clone());
         let mut out = self.submit(&batch)?;
-        if let Some(f) = out.failures.first() {
-            return Err(FcError::QueryFailed {
-                query: f.query,
-                lpn: f.lpn,
-                tiers_tried: f.tiers_tried,
-            });
-        }
+        fail_fast(&out.failures)?;
         Ok((out.results.swap_remove(0), out.stats))
     }
 

@@ -11,6 +11,10 @@
 //! * [`FlashCosmosDevice::parabit_read`] runs the same expression through
 //!   the ParaBit baseline compiler for comparison.
 //!
+//! Both reads are single-query batches on the device's one serving path
+//! ([`crate::session`]): compile, serve (execute and book die load), then
+//! the background tail that drained batches end in too.
+//!
 //! ## Die-aware placement
 //!
 //! Distinct placement groups spread across **dies**: each group's block
@@ -36,7 +40,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fc_bits::BitVec;
-use fc_nand::command::Command;
 use fc_nand::error::NandError;
 use fc_nand::ispp::ProgramScheme;
 use fc_ssd::device::{wl_addr, DeviceError, SsdDevice, WriteOptions};
@@ -45,12 +48,10 @@ use fc_ssd::pipeline::{DieQueues, SharedDieQueues};
 use fc_ssd::topology::{DieId, PlaneId};
 use fc_ssd::SsdConfig;
 
-use crate::crossdie;
 use crate::expr::{Expr, OperandId};
 use crate::maintenance::{
     MaintenanceConfig, PlacementPolicy, PlacementQuery, RegroupPolicy, SpreadPlacement,
 };
-use crate::parabit;
 use crate::planner::{PlacementMap, PlanError};
 
 /// Handle to a stored operand vector.
@@ -295,8 +296,9 @@ pub(crate) struct GroupPlace {
 /// configuration, and the epoch/generation counters.
 ///
 /// Everything here is guarded by the `RwLock` inside
-/// [`FlashCosmosDevice`]: the hot serving path (batch compile + chip
-/// execution + drain phase A) runs under the **read** lock — chip-level
+/// [`FlashCosmosDevice`]: the hot serving path (batch compile and the
+/// serve step, for sync reads and drains alike) runs under the **read**
+/// lock — chip-level
 /// mutual exclusion comes from the per-die locks inside [`SsdDevice`]
 /// and the session's own mutex shards — while structural mutations
 /// (writes, migrations, maintenance, scrubbing, fault injection, the
@@ -314,7 +316,7 @@ pub(crate) struct DeviceCore {
     /// Where fresh placement groups land (see [`crate::maintenance`]):
     /// the default [`SpreadPlacement`] rotates pressure ties across dies,
     /// [`crate::maintenance::WearAwarePlacement`] levels P/E wear.
-    placement_policy: Box<dyn PlacementPolicy>,
+    pub(crate) placement_policy: Box<dyn PlacementPolicy>,
     /// Which hot co-queried operand sets the maintenance planner gathers.
     pub(crate) regroup_policy: Box<dyn RegroupPolicy>,
     /// Maintenance tuning (heat thresholds, slack budget).
@@ -432,7 +434,7 @@ impl DeviceCore {
     }
 
     /// Looks up an operand written earlier by name.
-    pub fn operand(&self, name: &str) -> Option<OperandHandle> {
+    pub(crate) fn operand(&self, name: &str) -> Option<OperandHandle> {
         self.names.get(name).map(|&id| OperandHandle { id })
     }
 
@@ -500,7 +502,7 @@ impl DeviceCore {
     /// Summed per-block P/E-cycle counts per flat plane — the wear signal
     /// [`crate::maintenance::WearAwarePlacement`] and the regrouping
     /// planner's target-die selection consume.
-    pub fn plane_wear(&self) -> Vec<u64> {
+    pub(crate) fn plane_wear(&self) -> Vec<u64> {
         let cfg = self.ssd.config();
         (0..cfg.total_planes())
             .map(|plane| {
@@ -514,40 +516,6 @@ impl DeviceCore {
                     .sum()
             })
             .collect()
-    }
-
-    /// Installs a placement policy for fresh groups and colocation
-    /// domains (existing placements are unaffected). See
-    /// [`crate::maintenance`] for the provided policies.
-    pub fn set_placement_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
-        self.placement_policy = policy;
-    }
-
-    /// Installs a regrouping policy for the maintenance planner.
-    pub fn set_regroup_policy(&mut self, policy: Box<dyn RegroupPolicy>) {
-        self.regroup_policy = policy;
-    }
-
-    /// Replaces the maintenance tuning (heat thresholds, slack budget).
-    pub fn set_maintenance_config(&mut self, cfg: MaintenanceConfig) {
-        self.maintenance_cfg = cfg;
-    }
-
-    /// Replaces the static analyzer's ruleset (see [`crate::audit`]):
-    /// the default mode and any per-code overrides the debug-build
-    /// plan-lint and device-audit hooks apply.
-    pub fn set_audit_config(&mut self, cfg: crate::audit::AuditConfig) {
-        self.audit_cfg = cfg;
-    }
-
-    /// The static analyzer's current ruleset.
-    pub fn audit_config(&self) -> &crate::audit::AuditConfig {
-        &self.audit_cfg
-    }
-
-    /// The current maintenance tuning.
-    pub fn maintenance_config(&self) -> &MaintenanceConfig {
-        &self.maintenance_cfg
     }
 
     /// The plane a group's stripe slot lives on. Unpinned groups rotate
@@ -859,111 +827,6 @@ impl DeviceCore {
         Ok(OperandHandle { id })
     }
 
-    /// Executes a bulk bitwise expression in-flash with Flash-Cosmos and
-    /// returns the result vector plus execution statistics.
-    ///
-    /// This is a thin wrapper over the batched
-    /// [`submit`](Self::submit) path with a single-query batch; callers
-    /// with several queries in flight should batch them so the planner
-    /// can amortize senses across them.
-    ///
-    /// # Errors
-    ///
-    /// Fails if operands mismatch, the planner rejects the layout, or a
-    /// chip op fails.
-    pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
-        let mut result = BitVec::zeros(0);
-        let stats = self.fc_read_into(expr, &mut result)?;
-        Ok((result, stats))
-    }
-
-    /// Zero-copy variant of [`Self::fc_read`]: writes the result into
-    /// `out` (resized in place), reusing its allocation across calls.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::fc_read`].
-    pub fn fc_read_into(&self, expr: &Expr, out: &mut BitVec) -> Result<ReadStats, FcError> {
-        let mut batch = crate::batch::QueryBatch::new();
-        batch.push(expr.clone());
-        let stats = self.submit_into(&batch, std::slice::from_mut(out))?;
-        Ok(ReadStats {
-            senses: stats.senses,
-            chip_time_us: stats.chip_time_us,
-            critical_path_us: stats.critical_path_us,
-            energy_uj: stats.energy_uj,
-        })
-    }
-
-    /// Executes the expression with the ParaBit baseline (serial
-    /// single-wordline senses).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::fc_read`].
-    pub fn parabit_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
-        self.run_serial(expr)
-    }
-
-    /// The pre-batch serial path, kept for the ParaBit baseline (whose
-    /// whole point is serial sensing — batching it would misrepresent
-    /// the technique being compared against). Operands spanning dies run
-    /// through the same die-split machinery as the batch path: per-die
-    /// programs plus a controller merge, instead of silently executing
-    /// every stripe on the last operand's chip.
-    fn run_serial(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
-        let ids: Vec<OperandId> = expr.operands().into_iter().collect();
-        let first = *ids.first().ok_or(FcError::SizeMismatch)?;
-        let bits = self.record(first)?.bits;
-        let pages = self.record(first)?.lpns.len();
-        for &id in &ids {
-            let r = self.record(id)?;
-            if r.bits != bits || r.lpns.len() != pages {
-                return Err(FcError::SizeMismatch);
-            }
-        }
-        let nnf = expr.to_nnf();
-        let page_bits = self.ssd.config().page_bits();
-        let mut result = BitVec::zeros(pages * page_bits);
-        let mut stats = ReadStats::default();
-        let mut die_time: HashMap<DieId, f64> = HashMap::new();
-        for slot in 0..pages {
-            let map = self.stripe_map(&ids, slot)?;
-            let plan =
-                crossdie::compile_spanning(&nnf, &|id| self.operand_plane(id, slot), &mut |sub| {
-                    parabit::compile(sub, &map)
-                })?;
-            let mut leaves = Vec::new();
-            let tree = plan.flatten(&mut leaves);
-            let mut partials: Vec<Option<BitVec>> = Vec::with_capacity(leaves.len());
-            for leaf in &leaves {
-                let mut chip = self.ssd.chip_exec(leaf.plane.die);
-                let mut latency = 0.0;
-                for cmd in &leaf.program.commands {
-                    let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
-                    latency += out.latency_us;
-                    stats.energy_uj += out.energy_uj;
-                }
-                let mut page = chip
-                    .execute(Command::ReadOut { plane: leaf.program.plane })
-                    .map_err(DeviceError::Nand)?
-                    .into_page()
-                    .expect("read-out streams the cache latch");
-                if leaf.program.controller_not {
-                    page.not_assign();
-                }
-                stats.senses += leaf.program.sense_count() as u64;
-                stats.chip_time_us += latency;
-                *die_time.entry(leaf.plane.die).or_insert(0.0) += latency;
-                partials.push(Some(page));
-            }
-            let page = crossdie::eval_merge(&tree, &mut partials);
-            result.copy_from(slot * page_bits, &page);
-        }
-        stats.critical_path_us = die_time.values().fold(0.0, |a, &b| a.max(b));
-        Ok((result.slice(0, bits), stats))
-    }
-
     /// Builds one stripe's placement map (wordlines + polarity) from the
     /// FTL.
     pub(crate) fn stripe_map(
@@ -992,16 +855,6 @@ impl DeviceCore {
         self.operands.get(id).ok_or(FcError::UnknownOperand(id))
     }
 
-    /// The placement-group index an operand landed in (for tests).
-    pub fn group_index_of(&self, id: OperandId) -> Option<u64> {
-        self.operands.get(id).map(|r| r.group_index)
-    }
-
-    /// The name an operand was registered under.
-    pub fn operand_name(&self, id: OperandId) -> Option<&str> {
-        self.operands.get(id).map(|r| r.name.as_str())
-    }
-
     /// The index of a placement group by name, if any write or migration
     /// created it.
     pub(crate) fn group_index_by_name(&self, group: &str) -> Option<u64> {
@@ -1024,13 +877,6 @@ impl DeviceCore {
         self.ssd.page_meta(*rec.lpns.first()?).map(|m| m.inverted)
     }
 
-    /// The die of every stripe page of an operand (slot-indexed) — the
-    /// placement layout, for asserting die-aware spreading in tests and
-    /// benches.
-    pub fn operand_dies(&self, id: OperandId) -> Option<&[DieId]> {
-        self.operands.get(id).map(|r| r.dies.as_slice())
-    }
-
     /// Migrates a stored operand to new placement hints — the §10
     /// background gathering: operands written at different times (or with
     /// the wrong polarity) move into a shared block so a later `fc_read`
@@ -1041,7 +887,11 @@ impl DeviceCore {
     ///
     /// Fails on unknown names ([`FcError::UnknownName`]) or SSD migration
     /// errors.
-    pub fn migrate_operand(&mut self, name: &str, hints: StoreHints) -> Result<u64, FcError> {
+    pub(crate) fn migrate_operand(
+        &mut self,
+        name: &str,
+        hints: StoreHints,
+    ) -> Result<u64, FcError> {
         let id = *self.names.get(name).ok_or_else(|| FcError::UnknownName(name.to_string()))?;
         if self.operands[id].ml {
             return Err(FcError::Device(DeviceError::Nand(NandError::InvalidMlsense(
@@ -1093,7 +943,7 @@ impl DeviceCore {
 /// The device is `Sync`: wrap it in an [`Arc`] and N OS threads can
 /// call [`Self::submit_async`] / [`Self::drain`] / [`Self::wait`] /
 /// [`Self::fc_read`] / [`Self::fc_overwrite`] concurrently. Internally
-/// the serving path (compile + chip execution + drain phase A) runs
+/// the serving path (compile + the serve step, sync or drained) runs
 /// under a read lock — per-die chip mutexes, the FTL `RwLock` and the
 /// session's mutex shards provide the fine-grained exclusion — while
 /// structural mutations (writes, migrations, maintenance, scrubbing,
@@ -1105,7 +955,8 @@ impl DeviceCore {
 /// → executing) → FTL `RwLock` → per-die chip mutex → leaf mutexes
 /// (scratch, energy). The session's condvar waits in [`Self::wait`]
 /// happen **outside** the device lock, so parked waiters never starve a
-/// writer.
+/// writer. A read drops its read guard before its background tail takes
+/// the write guard — no thread ever holds both.
 ///
 /// The single-threaded API is source-compatible: `&mut self` callers
 /// hit the same methods (a `&mut` coerces to `&`), and methods that
@@ -1216,35 +1067,35 @@ impl FlashCosmosDevice {
     /// domains (existing placements are unaffected). See
     /// [`crate::maintenance`] for the provided policies.
     pub fn set_placement_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
-        self.core_mut().set_placement_policy(policy);
+        self.core_mut().placement_policy = policy;
     }
 
     /// Installs a regrouping policy for the maintenance planner.
     pub fn set_regroup_policy(&mut self, policy: Box<dyn RegroupPolicy>) {
-        self.core_mut().set_regroup_policy(policy);
+        self.core_mut().regroup_policy = policy;
     }
 
     /// Replaces the maintenance tuning (heat thresholds, slack budget).
     pub fn set_maintenance_config(&mut self, cfg: MaintenanceConfig) {
-        self.core_mut().set_maintenance_config(cfg);
+        self.core_mut().maintenance_cfg = cfg;
     }
 
     /// Replaces the static analyzer's ruleset (see [`crate::audit`]):
     /// the default mode and any per-code overrides the debug-build
     /// plan-lint and device-audit hooks apply.
     pub fn set_audit_config(&mut self, cfg: crate::audit::AuditConfig) {
-        self.core_mut().set_audit_config(cfg);
+        self.core_mut().audit_cfg = cfg;
     }
 
     /// The static analyzer's current ruleset (a snapshot — the device
     /// lock is not held once this returns).
     pub fn audit_config(&self) -> crate::audit::AuditConfig {
-        self.core().audit_config().clone()
+        self.core().audit_cfg.clone()
     }
 
     /// The current maintenance tuning (a snapshot).
     pub fn maintenance_config(&self) -> MaintenanceConfig {
-        self.core().maintenance_config().clone()
+        self.core().maintenance_cfg.clone()
     }
 
     /// Stores an operand vector for in-flash computation.
@@ -1300,17 +1151,23 @@ impl FlashCosmosDevice {
     }
 
     /// Executes a bulk bitwise expression in-flash with Flash-Cosmos and
-    /// returns the result vector plus execution statistics. Runs under
-    /// the shared (read) lock: concurrent readers proceed in parallel,
-    /// serialized only at the per-die chip mutexes and the result-cache
-    /// shard.
+    /// returns the result vector plus execution statistics.
+    ///
+    /// This is the batched [`submit_into`](Self::submit_into) path with a
+    /// single-query batch; callers with several queries in flight should
+    /// batch them so the planner can amortize senses across them. Runs
+    /// under the shared (read) lock: concurrent readers proceed in
+    /// parallel, serialized only at the per-die chip mutexes and the
+    /// result-cache shard.
     ///
     /// # Errors
     ///
     /// Fails if operands mismatch, the planner rejects the layout, or a
     /// chip op fails.
     pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
-        self.core().fc_read(expr)
+        let mut result = BitVec::zeros(0);
+        let stats = self.fc_read_into(expr, &mut result)?;
+        Ok((result, stats))
     }
 
     /// Zero-copy variant of [`Self::fc_read`]: writes the result into
@@ -1320,17 +1177,39 @@ impl FlashCosmosDevice {
     ///
     /// Same as [`Self::fc_read`].
     pub fn fc_read_into(&self, expr: &Expr, out: &mut BitVec) -> Result<ReadStats, FcError> {
-        self.core().fc_read_into(expr, out)
+        let mut batch = crate::batch::QueryBatch::new();
+        batch.push(expr.clone());
+        let stats = self.submit_into(&batch, std::slice::from_mut(out))?;
+        Ok(ReadStats {
+            senses: stats.senses,
+            chip_time_us: stats.chip_time_us,
+            critical_path_us: stats.critical_path_us,
+            energy_uj: stats.energy_uj,
+        })
     }
 
     /// Executes the expression with the ParaBit baseline (serial
-    /// single-wordline senses).
+    /// single-wordline senses). The plan comes from the ParaBit compiler
+    /// and runs through the same serving path as [`Self::fc_read`], but
+    /// skips the result cache in both directions, and its
+    /// `critical_path_us` is the busiest die's sense time (ParaBit's
+    /// model has no channel lane).
     ///
     /// # Errors
     ///
     /// Same as [`Self::fc_read`].
     pub fn parabit_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
-        self.core().parabit_read(expr)
+        let mut result = BitVec::zeros(0);
+        let (stats, failures) =
+            self.serve_now(std::slice::from_mut(&mut result), |core| core.compile_parabit(expr))?;
+        crate::batch::fail_fast(&failures)?;
+        let stats = ReadStats {
+            senses: stats.senses,
+            chip_time_us: stats.chip_time_us,
+            critical_path_us: stats.busiest_die_us,
+            energy_uj: stats.energy_uj,
+        };
+        Ok((result, stats))
     }
 
     /// Migrates a stored operand to new placement hints — the §10
@@ -1347,23 +1226,24 @@ impl FlashCosmosDevice {
 
     /// The placement-group index an operand landed in (for tests).
     pub fn group_index_of(&self, id: OperandId) -> Option<u64> {
-        self.core().group_index_of(id)
+        self.core().operands.get(id).map(|r| r.group_index)
     }
 
     /// The name an operand was registered under.
     pub fn operand_name(&self, id: OperandId) -> Option<String> {
-        self.core().operand_name(id).map(String::from)
+        self.core().operands.get(id).map(|r| r.name.clone())
     }
 
     /// The die of every stripe page of an operand (slot-indexed) — the
     /// placement layout, for asserting die-aware spreading in tests and
     /// benches.
     pub fn operand_dies(&self, id: OperandId) -> Option<Vec<DieId>> {
-        self.core().operand_dies(id).map(<[DieId]>::to_vec)
+        self.core().operands.get(id).map(|r| r.dies.clone())
     }
 
-    /// Device-lifetime per-die occupancy accumulated by every drain, µs
-    /// by flat die id — the load-balance picture across the whole run.
+    /// Device-lifetime per-die occupancy accumulated by every served
+    /// batch — sync reads and drained batches alike — µs by flat die id:
+    /// the load-balance picture across the whole run.
     pub fn die_occupancy(&self) -> DieQueues {
         self.core().die_load.snapshot()
     }

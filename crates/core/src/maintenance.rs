@@ -10,8 +10,9 @@
 //!   and how many senses each unit costs (scattered sets cost more than
 //!   one sense per stripe);
 //! * the result cache knows which units are **re-queried** (hit counts);
-//! * [`drain`](crate::device::FlashCosmosDevice::drain) knows which dies
-//!   sit **idle** while the busiest die bounds the critical path.
+//! * every serving pass — a [`drain`](crate::device::FlashCosmosDevice::drain)
+//!   or a sync read — knows which dies sit **idle** while the busiest die
+//!   bounds the critical path.
 //!
 //! This module turns those observations into background work, split into
 //! three pluggable stages:
@@ -28,8 +29,10 @@
 //!    target die (least summed per-block P/E cycles, block pressure as
 //!    the tie-break — see
 //!    [`plane_wear`](crate::device::FlashCosmosDevice::plane_wear)).
-//! 3. **Background execution** — queued jobs ride the next
-//!    [`drain`](crate::device::FlashCosmosDevice::drain): each job's
+//! 3. **Background execution** — queued jobs ride the next serving
+//!    pass's background tail (a
+//!    [`drain`](crate::device::FlashCosmosDevice::drain) or a sync
+//!    read, see [`crate::session`]): each job's
 //!    modeled chip time fills the per-die idle slack
 //!    ([`DieQueues::try_fill`](fc_ssd::pipeline::DieQueues::try_fill))
 //!    and is executed only when every touched die stays within the
@@ -543,11 +546,11 @@ pub struct MaintenanceConfig {
     /// granularity (a set's jobs are never split across passes; a single
     /// set larger than the cap still plans whole).
     pub max_jobs_per_pass: usize,
-    /// A drain may extend its critical path to `critical × slack_factor`
-    /// with fill-in migration work…
+    /// A serving pass (a drain or a sync read) may extend its critical
+    /// path to `critical × slack_factor` with fill-in migration work…
     pub slack_factor: f64,
     /// …but never below this absolute budget, µs — the maintenance
-    /// window an otherwise idle drain may spend.
+    /// window an otherwise idle pass may spend.
     pub slack_floor_us: f64,
     /// Bound on the retired-job log ([`Session::retired_jobs`]).
     ///
@@ -654,7 +657,7 @@ impl crate::device::DeviceCore {
     /// later re-scatters (an overlapping hot set migrated a member away)
     /// becomes plannable again. Returns the number of jobs queued by
     /// this pass.
-    pub fn schedule_maintenance(&mut self) -> usize {
+    pub(crate) fn schedule_maintenance(&mut self) -> usize {
         let candidates = self.session.affinity().candidates();
         let picks = self.regroup_policy.select(&candidates, &self.maintenance_cfg);
         if picks.is_empty() {
@@ -878,7 +881,8 @@ impl crate::device::FlashCosmosDevice {
     /// **every** queued migration job immediately, with no critical-path
     /// budget — the foreground maintenance pass for tests, tools and
     /// explicit reorganization windows. Background operation queues jobs
-    /// instead and lets [`Self::drain`] fill them into idle-die slack.
+    /// instead and lets the next serving pass ([`Self::drain`] or a sync
+    /// read) fill them into idle-die slack.
     /// Runs under the exclusive device lock.
     ///
     /// # Errors

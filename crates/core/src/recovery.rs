@@ -20,9 +20,9 @@
 //!    [`ScrubPolicy`] walks mapped ECC pages whose *modeled* RBER
 //!    (worst-grade, from the block's wear/retention/disturb state)
 //!    approaches the ECC correction margin and refreshes them before
-//!    they become uncorrectable — in
-//!    [`drain`](FlashCosmosDevice::drain)'s idle-die slack, under the
-//!    same latency budget as maintenance.
+//!    they become uncorrectable — in the idle-die slack of every serving
+//!    pass (a [`drain`](FlashCosmosDevice::drain) or a sync read), under
+//!    the same latency budget as maintenance.
 //! 4. **Fault injection** ([`FaultPlan`] / [`FlashCosmosDevice::inject_faults`]):
 //!    a typed, deterministic harness for retention aging, read disturb,
 //!    P/E cycling, stuck blocks and die failures, replacing raw
@@ -338,31 +338,13 @@ impl Default for RecoveryState {
 }
 
 impl DeviceCore {
-    /// Turns on cross-die parity protection for *subsequent* writes
-    /// (`fc_write`, `fc_overwrite`, [`Self::store_durable`]): stored
-    /// pages join XOR stripes whose members sit on pairwise-distinct
-    /// dies, with the parity page on a die outside the stripe.
-    pub fn enable_parity(&mut self) {
-        self.recovery.parity_enabled = true;
-    }
-
-    /// Whether new writes are parity-protected.
-    pub fn parity_enabled(&self) -> bool {
-        self.recovery.parity_enabled
-    }
-
-    /// Number of live parity stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.recovery.stripes.len()
-    }
-
     /// Pages currently queued for a scrub refresh.
-    pub fn pending_scrub(&self) -> usize {
+    pub(crate) fn pending_scrub(&self) -> usize {
         self.recovery.scrub_queue.len()
     }
 
     /// Pages that stayed unreadable after every recovery tier.
-    pub fn lost_page_count(&self) -> usize {
+    pub(crate) fn lost_page_count(&self) -> usize {
         self.recovery.lost_pages.len()
     }
 
@@ -372,24 +354,9 @@ impl DeviceCore {
         self.recovery.lost_pages.contains(&lpn)
     }
 
-    /// Replaces the scrub tuning.
-    pub fn set_scrub_config(&mut self, cfg: ScrubConfig) {
-        self.recovery.scrub_cfg = cfg;
-    }
-
-    /// The current scrub tuning.
-    pub fn scrub_config(&self) -> ScrubConfig {
-        self.recovery.scrub_cfg
-    }
-
-    /// Installs a scrub-selection policy (default: [`MarginScrubber`]).
-    pub fn set_scrub_policy(&mut self, policy: Box<dyn ScrubPolicy>) {
-        self.recovery.scrub_policy = policy;
-    }
-
     /// The device-wide reliability snapshot: SSD read-health counters
     /// merged with this module's recovery counters.
-    pub fn health(&self) -> DeviceHealth {
+    pub(crate) fn health(&self) -> DeviceHealth {
         let h = self.ssd.health();
         DeviceHealth {
             reads: h.reads,
@@ -444,7 +411,7 @@ impl DeviceCore {
             let parity = xor_fold(payloads.iter());
             let conventional =
                 self.ssd.page_meta(members[0]).expect("freshly written pages carry metadata").ecc;
-            let plane = self.healthy_plane(&dies);
+            let plane = self.stripe_plane(&dies, None);
             let parity_lpn = self.parity_write(&parity, conventional, plane)?;
             let id = self.recovery.next_stripe_id;
             self.recovery.next_stripe_id += 1;
@@ -497,63 +464,56 @@ impl DeviceCore {
         Ok(lpn)
     }
 
-    /// Refresh target plane for a parity-stripe page: the least-pressure
-    /// healthy plane on a die disjoint from the rest of the page's
-    /// stripe, so retention refreshes preserve the die-disjointness that
-    /// rebuild correctness (and the device audit's `FC102`) rests on.
-    /// `None` for pages outside every stripe — those refresh through the
-    /// ordinary striped round-robin.
-    fn stripe_refresh_plane(&self, lpn: u64) -> Option<usize> {
+    /// Where a parity-stripe page goes when it is rebuilt or refreshed:
+    /// [`Self::stripe_plane`] away from the dies of the rest of its
+    /// stripe, so relocation preserves the die-disjointness that rebuild
+    /// correctness (and the device audit's `FC102`) rests on. `None` for
+    /// pages outside every stripe — those refresh through the ordinary
+    /// striped round-robin.
+    fn stripe_target_plane(&self, lpn: u64) -> Option<usize> {
         let cfg = self.ssd.config();
-        let avoid: HashSet<usize> =
+        let die = |l: u64| self.ssd.translate(l).map(|p| p.plane.die.flat(cfg));
+        let (peers, parity): (HashSet<usize>, Option<usize>) =
             if let Some((_, stripe)) = self.recovery.stripes.stripe_of_member(lpn) {
-                stripe
-                    .members
-                    .iter()
-                    .filter(|&&m| m != lpn)
-                    .copied()
-                    .chain(std::iter::once(stripe.parity_lpn))
-                    .filter_map(|l| self.ssd.translate(l))
-                    .map(|p| p.plane.die.flat(cfg))
-                    .collect()
+                let peers = stripe.members.iter().filter(|&&m| m != lpn).filter_map(|&m| die(m));
+                (peers.collect(), die(stripe.parity_lpn))
             } else if let Some((_, stripe)) = self.recovery.stripes.stripe_of_parity(lpn) {
-                stripe
-                    .members
-                    .iter()
-                    .filter_map(|&m| self.ssd.translate(m))
-                    .map(|p| p.plane.die.flat(cfg))
-                    .collect()
+                (stripe.members.iter().filter_map(|&m| die(m)).collect(), None)
             } else {
                 return None;
             };
-        Some(self.healthy_plane(&avoid))
+        Some(self.stripe_plane(&peers, parity))
     }
 
-    /// Least-pressure plane whose die is healthy and (when possible) not
-    /// in `avoid` — the fallback ladder keeps recovery making progress
-    /// even when disjointness cannot be honored.
-    fn healthy_plane(&self, avoid: &HashSet<usize>) -> usize {
+    /// The least-pressure plane on the first rung of the `FC102` ladder
+    /// that has one: a healthy die outside both `peers` (the dies of the
+    /// page's stripe peers) and `parity` (the die of its stripe's parity
+    /// page, for a member), then a healthy die outside `peers`, then any
+    /// healthy die, then any die. Members need pairwise-distinct dies
+    /// more than parity needs a die of its own, so when failed dies shrink
+    /// the pool the parity die is given up first — and recovery always
+    /// makes progress.
+    fn stripe_plane(&self, peers: &HashSet<usize>, parity: Option<usize>) -> usize {
         let ppd = self.ssd.config().planes_per_die;
+        let rung = |die: usize| {
+            if self.recovery.failed_dies.contains(&die) {
+                3
+            } else if peers.contains(&die) {
+                2
+            } else if parity == Some(die) {
+                1
+            } else {
+                0
+            }
+        };
         let pressures = self.ssd.plane_pressures();
-        let mut best: Option<(u32, usize)> = None;
-        let mut healthy: Option<(u32, usize)> = None;
-        let mut any: Option<(u32, usize)> = None;
-        for (plane, &p) in pressures.iter().enumerate() {
-            let die = plane / ppd;
-            let entry = (p, plane);
-            if any.is_none_or(|b| entry < b) {
-                any = Some(entry);
-            }
-            if !self.recovery.failed_dies.contains(&die) {
-                if healthy.is_none_or(|b| entry < b) {
-                    healthy = Some(entry);
-                }
-                if !avoid.contains(&die) && best.is_none_or(|b| entry < b) {
-                    best = Some(entry);
-                }
-            }
-        }
-        best.or(healthy).or(any).expect("SSDs have at least one plane").1
+        let (_, _, plane) = pressures
+            .iter()
+            .enumerate()
+            .map(|(plane, &p)| (rung(plane / ppd), p, plane))
+            .min()
+            .expect("SSDs have at least one plane");
+        plane
     }
 
     // ------------------------------------------------------------------
@@ -570,57 +530,35 @@ impl DeviceCore {
     /// stripe; peer-read errors propagate (a second fault in the same
     /// stripe is beyond single-parity recovery).
     pub(crate) fn rebuild_lpn(&mut self, lpn: u64) -> Result<BitVec, FcError> {
-        if let Some((_, stripe)) = self.recovery.stripes.stripe_of_member(lpn) {
+        let payload = if let Some((_, stripe)) = self.recovery.stripes.stripe_of_member(lpn) {
             let stripe = stripe.clone();
             let mut peers = Vec::new();
-            let mut avoid = HashSet::new();
-            for &m in &stripe.members {
-                if m == lpn {
-                    continue;
-                }
-                if let Some(ppa) = self.ssd.translate(m) {
-                    avoid.insert(ppa.plane.die.flat(self.ssd.config()));
-                }
+            for &m in stripe.members.iter().filter(|&&m| m != lpn) {
                 peers.push(self.ssd.read(m)?);
             }
-            if let Some(ppa) = self.ssd.translate(stripe.parity_lpn) {
-                avoid.insert(ppa.plane.die.flat(self.ssd.config()));
-            }
             let parity = self.ssd.read(stripe.parity_lpn)?;
-            let payload = rebuild_member(peers.iter(), &parity);
-            self.relocate_rebuilt(lpn, &payload, &avoid)?;
-            self.recovery.parity_rebuilds += 1;
-            Ok(payload)
+            rebuild_member(peers.iter(), &parity)
         } else if let Some((_, stripe)) = self.recovery.stripes.stripe_of_parity(lpn) {
             let stripe = stripe.clone();
             let mut payloads = Vec::with_capacity(stripe.members.len());
-            let mut avoid = HashSet::new();
             for &m in &stripe.members {
-                if let Some(ppa) = self.ssd.translate(m) {
-                    avoid.insert(ppa.plane.die.flat(self.ssd.config()));
-                }
                 payloads.push(self.ssd.read(m)?);
             }
-            let payload = xor_fold(payloads.iter());
-            self.relocate_rebuilt(lpn, &payload, &avoid)?;
-            self.recovery.parity_rebuilds += 1;
-            Ok(payload)
+            xor_fold(payloads.iter())
         } else {
-            Err(FcError::Device(DeviceError::Uncorrectable { lpn }))
-        }
+            return Err(FcError::Device(DeviceError::Uncorrectable { lpn }));
+        };
+        self.relocate_rebuilt(lpn, &payload)?;
+        self.recovery.parity_rebuilds += 1;
+        Ok(payload)
     }
 
-    /// Rewrites a rebuilt page out-of-place (same LPN, same metadata,
-    /// fresh block on a healthy plane avoiding `avoid` dies) and patches
+    /// Rewrites a rebuilt stripe page out-of-place (same LPN, same
+    /// metadata, fresh block on [`Self::stripe_target_plane`]) and patches
     /// operand placement records if the page belongs to one.
-    fn relocate_rebuilt(
-        &mut self,
-        lpn: u64,
-        payload: &BitVec,
-        avoid: &HashSet<usize>,
-    ) -> Result<(), FcError> {
+    fn relocate_rebuilt(&mut self, lpn: u64, payload: &BitVec) -> Result<(), FcError> {
         let meta = self.ssd.page_meta(lpn).expect("rebuilt pages are mapped");
-        let plane = self.healthy_plane(avoid);
+        let plane = self.stripe_target_plane(lpn).expect("rebuilt pages belong to a stripe");
         let wls = self.ssd.config().wls_per_block as u64;
         let fill = self.recovery.rebuild_fill.entry(plane).or_insert(0);
         let overflow = *fill / wls;
@@ -666,7 +604,7 @@ impl DeviceCore {
     ///
     /// [`FcError::DuplicateName`] when the name is taken (by a durable
     /// record or an operand), plus SSD write errors.
-    pub fn store_durable(&mut self, name: &str, data: &BitVec) -> Result<(), FcError> {
+    pub(crate) fn store_durable(&mut self, name: &str, data: &BitVec) -> Result<(), FcError> {
         if self.recovery.durables.contains_key(name) || self.operand(name).is_some() {
             return Err(FcError::DuplicateName(name.to_string()));
         }
@@ -948,7 +886,7 @@ impl DeviceCore {
     ///
     /// Raw ESP operand pages are skipped: their modeled RBER is exactly
     /// zero (§5.2) and their protection is the parity tier.
-    pub fn schedule_scrub(&mut self) -> usize {
+    pub(crate) fn schedule_scrub(&mut self) -> usize {
         let cfg = self.recovery.scrub_cfg;
         let candidates = self.scrub_candidates();
         let picks = self.recovery.scrub_policy.select(&candidates, &cfg);
@@ -968,7 +906,8 @@ impl DeviceCore {
     /// stress fingerprint.
     fn scrub_candidates(&self) -> Vec<ScrubCandidate> {
         // Only ECC pages are scrubbed; skip the FTL walk when none is
-        // mapped (every drain asks, and operand pages carry no ECC).
+        // mapped (every serving pass asks, and operand pages carry no
+        // ECC).
         if self.ssd.mapped_ecc_pages() == 0 {
             return Vec::new();
         }
@@ -1043,7 +982,7 @@ impl DeviceCore {
             let Some(ppa) = self.ssd.translate(job.lpn) else { continue };
             let meta = self.ssd.page_meta(job.lpn).expect("mapped pages carry metadata");
             let src = ppa.plane.die.flat(self.ssd.config());
-            let stripe_plane = self.stripe_refresh_plane(job.lpn);
+            let stripe_plane = self.stripe_target_plane(job.lpn);
             let tgt =
                 stripe_plane.unwrap_or_else(|| self.ssd.next_striped_plane_for(job.lpn)) / ppd;
             let work: Vec<(usize, f64)> =
@@ -1093,7 +1032,7 @@ impl DeviceCore {
 
     /// Schedules and runs a full scrub pass immediately (no budget) —
     /// the foreground entry point; background refreshes ride along with
-    /// the drain instead. Returns pages refreshed.
+    /// every serving pass instead. Returns pages refreshed.
     ///
     /// # Errors
     ///
@@ -1121,17 +1060,17 @@ impl FlashCosmosDevice {
     /// pages join XOR stripes whose members sit on pairwise-distinct
     /// dies, with the parity page on a die outside the stripe.
     pub fn enable_parity(&mut self) {
-        self.core_mut().enable_parity();
+        self.core_mut().recovery.parity_enabled = true;
     }
 
     /// Whether new writes are parity-protected.
     pub fn parity_enabled(&self) -> bool {
-        self.core().parity_enabled()
+        self.core().recovery.parity_enabled
     }
 
     /// Number of live parity stripes.
     pub fn stripe_count(&self) -> usize {
-        self.core().stripe_count()
+        self.core().recovery.stripes.len()
     }
 
     /// Pages currently queued for a scrub refresh.
@@ -1146,17 +1085,17 @@ impl FlashCosmosDevice {
 
     /// Replaces the scrub tuning.
     pub fn set_scrub_config(&mut self, cfg: ScrubConfig) {
-        self.core_mut().set_scrub_config(cfg);
+        self.core_mut().recovery.scrub_cfg = cfg;
     }
 
     /// The current scrub tuning.
     pub fn scrub_config(&self) -> ScrubConfig {
-        self.core().scrub_config()
+        self.core().recovery.scrub_cfg
     }
 
     /// Installs a scrub-selection policy (default: [`MarginScrubber`]).
     pub fn set_scrub_policy(&mut self, policy: Box<dyn ScrubPolicy>) {
-        self.core_mut().set_scrub_policy(policy);
+        self.core_mut().recovery.scrub_policy = policy;
     }
 
     /// The device-wide reliability snapshot: SSD read-health counters
@@ -1228,7 +1167,8 @@ impl FlashCosmosDevice {
 
     /// Schedules and runs a full scrub pass immediately (no budget) —
     /// the foreground entry point; background refreshes ride along with
-    /// [`FlashCosmosDevice::drain`] instead. Returns pages refreshed.
+    /// every [`FlashCosmosDevice::drain`] and sync read instead. Returns
+    /// pages refreshed.
     /// Takes the exclusive device lock.
     ///
     /// # Errors

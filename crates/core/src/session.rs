@@ -23,6 +23,22 @@
 //!   unit key matches replays the memoized pages: zero senses, zero chip
 //!   time, bit-identical output.
 //!
+//! ## One serving path
+//!
+//! Every device read ends in the same two steps. The **serve** step
+//! executes one compiled batch and books its per-die occupancy into the
+//! device-lifetime die load. The **background tail** then fills queued
+//! maintenance and scrub jobs into that pass's idle-die slack and runs
+//! the debug-build device audit. A drain runs serve once per claimed
+//! batch (after its staleness recompile and cache refresh) and the tail
+//! once per drain. `submit`, `submit_into`, `fc_read`, `fc_read_into`
+//! and `parabit_read` compile under the read guard, serve, drop the
+//! guard and run the tail — the same sequence, without the queue, so a
+//! sync caller never runs other clients' batches or meets `Overloaded`.
+//! The tail takes the write lock only when jobs or scrubs are due, or, in
+//! debug builds, for the audit after a pass that sensed (a pure cache
+//! replay changes nothing the audit checks).
+//!
 //! ## Why stale results are structurally impossible
 //!
 //! The cache key never compares data — it compares *generations*. Every
@@ -77,8 +93,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use fc_bits::BitVec;
 use fc_ssd::pipeline::{overlap_report, DieQueues};
 
-use crate::batch::{BatchResults, CompiledBatch, QueryBatch};
-use crate::device::{FcError, FlashCosmosDevice};
+use crate::batch::{
+    merge_share, BatchResults, BatchStats, Bottleneck, CompiledBatch, QueryBatch, QueryFailure,
+};
+use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
 use crate::maintenance::{
     AffinityTracker, CacheAdmission, CacheEntryInfo, CostAwareAdmission, MaintenanceStats,
@@ -402,26 +420,14 @@ impl DrainStats {
     /// Which resource bounded this drain — the busiest die, the busiest
     /// channel bus, or the controller merge (see
     /// [`crate::batch::Bottleneck`]).
-    pub fn bottleneck(&self) -> crate::batch::Bottleneck {
-        use crate::batch::Bottleneck;
-        if self.merge_us > self.busiest_die_us && self.merge_us > self.busiest_channel_us {
-            Bottleneck::Merge
-        } else if self.busiest_channel_us > self.busiest_die_us {
-            Bottleneck::Channel
-        } else {
-            Bottleneck::Die
-        }
+    pub fn bottleneck(&self) -> Bottleneck {
+        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
     }
 
     /// The controller merge's share of the combined critical path plus
     /// merge time, in `[0, 1]` — 0 when the drain was pure flash work.
     pub fn merge_share(&self) -> f64 {
-        let total = self.combined_critical_path_us + self.merge_us;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.merge_us / total
-        }
+        merge_share(self.combined_critical_path_us, self.merge_us)
     }
 }
 
@@ -479,7 +485,7 @@ const DEFAULT_ADMISSION_CAPACITY: usize = 1024;
 /// | `shards[k]` | retired results + per-seq waiters, `seq % 8 == k` | retire, `wait` |
 /// | `cache` | memoized unit results | batch compile/execute |
 /// | `affinity` | co-query observations | batch compile, planner |
-/// | `jobs` / `retired_jobs` | maintenance queue / log | drain phase B, planner |
+/// | `jobs` / `retired_jobs` | maintenance queue / log | background tail, planner |
 ///
 /// Lock order within the session: `pending` → `executing`, and
 /// `shards[k].state` → `executing`. Nothing holds two of {cache,
@@ -753,6 +759,33 @@ impl Session {
     }
 }
 
+impl DeviceCore {
+    /// The per-batch serve step every read path shares: executes a
+    /// compiled batch, then books its per-die occupancy into the
+    /// device-lifetime die load ([`FlashCosmosDevice::die_occupancy`]).
+    /// Returns the batch's stats, its per-query failures and its own
+    /// occupancy — the slack the background tail fills.
+    pub(crate) fn serve(
+        &self,
+        compiled: &CompiledBatch,
+        outs: &mut [BitVec],
+    ) -> Result<(BatchStats, Vec<QueryFailure>, DieQueues), FcError> {
+        let served = self.execute_compiled(compiled, outs)?;
+        self.die_load.merge(&served.2);
+        Ok(served)
+    }
+
+    /// Whether retention scrubbing needs the background tail: pages are
+    /// still queued, or a scheduling pass would queue some now. Read-only
+    /// — a serving pass asks this under the read guard to learn whether
+    /// the write-locked tail is worth taking (under the functional error
+    /// model nothing ever qualifies, and a device without mapped ECC
+    /// pages skips the scan outright).
+    pub(crate) fn scrub_due(&self) -> bool {
+        self.pending_scrub() > 0 || self.scrub_would_schedule()
+    }
+}
+
 impl FlashCosmosDevice {
     /// Queues a batch for execution without blocking: the batch is
     /// compiled (joint dedup/sharing, cache consultation, per-die program
@@ -802,12 +835,13 @@ impl FlashCosmosDevice {
     /// first, so drained queries always observe drain-time data — a
     /// queued program can never sense through a stale wordline map.
     ///
-    /// Concurrency: the claim-and-execute phase runs under the shared
+    /// Concurrency: the claim-and-serve phase runs under the shared
     /// (read) device lock, so drains from several threads proceed in
     /// parallel — each claims whatever is pending at that instant, and
     /// per-die chip mutexes arbitrate the sensing. Only the background
     /// tail (maintenance jobs, scrubbing, the debug-build device audit)
-    /// takes the write lock, and only when there is such work.
+    /// takes the write lock, and only when there is such work — the same
+    /// tail every sync read ends in.
     ///
     /// # Errors
     ///
@@ -815,38 +849,22 @@ impl FlashCosmosDevice {
     /// is dropped (its ticket reports [`FcError::UnknownTicket`]) while
     /// batches still queued behind it stay pending for the next drain.
     pub fn drain(&self) -> Result<DrainStats, FcError> {
-        let mut stats;
+        let mut stats = DrainStats::default();
         let mut combined;
-        let overlap_budget_us;
-        let scrub_scan_hit;
-        let scrub_backlog;
-        let mut executed_any = false;
+        let scrub_due;
         {
             let core = self.core();
-            // Retention scrubbing rides the drain like regroup
-            // maintenance does: candidates whose modeled worst-grade
-            // RBER approaches the ECC margin are scheduled and executed
-            // in the write-locked tail below. Phase A only *scans*
-            // (read-only) to learn whether that tail is needed. (Under
-            // the functional error model nothing ever qualifies, so
-            // this is free for error-free workloads.)
-            scrub_scan_hit = core.scrub_would_schedule();
-            scrub_backlog = core.pending_scrub() > 0;
-            if self.session.in_flight() == 0
-                && self.session.jobs().is_empty()
-                && !scrub_backlog
-                && !scrub_scan_hit
-            {
-                return Ok(DrainStats::default());
+            scrub_due = core.scrub_due();
+            if self.session.in_flight() == 0 && self.session.jobs().is_empty() && !scrub_due {
+                return Ok(stats);
             }
             let mut per_batch: Vec<DieQueues> = Vec::new();
             combined = DieQueues::for_config(core.ssd.config());
-            stats = DrainStats::default();
-            // Claim-execute-retire one batch at a time: concurrent
-            // drains each grab the next queued batch, so a backlog is
-            // served by every draining thread in parallel (per-die chip
-            // mutexes arbitrate the sensing) rather than by whichever
-            // drain got there first.
+            // Claim-serve-retire one batch at a time: concurrent drains
+            // each grab the next queued batch, so a backlog is served by
+            // every draining thread in parallel (per-die chip mutexes
+            // arbitrate the sensing) rather than by whichever drain got
+            // there first.
             while let Some(mut pb) = self.session.claim_next() {
                 let step = (|| {
                     let stale = pb.compiled.epoch != core.epoch
@@ -869,9 +887,7 @@ impl FlashCosmosDevice {
                     }
                     let mut outs: Vec<BitVec> =
                         (0..pb.compiled.queries()).map(|_| BitVec::zeros(0)).collect();
-                    let mut own = DieQueues::for_config(core.ssd.config());
-                    let (batch_stats, failures) =
-                        core.execute_compiled(&pb.compiled, &mut outs, Some(&mut own))?;
+                    let (batch_stats, failures, own) = core.serve(&pb.compiled, &mut outs)?;
                     Ok((outs, batch_stats, failures, own))
                 })();
                 match step {
@@ -880,9 +896,7 @@ impl FlashCosmosDevice {
                         stats.senses += batch_stats.senses;
                         stats.merge_us += batch_stats.merge_us;
                         combined.merge(&own);
-                        core.die_load.merge(&own);
                         per_batch.push(own);
-                        executed_any = true;
                         // Per-query failure isolation carries through
                         // the async path: the ticket's results report
                         // which queries were unanswerable while the
@@ -908,40 +922,83 @@ impl FlashCosmosDevice {
             stats.dies_used = combined.dies_busy();
             stats.busiest_die_us = combined.busiest_us();
             stats.busiest_channel_us = combined.busiest_channel_us();
-            overlap_budget_us = overlap.combined_critical_us;
             stats.health = core.health();
         }
-        // Background tail: queued maintenance and scrubbing ride the
-        // drain — migration and scrub jobs fill the per-die idle slack
-        // up to the configured critical-path budget (what doesn't fit
-        // stays queued for the next pass). Structural mutation, so this
-        // takes the write lock; the debug-build device audit (pass 2 of
-        // the static analyzer) runs under the same exclusive guard — a
-        // consistent snapshot no concurrent drain can shear.
-        let needs_bg = !self.session.jobs().is_empty()
-            || scrub_scan_hit
-            || scrub_backlog
-            || (cfg!(debug_assertions) && executed_any);
-        if needs_bg {
-            let mut core = self.core_write();
-            core.schedule_scrub();
-            if !self.session.jobs().is_empty() || core.pending_scrub() > 0 {
-                let budget = (overlap_budget_us * core.maintenance_cfg.slack_factor)
-                    .max(core.maintenance_cfg.slack_floor_us);
-                if !self.session.jobs().is_empty() {
-                    stats.maintenance = core.execute_maintenance(&mut combined, budget)?;
-                }
-                if core.pending_scrub() > 0 {
-                    let (scrubbed, deferred) = core.execute_scrub(&mut combined, budget)?;
-                    stats.maintenance.pages_scrubbed = scrubbed;
-                    stats.maintenance.scrubs_deferred = deferred;
-                }
-                stats.health = core.health();
-            }
-            #[cfg(debug_assertions)]
-            crate::audit::enforce_device(&core);
+        if let Some((maintenance, health)) =
+            self.background_tail(&mut combined, scrub_due, stats.senses > 0)?
+        {
+            stats.maintenance = maintenance;
+            stats.health = health;
         }
         Ok(stats)
+    }
+
+    /// The sync serving path — what a drain runs for one claimed batch,
+    /// without the queue: `compile` and [`DeviceCore::serve`] run under
+    /// the read guard, the guard drops, and then the
+    /// [`Self::background_tail`] runs when it is due. The caller's batch
+    /// never waits behind other clients' queued batches, and never meets
+    /// the admission bound.
+    pub(crate) fn serve_now(
+        &self,
+        outs: &mut [BitVec],
+        compile: impl FnOnce(&DeviceCore) -> Result<CompiledBatch, FcError>,
+    ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
+        let (stats, failures, mut own, scrub_due) = {
+            let core = self.core();
+            let scrub_due = core.scrub_due();
+            let compiled = compile(&core)?;
+            let (stats, failures, own) = core.serve(&compiled, outs)?;
+            (stats, failures, own, scrub_due)
+        };
+        self.background_tail(&mut own, scrub_due, stats.senses > 0)?;
+        Ok((stats, failures))
+    }
+
+    /// The write-locked tail every serving pass ends in: queued
+    /// maintenance and scrubbing fill the per-die idle slack of `queues`
+    /// (the pass's served occupancy) up to a budget of
+    /// `max(critical path × slack_factor, slack_floor_us)` — what doesn't
+    /// fit stays queued for the next pass — and the debug-build device
+    /// audit (pass 2 of the static analyzer) checks the result under the
+    /// same exclusive guard, a consistent snapshot no concurrent reader
+    /// can shear. Due when jobs are queued, when `scrub_due`, or — in
+    /// debug builds, for the audit — when the pass `sensed` anything:
+    /// fresh results entered the result cache the audit checks, whereas a
+    /// pass that only replayed cached results changed nothing it covers.
+    /// Otherwise the write lock is never taken. Returns the maintenance
+    /// stats and a fresh health snapshot when jobs or scrubs ran.
+    fn background_tail(
+        &self,
+        queues: &mut DieQueues,
+        scrub_due: bool,
+        sensed: bool,
+    ) -> Result<Option<(MaintenanceStats, DeviceHealth)>, FcError> {
+        let due =
+            !self.session.jobs().is_empty() || scrub_due || (cfg!(debug_assertions) && sensed);
+        if !due {
+            return Ok(None);
+        }
+        let mut core = self.core_write();
+        core.schedule_scrub();
+        let mut ran = None;
+        if !self.session.jobs().is_empty() || core.pending_scrub() > 0 {
+            let budget = (queues.critical_path_us() * core.maintenance_cfg.slack_factor)
+                .max(core.maintenance_cfg.slack_floor_us);
+            let mut maintenance = MaintenanceStats::default();
+            if !self.session.jobs().is_empty() {
+                maintenance = core.execute_maintenance(queues, budget)?;
+            }
+            if core.pending_scrub() > 0 {
+                let (scrubbed, deferred) = core.execute_scrub(queues, budget)?;
+                maintenance.pages_scrubbed = scrubbed;
+                maintenance.scrubs_deferred = deferred;
+            }
+            ran = Some((maintenance, core.health()));
+        }
+        #[cfg(debug_assertions)]
+        crate::audit::enforce_device(&core);
+        Ok(ran)
     }
 
     /// Drops every drained-but-unwaited result, releasing their memory.

@@ -44,7 +44,7 @@ const ALLOWLIST: [&str; 14] = [
     "crates/nand/src/chip.rs",    // defines raw chip access
     "crates/core/src/device.rs",  // defines core_write()/core_mut() + epoch discipline
     "crates/core/src/batch.rs",   // the execution engine drives chips via chip_exec()
-    "crates/core/src/session.rs", // drain phase B takes the write lock
+    "crates/core/src/session.rs", // the background tail takes the write lock
     "crates/core/src/maintenance.rs", // wrapper maintenance rides core_write()
     "crates/core/src/recovery.rs", // fault injection rides chip_mut()/core_mut()
     "crates/core/src/reliability.rs", // deterministic fault plans

@@ -7,7 +7,7 @@ use fc_bits::BitVec;
 use fc_ssd::ecc::EccConfig;
 use fc_ssd::SsdConfig;
 use fc_workloads::skew::ZipfSampler;
-use flash_cosmos::{Expr, FaultPlan, FcError, FlashCosmosDevice, QueryBatch, StoreHints};
+use flash_cosmos::{Expr, FaultPlan, FcError, FlashCosmosDevice, LintCode, QueryBatch, StoreHints};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -256,6 +256,30 @@ proptest! {
         let (got, _) = dev.fc_read(&Expr::and_vars(handles.iter().map(|h| h.id))).unwrap();
         let expect = shadows.iter().skip(1).fold(shadows[0].clone(), |a, v| a.and(v));
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// A whole-die failure leaves every parity stripe `FC102`-clean. With
+/// four dies, a three-member stripe and its parity page cover every die,
+/// so a member rebuilt off the failed die has no die outside its peers
+/// and parity left: it must take the parity die (members stay pairwise
+/// distinct), never a peer's die.
+#[test]
+fn die_failure_rebuild_keeps_stripes_fc102_clean() {
+    for seed in 0..50u64 {
+        for victim in 0..4 {
+            let mut dev = FlashCosmosDevice::new(SsdConfig::tiny_test());
+            dev.enable_parity();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shadows: Vec<BitVec> = (0..3).map(|_| BitVec::random(700, &mut rng)).collect();
+            for (i, v) in shadows.iter().enumerate() {
+                dev.fc_write(&format!("op{i}"), v, StoreHints::and_group("g")).unwrap();
+            }
+            dev.inject_faults(&FaultPlan::new().fail_die(victim)).unwrap();
+            let fc102: Vec<_> =
+                dev.audit().into_iter().filter(|f| f.code == LintCode::Fc102).collect();
+            assert!(fc102.is_empty(), "seed {seed}, failed die {victim}: {fc102:?}");
+        }
     }
 }
 
