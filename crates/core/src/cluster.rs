@@ -3,7 +3,7 @@
 //!
 //! A single device scales to the channels its controller owns; past
 //! that, deployments scale *out* — more SSDs behind one ingest point.
-//! [`FcCluster`] models that tier with the same split/merge discipline
+//! [`FcCluster`] models that tier with the very splitter
 //! [`crate::crossdie`] uses inside one device:
 //!
 //! * **Consistent-hash routing** — each operand name maps to one shard
@@ -12,12 +12,15 @@
 //!   about an operand's home. All of an operand's pages, overwrites and
 //!   maintenance stay on its home shard.
 //! * **Cross-shard queries** — an expression whose operands span shards
-//!   splits the way cross-plane queries split inside a device: n-ary
-//!   AND/OR children are bucketed by home shard (co-resident children
-//!   compile into one per-shard leaf query, keeping MWS fusion on the
-//!   shard), spanning children recurse, and the cluster controller
-//!   merges the per-shard partial vectors (`ClusterPlan`). Thresholds
-//!   expand to AND/OR form first, exactly as in the cross-die splitter.
+//!   splits through [`crossdie::split`] keyed by home shard instead of
+//!   plane: n-ary AND/OR children are bucketed by home shard
+//!   (co-resident children compile into one per-shard leaf query,
+//!   keeping MWS fusion on the shard), spanning children recurse, a
+//!   spanning XOR merges its two sides, thresholds expand to AND/OR form
+//!   first, and the cluster controller folds the per-shard partial
+//!   vectors with [`crossdie::eval_merge`]. The same rules split a query
+//!   over planes inside each shard, so whether a query is answerable
+//!   never depends on where the rendezvous hash put its operands.
 //! * **Batched submission** — [`FcCluster::submit`] compiles a whole
 //!   [`QueryBatch`] into one per-shard sub-batch per shard (so each
 //!   shard plans its leaves jointly: dedup and shared-term extraction
@@ -45,11 +48,10 @@ use fc_ssd::SsdConfig;
 use crate::batch::{
     fail_fast, merge_share, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId,
 };
-use crate::crossdie::MergeOp;
+use crate::crossdie;
 use crate::device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 use crate::expr::{Expr, Nnf, OperandId};
 use crate::maintenance::MaintenanceStats;
-use crate::planner::expand_thresholds;
 use crate::session::DrainStats;
 
 /// Where a cluster operand lives: its home shard and the shard-local
@@ -72,18 +74,6 @@ pub struct FcCluster {
     registry: Vec<Slot>,
     /// Name → cluster operand id.
     names: BTreeMap<String, OperandId>,
-}
-
-/// The compiled shape of one cross-shard query: per-shard leaf
-/// expressions merged by the cluster controller. Mirrors
-/// [`crate::crossdie::ExecPlan`] one level up.
-#[derive(Debug, Clone)]
-enum ClusterPlan {
-    /// All operands of this subtree live on one shard: runs there as a
-    /// single (jointly planned) query, in shard-local operand ids.
-    Leaf { shard: usize, expr: Expr },
-    /// Controller merge over sub-plans.
-    Merge { op: MergeOp, parts: Vec<ClusterPlan> },
 }
 
 /// Execution statistics of one cluster pass ([`FcCluster::submit`] /
@@ -138,14 +128,6 @@ pub struct ClusterResults {
     /// Queries that could not be answered, with the cluster-level query
     /// id and the underlying shard failure.
     pub failures: Vec<QueryFailure>,
-}
-
-/// One query's merge recipe over the per-shard sub-batches: leaves index
-/// `(shard, shard-local QueryId)`.
-#[derive(Debug)]
-enum IndexedPlan {
-    Leaf { shard: usize, query: QueryId },
-    Merge { op: MergeOp, parts: Vec<IndexedPlan> },
 }
 
 impl FcCluster {
@@ -270,11 +252,22 @@ impl FcCluster {
     pub fn submit(&self, batch: &QueryBatch) -> Result<ClusterResults, FcError> {
         let shards = self.shards.len();
         let mut sub_batches: Vec<QueryBatch> = vec![QueryBatch::new(); shards];
+        // Every query's leaves as (shard, shard-local QueryId), in plan
+        // pre-order; each query owns one contiguous range of them.
+        let mut leaves: Vec<(usize, QueryId)> = Vec::new();
         let mut plans = Vec::with_capacity(batch.len());
+        // A leaf is its subtree, localized, queued on the subtree's shard.
+        let mut push_leaf = |shard: usize, sub: &Nnf| -> Result<_, FcError> {
+            Ok((shard, sub_batches[shard].push(self.localize(sub))))
+        };
         for expr in batch.queries() {
             let nnf = expr.to_nnf();
-            let plan = self.split(&nnf)?;
-            plans.push(self.index_plan(plan, &mut sub_batches));
+            for id in nnf.operands() {
+                self.shard_of(id)?;
+            }
+            let plan = crossdie::split(&nnf, &|id| self.shard_of(id).ok(), &mut push_leaf)?;
+            let start = leaves.len();
+            plans.push((plan.flatten(&mut leaves), start..leaves.len()));
         }
 
         let mut stats =
@@ -300,12 +293,19 @@ impl FcCluster {
         let mut results = Vec::with_capacity(plans.len());
         let mut failures = Vec::new();
         let merge_start = Instant::now();
-        for (q, plan) in plans.iter().enumerate() {
-            if let Some(fail) = plan_failure(plan, &shard_failures) {
-                failures.push(QueryFailure { query: q, ..fail });
+        // Each shard-local query is exactly one leaf, so its partial
+        // moves into the merge instead of being cloned.
+        let mut pages: Vec<Option<BitVec>> =
+            leaves.iter().map(|&(s, lq)| Some(std::mem::take(&mut shard_results[s][lq]))).collect();
+        for (q, (tree, range)) in plans.iter().enumerate() {
+            let failed = leaves[range.clone()]
+                .iter()
+                .find_map(|&(s, lq)| shard_failures[s].iter().find(|f| f.query == lq));
+            if let Some(fail) = failed {
+                failures.push(QueryFailure { query: q, ..*fail });
                 results.push(BitVec::zeros(0));
             } else {
-                results.push(eval_indexed(plan, &shard_results));
+                results.push(crossdie::eval_merge(tree, &mut pages));
             }
         }
         stats.merge_us += merge_start.elapsed().as_secs_f64() * 1e6;
@@ -344,87 +344,9 @@ impl FcCluster {
         self.registry.get(id).map(|s| s.shard).ok_or(FcError::UnknownOperand(id))
     }
 
-    /// Splits a normalized expression into per-shard leaves merged by
-    /// the cluster controller — the shard-level mirror of
-    /// [`crate::crossdie`]'s per-plane split: n-ary AND/OR children are
-    /// bucketed by home shard (co-resident children stay one leaf so the
-    /// shard's planner can fuse them), spanning children recurse, and
-    /// thresholds expand to AND/OR form first.
-    fn split(&self, nnf: &Nnf) -> Result<ClusterPlan, FcError> {
-        let mut homes = BTreeMap::new();
-        for id in nnf.operands() {
-            homes.insert(id, self.shard_of(id)?);
-        }
-        self.split_inner(nnf, &homes)
-    }
-
-    fn split_inner(
-        &self,
-        nnf: &Nnf,
-        homes: &BTreeMap<OperandId, usize>,
-    ) -> Result<ClusterPlan, FcError> {
-        if let Some(shard) = single_shard(nnf, homes) {
-            return Ok(ClusterPlan::Leaf { shard, expr: self.localize(nnf) });
-        }
-        match nnf {
-            Nnf::Literal(_) => unreachable!("a literal has exactly one home shard"),
-            Nnf::And(children) => self.split_nary(MergeOp::And, children, homes),
-            Nnf::Or(children) => self.split_nary(MergeOp::Or, children, homes),
-            Nnf::Xor(a, b) => {
-                // XOR merges bit-exactly from full partial vectors, so —
-                // unlike the in-device splitter, which is constrained by
-                // what the latch circuit can merge — any operand split
-                // works here.
-                let parts = vec![self.split_inner(a, homes)?, self.split_inner(b, homes)?];
-                Ok(ClusterPlan::Merge { op: MergeOp::Xor, parts })
-            }
-            Nnf::Threshold { .. } => {
-                let expanded = expand_thresholds(nnf).map_err(FcError::Plan)?;
-                self.split_inner(&expanded, homes)
-            }
-        }
-    }
-
-    /// Buckets n-ary AND/OR children by home shard: children fully
-    /// resident on one shard compile together into that shard's leaf,
-    /// spanning children recurse into their own sub-plans.
-    fn split_nary(
-        &self,
-        op: MergeOp,
-        children: &[Nnf],
-        homes: &BTreeMap<OperandId, usize>,
-    ) -> Result<ClusterPlan, FcError> {
-        let mut buckets: BTreeMap<usize, Vec<&Nnf>> = BTreeMap::new();
-        let mut spanning = Vec::new();
-        for child in children {
-            match single_shard(child, homes) {
-                Some(shard) => buckets.entry(shard).or_default().push(child),
-                None => spanning.push(child),
-            }
-        }
-        let mut parts = Vec::new();
-        for (shard, group) in buckets {
-            let exprs: Vec<Expr> = group.iter().map(|n| self.localize(n)).collect();
-            let expr = match op {
-                MergeOp::And => Expr::and(exprs),
-                MergeOp::Or => Expr::or(exprs),
-                MergeOp::Xor => unreachable!("XOR splits via its own arm"),
-            };
-            parts.push(ClusterPlan::Leaf { shard, expr });
-        }
-        for child in spanning {
-            parts.push(self.split_inner(child, homes)?);
-        }
-        if parts.len() == 1 {
-            Ok(parts.pop().expect("one part"))
-        } else {
-            Ok(ClusterPlan::Merge { op, parts })
-        }
-    }
-
     /// Rebuilds a normalized subtree as an [`Expr`] in shard-local
     /// operand ids. Only called on subtrees whose operands all resolved
-    /// through the registry (validated by [`FcCluster::split`]).
+    /// through the registry (validated by [`FcCluster::submit`]).
     fn localize(&self, nnf: &Nnf) -> Expr {
         match nnf {
             Nnf::Literal(lit) => {
@@ -441,65 +363,6 @@ impl FcCluster {
             Nnf::Threshold { k, children } => {
                 Expr::threshold(*k, children.iter().map(|c| self.localize(c)).collect())
             }
-        }
-    }
-
-    /// Moves a plan's leaves into the per-shard sub-batches, replacing
-    /// each leaf expression with its `(shard, shard-local QueryId)`
-    /// coordinates for the merge pass.
-    fn index_plan(&self, plan: ClusterPlan, sub_batches: &mut [QueryBatch]) -> IndexedPlan {
-        match plan {
-            ClusterPlan::Leaf { shard, expr } => {
-                let query = sub_batches[shard].push(expr);
-                IndexedPlan::Leaf { shard, query }
-            }
-            ClusterPlan::Merge { op, parts } => IndexedPlan::Merge {
-                op,
-                parts: parts.into_iter().map(|p| self.index_plan(p, sub_batches)).collect(),
-            },
-        }
-    }
-}
-
-/// If every operand of `nnf` lives on one shard, that shard.
-fn single_shard(nnf: &Nnf, homes: &BTreeMap<OperandId, usize>) -> Option<usize> {
-    let mut shard = None;
-    for id in nnf.operands() {
-        let home = homes[&id];
-        match shard {
-            None => shard = Some(home),
-            Some(s) if s != home => return None,
-            Some(_) => {}
-        }
-    }
-    shard
-}
-
-/// The first shard failure any leaf of `plan` depends on, if any.
-fn plan_failure(plan: &IndexedPlan, failures: &[Vec<QueryFailure>]) -> Option<QueryFailure> {
-    match plan {
-        IndexedPlan::Leaf { shard, query } => {
-            failures[*shard].iter().find(|f| f.query == *query).copied()
-        }
-        IndexedPlan::Merge { parts, .. } => parts.iter().find_map(|p| plan_failure(p, failures)),
-    }
-}
-
-/// Merges per-shard partial vectors according to the plan.
-fn eval_indexed(plan: &IndexedPlan, shard_results: &[Vec<BitVec>]) -> BitVec {
-    match plan {
-        IndexedPlan::Leaf { shard, query } => shard_results[*shard][*query].clone(),
-        IndexedPlan::Merge { op, parts } => {
-            let mut acc = eval_indexed(&parts[0], shard_results);
-            for part in &parts[1..] {
-                let rhs = eval_indexed(part, shard_results);
-                acc = match op {
-                    MergeOp::And => acc.and(&rhs),
-                    MergeOp::Or => acc.or(&rhs),
-                    MergeOp::Xor => acc.xor(&rhs),
-                };
-            }
-            acc
         }
     }
 }

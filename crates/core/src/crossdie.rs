@@ -1,22 +1,29 @@
-//! Cross-die execution plans: splitting one query over the planes its
-//! operands live on.
+//! Cross-partition execution plans: splitting one query over the planes
+//! (or cluster shards) its operands live on.
 //!
 //! Die-aware placement (this crate's `device` module) spreads distinct
 //! placement groups across dies so independent queries execute in
 //! parallel. The price: a single query whose operands span planes can no
 //! longer compile to one MWS program — a latch bank is per-plane, so the
 //! planner's [`PlanError::PlaneMismatch`] used to be a hard error. This
-//! module turns that error into a *planned* cross-die execution:
+//! module turns that error into a *planned* split execution:
 //!
-//! * the normalized expression is partitioned by plane — children of a
-//!   top-level AND/OR that share a plane compile **together** (keeping
-//!   every intra-plane MWS fusion the planner can find), children that
-//!   themselves span planes recurse;
-//! * each single-plane piece becomes a [`Leaf`] holding an ordinary
-//!   [`MwsProgram`] for that plane's chip;
+//! * the normalized expression is partitioned by a key — the plane inside
+//!   a device, the home shard in [`crate::cluster`]. Children of an
+//!   AND/OR that share a key run **together** (keeping every intra-plane
+//!   MWS fusion the planner can find), children that themselves span
+//!   keys recurse;
+//! * each single-key piece becomes a leaf — inside a device a [`Leaf`]
+//!   holding an ordinary [`MwsProgram`] for that plane's chip;
 //! * the controller combines the partial result pages per the
 //!   [`MergeTree`] (AND/OR/XOR — the same operator that joined the
 //!   pieces in the expression).
+//!
+//! One XOR rule holds for every key: an XOR whose sides span keys is a
+//! controller XOR of its two sides' full partial pages, at any depth and
+//! with any sides. The latch rule (only a top-level XOR of two literals
+//! lowers onto one chip) is the planner's, and it still applies inside
+//! each single-plane leaf.
 //!
 //! Leaves on different dies sense concurrently, so a split query's
 //! critical path is the busiest die, not the sum — exactly the
@@ -54,19 +61,19 @@ pub struct Leaf {
     pub program: MwsProgram,
 }
 
-/// A compiled execution plan for one expression stripe: either a single
-/// chip program (all operands co-planar) or a controller merge over
-/// sub-plans.
+/// A split execution plan for one expression stripe: either a single
+/// leaf (all operands in one partition — inside a device, one chip
+/// program) or a controller merge over sub-plans.
 #[derive(Debug, Clone)]
-pub enum ExecPlan {
-    /// Runs entirely on one plane.
-    Chip(Leaf),
+pub enum ExecPlan<L = Leaf> {
+    /// Runs entirely in one partition.
+    Chip(L),
     /// Controller-side combination of concurrently executable parts.
     Merge {
         /// Combining operator.
         op: MergeOp,
-        /// Sub-plans (each a chip program or a nested merge).
-        parts: Vec<ExecPlan>,
+        /// Sub-plans (each a leaf or a nested merge).
+        parts: Vec<ExecPlan<L>>,
     },
 }
 
@@ -113,10 +120,12 @@ impl ExecPlan {
             }
         }
     }
+}
 
+impl<L> ExecPlan<L> {
     /// Decomposes the plan into its leaves (appended to `leaves` in
     /// pre-order) and the merge recipe referencing them by index.
-    pub fn flatten(self, leaves: &mut Vec<Leaf>) -> MergeTree {
+    pub fn flatten(self, leaves: &mut Vec<L>) -> MergeTree {
         match self {
             ExecPlan::Chip(leaf) => {
                 leaves.push(leaf);
@@ -155,17 +164,17 @@ pub fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
 }
 
 /// Compiles `nnf` into an [`ExecPlan`], splitting across planes where the
-/// operand placement requires it. `plane_of` resolves every operand to
-/// the SSD-level plane its stripe page lives on (`None` for unplaced
-/// operands); `leaf_compile` lowers a single-plane sub-expression to a
-/// chip program (the Flash-Cosmos planner or the ParaBit compiler).
+/// operand placement requires it — [`split`] keyed by plane. `plane_of`
+/// resolves every operand to the SSD-level plane its stripe page lives
+/// on (`None` for unplaced operands); `leaf_compile` lowers a
+/// single-plane sub-expression to a chip program (the Flash-Cosmos
+/// planner or the ParaBit compiler).
 ///
 /// # Errors
 ///
-/// [`PlanError::NoPlacement`] for operands `plane_of` cannot resolve, and
-/// whatever `leaf_compile` reports for a piece it cannot lower. XOR below
-/// the top level cannot span planes (mirroring the single-plane planner,
-/// which rejects nested XOR outright).
+/// As [`split`]: [`PlanError::NoPlacement`] for operands `plane_of`
+/// cannot resolve, and whatever `leaf_compile` reports for a piece it
+/// cannot lower (a nested XOR *inside* one plane, for instance).
 pub fn compile_spanning<P, F>(
     nnf: &Nnf,
     plane_of: &P,
@@ -175,113 +184,106 @@ where
     P: Fn(OperandId) -> Option<PlaneId>,
     F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
 {
-    build(nnf, plane_of, leaf_compile, true)
+    split(nnf, plane_of, &mut |plane, sub: &Nnf| Ok(Leaf { plane, program: leaf_compile(sub)? }))
 }
 
-/// Collects the distinct planes an expression's operands live on into
-/// `span` (a small vector with linear dedup — expressions touch a
-/// handful of planes, and this path runs once per plan node, so it
-/// stays allocation-light on the hot single-plane case).
-fn collect_span<P>(nnf: &Nnf, plane_of: &P, span: &mut Vec<PlaneId>) -> Result<(), PlanError>
+/// Splits `nnf` by partition key: `part_of` resolves every operand to
+/// its key (`None` for unplaced operands), and `leaf` turns each
+/// single-key sub-expression into a leaf. An expression within one key
+/// is one leaf. A spanning n-ary AND/OR buckets its single-key children
+/// per key (one leaf per key, in key order) after recursing into its
+/// spanning children; a spanning XOR merges its two sides; a spanning
+/// threshold expands to the exact OR-of-combinations form first (no
+/// Boolean merge carries partial *counts*) — more senses, never a
+/// silently wrong page.
+///
+/// # Errors
+///
+/// [`PlanError::NoPlacement`] for operands `part_of` cannot resolve,
+/// [`PlanError::Unplannable`] for an expression that names no operand
+/// or whose threshold expansion is too large, and whatever `leaf`
+/// reports.
+pub fn split<K, L, E, P, F>(nnf: &Nnf, part_of: &P, leaf: &mut F) -> Result<ExecPlan<L>, E>
 where
-    P: Fn(OperandId) -> Option<PlaneId>,
+    K: Ord + Copy,
+    E: From<PlanError>,
+    P: Fn(OperandId) -> Option<K>,
+    F: FnMut(K, &Nnf) -> Result<L, E>,
+{
+    let mut span = Vec::with_capacity(2);
+    collect_span(nnf, part_of, &mut span)?;
+    match (span.as_slice(), nnf) {
+        ([], _) => Err(PlanError::Unplannable("expression names no operand".to_string()).into()),
+        (&[key], _) => Ok(ExecPlan::Chip(leaf(key, nnf)?)),
+        (_, Nnf::Literal(_)) => unreachable!("a literal lives in exactly one partition"),
+        (_, Nnf::And(cs)) => split_nary(cs, MergeOp::And, part_of, leaf),
+        (_, Nnf::Or(cs)) => split_nary(cs, MergeOp::Or, part_of, leaf),
+        (_, Nnf::Xor(a, b)) => Ok(ExecPlan::Merge {
+            op: MergeOp::Xor,
+            parts: vec![split(a, part_of, leaf)?, split(b, part_of, leaf)?],
+        }),
+        (_, Nnf::Threshold { .. }) => {
+            split(&crate::planner::expand_thresholds(nnf)?, part_of, leaf)
+        }
+    }
+}
+
+/// Collects the distinct keys an expression's operands live in into
+/// `span` (a small vector with linear dedup — expressions touch a
+/// handful of planes or shards, and this path runs once per plan node,
+/// so it stays allocation-light on the hot single-key case).
+fn collect_span<K, P>(nnf: &Nnf, part_of: &P, span: &mut Vec<K>) -> Result<(), PlanError>
+where
+    K: Ord + Copy,
+    P: Fn(OperandId) -> Option<K>,
 {
     match nnf {
         Nnf::Literal(l) => {
-            let p = plane_of(l.id).ok_or(PlanError::NoPlacement(l.id))?;
-            if !span.contains(&p) {
-                span.push(p);
+            let k = part_of(l.id).ok_or(PlanError::NoPlacement(l.id))?;
+            if !span.contains(&k) {
+                span.push(k);
             }
         }
         Nnf::And(cs) | Nnf::Or(cs) | Nnf::Threshold { children: cs, .. } => {
             for c in cs {
-                collect_span(c, plane_of, span)?;
+                collect_span(c, part_of, span)?;
             }
         }
         Nnf::Xor(a, b) => {
-            collect_span(a, plane_of, span)?;
-            collect_span(b, plane_of, span)?;
+            collect_span(a, part_of, span)?;
+            collect_span(b, part_of, span)?;
         }
     }
     Ok(())
 }
 
-fn build<P, F>(
-    nnf: &Nnf,
-    plane_of: &P,
-    leaf_compile: &mut F,
-    top: bool,
-) -> Result<ExecPlan, PlanError>
-where
-    P: Fn(OperandId) -> Option<PlaneId>,
-    F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
-{
-    let mut span = Vec::with_capacity(2);
-    collect_span(nnf, plane_of, &mut span)?;
-    if span.len() <= 1 {
-        let plane = span
-            .first()
-            .copied()
-            .unwrap_or(PlaneId { die: fc_ssd::topology::DieId::new(0, 0), plane: 0 });
-        return Ok(ExecPlan::Chip(Leaf { plane, program: leaf_compile(nnf)? }));
-    }
-    match nnf {
-        Nnf::Literal(_) => unreachable!("a literal lives on exactly one plane"),
-        Nnf::And(cs) => build_nary(cs, MergeOp::And, plane_of, leaf_compile),
-        Nnf::Or(cs) => build_nary(cs, MergeOp::Or, plane_of, leaf_compile),
-        Nnf::Xor(a, b) => {
-            if !top {
-                return Err(PlanError::Unplannable(
-                    "XOR below the top level cannot span planes".to_string(),
-                ));
-            }
-            // The chip XOR logic combines two latches once, so only
-            // literal sides are expressible — same rule as the planner.
-            if !matches!((a.as_ref(), b.as_ref()), (Nnf::Literal(_), Nnf::Literal(_))) {
-                return Err(PlanError::UnsupportedXor);
-            }
-            let parts = vec![
-                build(a, plane_of, leaf_compile, false)?,
-                build(b, plane_of, leaf_compile, false)?,
-            ];
-            Ok(ExecPlan::Merge { op: MergeOp::Xor, parts })
-        }
-        Nnf::Threshold { .. } => {
-            // A vote spanning planes cannot be combined with the Boolean
-            // merge ops (it would need partial *counts*), so fall back to
-            // the exact OR-of-combinations expansion and split that —
-            // more senses, never a silently wrong page.
-            let expanded = crate::planner::expand_thresholds(nnf)?;
-            build(&expanded, plane_of, leaf_compile, top)
-        }
-    }
-}
-
-/// Splits an n-ary AND/OR: children sharing a plane compile together (so
-/// intra-plane MWS fusion survives), spanning children recurse.
-fn build_nary<P, F>(
+/// Splits an n-ary AND/OR: spanning children recurse, and children
+/// sharing a key run together (so intra-plane MWS fusion survives).
+fn split_nary<K, L, E, P, F>(
     children: &[Nnf],
     op: MergeOp,
-    plane_of: &P,
-    leaf_compile: &mut F,
-) -> Result<ExecPlan, PlanError>
+    part_of: &P,
+    leaf: &mut F,
+) -> Result<ExecPlan<L>, E>
 where
-    P: Fn(OperandId) -> Option<PlaneId>,
-    F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
+    K: Ord + Copy,
+    E: From<PlanError>,
+    P: Fn(OperandId) -> Option<K>,
+    F: FnMut(K, &Nnf) -> Result<L, E>,
 {
-    let mut buckets: BTreeMap<PlaneId, Vec<Nnf>> = BTreeMap::new();
+    let mut buckets: BTreeMap<K, Vec<Nnf>> = BTreeMap::new();
     let mut parts = Vec::new();
     let mut span = Vec::with_capacity(2);
     for child in children {
         span.clear();
-        collect_span(child, plane_of, &mut span)?;
-        if let [plane] = span[..] {
-            buckets.entry(plane).or_default().push(child.clone());
+        collect_span(child, part_of, &mut span)?;
+        if let [key] = span[..] {
+            buckets.entry(key).or_default().push(child.clone());
         } else {
-            parts.push(build(child, plane_of, leaf_compile, false)?);
+            parts.push(split(child, part_of, leaf)?);
         }
     }
-    for (plane, mut bucket) in buckets {
+    for (key, mut bucket) in buckets {
         let sub = if bucket.len() == 1 {
             bucket.pop().expect("non-empty bucket")
         } else {
@@ -291,7 +293,7 @@ where
                 MergeOp::Xor => unreachable!("XOR is not n-ary"),
             }
         };
-        parts.push(ExecPlan::Chip(Leaf { plane, program: leaf_compile(&sub)? }));
+        parts.push(ExecPlan::Chip(leaf(key, &sub)?));
     }
     Ok(ExecPlan::Merge { op, parts })
 }
@@ -367,18 +369,25 @@ mod tests {
     }
 
     #[test]
-    fn nested_xor_across_planes_is_rejected() {
+    fn nested_xor_across_planes_merges_on_the_controller() {
         let (map, planes) = layout(4);
         let nnf = Expr::or(vec![
             Expr::xor(Expr::var(0), Expr::var(2)), // spans dies 0 and 1
             Expr::var(3),
         ])
         .to_nnf();
-        let err = compile_spanning(&nnf, &|id| planes.get(&id).copied(), &mut |sub| {
+        let plan = compile_spanning(&nnf, &|id| planes.get(&id).copied(), &mut |sub| {
             planner::compile(sub, &map, caps())
         })
-        .unwrap_err();
-        assert!(matches!(err, PlanError::Unplannable(_)));
+        .unwrap();
+        let ExecPlan::Merge { op: MergeOp::Or, ref parts } = plan else {
+            panic!("expected an OR merge, got {plan:?}");
+        };
+        assert!(
+            parts.iter().any(|p| matches!(p, ExecPlan::Merge { op: MergeOp::Xor, .. })),
+            "the spanning XOR becomes a controller XOR inside the OR: {parts:?}"
+        );
+        assert_eq!(plan.sense_count(), 3, "one sense per literal's plane");
     }
 
     #[test]

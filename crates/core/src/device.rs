@@ -49,9 +49,7 @@ use fc_ssd::topology::{DieId, PlaneId};
 use fc_ssd::SsdConfig;
 
 use crate::expr::{Expr, OperandId};
-use crate::maintenance::{
-    MaintenanceConfig, PlacementPolicy, PlacementQuery, RegroupPolicy, SpreadPlacement,
-};
+use crate::maintenance::{MaintenanceConfig, PlacementPolicy, PlacementQuery, SpreadPlacement};
 use crate::planner::{PlacementMap, PlanError};
 
 /// Handle to a stored operand vector.
@@ -317,8 +315,6 @@ pub(crate) struct DeviceCore {
     /// the default [`SpreadPlacement`] rotates pressure ties across dies,
     /// [`crate::maintenance::WearAwarePlacement`] levels P/E wear.
     pub(crate) placement_policy: Box<dyn PlacementPolicy>,
-    /// Which hot co-queried operand sets the maintenance planner gathers.
-    pub(crate) regroup_policy: Box<dyn RegroupPolicy>,
     /// Maintenance tuning (heat thresholds, slack budget).
     pub(crate) maintenance_cfg: MaintenanceConfig,
     /// Ruleset of the static analyzer (see [`crate::audit`]): what the
@@ -373,7 +369,6 @@ impl DeviceCore {
             group_place: HashMap::new(),
             domain_place: HashMap::new(),
             placement_policy: Box::new(SpreadPlacement::new()),
-            regroup_policy: Box::new(crate::maintenance::HotSetRegrouper),
             maintenance_cfg: MaintenanceConfig::default(),
             audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
@@ -537,6 +532,21 @@ impl DeviceCore {
         }
     }
 
+    /// The FTL group key for the next page written into `(group, slot)`.
+    /// One FTL group per (group, stripe slot, overflow id): the overflow
+    /// id moves to a fresh block — on the same plane, preserving
+    /// co-residency — once a block's wordlines are exhausted (more than
+    /// `wls_per_block` pages per group slot). Placement groups count from
+    /// 0; the recovery tier's parity and rebuild groups sit far above
+    /// them (see [`crate::recovery`]), so the counters never collide.
+    pub(crate) fn next_group_key(&mut self, group: u64, slot: u64) -> GroupKey {
+        let wls = self.ssd.config().wls_per_block as u64;
+        let fill = self.group_fill.entry((group, slot)).or_insert(0);
+        let overflow = *fill / wls;
+        *fill += 1;
+        GroupKey { group, slot, overflow }
+    }
+
     /// A [`PlacementQuery`] carrying only the geometry (no pressure or
     /// wear snapshot) — for the channel-first die-order helpers.
     fn placement_query_geometry(&self) -> PlacementQuery {
@@ -576,22 +586,9 @@ impl DeviceCore {
         let mut planes = Vec::with_capacity(pages);
         let mut dies = Vec::with_capacity(pages);
         for slot in 0..pages as u64 {
-            // One FTL group per (named group, stripe slot, overflow id):
-            // the overflow id moves to a fresh block — on the same plane,
-            // preserving co-residency — once a block's wordlines are
-            // exhausted (> `wls_per_block` operands per group).
-            let fill = self.group_fill.entry((group_index, slot)).or_insert(0);
-            let wls = self.ssd.config().wls_per_block as u64;
-            let overflow = *fill / wls;
-            *fill += 1;
-            let key = GroupKey { group: group_index, slot, overflow };
+            let key = self.next_group_key(group_index, slot);
             let plane = self.plane_for_slot(place, slot);
-            let start = (slot as usize) * page_bits;
-            let len = page_bits.min(data.len().saturating_sub(start));
-            let mut page = BitVec::zeros(page_bits);
-            if len > 0 {
-                page.copy_from(0, &data.slice(start, len));
-            }
+            let page = stripe_page(data, slot as usize, page_bits);
             let lpn = self.next_lpn;
             self.next_lpn += 1;
             let mut opts = WriteOptions::flash_cosmos(key, Some(plane), hints.inverted);
@@ -693,24 +690,14 @@ impl DeviceCore {
         let mut planes = Vec::with_capacity(pages);
         let mut dies = Vec::with_capacity(pages);
         for slot in 0..pages as u64 {
-            let fill = self.group_fill.entry((group_index, slot)).or_insert(0);
-            let wls = self.ssd.config().wls_per_block as u64;
-            let overflow = *fill / wls;
-            *fill += 1;
-            let key = GroupKey { group: group_index, slot, overflow };
+            let key = self.next_group_key(group_index, slot);
             let plane = self.plane_for_slot(place, slot);
-            let start = (slot as usize) * page_bits;
-            let len = page_bits.min(bits.saturating_sub(start));
             let mut slot_lpns = Vec::with_capacity(bpc);
             let mut slot_pages = Vec::with_capacity(bpc);
             for data in datas {
-                let mut page = BitVec::zeros(page_bits);
-                if len > 0 {
-                    page.copy_from(0, &data.slice(start, len));
-                }
                 slot_lpns.push(self.next_lpn);
                 self.next_lpn += 1;
-                slot_pages.push(page);
+                slot_pages.push(stripe_page(data, slot as usize, page_bits));
             }
             let ppa = self.ssd.write_ml(
                 &slot_lpns,
@@ -786,22 +773,13 @@ impl DeviceCore {
             .inverted;
         let old_lpns = self.operands[id].lpns.clone();
         let page_bits = self.ssd.config().page_bits();
-        let wls = self.ssd.config().wls_per_block as u64;
         let mut lpns = Vec::with_capacity(old_lpns.len());
         let mut planes = Vec::with_capacity(old_lpns.len());
         let mut dies = Vec::with_capacity(old_lpns.len());
         for slot in 0..old_lpns.len() as u64 {
-            let fill = self.group_fill.entry((group_index, slot)).or_insert(0);
-            let overflow = *fill / wls;
-            *fill += 1;
-            let key = GroupKey { group: group_index, slot, overflow };
+            let key = self.next_group_key(group_index, slot);
             let plane = self.plane_for_slot(place, slot);
-            let start = (slot as usize) * page_bits;
-            let len = page_bits.min(data.len().saturating_sub(start));
-            let mut page = BitVec::zeros(page_bits);
-            if len > 0 {
-                page.copy_from(0, &data.slice(start, len));
-            }
+            let page = stripe_page(data, slot as usize, page_bits);
             let lpn = self.next_lpn;
             self.next_lpn += 1;
             let ppa = self.ssd.write(
@@ -899,16 +877,12 @@ impl DeviceCore {
             ))));
         }
         let (group_index, place) = self.group_placement(&hints)?;
-        let wls = self.ssd.config().wls_per_block as u64;
         let lpns = self.operands[id].lpns.clone();
         let mut copybacks = 0;
         let mut planes = Vec::with_capacity(lpns.len());
         let mut dies = Vec::with_capacity(lpns.len());
         for (slot, &lpn) in lpns.iter().enumerate() {
-            let fill = self.group_fill.entry((group_index, slot as u64)).or_insert(0);
-            let overflow = *fill / wls;
-            *fill += 1;
-            let key = GroupKey { group: group_index, slot: slot as u64, overflow };
+            let key = self.next_group_key(group_index, slot as u64);
             let plane = self.plane_for_slot(place, slot as u64);
             let meta = fc_ssd::ftl::PageMeta::flash_cosmos(hints.inverted);
             let used_copyback = self.ssd.migrate(
@@ -1068,11 +1042,6 @@ impl FlashCosmosDevice {
     /// [`crate::maintenance`] for the provided policies.
     pub fn set_placement_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
         self.core_mut().placement_policy = policy;
-    }
-
-    /// Installs a regrouping policy for the maintenance planner.
-    pub fn set_regroup_policy(&mut self, policy: Box<dyn RegroupPolicy>) {
-        self.core_mut().regroup_policy = policy;
     }
 
     /// Replaces the maintenance tuning (heat thresholds, slack budget).
@@ -1295,6 +1264,18 @@ impl std::ops::Not for OperandHandle {
     fn not(self) -> Expr {
         !Expr::from(self)
     }
+}
+
+/// Stripe slot `slot` of `data` as one `page_bits`-bit page: the slot's
+/// bits, zero-padded past the end of the vector.
+pub(crate) fn stripe_page(data: &BitVec, slot: usize, page_bits: usize) -> BitVec {
+    let start = slot * page_bits;
+    let len = page_bits.min(data.len().saturating_sub(start));
+    let mut page = BitVec::zeros(page_bits);
+    if len > 0 {
+        page.copy_from(0, &data.slice(start, len));
+    }
+    page
 }
 
 #[cfg(test)]

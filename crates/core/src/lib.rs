@@ -36,29 +36,30 @@
 //!   generations* replays repeated units without sensing — overwrites
 //!   ([`FlashCosmosDevice::fc_overwrite`]), migrations and raw-SSD access
 //!   bump the stamps, so stale results are structurally unservable.
-//! * [`maintenance`] — the policy-driven maintenance layer: an affinity
-//!   tracker records which operand sets get fused together (and what
-//!   they cost), a pluggable regrouping policy turns hot scattered sets
-//!   into migration jobs with wear-aware target selection, and a
-//!   background executor fills the jobs into
+//! * [`maintenance`] — the maintenance layer: an affinity tracker
+//!   records which operand sets get fused together (and what they
+//!   cost), a fixed regrouping rule turns hot scattered sets into
+//!   migration jobs with wear-aware target selection, and a background
+//!   executor fills the jobs into
 //!   [`drain`](FlashCosmosDevice::drain)'s idle-die slack
-//!   under a critical-path budget. The same policy split provides
-//!   pluggable placement ([`SpreadPlacement`] / [`WearAwarePlacement`])
-//!   and result-cache admission ([`CostAwareAdmission`] — the default,
-//!   hit-frequency × senses-saved — vs [`FifoAdmission`]).
+//!   under a critical-path budget. Placement ([`SpreadPlacement`] /
+//!   [`WearAwarePlacement`]) and result-cache admission
+//!   ([`CostAwareAdmission`] — the default, hit-frequency ×
+//!   senses-saved — vs [`FifoAdmission`]) are pluggable policies.
 //! * [`recovery`] — the reliability tiers over the physics model's real
 //!   bit errors: shifted-Vref read-retry (in the SSD device), cross-die
-//!   XOR parity stripes with out-of-place rebuild, policy-driven
-//!   retention scrubbing in drain's idle-die slack, and a deterministic
+//!   XOR parity stripes with out-of-place rebuild, retention scrubbing
+//!   of at-risk pages in drain's idle-die slack, and a deterministic
 //!   typed fault-injection harness ([`FaultPlan`]) whose itemized faults
 //!   bump only the touched operands' generations. [`DeviceHealth`]
 //!   snapshots which tiers fired; queries that touch a page no tier
 //!   could save fail individually ([`FcError::QueryFailed`]) while the
 //!   rest of their batch completes.
-//! * [`crossdie`] — cross-die execution plans: a query whose operands
+//! * [`crossdie`] — the one expression splitter: a query whose operands
 //!   span planes splits into per-plane programs merged by the
 //!   controller, so die-aware placement (see [`device`]) never turns
-//!   into a `PlaneMismatch` error.
+//!   into a `PlaneMismatch` error; keyed by home shard instead of
+//!   plane, the same splitter plans [`cluster`] queries across shards.
 //! * [`engines`] — the four evaluated platforms (OSP/ISP/PB/FC) as
 //!   pipeline-model job builders (Figs. 17/18), including batched
 //!   multi-workload evaluation.
@@ -147,15 +148,12 @@ pub use device::{FcError, FlashCosmosDevice, OperandHandle, ReadStats, StoreHint
 pub use engines::{Engines, Platform, PlatformReport, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};
 pub use maintenance::{
-    AffinityTracker, CacheAdmission, CostAwareAdmission, FifoAdmission, HotSetRegrouper,
-    MaintenanceConfig, MaintenanceStats, PlacementPolicy, RegroupPolicy, SpreadPlacement,
-    WearAwarePlacement,
+    AffinityTracker, CacheAdmission, CostAwareAdmission, FifoAdmission, MaintenanceConfig,
+    MaintenanceStats, PlacementPolicy, SpreadPlacement, WearAwarePlacement,
 };
 pub use placement::{suggest_hints, LayoutAdvice};
 pub use planner::{MwsProgram, PlacementMap, PlanError, PlannerCaps};
-pub use recovery::{
-    DeviceHealth, FaultPlan, FaultReport, MarginScrubber, ScrubCandidate, ScrubConfig, ScrubPolicy,
-};
+pub use recovery::{DeviceHealth, FaultPlan, FaultReport, ScrubConfig};
 pub use session::{CacheStats, DrainStats, Session, Ticket};
 
 /// Compile-time thread-safety contract for the concurrent serving core.
@@ -168,7 +166,6 @@ pub use session::{CacheStats, DrainStats, Session, Ticket};
 /// test three PRs later.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    fn assert_sync<T: Sync>() {}
     fn assert_send_sync<T: Send + Sync>() {}
 
     // The shared handle itself, bare and behind the Arc workers clone.
@@ -187,8 +184,5 @@ const _: fn() = || {
     assert_send_sync::<FcError>();
     // Installable policies travel into the locked core.
     assert_send::<Box<dyn PlacementPolicy>>();
-    assert_send::<Box<dyn RegroupPolicy>>();
     assert_send::<Box<dyn CacheAdmission>>();
-    assert_send::<Box<dyn ScrubPolicy>>();
-    assert_sync::<Box<dyn ScrubPolicy>>();
 };

@@ -15,15 +15,16 @@
 //!   bounds the critical path.
 //!
 //! This module turns those observations into background work, split into
-//! three pluggable stages:
+//! three stages:
 //!
 //! 1. **Affinity tracking** — [`AffinityTracker`] (fed by every batch
 //!    compile) counts, per co-fused operand set, how often the set was
 //!    queried, how often the cache answered it, and what it last cost in
 //!    senses.
-//! 2. **Regroup planning** — a [`RegroupPolicy`] (default
-//!    [`HotSetRegrouper`]) selects hot, scattered sets; the planner turns
-//!    each into [`RegroupJob`]s that
+//! 2. **Regroup planning** — a fixed rule selects hot, scattered sets
+//!    (fused at least [`MaintenanceConfig::min_cofuse`] times and still
+//!    costing at least [`MaintenanceConfig::scatter_ratio`] senses per
+//!    stripe); the planner turns each into [`RegroupJob`]s that
 //!    [`migrate_operand`](crate::device::FlashCosmosDevice::migrate_operand)
 //!    the set into a fresh shared placement group on a **wear-aware**
 //!    target die (least summed per-block P/E cycles, block pressure as
@@ -47,12 +48,12 @@
 //! planning consumed the earlier heat), a later pass sees its operands
 //! still scattered and finishes the gather.
 //!
-//! The same policy split covers the two placement decisions that used to
-//! be hard-coded in the device: fresh placement groups ask a
-//! [`PlacementPolicy`] (default [`SpreadPlacement`], the die-rotating
-//! least-loaded spread; [`WearAwarePlacement`] prefers low-wear planes),
-//! and the result cache asks a [`CacheAdmission`] policy which entry to
-//! evict (default [`CostAwareAdmission`], hit-frequency × senses-saved;
+//! Two decisions are pluggable policies, each with an alternative to
+//! compare against: fresh placement groups ask a [`PlacementPolicy`]
+//! (default [`SpreadPlacement`], the die-rotating least-loaded spread;
+//! [`WearAwarePlacement`] prefers low-wear planes), and the result cache
+//! asks a [`CacheAdmission`] policy which entry to evict (default
+//! [`CostAwareAdmission`], hit-frequency × senses-saved;
 //! [`FifoAdmission`] restores the oldest-first bound).
 //!
 //! ```
@@ -506,31 +507,20 @@ impl HotSet {
     }
 }
 
-/// Chooses which hot sets deserve gathering. Select a policy with
-/// [`set_regroup_policy`](crate::device::FlashCosmosDevice::set_regroup_policy).
-pub trait RegroupPolicy: std::fmt::Debug + Send + Sync {
-    /// Indices into `candidates` worth regrouping, most valuable first.
-    fn select(&self, candidates: &[HotSet], cfg: &MaintenanceConfig) -> Vec<usize>;
-}
-
-/// The default regrouping policy: a set is worth gathering when it was
-/// fused at least [`MaintenanceConfig::min_cofuse`] times *and* its unit
-/// still costs at least [`MaintenanceConfig::scatter_ratio`] senses per
-/// stripe (a co-located set costs exactly one).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HotSetRegrouper;
-
-impl RegroupPolicy for HotSetRegrouper {
-    fn select(&self, candidates: &[HotSet], cfg: &MaintenanceConfig) -> Vec<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.stats.fused >= cfg.min_cofuse && c.senses_per_stripe() >= cfg.scatter_ratio
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
+/// The regrouping rule: indices into `candidates` worth gathering, in
+/// candidate order. A set qualifies when it was fused at least
+/// [`MaintenanceConfig::min_cofuse`] times *and* its unit still costs at
+/// least [`MaintenanceConfig::scatter_ratio`] senses per stripe (a
+/// co-located set costs exactly one).
+fn select_regroups(candidates: &[HotSet], cfg: &MaintenanceConfig) -> Vec<usize> {
+    candidates
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| {
+            c.stats.fused >= cfg.min_cofuse && c.senses_per_stripe() >= cfg.scatter_ratio
+        })
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Tuning knobs of the maintenance layer. Set with
@@ -646,7 +636,7 @@ pub struct MaintenanceStats {
 
 impl crate::device::DeviceCore {
     /// Plans regrouping work from the affinity tracker's observations:
-    /// the installed [`RegroupPolicy`] selects hot scattered sets, and
+    /// the regrouping rule selects hot scattered sets, and
     /// each becomes one [`RegroupJob`] per operand, gathering the set
     /// into a shared placement group (one colocation domain) on the
     /// least-worn die — or onto the set's *existing* gather-group die
@@ -659,7 +649,7 @@ impl crate::device::DeviceCore {
     /// this pass.
     pub(crate) fn schedule_maintenance(&mut self) -> usize {
         let candidates = self.session.affinity().candidates();
-        let picks = self.regroup_policy.select(&candidates, &self.maintenance_cfg);
+        let picks = select_regroups(&candidates, &self.maintenance_cfg);
         if picks.is_empty() {
             return 0;
         }
@@ -1061,6 +1051,6 @@ mod tests {
             mk(vec![4, 5], 5, 1, 1), // already co-located
             mk(vec![6, 7], 2, 3, 2), // exactly at both thresholds → selected
         ];
-        assert_eq!(HotSetRegrouper.select(&candidates, &cfg), vec![0, 3]);
+        assert_eq!(select_regroups(&candidates, &cfg), vec![0, 3]);
     }
 }

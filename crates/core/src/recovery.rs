@@ -16,13 +16,14 @@
 //!    block or even a whole-die failure corrupts at most one page per
 //!    stripe, and that page is rebuilt from its peers and rewritten
 //!    out-of-place.
-//! 3. **Retention scrubbing** (background, this module): a pluggable
-//!    [`ScrubPolicy`] walks mapped ECC pages whose *modeled* RBER
+//! 3. **Retention scrubbing** (background, this module): a walk over the
+//!    mapped ECC pages in LPN order queues those whose *modeled* RBER
 //!    (worst-grade, from the block's wear/retention/disturb state)
-//!    approaches the ECC correction margin and refreshes them before
-//!    they become uncorrectable — in the idle-die slack of every serving
-//!    pass (a [`drain`](FlashCosmosDevice::drain) or a sync read), under
-//!    the same latency budget as maintenance.
+//!    reaches [`ScrubConfig::margin_fraction`] of the ECC correction
+//!    margin, most-at-risk first, and refreshes them before they become
+//!    uncorrectable — in the idle-die slack of every serving pass (a
+//!    [`drain`](FlashCosmosDevice::drain) or a sync read), under the
+//!    same latency budget as maintenance.
 //! 4. **Fault injection** ([`FaultPlan`] / [`FlashCosmosDevice::inject_faults`]):
 //!    a typed, deterministic harness for retention aging, read disturb,
 //!    P/E cycling, stuck blocks and die failures, replacing raw
@@ -63,7 +64,7 @@ use fc_nand::geometry::BlockAddr;
 use fc_nand::rber::BlockGrade;
 use fc_nand::stress::StressState;
 use fc_ssd::device::{DeviceError, WriteOptions};
-use fc_ssd::ftl::{GroupKey, PageMeta, PlacementHint};
+use fc_ssd::ftl::{PageMeta, PlacementHint};
 use fc_ssd::parity::{rebuild_member, xor_fold, StripeMap};
 use fc_ssd::pipeline::DieQueues;
 use fc_ssd::topology::{DieId, Ppa};
@@ -128,7 +129,7 @@ impl Default for ScrubConfig {
 
 /// One mapped ECC page the scrub scheduler is considering.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScrubCandidate {
+pub(crate) struct ScrubCandidate {
     /// The logical page.
     pub lpn: u64,
     /// Flat die index the page currently lives on.
@@ -139,30 +140,17 @@ pub struct ScrubCandidate {
     pub margin: f64,
 }
 
-/// Picks which scrub candidates to queue — same policy/mechanism split
-/// as [`crate::maintenance::RegroupPolicy`].
-pub trait ScrubPolicy: std::fmt::Debug + Send + Sync {
-    /// Returns the indices of `candidates` to queue, in scrub order.
-    fn select(&self, candidates: &[ScrubCandidate], cfg: &ScrubConfig) -> Vec<usize>;
-}
-
-/// Default policy: queue pages whose predicted RBER is at least
-/// `margin_fraction` of the ECC margin, most-at-risk first, capped at
+/// The scrub rule: indices of `candidates` to queue, in scrub order —
+/// pages whose predicted RBER is at least `margin_fraction` of the ECC
+/// margin, most-at-risk first (ties keep LPN order), capped at
 /// `max_per_pass`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MarginScrubber;
-
-impl ScrubPolicy for MarginScrubber {
-    fn select(&self, candidates: &[ScrubCandidate], cfg: &ScrubConfig) -> Vec<usize> {
-        let mut picks: Vec<usize> = (0..candidates.len())
-            .filter(|&i| candidates[i].predicted_rber >= cfg.margin_fraction * candidates[i].margin)
-            .collect();
-        picks.sort_by(|&a, &b| {
-            candidates[b].predicted_rber.total_cmp(&candidates[a].predicted_rber)
-        });
-        picks.truncate(cfg.max_per_pass);
-        picks
-    }
+fn select_scrubs(candidates: &[ScrubCandidate], cfg: &ScrubConfig) -> Vec<usize> {
+    let mut picks: Vec<usize> = (0..candidates.len())
+        .filter(|&i| candidates[i].predicted_rber >= cfg.margin_fraction * candidates[i].margin)
+        .collect();
+    picks.sort_by(|&a, &b| candidates[b].predicted_rber.total_cmp(&candidates[a].predicted_rber));
+    picks.truncate(cfg.max_per_pass);
+    picks
 }
 
 /// A queued page refresh.
@@ -274,14 +262,11 @@ pub struct FaultReport {
 
 /// Reliability state carried by [`FlashCosmosDevice`]: parity stripes,
 /// the durable-record catalog, the scrub queue and recovery counters.
+#[derive(Default)]
 pub(crate) struct RecoveryState {
     pub(crate) stripes: StripeMap,
     pub(crate) next_stripe_id: u64,
     pub(crate) parity_enabled: bool,
-    /// Pages written per plane into the parity group (overflow counter).
-    parity_fill: HashMap<usize, u64>,
-    /// Pages written per plane into the rebuild group (overflow counter).
-    rebuild_fill: HashMap<usize, u64>,
     pub(crate) durables: HashMap<String, DurableRecord>,
     /// Pages that stayed unreadable after every tier.
     pub(crate) lost_pages: HashSet<u64>,
@@ -294,7 +279,6 @@ pub(crate) struct RecoveryState {
     /// so without this a hot page would re-queue forever.
     scrub_done: HashMap<u64, (u32, u64)>,
     pub(crate) scrub_cfg: ScrubConfig,
-    pub(crate) scrub_policy: Box<dyn ScrubPolicy>,
     pub(crate) parity_rebuilds: u64,
     pub(crate) pages_scrubbed: u64,
     pub(crate) relocations: u64,
@@ -311,29 +295,6 @@ impl std::fmt::Debug for RecoveryState {
             .field("failed_dies", &self.failed_dies)
             .field("scrub_queue", &self.scrub_queue.len())
             .finish_non_exhaustive()
-    }
-}
-
-impl Default for RecoveryState {
-    fn default() -> Self {
-        Self {
-            stripes: StripeMap::default(),
-            next_stripe_id: 0,
-            parity_enabled: false,
-            parity_fill: HashMap::new(),
-            rebuild_fill: HashMap::new(),
-            durables: HashMap::new(),
-            lost_pages: HashSet::new(),
-            failed_dies: HashSet::new(),
-            scrub_queue: VecDeque::new(),
-            scrub_done: HashMap::new(),
-            scrub_cfg: ScrubConfig::default(),
-            scrub_policy: Box::new(MarginScrubber),
-            parity_rebuilds: 0,
-            pages_scrubbed: 0,
-            relocations: 0,
-            uncorrectable_after_recovery: 0,
-        }
     }
 }
 
@@ -445,11 +406,7 @@ impl DeviceCore {
         conventional: bool,
         plane: usize,
     ) -> Result<u64, FcError> {
-        let wls = self.ssd.config().wls_per_block as u64;
-        let fill = self.recovery.parity_fill.entry(plane).or_insert(0);
-        let overflow = *fill / wls;
-        *fill += 1;
-        let key = GroupKey { group: PARITY_GROUP_BASE + plane as u64, slot: 0, overflow };
+        let key = self.next_group_key(PARITY_GROUP_BASE + plane as u64, 0);
         let meta =
             if conventional { PageMeta::conventional() } else { PageMeta::flash_cosmos(false) };
         let lpn = self.alloc_lpn();
@@ -559,11 +516,7 @@ impl DeviceCore {
     fn relocate_rebuilt(&mut self, lpn: u64, payload: &BitVec) -> Result<(), FcError> {
         let meta = self.ssd.page_meta(lpn).expect("rebuilt pages are mapped");
         let plane = self.stripe_target_plane(lpn).expect("rebuilt pages belong to a stripe");
-        let wls = self.ssd.config().wls_per_block as u64;
-        let fill = self.recovery.rebuild_fill.entry(plane).or_insert(0);
-        let overflow = *fill / wls;
-        *fill += 1;
-        let key = GroupKey { group: REBUILD_GROUP_BASE + plane as u64, slot: 0, overflow };
+        let key = self.next_group_key(REBUILD_GROUP_BASE + plane as u64, 0);
         self.ssd.trim(lpn);
         self.ssd.write(
             lpn,
@@ -612,12 +565,7 @@ impl DeviceCore {
         let pages = data.len().div_ceil(chunk_bits).max(1);
         let mut lpns = Vec::with_capacity(pages);
         for i in 0..pages {
-            let start = i * chunk_bits;
-            let len = chunk_bits.min(data.len().saturating_sub(start));
-            let mut page = BitVec::zeros(chunk_bits);
-            if len > 0 {
-                page.copy_from(0, &data.slice(start, len));
-            }
+            let page = crate::device::stripe_page(data, i, chunk_bits);
             let lpn = self.alloc_lpn();
             self.ssd.write(lpn, &page, WriteOptions::conventional())?;
             lpns.push(lpn);
@@ -881,15 +829,16 @@ impl DeviceCore {
     // ------------------------------------------------------------------
 
     /// Walks every mapped ECC page, predicts its worst-grade RBER from
-    /// the block's current stress state, and queues the pages the
-    /// installed [`ScrubPolicy`] selects. Returns how many were queued.
+    /// the block's current stress state, and queues the pages the scrub
+    /// rule selects (at-risk pages, most-at-risk first, at most
+    /// [`ScrubConfig::max_per_pass`]). Returns how many were queued.
     ///
     /// Raw ESP operand pages are skipped: their modeled RBER is exactly
     /// zero (§5.2) and their protection is the parity tier.
     pub(crate) fn schedule_scrub(&mut self) -> usize {
         let cfg = self.recovery.scrub_cfg;
         let candidates = self.scrub_candidates();
-        let picks = self.recovery.scrub_policy.select(&candidates, &cfg);
+        let picks = select_scrubs(&candidates, &cfg);
         let mut queued_now = 0;
         for i in picks {
             if let Some(c) = candidates.get(i) {
@@ -955,7 +904,7 @@ impl DeviceCore {
         if candidates.is_empty() {
             return false;
         }
-        !self.recovery.scrub_policy.select(&candidates, &self.recovery.scrub_cfg).is_empty()
+        !select_scrubs(&candidates, &self.recovery.scrub_cfg).is_empty()
     }
 
     /// Executes queued scrub jobs within a die-time budget: each refresh
@@ -992,20 +941,10 @@ impl DeviceCore {
                 continue;
             }
             let hint = match stripe_plane {
-                Some(plane) => {
-                    let wls = self.ssd.config().wls_per_block as u64;
-                    let fill = self.recovery.rebuild_fill.entry(plane).or_insert(0);
-                    let overflow = *fill / wls;
-                    *fill += 1;
-                    PlacementHint::Grouped {
-                        group: GroupKey {
-                            group: REBUILD_GROUP_BASE + plane as u64,
-                            slot: 0,
-                            overflow,
-                        },
-                        plane: Some(plane),
-                    }
-                }
+                Some(plane) => PlacementHint::Grouped {
+                    group: self.next_group_key(REBUILD_GROUP_BASE + plane as u64, 0),
+                    plane: Some(plane),
+                },
                 None => PlacementHint::Striped,
             };
             match self.ssd.migrate(job.lpn, hint, meta) {
@@ -1093,11 +1032,6 @@ impl FlashCosmosDevice {
         self.core().recovery.scrub_cfg
     }
 
-    /// Installs a scrub-selection policy (default: [`MarginScrubber`]).
-    pub fn set_scrub_policy(&mut self, policy: Box<dyn ScrubPolicy>) {
-        self.core_mut().recovery.scrub_policy = policy;
-    }
-
     /// The device-wide reliability snapshot: SSD read-health counters
     /// merged with the recovery counters.
     pub fn health(&self) -> DeviceHealth {
@@ -1158,8 +1092,9 @@ impl FlashCosmosDevice {
     }
 
     /// Walks every mapped ECC page, predicts its worst-grade RBER from
-    /// the block's current stress state, and queues the pages the
-    /// installed [`ScrubPolicy`] selects. Returns how many were queued.
+    /// the block's current stress state, and queues the pages the scrub
+    /// rule selects (at-risk pages, most-at-risk first, at most
+    /// [`ScrubConfig::max_per_pass`]). Returns how many were queued.
     /// Takes the exclusive device lock.
     pub fn schedule_scrub(&self) -> usize {
         self.core_write().schedule_scrub()
@@ -1288,7 +1223,7 @@ mod tests {
         let margin = 0.111;
         let c = |lpn, rber| ScrubCandidate { lpn, die: 0, predicted_rber: rber, margin };
         let candidates = vec![c(0, 3.0e-3), c(1, 5.0e-4), c(2, 9.0e-3), c(3, 2.5e-3), c(4, 1.0e-6)];
-        let picks = MarginScrubber.select(&candidates, &cfg);
+        let picks = select_scrubs(&candidates, &cfg);
         // 5e-4 and 1e-6 are below 0.02 × 0.111 ≈ 2.2e-3; of the rest the
         // two worst are kept (max_per_pass = 2), worst first.
         assert_eq!(picks, vec![2, 0]);

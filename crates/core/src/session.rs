@@ -91,7 +91,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use fc_bits::BitVec;
-use fc_ssd::pipeline::{overlap_report, DieQueues};
+use fc_ssd::pipeline::DieQueues;
 
 use crate::batch::{
     merge_share, BatchResults, BatchStats, Bottleneck, CompiledBatch, QueryBatch, QueryFailure,
@@ -858,7 +858,6 @@ impl FlashCosmosDevice {
             if self.session.in_flight() == 0 && self.session.jobs().is_empty() && !scrub_due {
                 return Ok(stats);
             }
-            let mut per_batch: Vec<DieQueues> = Vec::new();
             combined = DieQueues::for_config(core.ssd.config());
             // Claim-serve-retire one batch at a time: concurrent drains
             // each grab the next queued batch, so a backlog is served by
@@ -895,8 +894,8 @@ impl FlashCosmosDevice {
                         stats.batches += 1;
                         stats.senses += batch_stats.senses;
                         stats.merge_us += batch_stats.merge_us;
+                        stats.serial_critical_path_us += own.critical_path_us();
                         combined.merge(&own);
-                        per_batch.push(own);
                         // Per-query failure isolation carries through
                         // the async path: the ticket's results report
                         // which queries were unanswerable while the
@@ -916,9 +915,7 @@ impl FlashCosmosDevice {
                     }
                 }
             }
-            let overlap = overlap_report(&per_batch);
-            stats.combined_critical_path_us = overlap.combined_critical_us;
-            stats.serial_critical_path_us = overlap.serial_critical_us;
+            stats.combined_critical_path_us = combined.critical_path_us();
             stats.dies_used = combined.dies_busy();
             stats.busiest_die_us = combined.busiest_us();
             stats.busiest_channel_us = combined.busiest_channel_us();

@@ -408,16 +408,19 @@ impl SsdDevice {
         (0..self.ftl_shards.len()).map(|s| self.ftl_shard(s).ecc_pages()).sum()
     }
 
-    /// A point-in-time copy of every mapping, shard by shard — the walk
-    /// that scrubbing, grown-defect discovery, and the `fc_audit`
-    /// residency pass run over. It copies the whole FTL, so per-drain
-    /// callers check [`SsdDevice::mapped_ecc_pages`] first when only ECC
-    /// pages matter.
+    /// A point-in-time copy of every mapping in ascending LPN order — the
+    /// walk that scrubbing, grown-defect discovery, and the `fc_audit`
+    /// residency pass run over. The order is fixed so a seeded run walks
+    /// (and breaks scrub-priority ties) the same way in every process;
+    /// the shards' hash maps iterate in a per-process order. It copies
+    /// the whole FTL, so per-drain callers check
+    /// [`SsdDevice::mapped_ecc_pages`] first when only ECC pages matter.
     pub fn mapped_snapshot(&self) -> Vec<(u64, Ppa, PageMeta)> {
         let mut out = Vec::with_capacity(self.mapped_pages());
         for s in 0..self.ftl_shards.len() {
             out.extend(self.ftl_shard(s).iter_mapped());
         }
+        out.sort_by_key(|&(lpn, ..)| lpn);
         out
     }
 
@@ -452,7 +455,7 @@ impl SsdDevice {
 
     /// The ECC correction margin as a fraction: `t / n` of the current
     /// page code — the raw bit-error rate at which a codeword's error
-    /// budget is exhausted *in expectation*. Scrub policies compare a
+    /// budget is exhausted *in expectation*. Scrub selection compares a
     /// block's modeled RBER against a fraction of this margin.
     pub fn ecc_correction_margin(&self) -> f64 {
         self.codec.code().t() as f64 / self.codec.code().n() as f64
@@ -840,6 +843,21 @@ mod tests {
     fn payload(dev: &SsdDevice, ecc: bool, seed: u64) -> BitVec {
         let mut rng = StdRng::seed_from_u64(seed);
         BitVec::random(dev.logical_page_bits(ecc), &mut rng)
+    }
+
+    #[test]
+    fn mapped_snapshot_walks_in_lpn_order() {
+        let dev = device();
+        // Striped writes rotate over planes, so the pages land in both
+        // channel shards; write them in descending LPN order.
+        for lpn in (0..24).rev() {
+            dev.write(lpn, &payload(&dev, true, lpn), WriteOptions::conventional()).unwrap();
+        }
+        let shards: std::collections::BTreeSet<u32> =
+            (0..24).map(|lpn| dev.translate(lpn).unwrap().plane.die.channel).collect();
+        assert_eq!(shards.len(), 2, "pages span both FTL shards");
+        let lpns: Vec<u64> = dev.mapped_snapshot().iter().map(|&(lpn, ..)| lpn).collect();
+        assert_eq!(lpns, (0..24).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -134,8 +134,8 @@ pub fn append_die_jobs(batch: &mut Vec<Vec<SenseJob>>, jobs: Vec<Vec<SenseJob>>)
 /// Dies execute their queues independently and concurrently, so the
 /// completion time of everything queued is the **busiest** die
 /// ([`DieQueues::busiest_us`]), not the sum — two batches whose busy dies
-/// differ overlap on the idle ones, and [`overlap_report`] quantifies the
-/// win versus executing the batches back to back.
+/// differ overlap on the idle ones: the [`DieQueues::critical_path_us`]
+/// of their [`DieQueues::merge`] is at most the sum of their own.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DieQueues {
     busy_us: Vec<f64>,
@@ -382,40 +382,6 @@ impl SharedDieQueues {
             shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner).busy_us = 0.0;
         }
     }
-}
-
-/// How much die-level overlap saves when several batches drain together
-/// instead of executing back to back.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OverlapReport {
-    /// Critical path of the combined queues — max(busiest die, busiest
-    /// channel) of the element-wise sum, µs.
-    pub combined_critical_us: f64,
-    /// Sum of each batch's standalone critical path (max of busiest die
-    /// and busiest channel per batch), µs — what serial submission would
-    /// cost.
-    pub serial_critical_us: f64,
-}
-
-impl OverlapReport {
-    /// Critical-path time saved by overlapping, µs (≥ 0).
-    pub fn saved_us(&self) -> f64 {
-        (self.serial_critical_us - self.combined_critical_us).max(0.0)
-    }
-}
-
-/// Computes the overlap of several batches' die queues: batches interleave
-/// on idle dies, so the combined critical path is the busiest die of the
-/// summed occupancy — at most (and usually below) the sum of per-batch
-/// critical paths.
-pub fn overlap_report(batches: &[DieQueues]) -> OverlapReport {
-    let mut combined = DieQueues::default();
-    let mut serial = 0.0;
-    for b in batches {
-        combined.merge(b);
-        serial += b.critical_path_us();
-    }
-    OverlapReport { combined_critical_us: combined.critical_path_us(), serial_critical_us: serial }
 }
 
 /// A per-die trace entry (used to print Fig. 7-style timelines).
@@ -767,15 +733,15 @@ mod tests {
         let mut b = DieQueues::new(4);
         b.push(2, 25.0);
         b.push(3, 5.0);
-        let report = overlap_report(&[a.clone(), b.clone()]);
-        assert_eq!(report.serial_critical_us, 55.0, "30 + 25 back to back");
-        assert_eq!(report.combined_critical_us, 30.0, "disjoint dies fully overlap");
-        assert_eq!(report.saved_us(), 25.0);
+        assert_eq!(a.critical_path_us() + b.critical_path_us(), 55.0, "30 + 25 back to back");
+        let mut combined = a.clone();
+        combined.merge(&b);
+        assert_eq!(combined.critical_path_us(), 30.0, "disjoint dies fully overlap");
         // Same-die contention degrades gracefully to the serial sum.
-        let report = overlap_report(&[a.clone(), a.clone()]);
-        assert_eq!(report.combined_critical_us, 60.0);
-        assert_eq!(report.serial_critical_us, 60.0);
-        assert_eq!(report.saved_us(), 0.0);
+        let mut twice = a.clone();
+        twice.merge(&a);
+        assert_eq!(twice.critical_path_us(), 60.0);
+        assert_eq!(a.critical_path_us() * 2.0, 60.0);
         // merge grows to the wider tracker; clear empties.
         let mut short = DieQueues::new(1);
         short.push(0, 1.0);
@@ -813,13 +779,13 @@ mod tests {
         assert_eq!(q.channels_busy(), 2);
         assert_eq!(q.critical_path_us(), 40.0, "channel bus bounds the drain");
         assert!(q.channel_bound());
-        // merge folds channel lanes; overlap_report sees bus contention.
+        // merge folds channel lanes, so the combined path sees bus
+        // contention.
         let mut other = DieQueues::for_config(&cfg);
         other.push_transfer(3, 15.0); // channel 1
-        let report = overlap_report(&[q.clone(), other.clone()]);
-        assert_eq!(report.serial_critical_us, 55.0, "40 + 15 back to back");
-        assert_eq!(report.combined_critical_us, 40.0, "disjoint channels overlap");
+        assert_eq!(q.critical_path_us() + other.critical_path_us(), 55.0, "40 + 15 back to back");
         q.merge(&other);
+        assert_eq!(q.critical_path_us(), 40.0, "disjoint channels overlap");
         assert_eq!(q.channel_occupancy_us(), &[40.0, 35.0]);
         // Legacy trackers (no channel topology) give each die its own
         // lane, modeling no bus contention.

@@ -1,6 +1,13 @@
 //! `fc-xtask` — repo-level checks that `cargo test` cannot express.
 //!
-//! The one subcommand today is `lint-mutators`: the core device funnels
+//! `size` reports the two design-size numbers ROADMAP tracks for
+//! `crates/core/src` and `crates/ssd/src`: non-test lines (each file's
+//! lines before its first `#[cfg(test)]` line) and public types (those
+//! lines starting, after indentation, with `pub struct`, `pub enum`,
+//! `pub trait` or `pub type`). It only reports; nothing fails on a
+//! number.
+//!
+//! `lint-mutators` fences raw mutation: the core device funnels
 //! every structural mutation through a small set of chokepoints —
 //! `ssd_mut()` (bumps the epoch and clears the result cache),
 //! `chip_mut()` (raw NAND access for fault injection),
@@ -16,7 +23,7 @@
 //! modules is how the invariants the analyzer checks (see `LINTS.md`)
 //! silently rot, so CI fails on one.
 //!
-//! Usage: `cargo run -p fc-xtask -- lint-mutators [repo-root]`
+//! Usage: `cargo run -p fc-xtask -- lint-mutators|size [repo-root]`
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -56,19 +63,25 @@ const ALLOWLIST: [&str; 14] = [
     "tests/",                     // suites corrupt state on purpose
 ];
 
+/// Source trees whose design size `size` reports.
+const SIZE_DIRS: [&str; 2] = ["crates/core/src", "crates/ssd/src"];
+
+/// Line prefixes (after indentation) that declare a public type.
+const PUBLIC_TYPE_PREFIXES: [&str; 4] = ["pub struct ", "pub enum ", "pub trait ", "pub type "];
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint-mutators") => {
-            let root = args.next().map(PathBuf::from).unwrap_or_else(default_root);
-            lint_mutators(&root)
-        }
+    let command = args.next();
+    let root = args.next().map(PathBuf::from).unwrap_or_else(default_root);
+    match command.as_deref() {
+        Some("lint-mutators") => lint_mutators(&root),
+        Some("size") => size(&root),
         Some(other) => {
-            eprintln!("fc-xtask: unknown subcommand {other:?} (try `lint-mutators`)");
+            eprintln!("fc-xtask: unknown subcommand {other:?} (try `lint-mutators` or `size`)");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p fc-xtask -- lint-mutators [repo-root]");
+            eprintln!("usage: cargo run -p fc-xtask -- lint-mutators|size [repo-root]");
             ExitCode::FAILURE
         }
     }
@@ -119,6 +132,46 @@ fn lint_mutators(root: &Path) -> ExitCode {
         }
         ExitCode::FAILURE
     }
+}
+
+fn size(root: &Path) -> ExitCode {
+    let (mut total_lines, mut total_types) = (0, 0);
+    println!("{:<16} {:>15} {:>13}", "fc-xtask size", "non-test lines", "public types");
+    for dir in SIZE_DIRS {
+        let mut files = Vec::new();
+        collect_rs_files(&root.join(dir), &mut files);
+        if files.is_empty() {
+            eprintln!("fc-xtask: no .rs files under {}", root.join(dir).display());
+            return ExitCode::FAILURE;
+        }
+        let (mut lines, mut types) = (0, 0);
+        for file in &files {
+            let Ok(text) = std::fs::read_to_string(file) else { continue };
+            let (l, t) = source_size(&text);
+            lines += l;
+            types += t;
+        }
+        println!("{dir:<16} {lines:>15} {types:>13}");
+        total_lines += lines;
+        total_types += types;
+    }
+    println!("{:<16} {total_lines:>15} {total_types:>13}", "total");
+    ExitCode::SUCCESS
+}
+
+/// Non-test lines and public type declarations of one source file:
+/// everything from the first `#[cfg(test)]` line on is test code.
+fn source_size(text: &str) -> (usize, usize) {
+    let (mut lines, mut types) = (0, 0);
+    for line in text.lines() {
+        let line = line.trim_start();
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        lines += 1;
+        types += usize::from(PUBLIC_TYPE_PREFIXES.iter().any(|p| line.starts_with(p)));
+    }
+    (lines, types)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -23,13 +23,15 @@ fn four_channel_config() -> SsdConfig {
 }
 
 /// Builds a random expression over the given operand ids (cluster ids
-/// and device ids share the `usize` shape).
+/// and device ids share the `usize` shape). The XOR arm pairs two
+/// distinct operands at any depth; every operand sits in its own group
+/// on its own plane, so each such XOR spans planes or shards.
 fn random_expr(rng: &mut StdRng, ids: &[usize], depth: usize) -> Expr {
     let leaf = |rng: &mut StdRng| Expr::var(ids[rng.gen_range(0..ids.len())]);
     if depth == 0 {
         return leaf(rng);
     }
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..7) {
         0 | 1 => {
             let k = rng.gen_range(2..=ids.len().min(4));
             let start = rng.gen_range(0..=ids.len() - k);
@@ -43,6 +45,11 @@ fn random_expr(rng: &mut StdRng, ids: &[usize], depth: usize) -> Expr {
         2 => Expr::or(vec![random_expr(rng, ids, depth - 1), random_expr(rng, ids, depth - 1)]),
         3 => Expr::and(vec![random_expr(rng, ids, depth - 1), random_expr(rng, ids, depth - 1)]),
         4 => Expr::not(random_expr(rng, ids, depth - 1)),
+        5 => {
+            let a = rng.gen_range(0..ids.len());
+            let b = (a + rng.gen_range(1..ids.len())) % ids.len();
+            Expr::xor(Expr::var(ids[a]), Expr::var(ids[b]))
+        }
         _ => leaf(rng),
     }
 }

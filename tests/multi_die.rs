@@ -131,6 +131,48 @@ fn cross_die_queries_answer_exactly() {
     }
 }
 
+/// A spanning XOR is a controller XOR of its two sides at any depth and
+/// with any sides: nested under an OR, or at the top over an AND. Both
+/// answer bit-exactly through `submit`, `fc_read` and `submit_async` +
+/// `wait`.
+#[test]
+fn spanning_xor_merges_at_any_depth() {
+    let dev = device();
+    // Every path re-plans and re-senses instead of replaying the cache.
+    dev.set_result_cache_capacity(0);
+    let mut rng = StdRng::seed_from_u64(0x0A0B);
+    let bits = 700; // 3 stripes
+    let vs: Vec<BitVec> = (0..3).map(|_| BitVec::random(bits, &mut rng)).collect();
+    // Operand i is pinned to die i, so every stripe spans three dies.
+    let ids: Vec<usize> = vs
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let hints = StoreHints::and_group(&format!("x{i}")).with_die(i);
+            dev.fc_write(&format!("x{i}"), v, hints).unwrap().id
+        })
+        .collect();
+    let (a, b, c) = (Expr::var(ids[0]), Expr::var(ids[1]), Expr::var(ids[2]));
+    let batch: QueryBatch = [
+        Expr::or(vec![Expr::xor(a.clone(), b.clone()), c.clone()]),
+        Expr::xor(Expr::and(vec![a, b]), c),
+    ]
+    .into_iter()
+    .collect();
+    let lookup = |id: usize| vs[id].clone(); // ids are 0, 1, 2 on a fresh device
+    let expect: Vec<BitVec> = batch.queries().iter().map(|e| e.eval(&lookup)).collect();
+
+    let out = dev.submit(&batch).unwrap();
+    assert!(out.failures.is_empty());
+    assert_eq!(out.results, expect);
+    for (e, want) in batch.queries().iter().zip(&expect) {
+        assert_eq!(&dev.fc_read(e).unwrap().0, want, "fc_read diverged on {e}");
+    }
+    let ticket = dev.submit_async(&batch).unwrap();
+    dev.drain().unwrap();
+    assert_eq!(ticket.wait(&dev).unwrap().results, expect);
+}
+
 /// The ParaBit baseline used to keep only the *last* operand's die and
 /// silently execute all stripes on one chip — wrong data, no error. It
 /// now reuses the die-split machinery and must match ground truth.
