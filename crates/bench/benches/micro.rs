@@ -768,10 +768,7 @@ fn pipeline_sim(c: &mut Criterion) {
     group.bench_function("fig7_osp_64dies", |bench| {
         let model = PipelineModel::new(SsdConfig::fig7_example());
         let jobs = scenario.jobs(Approach::Osp).expect("default scenario has 3 operands");
-        let mut scratch = fc_ssd::pipeline::PipelineScratch::new();
-        bench.iter(|| {
-            model.run_with_scratch(std::hint::black_box(&jobs), HostWork::default(), &mut scratch)
-        });
+        bench.iter(|| model.run(std::hint::black_box(&jobs), HostWork::default()));
     });
     group.finish();
 }

@@ -287,9 +287,9 @@ pub fn fig18_energy() -> Vec<Table> {
         );
         for shape in &shapes {
             let reports = engines.evaluate_all(shape);
-            let osp = reports[0].energy_j();
+            let osp = reports[0].1.energy_j();
             let get = |p: Platform| {
-                reports.iter().find(|r| r.platform == p).map(|r| r.energy_j()).unwrap()
+                reports.iter().find(|(rp, _)| *rp == p).map(|(_, r)| r.energy_j()).unwrap()
             };
             t.row(vec![
                 shape.name.clone(),

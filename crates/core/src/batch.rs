@@ -45,7 +45,6 @@
 //! [`submit`]: FlashCosmosDevice::submit
 //! [`submit_into`]: FlashCosmosDevice::submit_into
 
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -193,6 +192,12 @@ impl BatchStats {
     /// when the serial controller merge takes over.
     pub fn bottleneck(&self) -> Bottleneck {
         Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
+    }
+
+    /// The controller merge's share of the critical path plus merge time,
+    /// in `[0, 1]` — 0 when the pass was pure flash work.
+    pub fn merge_share(&self) -> f64 {
+        merge_share(self.critical_path_us, self.merge_us)
     }
 }
 
@@ -847,7 +852,7 @@ impl DeviceCore {
                     latency_total += us;
                     env.insert(id, page);
                 }
-                let page = eval_nnf_page(nnf, &env);
+                let page = nnf.eval(&|id| env[&id].clone());
                 unit_outs[ui]
                     .as_mut()
                     .expect("controller units own an output buffer")
@@ -1355,45 +1360,6 @@ impl FlashCosmosDevice {
 /// XOR folds its negations into one parity bit (`!a ^ b == a ^ !b`).
 /// The *original* NNF is what gets compiled — the canonical form never
 /// reaches the planner.
-/// Controller-side evaluation of one stripe page over already-read
-/// operand pages (`env` maps operand id → its logical page bits).
-fn eval_nnf_page(nnf: &Nnf, env: &HashMap<OperandId, BitVec>) -> BitVec {
-    match nnf {
-        Nnf::Literal(l) => {
-            let p = env.get(&l.id).expect("unit env holds every operand page");
-            if l.negated {
-                p.not()
-            } else {
-                p.clone()
-            }
-        }
-        Nnf::And(cs) => {
-            let mut acc = eval_nnf_page(&cs[0], env);
-            for c in &cs[1..] {
-                acc.and_assign(&eval_nnf_page(c, env));
-            }
-            acc
-        }
-        Nnf::Or(cs) => {
-            let mut acc = eval_nnf_page(&cs[0], env);
-            for c in &cs[1..] {
-                acc.or_assign(&eval_nnf_page(c, env));
-            }
-            acc
-        }
-        Nnf::Xor(a, b) => {
-            let mut acc = eval_nnf_page(a, env);
-            acc.xor_assign(&eval_nnf_page(b, env));
-            acc
-        }
-        Nnf::Threshold { k, children } => {
-            let pages: Vec<BitVec> = children.iter().map(|c| eval_nnf_page(c, env)).collect();
-            let refs: Vec<&BitVec> = pages.iter().collect();
-            fc_nand::mlsense::threshold_ge_serial(&refs, *k)
-        }
-    }
-}
-
 pub(crate) fn canonicalize(nnf: &Nnf) -> Nnf {
     match nnf {
         Nnf::Literal(_) => nnf.clone(),
@@ -1410,7 +1376,7 @@ pub(crate) fn canonicalize(nnf: &Nnf) -> Nnf {
                     Box::new(Nnf::Literal(Literal { id: hi, negated: parity })),
                 );
             }
-            if nnf_cmp(&ca, &cb) == Ordering::Greater {
+            if ca > cb {
                 Nnf::Xor(Box::new(cb), Box::new(ca))
             } else {
                 Nnf::Xor(Box::new(ca), Box::new(cb))
@@ -1422,7 +1388,7 @@ pub(crate) fn canonicalize(nnf: &Nnf) -> Nnf {
         // k = 1 to OR and k = n to AND before batching).
         Nnf::Threshold { k, children } => {
             let mut canon: Vec<Nnf> = children.iter().map(canonicalize).collect();
-            canon.sort_by(nnf_cmp);
+            canon.sort();
             Nnf::Threshold { k: *k, children: canon }
         }
     }
@@ -1430,51 +1396,12 @@ pub(crate) fn canonicalize(nnf: &Nnf) -> Nnf {
 
 fn canonical_nary(children: &[Nnf], build: fn(Vec<Nnf>) -> Nnf) -> Nnf {
     let mut canon: Vec<Nnf> = children.iter().map(canonicalize).collect();
-    canon.sort_by(nnf_cmp);
+    canon.sort();
     canon.dedup();
     if canon.len() == 1 {
         canon.pop().expect("non-empty")
     } else {
         build(canon)
-    }
-}
-
-/// Total order over NNF trees (for canonical sorting); consistent with
-/// equality.
-fn nnf_cmp(a: &Nnf, b: &Nnf) -> Ordering {
-    fn rank(n: &Nnf) -> u8 {
-        match n {
-            Nnf::Literal(_) => 0,
-            Nnf::And(_) => 1,
-            Nnf::Or(_) => 2,
-            Nnf::Xor(_, _) => 3,
-            Nnf::Threshold { .. } => 4,
-        }
-    }
-    match (a, b) {
-        (Nnf::Literal(x), Nnf::Literal(y)) => (x.id, x.negated).cmp(&(y.id, y.negated)),
-        (Nnf::And(x), Nnf::And(y)) | (Nnf::Or(x), Nnf::Or(y)) => {
-            for (cx, cy) in x.iter().zip(y.iter()) {
-                let c = nnf_cmp(cx, cy);
-                if c != Ordering::Equal {
-                    return c;
-                }
-            }
-            x.len().cmp(&y.len())
-        }
-        (Nnf::Xor(xa, xb), Nnf::Xor(ya, yb)) => nnf_cmp(xa, ya).then_with(|| nnf_cmp(xb, yb)),
-        (Nnf::Threshold { k: ka, children: xa }, Nnf::Threshold { k: kb, children: xb }) => {
-            ka.cmp(kb).then_with(|| {
-                for (cx, cy) in xa.iter().zip(xb.iter()) {
-                    let c = nnf_cmp(cx, cy);
-                    if c != Ordering::Equal {
-                        return c;
-                    }
-                }
-                xa.len().cmp(&xb.len())
-            })
-        }
-        _ => rank(a).cmp(&rank(b)),
     }
 }
 

@@ -26,9 +26,11 @@
 //!   shard plans its leaves jointly: dedup and shared-term extraction
 //!   still apply shard-locally), then merges per query. Shards are
 //!   independent devices running concurrently, so the modeled critical
-//!   path is the slowest shard's, and the measured controller merge
-//!   time feeds the same die/channel/merge bottleneck attribution the
-//!   in-device drain reports ([`ClusterStats::bottleneck`]).
+//!   path is the slowest shard's. A pass reports the device's own
+//!   [`BatchStats`]: counts sum over shards, and the measured controller
+//!   merge time joins `merge_us`, so [`BatchStats::bottleneck`] applies
+//!   the same die/channel/merge attribution to a cluster pass as to a
+//!   device batch.
 //! * **Per-shard maintenance** — every shard keeps its own session,
 //!   maintenance queue and scrub queue; [`FcCluster::run_maintenance`]
 //!   and [`FcCluster::drain`] fan out and report per-shard stats.
@@ -45,9 +47,7 @@ use std::time::Instant;
 use fc_bits::BitVec;
 use fc_ssd::SsdConfig;
 
-use crate::batch::{
-    fail_fast, merge_share, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId,
-};
+use crate::batch::{fail_fast, BatchStats, QueryBatch, QueryFailure, QueryId, QueryStats};
 use crate::crossdie;
 use crate::device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 use crate::expr::{Expr, Nnf, OperandId};
@@ -76,44 +76,6 @@ pub struct FcCluster {
     names: BTreeMap<String, OperandId>,
 }
 
-/// Execution statistics of one cluster pass ([`FcCluster::submit`] /
-/// [`FcCluster::fc_read`]): per-shard device stats plus the cluster
-/// controller's measured merge cost.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterStats {
-    /// Total sensing operations across all shards.
-    pub senses: u64,
-    /// Slowest shard's busiest-die time, µs.
-    pub busiest_die_us: f64,
-    /// Slowest shard's busiest-channel (bus) time, µs.
-    pub busiest_channel_us: f64,
-    /// Modeled critical path: shards execute concurrently, so this is
-    /// the slowest shard's critical path, µs.
-    pub critical_path_us: f64,
-    /// Measured wall time the cluster controller spent merging per-shard
-    /// partial vectors, µs. Grows with cross-shard fan-in; when it
-    /// dominates the device-side critical path the cluster stops scaling
-    /// with shards/channels ([`Bottleneck::Merge`]).
-    pub merge_us: f64,
-    /// Per-shard device statistics, indexed by shard. Shards that
-    /// received no leaves hold default (zero) stats.
-    pub per_shard: Vec<BatchStats>,
-}
-
-impl ClusterStats {
-    /// What bounded this pass: the busiest die, the busiest channel bus,
-    /// or the cluster controller's merge work.
-    pub fn bottleneck(&self) -> Bottleneck {
-        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
-    }
-
-    /// Fraction of the end-to-end modeled+measured time spent in the
-    /// controller merge, in `[0, 1]`.
-    pub fn merge_share(&self) -> f64 {
-        merge_share(self.critical_path_us, self.merge_us)
-    }
-}
-
 /// Results of [`FcCluster::submit`]: one vector per query in submission
 /// order, cluster statistics, and per-query failures (failure isolation
 /// carries over from the shards: a leaf failure fails only the queries
@@ -123,8 +85,12 @@ pub struct ClusterResults {
     /// Per-query result vectors, indexed by [`QueryId`]. Failed queries
     /// hold empty vectors.
     pub results: Vec<BitVec>,
-    /// Cluster execution statistics.
-    pub stats: ClusterStats,
+    /// Cluster execution statistics: counts summed over the shards,
+    /// `critical_path_us` and the `busiest_*` lanes from the slowest
+    /// shard (shards run concurrently), `merge_us` the shards' merges
+    /// plus the cluster controller's measured merge, and `per_query[q]`
+    /// the summed shares of query `q`'s leaves.
+    pub stats: BatchStats,
     /// Queries that could not be answered, with the cluster-level query
     /// id and the underlying shard failure.
     pub failures: Vec<QueryFailure>,
@@ -226,7 +192,7 @@ impl FcCluster {
     ///
     /// Fails on unknown operand ids, planner errors, or a shard-level
     /// query failure.
-    pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, ClusterStats), FcError> {
+    pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, BatchStats), FcError> {
         let mut batch = QueryBatch::new();
         batch.push(expr.clone());
         let mut out = self.submit(&batch)?;
@@ -241,8 +207,8 @@ impl FcCluster {
     /// planning (dedup, shared-term extraction, die spreading) sees the
     /// whole cluster batch's demand on that shard. Shards execute
     /// independently; the cluster controller then merges each query's
-    /// partial vectors and reports the measured merge time in
-    /// [`ClusterStats::merge_us`].
+    /// partial vectors and adds the measured merge time to
+    /// [`BatchStats::merge_us`].
     ///
     /// # Errors
     ///
@@ -270,8 +236,12 @@ impl FcCluster {
             plans.push((plan.flatten(&mut leaves), start..leaves.len()));
         }
 
-        let mut stats =
-            ClusterStats { per_shard: vec![BatchStats::default(); shards], ..Default::default() };
+        let mut stats = BatchStats {
+            queries: batch.len(),
+            per_query: vec![QueryStats::default(); batch.len()],
+            ..BatchStats::default()
+        };
+        let mut shard_shares: Vec<Vec<QueryStats>> = vec![Vec::new(); shards];
         let mut shard_results = Vec::with_capacity(shards);
         let mut shard_failures: Vec<Vec<QueryFailure>> = vec![Vec::new(); shards];
         for (s, sub) in sub_batches.iter().enumerate() {
@@ -280,14 +250,34 @@ impl FcCluster {
                 continue;
             }
             let out = self.shards[s].submit(sub)?;
-            stats.senses += out.stats.senses;
-            stats.busiest_die_us = stats.busiest_die_us.max(out.stats.busiest_die_us);
-            stats.busiest_channel_us = stats.busiest_channel_us.max(out.stats.busiest_channel_us);
-            stats.critical_path_us = stats.critical_path_us.max(out.stats.critical_path_us);
-            stats.merge_us += out.stats.merge_us;
-            stats.per_shard[s] = out.stats;
+            let o = &out.stats;
+            stats.senses += o.senses;
+            stats.serial_senses += o.serial_senses;
+            stats.chip_time_us += o.chip_time_us;
+            stats.energy_uj += o.energy_uj;
+            stats.deduped_queries += o.deduped_queries;
+            stats.shared_units += o.shared_units;
+            stats.cached_units += o.cached_units;
+            stats.cached_senses += o.cached_senses;
+            stats.dies_used += o.dies_used;
+            stats.merge_us += o.merge_us;
+            if o.critical_path_us > stats.critical_path_us {
+                stats.critical_path_us = o.critical_path_us;
+                stats.busiest_die_us = o.busiest_die_us;
+                stats.busiest_channel_us = o.busiest_channel_us;
+            }
+            shard_shares[s] = out.stats.per_query;
             shard_failures[s] = out.failures;
             shard_results.push(out.results);
+        }
+        for (q, (_, range)) in plans.iter().enumerate() {
+            let qs = &mut stats.per_query[q];
+            for &(s, lq) in &leaves[range.clone()] {
+                let leaf = &shard_shares[s][lq];
+                qs.senses += leaf.senses;
+                qs.chip_time_us += leaf.chip_time_us;
+                qs.energy_uj += leaf.energy_uj;
+            }
         }
 
         let mut results = Vec::with_capacity(plans.len());
@@ -479,8 +469,14 @@ mod tests {
         for (q, expr) in batch.queries().iter().enumerate() {
             assert_eq!(out.results[q], expr.eval(&lookup), "query {q} diverged");
         }
-        assert_eq!(out.stats.per_shard.len(), 2);
+        assert_eq!(out.stats.per_query.len(), 2);
         assert!(out.stats.senses > 0);
+        let shared: f64 = out.stats.per_query.iter().map(|q| q.senses).sum();
+        assert!(
+            (shared - out.stats.senses as f64).abs() < 1e-9,
+            "per-query shares {shared} must sum to the batch's {} senses",
+            out.stats.senses
+        );
         assert!(out.stats.merge_us >= 0.0);
         assert!(out.stats.critical_path_us > 0.0);
         // Attribution is always one of the three named resources.

@@ -37,17 +37,18 @@
 //! pages in the controller (see [`crate::crossdie`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fc_bits::BitVec;
 use fc_nand::error::NandError;
 use fc_nand::ispp::ProgramScheme;
 use fc_ssd::device::{wl_addr, DeviceError, SsdDevice, WriteOptions};
-use fc_ssd::ftl::GroupKey;
-use fc_ssd::pipeline::{DieQueues, SharedDieQueues};
+use fc_ssd::ftl::{GroupKey, PageMeta, PlacementHint};
+use fc_ssd::pipeline::DieQueues;
 use fc_ssd::topology::{DieId, PlaneId};
 use fc_ssd::SsdConfig;
 
+use crate::batch::BatchStats;
 use crate::expr::{Expr, OperandId};
 use crate::maintenance::{MaintenanceConfig, PlacementPolicy, PlacementQuery, SpreadPlacement};
 use crate::planner::{PlacementMap, PlanError};
@@ -239,21 +240,6 @@ impl From<PlanError> for FcError {
     }
 }
 
-/// Execution statistics of one `fc_read` (per the §8 cost metrics).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReadStats {
-    /// Total sensing operations across all plane-stripes.
-    pub senses: u64,
-    /// Sum of chip op latencies across stripes, µs (stripes execute on
-    /// different planes in parallel; this is the serial-equivalent cost).
-    pub chip_time_us: f64,
-    /// Critical path under die parallelism: the busiest die's total
-    /// latency, µs.
-    pub critical_path_us: f64,
-    /// NAND energy, µJ.
-    pub energy_uj: f64,
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct OperandRecord {
     /// The registered name (maintenance jobs migrate by name).
@@ -326,9 +312,9 @@ pub(crate) struct DeviceCore {
     /// wrapper so tickets can park on the session's condvars without
     /// holding the device lock.
     pub(crate) session: Arc<crate::session::Session>,
-    /// Device-lifetime per-die occupancy, mutex-sharded per die so
-    /// concurrent drains account their queue time without a global lock.
-    pub(crate) die_load: SharedDieQueues,
+    /// Device-lifetime die and channel occupancy: a leaf mutex every
+    /// served batch takes once, to merge its own [`DieQueues`].
+    pub(crate) die_load: Mutex<DieQueues>,
     /// Reliability state: parity stripes, scrub queue, fault bookkeeping
     /// and recovery counters (see [`crate::recovery`]).
     pub(crate) recovery: crate::recovery::RecoveryState,
@@ -359,7 +345,7 @@ impl DeviceCore {
             ssd.config().total_planes().is_power_of_two(),
             "plane count must be a power of two"
         );
-        let dies = ssd.config().total_dies();
+        let die_load = Mutex::new(DieQueues::for_config(ssd.config()));
         Self {
             ssd,
             operands: Vec::new(),
@@ -373,7 +359,7 @@ impl DeviceCore {
             audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
             session: Arc::new(crate::session::Session::default()),
-            die_load: SharedDieQueues::new(dies),
+            die_load,
             recovery: crate::recovery::RecoveryState::default(),
             epoch: 0,
             generation_counter: 0,
@@ -560,6 +546,36 @@ impl DeviceCore {
         }
     }
 
+    /// Programs `data` one stripe page per slot into placement group
+    /// `group` (each slot on [`Self::plane_for_slot`]) with page metadata
+    /// `meta`, returning the fresh pages' LPNs and planes (slot-indexed).
+    /// `fc_write` passes the hints' metadata and `fc_overwrite` the
+    /// replaced pages', so an overwrite keeps the operand's polarity *and*
+    /// programming scheme.
+    fn write_stripes(
+        &mut self,
+        group: u64,
+        place: GroupPlace,
+        data: &BitVec,
+        meta: PageMeta,
+    ) -> Result<(Vec<u64>, Vec<PlaneId>), FcError> {
+        let page_bits = self.ssd.config().page_bits();
+        let pages = data.len().div_ceil(page_bits).max(1);
+        let mut lpns = Vec::with_capacity(pages);
+        let mut planes = Vec::with_capacity(pages);
+        for slot in 0..pages as u64 {
+            let key = self.next_group_key(group, slot);
+            let plane = self.plane_for_slot(place, slot);
+            let page = stripe_page(data, slot as usize, page_bits);
+            let lpn = self.alloc_lpn();
+            let placement = PlacementHint::Grouped { group: key, plane: Some(plane) };
+            let ppa = self.ssd.write(lpn, &page, WriteOptions { placement, meta })?;
+            lpns.push(lpn);
+            planes.push(ppa.plane);
+        }
+        Ok((lpns, planes))
+    }
+
     /// Stores an operand vector for in-flash computation.
     ///
     /// # Errors
@@ -580,26 +596,12 @@ impl DeviceCore {
             ))));
         }
         let (group_index, place) = self.group_placement(&hints)?;
-        let page_bits = self.ssd.config().page_bits();
-        let pages = data.len().div_ceil(page_bits).max(1);
-        let mut lpns = Vec::with_capacity(pages);
-        let mut planes = Vec::with_capacity(pages);
-        let mut dies = Vec::with_capacity(pages);
-        for slot in 0..pages as u64 {
-            let key = self.next_group_key(group_index, slot);
-            let plane = self.plane_for_slot(place, slot);
-            let page = stripe_page(data, slot as usize, page_bits);
-            let lpn = self.next_lpn;
-            self.next_lpn += 1;
-            let mut opts = WriteOptions::flash_cosmos(key, Some(plane), hints.inverted);
-            if let Some(scheme) = hints.scheme {
-                opts.meta.scheme = scheme;
-            }
-            let ppa = self.ssd.write(lpn, &page, opts)?;
-            lpns.push(lpn);
-            planes.push(ppa.plane);
-            dies.push(ppa.plane.die);
+        let mut meta = PageMeta::flash_cosmos(hints.inverted);
+        if let Some(scheme) = hints.scheme {
+            meta.scheme = scheme;
         }
+        let (lpns, planes) = self.write_stripes(group_index, place, data, meta)?;
+        let dies = planes.iter().map(|p| p.die).collect();
         let id = self.operands.len();
         self.generation_counter += 1;
         self.operands.push(OperandRecord {
@@ -702,7 +704,7 @@ impl DeviceCore {
             let ppa = self.ssd.write_ml(
                 &slot_lpns,
                 &slot_pages,
-                fc_ssd::ftl::PlacementHint::Grouped { group: key, plane: Some(plane) },
+                PlacementHint::Grouped { group: key, plane: Some(plane) },
                 scheme,
                 hints.inverted,
             )?;
@@ -733,9 +735,10 @@ impl DeviceCore {
     }
 
     /// Overwrites a stored operand's data in place (same name, same
-    /// handle, same placement group and polarity): the new pages are
-    /// written out-of-place into the group's blocks — flash cannot
-    /// program a wordline twice — and the old pages are trimmed.
+    /// handle, same placement group, polarity and programming scheme):
+    /// the new pages are written out-of-place into the group's blocks —
+    /// flash cannot program a wordline twice — and the old pages are
+    /// trimmed.
     ///
     /// The operand's placement **generation** is bumped, so every result-
     /// cache entry and queued async compilation that observed the old
@@ -766,31 +769,9 @@ impl DeviceCore {
             .group_place
             .get(&group_index)
             .expect("stored operands always have a placed group");
-        let inverted = self
-            .ssd
-            .page_meta(self.operands[id].lpns[0])
-            .expect("written operands carry metadata")
-            .inverted;
         let old_lpns = self.operands[id].lpns.clone();
-        let page_bits = self.ssd.config().page_bits();
-        let mut lpns = Vec::with_capacity(old_lpns.len());
-        let mut planes = Vec::with_capacity(old_lpns.len());
-        let mut dies = Vec::with_capacity(old_lpns.len());
-        for slot in 0..old_lpns.len() as u64 {
-            let key = self.next_group_key(group_index, slot);
-            let plane = self.plane_for_slot(place, slot);
-            let page = stripe_page(data, slot as usize, page_bits);
-            let lpn = self.next_lpn;
-            self.next_lpn += 1;
-            let ppa = self.ssd.write(
-                lpn,
-                &page,
-                WriteOptions::flash_cosmos(key, Some(plane), inverted),
-            )?;
-            lpns.push(lpn);
-            planes.push(ppa.plane);
-            dies.push(ppa.plane.die);
-        }
+        let meta = self.ssd.page_meta(old_lpns[0]).expect("written operands carry metadata");
+        let (lpns, planes) = self.write_stripes(group_index, place, data, meta)?;
         self.parity_unprotect_lpns(&old_lpns);
         for &lpn in &old_lpns {
             self.ssd.trim(lpn);
@@ -798,8 +779,8 @@ impl DeviceCore {
         let new_lpns = lpns.clone();
         let rec = &mut self.operands[id];
         rec.lpns = lpns;
+        rec.dies = planes.iter().map(|p| p.die).collect();
         rec.planes = planes;
-        rec.dies = dies;
         self.bump_generation(id);
         self.parity_protect_lpns(&new_lpns)?;
         Ok(OperandHandle { id })
@@ -858,8 +839,9 @@ impl DeviceCore {
     /// Migrates a stored operand to new placement hints — the §10
     /// background gathering: operands written at different times (or with
     /// the wrong polarity) move into a shared block so a later `fc_read`
-    /// needs fewer MWS commands. Returns how many pages moved via the
-    /// chip's copyback fast path (vs controller rewrite).
+    /// needs fewer MWS commands. Each page keeps its programming scheme
+    /// and takes its polarity from `hints`. Returns how many pages moved
+    /// via the chip's copyback fast path (vs controller rewrite).
     ///
     /// # Errors
     ///
@@ -884,10 +866,13 @@ impl DeviceCore {
         for (slot, &lpn) in lpns.iter().enumerate() {
             let key = self.next_group_key(group_index, slot as u64);
             let plane = self.plane_for_slot(place, slot as u64);
-            let meta = fc_ssd::ftl::PageMeta::flash_cosmos(hints.inverted);
+            let meta = PageMeta {
+                inverted: hints.inverted,
+                ..self.ssd.page_meta(lpn).expect("written operands carry metadata")
+            };
             let used_copyback = self.ssd.migrate(
                 lpn,
-                fc_ssd::ftl::PlacementHint::Grouped { group: key, plane: Some(plane) },
+                PlacementHint::Grouped { group: key, plane: Some(plane) },
                 meta,
             )?;
             copybacks += u64::from(used_copyback);
@@ -927,9 +912,9 @@ impl DeviceCore {
 ///
 /// Device `RwLock` → session shards (pending → executing, retired shard
 /// → executing) → FTL `RwLock` → per-die chip mutex → leaf mutexes
-/// (scratch, energy). The session's condvar waits in [`Self::wait`]
-/// happen **outside** the device lock, so parked waiters never starve a
-/// writer. A read drops its read guard before its background tail takes
+/// (scratch, energy, die load). The session's condvar waits in
+/// [`Self::wait`] happen **outside** the device lock, so parked waiters
+/// never starve a writer. A read drops its read guard before its background tail takes
 /// the write guard — no thread ever holds both.
 ///
 /// The single-threaded API is source-compatible: `&mut self` callers
@@ -1104,12 +1089,12 @@ impl FlashCosmosDevice {
     }
 
     /// Overwrites a stored operand's data in place (same name, same
-    /// handle, same placement group and polarity). Takes the device
-    /// write lock; the operand's placement generation is bumped, so
-    /// cached results and queued async compilations that observed the
-    /// old data are structurally invalidated — concurrent submitters
-    /// racing this overwrite observe either the old or the new data,
-    /// never a mix (see [`crate::session`]).
+    /// handle, same placement group, polarity and programming scheme).
+    /// Takes the device write lock; the operand's placement generation is
+    /// bumped, so cached results and queued async compilations that
+    /// observed the old data are structurally invalidated — concurrent
+    /// submitters racing this overwrite observe either the old or the new
+    /// data, never a mix (see [`crate::session`]).
     ///
     /// # Errors
     ///
@@ -1133,7 +1118,7 @@ impl FlashCosmosDevice {
     ///
     /// Fails if operands mismatch, the planner rejects the layout, or a
     /// chip op fails.
-    pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
+    pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, BatchStats), FcError> {
         let mut result = BitVec::zeros(0);
         let stats = self.fc_read_into(expr, &mut result)?;
         Ok((result, stats))
@@ -1145,16 +1130,10 @@ impl FlashCosmosDevice {
     /// # Errors
     ///
     /// Same as [`Self::fc_read`].
-    pub fn fc_read_into(&self, expr: &Expr, out: &mut BitVec) -> Result<ReadStats, FcError> {
+    pub fn fc_read_into(&self, expr: &Expr, out: &mut BitVec) -> Result<BatchStats, FcError> {
         let mut batch = crate::batch::QueryBatch::new();
         batch.push(expr.clone());
-        let stats = self.submit_into(&batch, std::slice::from_mut(out))?;
-        Ok(ReadStats {
-            senses: stats.senses,
-            chip_time_us: stats.chip_time_us,
-            critical_path_us: stats.critical_path_us,
-            energy_uj: stats.energy_uj,
-        })
+        self.submit_into(&batch, std::slice::from_mut(out))
     }
 
     /// Executes the expression with the ParaBit baseline (serial
@@ -1167,17 +1146,12 @@ impl FlashCosmosDevice {
     /// # Errors
     ///
     /// Same as [`Self::fc_read`].
-    pub fn parabit_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
+    pub fn parabit_read(&self, expr: &Expr) -> Result<(BitVec, BatchStats), FcError> {
         let mut result = BitVec::zeros(0);
-        let (stats, failures) =
+        let (mut stats, failures) =
             self.serve_now(std::slice::from_mut(&mut result), |core| core.compile_parabit(expr))?;
         crate::batch::fail_fast(&failures)?;
-        let stats = ReadStats {
-            senses: stats.senses,
-            chip_time_us: stats.chip_time_us,
-            critical_path_us: stats.busiest_die_us,
-            energy_uj: stats.energy_uj,
-        };
+        stats.critical_path_us = stats.busiest_die_us;
         Ok((result, stats))
     }
 
@@ -1210,11 +1184,12 @@ impl FlashCosmosDevice {
         self.core().operands.get(id).map(|r| r.dies.clone())
     }
 
-    /// Device-lifetime per-die occupancy accumulated by every served
-    /// batch — sync reads and drained batches alike — µs by flat die id:
-    /// the load-balance picture across the whole run.
+    /// Device-lifetime die and channel occupancy accumulated by every
+    /// served batch — sync reads and drained batches alike — µs by flat
+    /// die id and by channel: the load-balance picture across the whole
+    /// run.
     pub fn die_occupancy(&self) -> DieQueues {
-        self.core().die_load.snapshot()
+        self.core().die_load.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
@@ -1624,6 +1599,33 @@ mod tests {
         assert_eq!(result, expect, "migration must preserve data");
         assert_eq!(after.senses, 1, "gathered: single intra-block MWS");
         assert!(copybacks > 0, "same-polarity moves use copyback");
+    }
+
+    #[test]
+    fn overwrite_and_migration_keep_the_programming_scheme() {
+        let dev = device();
+        let vs = vectors(2, 300, 25); // 2 stripes
+        let hints = StoreHints::and_group("g").with_scheme(ProgramScheme::Slc);
+        let h = dev.fc_write("a", &vs[0], hints).unwrap();
+        let metas = |dev: &FlashCosmosDevice| {
+            let core = dev.core();
+            let lpns = &core.operands[h.id].lpns;
+            lpns.iter().map(|&lpn| core.ssd.page_meta(lpn).unwrap()).collect::<Vec<_>>()
+        };
+        let schemes =
+            |dev: &FlashCosmosDevice| metas(dev).iter().map(|m| m.scheme).collect::<Vec<_>>();
+        assert_eq!(schemes(&dev), [ProgramScheme::Slc; 2], "as written");
+        dev.fc_overwrite("a", &vs[1]).unwrap();
+        assert_eq!(schemes(&dev), [ProgramScheme::Slc; 2], "after an overwrite");
+        // Same polarity: the stored metadata is unchanged, so the move may
+        // use copyback; a polarity change rewrites through the controller.
+        dev.migrate_operand("a", StoreHints::and_group("h")).unwrap();
+        assert_eq!(schemes(&dev), [ProgramScheme::Slc; 2], "after a migration");
+        dev.migrate_operand("a", StoreHints::or_group("o")).unwrap();
+        assert_eq!(schemes(&dev), [ProgramScheme::Slc; 2], "after a polarity change");
+        assert!(metas(&dev).iter().all(|m| m.inverted), "polarity follows the target group");
+        let (result, _) = dev.fc_read(&Expr::var(h.id)).unwrap();
+        assert_eq!(result, vs[1]);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!   the latches; only results move — Fig. 7d.
 //! * **Flash-Cosmos** — `ceil(operands / 48)` MWS operations per result
 //!   page; only results move (§6).
+//!
+//! Every evaluation returns the pipeline model's own [`ExecutionReport`]
+//! (makespan, energy, stage bottleneck); [`Engines::evaluate_all`] pairs
+//! each report with its [`Platform`], like
+//! [`crate::timeline::Fig7Scenario::run_all`] pairs it with its approach.
 
 use fc_host::HostCpu;
 use fc_ssd::pipeline::{HostWork, PipelineModel, SenseJob};
@@ -85,27 +90,6 @@ impl WorkloadShape {
     }
 }
 
-/// Per-platform evaluation result.
-#[derive(Debug, Clone)]
-pub struct PlatformReport {
-    /// Which platform.
-    pub platform: Platform,
-    /// Pipeline execution report (time + energy).
-    pub report: ExecutionReport,
-}
-
-impl PlatformReport {
-    /// Execution time, µs.
-    pub fn time_us(&self) -> f64 {
-        self.report.makespan_us
-    }
-
-    /// Total energy, J.
-    pub fn energy_j(&self) -> f64 {
-        self.report.energy_j()
-    }
-}
-
 /// Evaluates workload shapes on the four platforms.
 #[derive(Debug, Clone)]
 pub struct Engines {
@@ -130,7 +114,7 @@ impl Engines {
     }
 
     /// Evaluates one platform on one workload shape.
-    pub fn evaluate(&self, platform: Platform, shape: &WorkloadShape) -> PlatformReport {
+    pub fn evaluate(&self, platform: Platform, shape: &WorkloadShape) -> ExecutionReport {
         self.evaluate_batch(platform, std::slice::from_ref(shape))
     }
 
@@ -143,7 +127,7 @@ impl Engines {
     /// # Panics
     ///
     /// Panics if `shapes` is empty.
-    pub fn evaluate_batch(&self, platform: Platform, shapes: &[WorkloadShape]) -> PlatformReport {
+    pub fn evaluate_batch(&self, platform: Platform, shapes: &[WorkloadShape]) -> ExecutionReport {
         assert!(!shapes.is_empty(), "a batch needs at least one workload shape");
         let mut jobs: Vec<Vec<SenseJob>> = Vec::new();
         let mut host = HostWork::default();
@@ -159,27 +143,27 @@ impl Engines {
         if isp_bytes > 0 {
             report.energy.add_isp_bytes(isp_bytes);
         }
-        PlatformReport { platform, report }
+        report
     }
 
-    /// Evaluates all four platforms.
-    pub fn evaluate_all(&self, shape: &WorkloadShape) -> Vec<PlatformReport> {
-        Platform::ALL.iter().map(|&p| self.evaluate(p, shape)).collect()
+    /// Evaluates all four platforms, in [`Platform::ALL`] order.
+    pub fn evaluate_all(&self, shape: &WorkloadShape) -> Vec<(Platform, ExecutionReport)> {
+        Platform::ALL.iter().map(|&p| (p, self.evaluate(p, shape))).collect()
     }
 
     /// Speedups over OSP for ISP/PB/FC (the Fig. 17 rows).
     pub fn speedups_over_osp(&self, shape: &WorkloadShape) -> Vec<(Platform, f64)> {
         let reports = self.evaluate_all(shape);
-        let osp_time = reports[0].time_us();
-        reports.into_iter().skip(1).map(|r| (r.platform, osp_time / r.time_us())).collect()
+        let osp_time = reports[0].1.makespan_us;
+        reports.into_iter().skip(1).map(|(p, r)| (p, osp_time / r.makespan_us)).collect()
     }
 
     /// Energy-efficiency gains over OSP (the Fig. 18 rows: bits/energy
     /// normalized to OSP = energy ratio for identical output bits).
     pub fn energy_gains_over_osp(&self, shape: &WorkloadShape) -> Vec<(Platform, f64)> {
         let reports = self.evaluate_all(shape);
-        let osp_energy = reports[0].energy_j();
-        reports.into_iter().skip(1).map(|r| (r.platform, osp_energy / r.energy_j())).collect()
+        let osp_energy = reports[0].1.energy_j();
+        reports.into_iter().skip(1).map(|(p, r)| (p, osp_energy / r.energy_j())).collect()
     }
 
     /// Builds (die jobs, host work, ISP accelerator bytes).
@@ -317,7 +301,7 @@ mod tests {
         let engines = Engines::paper();
         let shape = bmi_shape(12);
         let r = engines.evaluate_all(&shape);
-        let t = |p: usize| r[p].time_us();
+        let t = |p: usize| r[p].1.makespan_us;
         // OSP slowest, then ISP, then PB, then FC.
         assert!(t(0) > t(1), "ISP beats OSP");
         assert!(t(1) > t(2), "PB beats ISP");
@@ -400,8 +384,9 @@ mod tests {
         let shapes: Vec<WorkloadShape> = [3u64, 6, 12].iter().map(|&m| bmi_shape(m)).collect();
         for platform in Platform::ALL {
             let merged = engines.evaluate_batch(platform, &shapes);
-            let serial: f64 = shapes.iter().map(|s| engines.evaluate(platform, s).time_us()).sum();
-            let batched = merged.time_us();
+            let serial: f64 =
+                shapes.iter().map(|s| engines.evaluate(platform, s).makespan_us).sum();
+            let batched = merged.makespan_us;
             assert!(
                 batched <= serial * 1.0001,
                 "{platform}: batched {batched} µs must not exceed serial {serial} µs"
@@ -423,7 +408,7 @@ mod tests {
         let shape = bmi_shape(6);
         let a = engines.evaluate(Platform::FlashCosmos, &shape);
         let b = engines.evaluate_batch(Platform::FlashCosmos, std::slice::from_ref(&shape));
-        assert_eq!(a.report.makespan_us, b.report.makespan_us);
+        assert_eq!(a.makespan_us, b.makespan_us);
     }
 
     #[test]

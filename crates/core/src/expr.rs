@@ -357,8 +357,9 @@ fn write_joined(f: &mut fmt::Formatter<'_>, es: &[Expr], sep: &str) -> fmt::Resu
     write!(f, ")")
 }
 
-/// A literal: an operand, possibly complemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A literal: an operand, possibly complemented. Ordered by operand,
+/// then polarity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Literal {
     /// The operand.
     pub id: OperandId,
@@ -377,7 +378,11 @@ impl fmt::Display for Literal {
 }
 
 /// Negation-normal form with flattened n-ary connectives.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The derived total order (variant order first, then fields; child
+/// lists element by element, then by length) is the order the batch
+/// compiler's canonical form sorts children by.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Nnf {
     /// A (possibly negated) operand.
     Literal(Literal),

@@ -26,7 +26,8 @@
 //! * [`batch`] — the query-session API: a [`QueryBatch`] of many
 //!   expressions submitted as one jointly planned device pass, with
 //!   cross-query dedup, shared-term extraction and per-query cost
-//!   attribution ([`BatchStats`]).
+//!   attribution ([`BatchStats`] — the one per-pass stats record:
+//!   `fc_read`, `parabit_read` and [`FcCluster`] passes return it too).
 //! * [`session`] — queue-first submission on top of the batch API:
 //!   [`FlashCosmosDevice::submit_async`] compiles batches into per-die
 //!   work queues and returns a [`Ticket`]; [`FlashCosmosDevice::drain`]
@@ -51,8 +52,9 @@
 //!   XOR parity stripes with out-of-place rebuild, retention scrubbing
 //!   of at-risk pages in drain's idle-die slack, and a deterministic
 //!   typed fault-injection harness ([`FaultPlan`]) whose itemized faults
-//!   bump only the touched operands' generations. [`DeviceHealth`]
-//!   snapshots which tiers fired; queries that touch a page no tier
+//!   bump only the touched operands' generations.
+//!   [`FlashCosmosDevice::health`] snapshots which tiers fired
+//!   ([`DeviceHealth`]); queries that touch a page no tier
 //!   could save fail individually ([`FcError::QueryFailed`]) while the
 //!   rest of their batch completes.
 //! * [`crossdie`] — the one expression splitter: a query whose operands
@@ -62,7 +64,8 @@
 //!   plane, the same splitter plans [`cluster`] queries across shards.
 //! * [`engines`] — the four evaluated platforms (OSP/ISP/PB/FC) as
 //!   pipeline-model job builders (Figs. 17/18), including batched
-//!   multi-workload evaluation.
+//!   multi-workload evaluation; each evaluation returns the pipeline's
+//!   own `ExecutionReport`.
 //! * [`reliability`] — the §5 characterization harness (Figs. 8, 11–14,
 //!   zero-error validation).
 //! * [`timeline`] — the Fig. 7 OSP/ISP/IFP timeline scenario.
@@ -143,9 +146,9 @@ pub use audit::{AuditConfig, AuditMode, Finding, LintCode, Severity};
 pub use batch::{
     BatchResults, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId, QueryStats,
 };
-pub use cluster::{ClusterResults, ClusterStats, FcCluster};
-pub use device::{FcError, FlashCosmosDevice, OperandHandle, ReadStats, StoreHints};
-pub use engines::{Engines, Platform, PlatformReport, WorkloadShape};
+pub use cluster::{ClusterResults, FcCluster};
+pub use device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
+pub use engines::{Engines, Platform, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};
 pub use maintenance::{
     AffinityTracker, CacheAdmission, CostAwareAdmission, FifoAdmission, MaintenanceConfig,
@@ -153,7 +156,7 @@ pub use maintenance::{
 };
 pub use placement::{suggest_hints, LayoutAdvice};
 pub use planner::{MwsProgram, PlacementMap, PlanError, PlannerCaps};
-pub use recovery::{DeviceHealth, FaultPlan, FaultReport, ScrubConfig};
+pub use recovery::{DeviceHealth, FaultPlan, FaultReport};
 pub use session::{CacheStats, DrainStats, Session, Ticket};
 
 /// Compile-time thread-safety contract for the concurrent serving core.

@@ -19,8 +19,8 @@
 //! 3. **Retention scrubbing** (background, this module): a walk over the
 //!    mapped ECC pages in LPN order queues those whose *modeled* RBER
 //!    (worst-grade, from the block's wear/retention/disturb state)
-//!    reaches [`ScrubConfig::margin_fraction`] of the ECC correction
-//!    margin, most-at-risk first, and refreshes them before they become
+//!    reaches 2 % of the ECC correction margin, at most 64 per pass,
+//!    most-at-risk first, and refreshes them before they become
 //!    uncorrectable — in the idle-die slack of every serving pass (a
 //!    [`drain`](FlashCosmosDevice::drain) or a sync read), under the
 //!    same latency budget as maintenance.
@@ -109,23 +109,13 @@ pub struct DeviceHealth {
     pub uncorrectable_after_recovery: u64,
 }
 
-/// Tuning for the retention scrubber.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScrubConfig {
-    /// Queue a page when its predicted worst-grade RBER reaches this
-    /// fraction of the ECC correction margin (t/n). The default 0.02
-    /// separates heavily aged pages (percent-level fractions) from fresh
-    /// ones (sub-percent) under the calibrated physics model.
-    pub margin_fraction: f64,
-    /// Upper bound on pages queued per scheduling pass.
-    pub max_per_pass: usize,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        Self { margin_fraction: 0.02, max_per_pass: 64 }
-    }
-}
+/// The scrubber queues a page when its predicted worst-grade RBER
+/// reaches this fraction of the ECC correction margin (t/n): 0.02
+/// separates heavily aged pages (percent-level fractions) from fresh ones
+/// (sub-percent) under the calibrated physics model.
+const SCRUB_MARGIN_FRACTION: f64 = 0.02;
+/// Upper bound on pages one scrub scheduling pass queues.
+const SCRUB_MAX_PER_PASS: usize = 64;
 
 /// One mapped ECC page the scrub scheduler is considering.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,15 +131,15 @@ pub(crate) struct ScrubCandidate {
 }
 
 /// The scrub rule: indices of `candidates` to queue, in scrub order —
-/// pages whose predicted RBER is at least `margin_fraction` of the ECC
-/// margin, most-at-risk first (ties keep LPN order), capped at
+/// pages whose predicted RBER is at least [`SCRUB_MARGIN_FRACTION`] of
+/// the ECC margin, most-at-risk first (ties keep LPN order), capped at
 /// `max_per_pass`.
-fn select_scrubs(candidates: &[ScrubCandidate], cfg: &ScrubConfig) -> Vec<usize> {
+fn select_scrubs(candidates: &[ScrubCandidate], max_per_pass: usize) -> Vec<usize> {
     let mut picks: Vec<usize> = (0..candidates.len())
-        .filter(|&i| candidates[i].predicted_rber >= cfg.margin_fraction * candidates[i].margin)
+        .filter(|&i| candidates[i].predicted_rber >= SCRUB_MARGIN_FRACTION * candidates[i].margin)
         .collect();
     picks.sort_by(|&a, &b| candidates[b].predicted_rber.total_cmp(&candidates[a].predicted_rber));
-    picks.truncate(cfg.max_per_pass);
+    picks.truncate(max_per_pass);
     picks
 }
 
@@ -278,7 +268,6 @@ pub(crate) struct RecoveryState {
     /// last refresh — retention is chip-global and survives a refresh,
     /// so without this a hot page would re-queue forever.
     scrub_done: HashMap<u64, (u32, u64)>,
-    pub(crate) scrub_cfg: ScrubConfig,
     pub(crate) parity_rebuilds: u64,
     pub(crate) pages_scrubbed: u64,
     pub(crate) relocations: u64,
@@ -831,14 +820,13 @@ impl DeviceCore {
     /// Walks every mapped ECC page, predicts its worst-grade RBER from
     /// the block's current stress state, and queues the pages the scrub
     /// rule selects (at-risk pages, most-at-risk first, at most
-    /// [`ScrubConfig::max_per_pass`]). Returns how many were queued.
+    /// [`SCRUB_MAX_PER_PASS`]). Returns how many were queued.
     ///
     /// Raw ESP operand pages are skipped: their modeled RBER is exactly
     /// zero (§5.2) and their protection is the parity tier.
     pub(crate) fn schedule_scrub(&mut self) -> usize {
-        let cfg = self.recovery.scrub_cfg;
         let candidates = self.scrub_candidates();
-        let picks = select_scrubs(&candidates, &cfg);
+        let picks = select_scrubs(&candidates, SCRUB_MAX_PER_PASS);
         let mut queued_now = 0;
         for i in picks {
             if let Some(c) = candidates.get(i) {
@@ -904,7 +892,7 @@ impl DeviceCore {
         if candidates.is_empty() {
             return false;
         }
-        !select_scrubs(&candidates, &self.recovery.scrub_cfg).is_empty()
+        !select_scrubs(&candidates, SCRUB_MAX_PER_PASS).is_empty()
     }
 
     /// Executes queued scrub jobs within a die-time budget: each refresh
@@ -1022,16 +1010,6 @@ impl FlashCosmosDevice {
         self.core().lost_page_count()
     }
 
-    /// Replaces the scrub tuning.
-    pub fn set_scrub_config(&mut self, cfg: ScrubConfig) {
-        self.core_mut().recovery.scrub_cfg = cfg;
-    }
-
-    /// The current scrub tuning.
-    pub fn scrub_config(&self) -> ScrubConfig {
-        self.core().recovery.scrub_cfg
-    }
-
     /// The device-wide reliability snapshot: SSD read-health counters
     /// merged with the recovery counters.
     pub fn health(&self) -> DeviceHealth {
@@ -1093,9 +1071,9 @@ impl FlashCosmosDevice {
 
     /// Walks every mapped ECC page, predicts its worst-grade RBER from
     /// the block's current stress state, and queues the pages the scrub
-    /// rule selects (at-risk pages, most-at-risk first, at most
-    /// [`ScrubConfig::max_per_pass`]). Returns how many were queued.
-    /// Takes the exclusive device lock.
+    /// rule selects (at-risk pages whose predicted RBER reaches 2 % of the
+    /// ECC correction margin, most-at-risk first, at most 64). Returns how
+    /// many were queued. Takes the exclusive device lock.
     pub fn schedule_scrub(&self) -> usize {
         self.core_write().schedule_scrub()
     }
@@ -1219,13 +1197,12 @@ mod tests {
 
     #[test]
     fn margin_scrubber_selects_above_threshold_most_at_risk_first() {
-        let cfg = ScrubConfig { margin_fraction: 0.02, max_per_pass: 2 };
         let margin = 0.111;
         let c = |lpn, rber| ScrubCandidate { lpn, die: 0, predicted_rber: rber, margin };
         let candidates = vec![c(0, 3.0e-3), c(1, 5.0e-4), c(2, 9.0e-3), c(3, 2.5e-3), c(4, 1.0e-6)];
-        let picks = select_scrubs(&candidates, &cfg);
+        let picks = select_scrubs(&candidates, 2);
         // 5e-4 and 1e-6 are below 0.02 × 0.111 ≈ 2.2e-3; of the rest the
-        // two worst are kept (max_per_pass = 2), worst first.
+        // two worst are kept (cap 2), worst first.
         assert_eq!(picks, vec![2, 0]);
     }
 

@@ -16,7 +16,9 @@
 //!   busiest die of the summed [`DieQueues`] occupancy) sits at or below
 //!   the sum of the batches' standalone critical paths
 //!   ([`DrainStats::serial_critical_path_us`]) — strictly below whenever
-//!   the batches' busy dies differ.
+//!   the batches' busy dies differ. Drain stats are per drain; the
+//!   cumulative reliability counters stay with
+//!   [`FlashCosmosDevice::health`].
 //! * **Cross-batch result cache** — every plan unit is keyed by
 //!   `(epoch, canonical NNF, [(operand, generation)])` and its result
 //!   vector memoized at execution. A later submit (sync or async) whose
@@ -26,8 +28,9 @@
 //! ## One serving path
 //!
 //! Every device read ends in the same two steps. The **serve** step
-//! executes one compiled batch and books its per-die occupancy into the
-//! device-lifetime die load. The **background tail** then fills queued
+//! executes one compiled batch and merges its per-die and per-channel
+//! occupancy into the device-lifetime die load — one `Mutex<DieQueues>`,
+//! taken once per served batch. The **background tail** then fills queued
 //! maintenance and scrub jobs into that pass's idle-die slack and runs
 //! the debug-build device audit. A drain runs serve once per claimed
 //! batch (after its staleness recompile and cache refresh) and the tail
@@ -102,7 +105,6 @@ use crate::maintenance::{
     AffinityTracker, CacheAdmission, CacheEntryInfo, CostAwareAdmission, MaintenanceStats,
     RegroupJob, RetiredJob,
 };
-use crate::recovery::DeviceHealth;
 
 /// Result-cache key: device epoch, canonical normal form, and the
 /// placement generation of every referenced operand (ascending by id).
@@ -404,10 +406,6 @@ pub struct DrainStats {
     /// critical-path budget, deferred jobs, retirements — plus retention
     /// scrubbing (see [`crate::recovery`]), which shares the same budget.
     pub maintenance: MaintenanceStats,
-    /// Device-wide reliability counters snapshotted at the end of this
-    /// drain (cumulative since device creation, not per-drain deltas).
-    /// An empty drain returns [`DrainStats::default`] without snapshotting.
-    pub health: DeviceHealth,
 }
 
 impl DrainStats {
@@ -761,7 +759,7 @@ impl Session {
 
 impl DeviceCore {
     /// The per-batch serve step every read path shares: executes a
-    /// compiled batch, then books its per-die occupancy into the
+    /// compiled batch, then merges its die and channel occupancy into the
     /// device-lifetime die load ([`FlashCosmosDevice::die_occupancy`]).
     /// Returns the batch's stats, its per-query failures and its own
     /// occupancy — the slack the background tail fills.
@@ -771,7 +769,7 @@ impl DeviceCore {
         outs: &mut [BitVec],
     ) -> Result<(BatchStats, Vec<QueryFailure>, DieQueues), FcError> {
         let served = self.execute_compiled(compiled, outs)?;
-        self.die_load.merge(&served.2);
+        lock(&self.die_load).merge(&served.2);
         Ok(served)
     }
 
@@ -919,14 +917,8 @@ impl FlashCosmosDevice {
             stats.dies_used = combined.dies_busy();
             stats.busiest_die_us = combined.busiest_us();
             stats.busiest_channel_us = combined.busiest_channel_us();
-            stats.health = core.health();
         }
-        if let Some((maintenance, health)) =
-            self.background_tail(&mut combined, scrub_due, stats.senses > 0)?
-        {
-            stats.maintenance = maintenance;
-            stats.health = health;
-        }
+        stats.maintenance = self.background_tail(&mut combined, scrub_due, stats.senses > 0)?;
         Ok(stats)
     }
 
@@ -963,26 +955,25 @@ impl FlashCosmosDevice {
     /// debug builds, for the audit — when the pass `sensed` anything:
     /// fresh results entered the result cache the audit checks, whereas a
     /// pass that only replayed cached results changed nothing it covers.
-    /// Otherwise the write lock is never taken. Returns the maintenance
-    /// stats and a fresh health snapshot when jobs or scrubs ran.
+    /// Otherwise the write lock is never taken. Returns what the jobs and
+    /// scrubs did (all zero when none ran).
     fn background_tail(
         &self,
         queues: &mut DieQueues,
         scrub_due: bool,
         sensed: bool,
-    ) -> Result<Option<(MaintenanceStats, DeviceHealth)>, FcError> {
+    ) -> Result<MaintenanceStats, FcError> {
+        let mut maintenance = MaintenanceStats::default();
         let due =
             !self.session.jobs().is_empty() || scrub_due || (cfg!(debug_assertions) && sensed);
         if !due {
-            return Ok(None);
+            return Ok(maintenance);
         }
         let mut core = self.core_write();
         core.schedule_scrub();
-        let mut ran = None;
         if !self.session.jobs().is_empty() || core.pending_scrub() > 0 {
             let budget = (queues.critical_path_us() * core.maintenance_cfg.slack_factor)
                 .max(core.maintenance_cfg.slack_floor_us);
-            let mut maintenance = MaintenanceStats::default();
             if !self.session.jobs().is_empty() {
                 maintenance = core.execute_maintenance(queues, budget)?;
             }
@@ -991,11 +982,10 @@ impl FlashCosmosDevice {
                 maintenance.pages_scrubbed = scrubbed;
                 maintenance.scrubs_deferred = deferred;
             }
-            ran = Some((maintenance, core.health()));
         }
         #[cfg(debug_assertions)]
         crate::audit::enforce_device(&core);
-        Ok(ran)
+        Ok(maintenance)
     }
 
     /// Drops every drained-but-unwaited result, releasing their memory.

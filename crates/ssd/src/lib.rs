@@ -6,8 +6,8 @@
 //!
 //! Layers:
 //!
-//! * [`sim`] — a small discrete-event kernel: simulated time, an event
-//!   queue, and FIFO resources (dies, channel buses, the external link).
+//! * [`sim`] — a small discrete-event kernel: simulated time and FIFO
+//!   resources (dies, channel buses, the external link).
 //! * [`config`] — SSD organizations: Table 1, the Fig. 7 example, and a
 //!   tiny functional-test preset.
 //! * [`topology`] — channel/die/plane addressing and page striping.

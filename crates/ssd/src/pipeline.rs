@@ -18,6 +18,11 @@
 //! as a different job list — see `flash_cosmos::engines` — so the timing
 //! model itself stays platform-agnostic, exactly like the paper's extended
 //! MQSim.
+//!
+//! The serving path uses the additive [`DieQueues`] instead: per-die and
+//! per-channel occupancy sums, always built for one [`SsdConfig`]'s
+//! topology. Every served batch reports one, the device merges it into
+//! its one lifetime tracker, and background work fills its idle slack.
 
 use serde::{Deserialize, Serialize};
 
@@ -136,7 +141,7 @@ pub fn append_die_jobs(batch: &mut Vec<Vec<SenseJob>>, jobs: Vec<Vec<SenseJob>>)
 /// ([`DieQueues::busiest_us`]), not the sum — two batches whose busy dies
 /// differ overlap on the idle ones: the [`DieQueues::critical_path_us`]
 /// of their [`DieQueues::merge`] is at most the sum of their own.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DieQueues {
     busy_us: Vec<f64>,
     /// Per-channel bus occupancy, µs: output transfers queued via
@@ -146,8 +151,7 @@ pub struct DieQueues {
     /// max(busiest die, busiest channel).
     chan_us: Vec<f64>,
     /// Dies sharing each channel bus (flat die `d` transfers over channel
-    /// `d / dies_per_channel`). `0` means unconfigured: each die gets its
-    /// own lane, so legacy die-only trackers model no bus contention.
+    /// `d / dies_per_channel`).
     dies_per_channel: usize,
     /// Total fill-in (background/maintenance) latency accepted via
     /// [`DieQueues::try_fill`], µs. Included in `busy_us` as well — this
@@ -156,11 +160,6 @@ pub struct DieQueues {
 }
 
 impl DieQueues {
-    /// An empty tracker for `dies` dies (it also grows on demand).
-    pub fn new(dies: usize) -> Self {
-        Self { busy_us: vec![0.0; dies], chan_us: Vec::new(), dies_per_channel: 0, filled_us: 0.0 }
-    }
-
     /// An empty tracker with the channel topology of `config`: transfers
     /// pushed for die `d` occupy channel `d / dies_per_channel`.
     pub fn for_config(config: &SsdConfig) -> Self {
@@ -174,9 +173,6 @@ impl DieQueues {
 
     /// Queues `latency_us` of work on a die (flat index).
     pub fn push(&mut self, die: usize, latency_us: f64) {
-        if die >= self.busy_us.len() {
-            self.busy_us.resize(die + 1, 0.0);
-        }
         self.busy_us[die] += latency_us;
     }
 
@@ -184,30 +180,23 @@ impl DieQueues {
     /// `die` (flat index). The die itself stays free — the cache latch
     /// lets the next sense overlap the outgoing transfer (§3.1).
     pub fn push_transfer(&mut self, die: usize, latency_us: f64) {
-        let ch = die / self.dies_per_channel.max(1);
-        if ch >= self.chan_us.len() {
-            self.chan_us.resize(ch + 1, 0.0);
-        }
-        self.chan_us[ch] += latency_us;
+        self.chan_us[die / self.dies_per_channel] += latency_us;
     }
 
-    /// Folds another tracker's queues into this one (per-die sums) — the
-    /// combined occupancy of several batches draining together.
+    /// Folds another tracker's queues into this one (per-die and
+    /// per-channel sums) — the combined occupancy of several batches
+    /// draining together. Both trackers describe the same SSD.
     pub fn merge(&mut self, other: &DieQueues) {
-        if self.busy_us.len() < other.busy_us.len() {
-            self.busy_us.resize(other.busy_us.len(), 0.0);
-        }
+        debug_assert_eq!(
+            (self.busy_us.len(), self.chan_us.len()),
+            (other.busy_us.len(), other.chan_us.len()),
+            "merged trackers must share one topology"
+        );
         for (acc, &b) in self.busy_us.iter_mut().zip(&other.busy_us) {
             *acc += b;
         }
-        if self.chan_us.len() < other.chan_us.len() {
-            self.chan_us.resize(other.chan_us.len(), 0.0);
-        }
         for (acc, &b) in self.chan_us.iter_mut().zip(&other.chan_us) {
             *acc += b;
-        }
-        if self.dies_per_channel == 0 {
-            self.dies_per_channel = other.dies_per_channel;
         }
         self.filled_us += other.filled_us;
     }
@@ -307,83 +296,6 @@ impl DieQueues {
     }
 }
 
-/// Concurrent die-occupancy tracker: [`DieQueues`] split per die, one
-/// mutex shard per die, so N threads executing batches on *different*
-/// dies account their queue time without contending on one lock.
-///
-/// Each shard guards only its own die's accumulated busy time; there is
-/// no cross-shard invariant, so shards are locked one at a time and the
-/// lock order is trivially acyclic. [`SharedDieQueues::snapshot`]
-/// reassembles a plain [`DieQueues`] by visiting shards in die order —
-/// the result is a *consistent-enough* occupancy picture for reporting
-/// (concurrent pushes may land before or after the snapshot visits
-/// their die, exactly like a relaxed counter read).
-#[derive(Debug)]
-pub struct SharedDieQueues {
-    shards: Vec<std::sync::Mutex<DieShard>>,
-}
-
-#[derive(Debug, Default)]
-struct DieShard {
-    busy_us: f64,
-}
-
-impl SharedDieQueues {
-    /// An empty tracker with one shard per die.
-    pub fn new(dies: usize) -> Self {
-        Self { shards: (0..dies).map(|_| std::sync::Mutex::new(DieShard::default())).collect() }
-    }
-
-    fn shard(&self, die: usize) -> std::sync::MutexGuard<'_, DieShard> {
-        self.shards[die.min(self.shards.len().saturating_sub(1))]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Queues `latency_us` of work on a die (flat index). Out-of-range
-    /// dies fold into the last shard rather than growing — the shard
-    /// count is fixed at construction so no resize lock is needed.
-    pub fn push(&self, die: usize, latency_us: f64) {
-        if self.shards.is_empty() {
-            return;
-        }
-        self.shard(die).busy_us += latency_us;
-    }
-
-    /// Folds a per-batch [`DieQueues`] into the shared shards, one die
-    /// at a time (no global lock): the per-die occupancy accumulated by
-    /// one drain joins the device-lifetime totals. Fill-in attribution
-    /// stays per-drain (in drain-stats reporting); the shared tracker
-    /// keeps raw busy time only.
-    pub fn merge(&self, other: &DieQueues) {
-        if self.shards.is_empty() {
-            return;
-        }
-        for (die, &us) in other.occupancy_us().iter().enumerate() {
-            if us > 0.0 {
-                self.shard(die).busy_us += us;
-            }
-        }
-    }
-
-    /// Reassembles a plain [`DieQueues`] from the shards for reporting.
-    pub fn snapshot(&self) -> DieQueues {
-        let mut out = DieQueues::new(self.shards.len());
-        for (die, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            out.push(die, guard.busy_us);
-        }
-        out
-    }
-
-    /// Empties every shard.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner).busy_us = 0.0;
-        }
-    }
-}
-
 /// A per-die trace entry (used to print Fig. 7-style timelines).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
@@ -466,27 +378,6 @@ impl ExecutionReport {
     }
 }
 
-/// Reusable buffers for repeated pipeline runs.
-///
-/// A run's request staging lists and channel-resource array are sized by
-/// the job count and channel count; the evaluation harnesses execute the
-/// same model thousands of times (figure sweeps, ablations), so carrying
-/// this scratch across runs removes those per-run allocations. Contents
-/// are unspecified between runs.
-#[derive(Debug, Default)]
-pub struct PipelineScratch {
-    dma_requests: Vec<(SimTime, usize, usize, SenseJob)>,
-    ext_requests: Vec<(SimTime, usize, usize, u64)>,
-    channels: Vec<Resource>,
-}
-
-impl PipelineScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The platform-agnostic pipeline model.
 #[derive(Debug, Clone)]
 pub struct PipelineModel {
@@ -507,25 +398,13 @@ impl PipelineModel {
     /// Runs the pipeline for `die_jobs` (indexed by flat die id; shorter
     /// vectors leave the remaining dies idle) and `host` work.
     pub fn run(&self, die_jobs: &[Vec<SenseJob>], host: HostWork) -> ExecutionReport {
-        self.run_inner(die_jobs, host, false, &mut PipelineScratch::new())
-    }
-
-    /// Like [`Self::run`] but reuses `scratch` across runs, so sweeps that
-    /// evaluate the model repeatedly stage their requests without per-run
-    /// allocation.
-    pub fn run_with_scratch(
-        &self,
-        die_jobs: &[Vec<SenseJob>],
-        host: HostWork,
-        scratch: &mut PipelineScratch,
-    ) -> ExecutionReport {
-        self.run_inner(die_jobs, host, false, scratch)
+        self.run_inner(die_jobs, host, false)
     }
 
     /// Like [`Self::run`] but also records per-die traces (for timeline
     /// rendering; costs memory proportional to the job count).
     pub fn run_traced(&self, die_jobs: &[Vec<SenseJob>], host: HostWork) -> ExecutionReport {
-        self.run_inner(die_jobs, host, true, &mut PipelineScratch::new())
+        self.run_inner(die_jobs, host, true)
     }
 
     fn run_inner(
@@ -533,7 +412,6 @@ impl PipelineModel {
         die_jobs: &[Vec<SenseJob>],
         host: HostWork,
         traced: bool,
-        scratch: &mut PipelineScratch,
     ) -> ExecutionReport {
         let cfg = &self.config;
         assert!(
@@ -547,8 +425,7 @@ impl PipelineModel {
 
         // Stage 1: senses run back-to-back per die.
         // (sense_end, die, job index, job) for every job, in die order.
-        let dma_requests = &mut scratch.dma_requests;
-        dma_requests.clear();
+        let mut dma_requests: Vec<(SimTime, usize, usize, SenseJob)> = Vec::new();
         let mut sense_end_max: SimTime = 0;
         let mut sense_busy_max: SimTime = 0;
         for (die, jobs) in die_jobs.iter().enumerate() {
@@ -583,14 +460,11 @@ impl PipelineModel {
         }
 
         // Stage 2: channel FIFO arbitration in data-ready order.
-        let channels = &mut scratch.channels;
-        channels.clear();
-        channels.resize(cfg.channels, Resource::new());
-        let ext_requests = &mut scratch.ext_requests;
-        ext_requests.clear();
+        let mut channels = vec![Resource::new(); cfg.channels];
+        let mut ext_requests: Vec<(SimTime, usize, usize, u64)> = Vec::new();
         let mut dma_end_max: SimTime = 0;
         dma_requests.sort_by_key(|&(ready, die, j, _)| (ready, die, j));
-        for &mut (ready, die, j, job) in dma_requests {
+        for &(ready, die, j, job) in &dma_requests {
             let mut data_at_controller = ready;
             if job.dma_bytes > 0 {
                 let ch = die / cfg.dies_per_channel;
@@ -619,7 +493,7 @@ impl PipelineModel {
         let mut ext_end_max: SimTime = 0;
         let mut first_ext_end: Option<SimTime> = None;
         ext_requests.sort_by_key(|&(ready, die, j, _)| (ready, die, j));
-        for &mut (ready, die, j, bytes) in ext_requests {
+        for &(ready, die, j, bytes) in &ext_requests {
             let dur = sim::transfer_ns(bytes, cfg.external_gbps);
             let (start, end) = ext.reserve(ready, dur);
             energy.add_external_bytes(bytes);
@@ -723,14 +597,15 @@ mod tests {
 
     #[test]
     fn die_queues_track_occupancy_and_overlap() {
-        let mut a = DieQueues::new(4);
+        let cfg = SsdConfig::tiny_test(); // 4 dies
+        let mut a = DieQueues::for_config(&cfg);
         a.push(0, 30.0);
         a.push(1, 10.0);
         assert_eq!(a.busiest_us(), 30.0);
         assert_eq!(a.total_us(), 40.0);
         assert_eq!(a.dies_busy(), 2);
         // A second batch busy on the dies the first left idle.
-        let mut b = DieQueues::new(4);
+        let mut b = DieQueues::for_config(&cfg);
         b.push(2, 25.0);
         b.push(3, 5.0);
         assert_eq!(a.critical_path_us() + b.critical_path_us(), 55.0, "30 + 25 back to back");
@@ -742,19 +617,13 @@ mod tests {
         twice.merge(&a);
         assert_eq!(twice.critical_path_us(), 60.0);
         assert_eq!(a.critical_path_us() * 2.0, 60.0);
-        // merge grows to the wider tracker; clear empties.
-        let mut short = DieQueues::new(1);
-        short.push(0, 1.0);
-        short.merge(&b);
-        assert_eq!(short.occupancy_us().len(), 4);
-        assert_eq!(short.total_us(), 31.0);
-        short.clear();
-        assert_eq!(short.total_us(), 0.0);
-        // push past the allocated width grows on demand.
-        let mut grow = DieQueues::default();
-        grow.push(5, 2.0);
-        assert_eq!(grow.occupancy_us().len(), 6);
-        assert_eq!(grow.busiest_us(), 2.0);
+        // merge sums per die; clear empties.
+        let mut sum = DieQueues::for_config(&cfg);
+        sum.push(0, 1.0);
+        sum.merge(&b);
+        assert_eq!(sum.total_us(), 31.0);
+        sum.clear();
+        assert_eq!(sum.total_us(), 0.0);
     }
 
     #[test]
@@ -787,12 +656,6 @@ mod tests {
         q.merge(&other);
         assert_eq!(q.critical_path_us(), 40.0, "disjoint channels overlap");
         assert_eq!(q.channel_occupancy_us(), &[40.0, 35.0]);
-        // Legacy trackers (no channel topology) give each die its own
-        // lane, modeling no bus contention.
-        let mut legacy = DieQueues::new(4);
-        legacy.push_transfer(0, 10.0);
-        legacy.push_transfer(1, 10.0);
-        assert_eq!(legacy.busiest_channel_us(), 10.0);
         q.clear();
         assert_eq!(q.busiest_channel_us(), 0.0);
         assert_eq!(q.channels_busy(), 0);
@@ -800,7 +663,8 @@ mod tests {
 
     #[test]
     fn fill_in_work_respects_the_budget() {
-        let mut q = DieQueues::new(4);
+        let cfg = SsdConfig::tiny_test(); // 4 dies
+        let mut q = DieQueues::for_config(&cfg);
         q.push(0, 80.0);
         q.push(1, 20.0);
         // Slack against a 100 µs budget: 20 on die 0, 80 on die 1, full
@@ -824,7 +688,7 @@ mod tests {
         assert!(q.try_fill(&[(3, 60.0), (3, 40.0)], 100.0));
         assert_eq!(q.busiest_us(), 100.0, "fill-in never exceeds the budget");
         // merge carries the fill-in attribution along.
-        let mut other = DieQueues::new(4);
+        let mut other = DieQueues::for_config(&cfg);
         other.try_fill(&[(0, 5.0)], 100.0);
         q.merge(&other);
         assert_eq!(q.filled_us(), 185.0);

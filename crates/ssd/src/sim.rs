@@ -1,19 +1,13 @@
 //! Discrete-event simulation kernel.
 //!
-//! Two primitives cover everything the SSD model needs:
-//!
-//! * [`EventQueue`] — a time-ordered queue with stable FIFO ordering for
-//!   simultaneous events.
-//! * [`Resource`] — a serially reusable resource (a die, a channel bus,
-//!   the external link) with FIFO reservation semantics: a request placed
-//!   at time `t` begins at `max(t, next_free)`.
+//! One primitive covers everything the pipeline model needs: a
+//! [`Resource`] — a serially reusable resource (a die, a channel bus, the
+//! external link) with FIFO reservation semantics: a request placed at
+//! time `t` begins at `max(t, next_free)`.
 //!
 //! Simulated time is in **nanoseconds** (`u64`), which keeps microsecond
 //! NAND latencies and gigabyte-per-second bus transfers exactly
 //! representable without floating-point drift in long runs.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Simulated time in nanoseconds.
 pub type SimTime = u64;
@@ -33,77 +27,6 @@ pub fn to_us(t: SimTime) -> f64 {
 pub fn transfer_ns(bytes: u64, gb_per_s: f64) -> SimTime {
     assert!(gb_per_s > 0.0, "bandwidth must be positive");
     (bytes as f64 / gb_per_s).round() as SimTime
-}
-
-/// A time-ordered event queue. Events with equal timestamps pop in
-/// insertion order (stable), which keeps simulations deterministic.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), seq: 0 }
-    }
-
-    /// Schedules `payload` at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        self.heap.push(Reverse(Entry { time, seq: self.seq, payload }));
-        self.seq += 1;
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// A serially reusable resource with FIFO reservations.
@@ -162,23 +85,6 @@ mod tests {
         // 32 KiB over 8 GB/s ≈ 4.1 µs (Fig. 7's tEXT).
         let t = transfer_ns(32 * 1024, 8.0);
         assert!((to_us(t) - 4.1).abs() < 0.1, "{}", to_us(t));
-    }
-
-    #[test]
-    fn queue_orders_by_time_then_fifo() {
-        let mut q = EventQueue::new();
-        q.push(30, "c");
-        q.push(10, "a1");
-        q.push(10, "a2");
-        q.push(20, "b");
-        assert_eq!(q.peek_time(), Some(10));
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop(), Some((10, "a1")));
-        assert_eq!(q.pop(), Some((10, "a2")), "FIFO for simultaneous events");
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert_eq!(q.pop(), Some((30, "c")));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! costs senses independent of the candidate count.
 
 use fc_bits::BitVec;
-use flash_cosmos::device::{FcError, FlashCosmosDevice, ReadStats, StoreHints};
+use flash_cosmos::device::{FcError, FlashCosmosDevice, StoreHints};
 use flash_cosmos::expr::Expr;
+use flash_cosmos::BatchStats;
 
 /// A partitioned Bloom filter over a fixed candidate set, maintaining
 /// the per-hash indicator vectors the in-flash membership query senses.
@@ -158,7 +159,7 @@ pub fn contains_batch(
     dev: &mut FlashCosmosDevice,
     hash_ids: &[usize],
     k: usize,
-) -> Result<(BitVec, ReadStats), FcError> {
+) -> Result<(BitVec, BatchStats), FcError> {
     dev.fc_read(&contains_batch_expr(hash_ids, k))
 }
 

@@ -110,7 +110,7 @@ pub fn active_at_least(
     dev: &mut flash_cosmos::FlashCosmosDevice,
     day_ids: &[usize],
     k: usize,
-) -> Result<(u64, flash_cosmos::ReadStats), flash_cosmos::FcError> {
+) -> Result<(u64, BatchStats), FcError> {
     let (v, stats) = dev.fc_read(&Expr::threshold_vars(k, day_ids.iter().copied()))?;
     Ok((count_active(&v) as u64, stats))
 }

@@ -111,7 +111,7 @@ pub fn mini(classes: usize, examples: usize, dims: usize, seed: u64) -> Function
 pub fn bundle_in_flash(
     dev: &mut flash_cosmos::FlashCosmosDevice,
     examples: &[usize],
-) -> Result<(BitVec, flash_cosmos::ReadStats), flash_cosmos::FcError> {
+) -> Result<(BitVec, flash_cosmos::BatchStats), flash_cosmos::FcError> {
     assert!(
         examples.len() >= 3 && examples.len() % 2 == 1,
         "majority bundling needs an odd example count of at least 3"

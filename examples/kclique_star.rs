@@ -61,10 +61,10 @@ fn main() {
     let shapes = kcs::paper_shapes(&[8, 16, 24, 32, 48, 64]);
     let merged = engines.evaluate_batch(Platform::FlashCosmos, &shapes);
     let serial: f64 =
-        shapes.iter().map(|s| engines.evaluate(Platform::FlashCosmos, s).time_us()).sum();
+        shapes.iter().map(|s| engines.evaluate(Platform::FlashCosmos, s).makespan_us).sum();
     println!(
         "\nbatched FC evaluation of the whole sweep: {:.1} ms (vs {:.1} ms run-by-run)",
-        merged.time_us() / 1e3,
+        merged.makespan_us / 1e3,
         serial / 1e3
     );
 }

@@ -103,8 +103,7 @@ fn faults_between_submit_and_drain_observe_ground_truth() {
     assert!(report.rebuilt_pages >= 1);
     assert_eq!(report.lost_pages, 0);
 
-    let drained = dev.drain().unwrap();
-    assert!(drained.health.parity_rebuilds >= 1, "DrainStats carries the health snapshot");
+    dev.drain().unwrap();
     let out = ticket.wait(&dev).unwrap();
     assert!(out.failures.is_empty(), "nothing was lost: {:?}", out.failures);
     let expect = vs.iter().skip(1).fold(vs[0].clone(), |a, v| a.and(v));
@@ -202,8 +201,7 @@ fn endurance_run_with_full_fault_mix_stays_exact() {
         let q_pair = batch.push(Expr::and_vars([handles[a].id, handles[b].id]));
         let q_all = batch.push(Expr::and_vars(handles.iter().map(|h| h.id)));
         let ticket = dev.submit_async(&batch).unwrap();
-        let drained = dev.drain().unwrap();
-        assert_eq!(drained.health, dev.health());
+        dev.drain().unwrap();
         let out = ticket.wait(&dev).unwrap();
         assert!(out.failures.is_empty(), "no query may fail: {:?}", out.failures);
         assert_eq!(out.results[q_pair], shadows[a].and(&shadows[b]), "round {round}");

@@ -125,6 +125,7 @@ fn sync_reads_book_die_load() {
     assert!(after_read > after_into, "fc_read books its die time");
     dev.fc_read_into(&Expr::var(ids[2]), &mut BitVec::zeros(0)).unwrap();
     assert!(total(&dev) > after_read, "fc_read_into books its die time");
+    assert!(dev.die_occupancy().busiest_channel_us() > 0.0, "sync reads book channel lanes");
 
     // ParaBit runs through the same serve step, without touching the
     // result cache: a Flash-Cosmos read afterwards still senses.
@@ -133,6 +134,7 @@ fn sync_reads_book_die_load() {
     let expr = Expr::and_vars(ids.iter().copied());
     let (pb, pb_stats) = dev.parabit_read(&expr).unwrap();
     assert_eq!(pb_stats.senses, 3);
+    assert_eq!(pb_stats.critical_path_us, pb_stats.busiest_die_us, "ParaBit's path is die-only");
     let after_parabit = total(&dev);
     assert!(after_parabit > 0.0, "parabit_read books its die time");
     let (fc, fc_stats) = dev.fc_read(&expr).unwrap();

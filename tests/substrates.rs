@@ -1,12 +1,12 @@
 //! Substrate-level property tests: BCH ECC, the randomizer, the
-//! bit-vector kernel and the DES primitives — invariants that everything
+//! bit-vector kernel and the DES resource — invariants that everything
 //! above depends on.
 
 use fc_bits::BitVec;
 use fc_nand::geometry::WlAddr;
 use fc_nand::randomizer::Randomizer;
 use fc_ssd::ecc::{BchCode, DecodeOutcome};
-use fc_ssd::sim::{EventQueue, Resource};
+use fc_ssd::sim::Resource;
 use proptest::prelude::*;
 
 proptest! {
@@ -128,27 +128,5 @@ proptest! {
             total += dur;
         }
         prop_assert_eq!(r.busy_time(), total);
-    }
-
-    /// The event queue is a stable priority queue.
-    #[test]
-    fn event_queue_is_stable_and_ordered(
-        events in prop::collection::vec(0u64..50, 1..64),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in events.iter().enumerate() {
-            q.push(t, i);
-        }
-        let mut popped: Vec<(u64, usize)> = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push(e);
-        }
-        prop_assert_eq!(popped.len(), events.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time ordered");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO for ties");
-            }
-        }
     }
 }
