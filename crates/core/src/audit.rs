@@ -108,14 +108,11 @@ pub enum LintCode {
     Fc106,
     /// Placement bookkeeping inconsistent (operand/group/wear tables).
     Fc107,
-    /// FTL shard out of lockstep with its channel: a mapping in shard
-    /// `c` resolves to a physical page on another channel.
-    Fc108,
 }
 
 impl LintCode {
     /// Every code, plan pass first — iteration order for config and docs.
-    pub const ALL: [LintCode; 15] = [
+    pub const ALL: [LintCode; 14] = [
         LintCode::Fc001,
         LintCode::Fc002,
         LintCode::Fc003,
@@ -130,7 +127,6 @@ impl LintCode {
         LintCode::Fc105,
         LintCode::Fc106,
         LintCode::Fc107,
-        LintCode::Fc108,
     ];
 
     /// The code's display form, e.g. `"FC001"`.
@@ -150,7 +146,6 @@ impl LintCode {
             LintCode::Fc105 => "FC105",
             LintCode::Fc106 => "FC106",
             LintCode::Fc107 => "FC107",
-            LintCode::Fc108 => "FC108",
         }
     }
 
@@ -1167,7 +1162,7 @@ fn tree_leaves(tree: &MergeTree, out: &mut Vec<usize>) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2 — device audit (FC101–FC108).
+// Pass 2 — device audit (FC101–FC107).
 // ---------------------------------------------------------------------------
 
 impl DeviceCore {
@@ -1184,35 +1179,8 @@ impl DeviceCore {
         self.audit_cache_generations(&mut out);
         self.audit_job_stamps(&mut out);
         self.audit_placement(&mut out);
-        self.audit_shard_lockstep(&mut out);
         sort_findings(&mut out);
         out
-    }
-
-    /// FC108 — every FTL shard stays in lockstep with its channel:
-    /// each mapping held by shard `c` resolves to a physical page whose
-    /// plane lies on channel `c`. The router (placement-determined
-    /// residency) and the home-first probe both assume this; an entry
-    /// in the wrong shard silently degrades every lookup of that page
-    /// to a full sequential probe and breaks per-channel accounting.
-    fn audit_shard_lockstep(&self, out: &mut Vec<Finding>) {
-        let cfg = self.ssd.config();
-        for c in 0..self.ssd.ftl_shard_count() {
-            for (lpn, ppa, _) in self.ssd.ftl_shard(c).iter_mapped() {
-                let channel = cfg.channel_of_plane(ppa.plane.flat(cfg));
-                if channel != c {
-                    out.push(finding(
-                        LintCode::Fc108,
-                        format!("ftl shard {c}"),
-                        format!(
-                            "page {lpn} maps to flat plane {} on channel {channel}, outside shard {c}",
-                            ppa.plane.flat(cfg)
-                        ),
-                        "route mappings through SsdDevice::route; shard residency must follow placement",
-                    ));
-                }
-            }
-        }
     }
 
     /// FC101 — every physical page is mapped by at most one logical page,
@@ -1678,9 +1646,6 @@ pub enum DeviceMutation {
     UnmappedScrub,
     /// Corrupt one slot of an operand's cached plane → `FC107`.
     SwapOperandPlane,
-    /// Move an operand page's mapping into the wrong channel's FTL
-    /// shard → `FC108`.
-    CrossChannelShardEntry,
 }
 
 impl DeviceCore {
@@ -1793,14 +1758,8 @@ impl DeviceCore {
                 };
                 let fresh = self.next_lpn;
                 self.next_lpn += 1;
-                // The alias must land in the shard holding the target's
-                // mapping (aliases share their base's physical page).
-                let shard = match self.ssd.translate(target) {
-                    Some(ppa) => ppa.plane.die.channel as usize,
-                    None => return false,
-                };
                 self.ssd
-                    .ftl_mut_for_audit(shard)
+                    .ftl_mut_for_audit()
                     .alias(fresh, target, PageMeta::flash_cosmos(false))
                     .is_ok()
             }
@@ -1871,36 +1830,6 @@ impl DeviceCore {
                 };
                 let flat = r.planes[0].flat(&cfg);
                 r.planes[0] = PlaneId::from_flat((flat + 1) % cfg.total_planes(), &cfg);
-                true
-            }
-            DeviceMutation::CrossChannelShardEntry => {
-                let shards = self.ssd.ftl_shard_count();
-                if shards < 2 {
-                    return false;
-                }
-                let Some(target) =
-                    self.operands.iter().find(|r| !r.ml).and_then(|r| r.lpns.first().copied())
-                else {
-                    return false;
-                };
-                let Some(home) =
-                    (0..shards).find(|&c| self.ssd.ftl_shard(c).translate(target).is_some())
-                else {
-                    return false;
-                };
-                let (ppa, meta) = {
-                    let shard = self.ssd.ftl_shard(home);
-                    match (shard.translate(target), shard.meta(target)) {
-                        (Some(ppa), Some(meta)) => (ppa, meta),
-                        _ => return false,
-                    }
-                };
-                // Relocate (not alias) the mapping, so the audit sees a
-                // pure lockstep violation: the page still resolves via
-                // the sequential probe, but lives in the wrong shard.
-                let wrong = (home + 1) % shards;
-                self.ssd.ftl_mut_for_audit(home).trim(target);
-                self.ssd.ftl_mut_for_audit(wrong).adopt_for_audit(target, ppa, meta);
                 true
             }
         }

@@ -472,7 +472,7 @@ impl DeviceCore {
     pub(crate) fn placement_query(&self, with_wear: bool) -> PlacementQuery {
         let cfg = self.ssd.config();
         PlacementQuery {
-            pressures: self.ssd.plane_pressures(),
+            pressures: self.ssd.ftl().plane_pressures().to_vec(),
             wear: if with_wear { self.plane_wear() } else { vec![0; cfg.total_planes()] },
             planes_per_die: cfg.planes_per_die,
             dies: cfg.total_dies(),
@@ -796,10 +796,8 @@ impl DeviceCore {
         let mut map = PlacementMap::new();
         for &id in ids {
             let lpn = self.record(id)?.lpns[slot];
-            let ppa = self.ssd.translate(lpn).expect("written operands are always mapped");
-            let inverted =
-                self.ssd.page_meta(lpn).expect("written operands carry metadata").inverted;
-            map.insert(id, wl_addr(ppa), inverted);
+            let (ppa, meta) = self.ssd.lookup(lpn).expect("written operands are always mapped");
+            map.insert(id, wl_addr(ppa), meta.inverted);
         }
         Ok(map)
     }
@@ -903,15 +901,17 @@ impl DeviceCore {
 /// call [`Self::submit_async`] / [`Self::drain`] / [`Self::wait`] /
 /// [`Self::fc_read`] / [`Self::fc_overwrite`] concurrently. Internally
 /// the serving path (compile + the serve step, sync or drained) runs
-/// under a read lock — per-die chip mutexes, the FTL `RwLock` and the
-/// session's mutex shards provide the fine-grained exclusion — while
-/// structural mutations (writes, migrations, maintenance, scrubbing,
-/// fault injection, the debug-build device audit) take the write lock.
+/// under a read lock — per-die chip mutexes and the session's mutex
+/// shards provide the fine-grained exclusion — while structural
+/// mutations (writes, migrations, maintenance, scrubbing, fault
+/// injection, the debug-build device audit) take the write lock. The
+/// FTL has no lock of its own: [`SsdDevice`]'s FTL-changing methods take
+/// `&mut self`, reachable only through the write lock or `&mut self`.
 ///
 /// ## Lock order
 ///
 /// Device `RwLock` → session shards (pending → executing, retired shard
-/// → executing) → FTL `RwLock` → per-die chip mutex → leaf mutexes
+/// → executing) → per-die chip mutex → leaf mutexes
 /// (scratch, energy, die load). The session's condvar waits in
 /// [`Self::wait`] happen **outside** the device lock, so parked waiters
 /// never starve a writer. A read drops its read guard before its background tail takes

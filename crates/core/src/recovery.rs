@@ -452,8 +452,10 @@ impl DeviceCore {
                 0
             }
         };
-        let pressures = self.ssd.plane_pressures();
-        let (_, _, plane) = pressures
+        let (_, _, plane) = self
+            .ssd
+            .ftl()
+            .plane_pressures()
             .iter()
             .enumerate()
             .map(|(plane, &p)| (rung(plane / ppd), p, plane))
@@ -845,7 +847,7 @@ impl DeviceCore {
         // Only ECC pages are scrubbed; skip the FTL walk when none is
         // mapped (every serving pass asks, and operand pages carry no
         // ECC).
-        if self.ssd.mapped_ecc_pages() == 0 {
+        if self.ssd.ftl().ecc_pages() == 0 {
             return Vec::new();
         }
         let margin = self.ssd.ecc_correction_margin();
@@ -916,12 +918,10 @@ impl DeviceCore {
         let mut scrubbed = 0u64;
         let mut deferred: Vec<ScrubJob> = Vec::new();
         while let Some(job) = self.recovery.scrub_queue.pop_front() {
-            let Some(ppa) = self.ssd.translate(job.lpn) else { continue };
-            let meta = self.ssd.page_meta(job.lpn).expect("mapped pages carry metadata");
+            let Some((ppa, meta)) = self.ssd.lookup(job.lpn) else { continue };
             let src = ppa.plane.die.flat(self.ssd.config());
             let stripe_plane = self.stripe_target_plane(job.lpn);
-            let tgt =
-                stripe_plane.unwrap_or_else(|| self.ssd.next_striped_plane_for(job.lpn)) / ppd;
+            let tgt = stripe_plane.unwrap_or_else(|| self.ssd.ftl().next_striped_plane()) / ppd;
             let work: Vec<(usize, f64)> =
                 if src == tgt { vec![(src, tr + tprog)] } else { vec![(src, tr), (tgt, tprog)] };
             if !queues.try_fill(&work, budget_us) {

@@ -146,21 +146,6 @@ impl SsdConfig {
         self.page_bytes as f64 / (self.channel_gbps * 1e9) * 1e6
     }
 
-    /// Planes sharing each channel.
-    pub fn planes_per_channel(&self) -> usize {
-        self.dies_per_channel * self.planes_per_die
-    }
-
-    /// The channel serving a flat plane index.
-    pub fn channel_of_plane(&self, flat_plane: usize) -> usize {
-        (flat_plane / self.planes_per_channel().max(1)).min(self.channels.saturating_sub(1))
-    }
-
-    /// The channel serving a flat die index.
-    pub fn channel_of_die(&self, flat_die: usize) -> usize {
-        (flat_die / self.dies_per_channel.max(1)).min(self.channels.saturating_sub(1))
-    }
-
     /// Time to move one die's multi-plane output over the external link,
     /// µs — Fig. 7's `tEXT`.
     pub fn text_us(&self) -> f64 {

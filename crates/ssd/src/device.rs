@@ -15,7 +15,7 @@
 //! area): see [`SsdDevice::logical_page_bits`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fc_bits::BitVec;
 use fc_nand::chip::NandChip;
@@ -196,29 +196,29 @@ impl std::ops::Deref for ChipRef<'_> {
 
 /// The functional SSD.
 ///
-/// Interior-mutable: every I/O entry point takes `&self` so N threads
-/// can drive independent dies concurrently. Lock map — per-die chip
-/// mutexes (the parallelism grain), one FTL shard per channel, each
-/// behind its own `RwLock` (translation reads dominate; allocation/trim
-/// take the write side, and batches on disjoint channels no longer
-/// serialize on one map lock), controller scratch and the energy meter
-/// behind leaf mutexes, and read-health counters as atomics. Lock
-/// order: FTL shards are only ever taken **one at a time** (lookups
-/// probe sequentially, cross-channel migration drops the source guard
-/// before taking the destination), then chip, then {scratch, energy};
-/// no code path acquires an FTL shard while holding a chip guard.
+/// Reads take `&self`, so N threads can drive independent dies
+/// concurrently: per-die chip mutexes are the parallelism grain,
+/// controller scratch and the energy meter sit behind leaf mutexes, and
+/// read-health counters are atomics. Lock order: chip, then {scratch,
+/// energy}.
 ///
-/// Shard residency follows *placement*: a mapping lives in the shard of
-/// the channel its physical page occupies (audit code FC108 checks the
-/// lockstep). Grouped allocations route by their explicit plane's
-/// channel (or a stable hash of the group key, so every member of a
-/// group reaches the same block cursor); striped allocations hash by
-/// lpn. Lookups probe the lpn's home shard first, then the rest —
-/// cross-channel migration is the only way a mapping strays from home.
+/// The FTL has no lock of its own. Only the methods that change it —
+/// [`write`](Self::write), [`write_ml`](Self::write_ml),
+/// [`trim`](Self::trim) and [`migrate`](Self::migrate) — take
+/// `&mut self`, so the borrow checker proves no reader ever sees a
+/// half-made mapping. A shared reference cannot trim:
+///
+/// ```compile_fail,E0596
+/// use fc_ssd::{SsdConfig, SsdDevice};
+///
+/// let dev = SsdDevice::new(SsdConfig::tiny_test());
+/// let shared: &SsdDevice = &dev;
+/// shared.trim(0);
+/// ```
 pub struct SsdDevice {
     config: SsdConfig,
     chips: Vec<Mutex<NandChip>>,
-    ftl_shards: Vec<RwLock<Ftl>>,
+    ftl: Ftl,
     codec: PageCodec,
     energy: Mutex<EnergyMeter>,
     scratch: Mutex<IoScratch>,
@@ -231,7 +231,7 @@ impl std::fmt::Debug for SsdDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsdDevice")
             .field("config", &self.config)
-            .field("mapped_pages", &self.mapped_pages())
+            .field("mapped_pages", &self.ftl.mapped_pages())
             .finish_non_exhaustive()
     }
 }
@@ -269,13 +269,11 @@ impl SsdDevice {
                 Mutex::new(NandChip::new(chip_config))
             })
             .collect();
-        let ftl_shards = (0..config.channels.max(1))
-            .map(|c| RwLock::new(Ftl::for_channel(&config, c)))
-            .collect();
+        let ftl = Ftl::new(&config);
         Self {
             config,
             chips,
-            ftl_shards,
+            ftl,
             codec: PageCodec::new(EccConfig::small()),
             energy: Mutex::new(EnergyMeter::new()),
             scratch: Mutex::new(IoScratch::default()),
@@ -312,145 +310,48 @@ impl SsdDevice {
         &self.config
     }
 
-    /// Number of FTL shards (one per channel).
-    pub fn ftl_shard_count(&self) -> usize {
-        self.ftl_shards.len()
+    /// The FTL (placement inspection: pressures, cursors, mappings).
+    pub fn ftl(&self) -> &Ftl {
+        &self.ftl
     }
 
-    /// One channel's FTL shard (read access for placement inspection).
-    /// Translation lookups under it run concurrently across threads. Do
-    /// not hold it across a call that allocates or trims, and never hold
-    /// two shard guards at once.
-    pub fn ftl_shard(&self, channel: usize) -> RwLockReadGuard<'_, Ftl> {
-        self.ftl_shards[channel].read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// One shard's write guard — allocation, trim and remap go through
-    /// here, one shard at a time.
-    fn ftl_shard_mut(&self, channel: usize) -> std::sync::RwLockWriteGuard<'_, Ftl> {
-        self.ftl_shards[channel].write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable FTL-shard access for the `flash_cosmos::audit` mutation
-    /// harness **only**: it deliberately bypasses the epoch-bump
-    /// discipline of the core device's `ssd_mut()` chokepoint so seeded
-    /// corruptions land without structurally invalidating the state under
-    /// test. Never use it to mutate a live device — `fc-xtask
-    /// lint-mutators` flags any reference outside the audit allowlist.
+    /// Mutable FTL access for the `flash_cosmos::audit` mutation harness
+    /// **only**: it deliberately bypasses the epoch-bump discipline of
+    /// the core device's `ssd_mut()` chokepoint so seeded corruptions land
+    /// without structurally invalidating the state under test. Never use
+    /// it to mutate a live device — `fc-xtask lint-mutators` flags any
+    /// reference outside the audit allowlist.
     #[doc(hidden)]
-    pub fn ftl_mut_for_audit(&mut self, channel: usize) -> &mut Ftl {
-        self.ftl_shards[channel].get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The shard a *new* allocation for `lpn` under `placement` belongs
-    /// to. Grouped placement with an explicit plane routes by that
-    /// plane's channel (placement decides residency — the FC108
-    /// lockstep); grouped placement without affinity routes by a stable
-    /// hash of the group key, so every member of a group reaches the
-    /// same shard's block cursor; striped data hashes by lpn.
-    fn route(&self, lpn: u64, placement: &PlacementHint) -> usize {
-        match placement {
-            PlacementHint::Grouped { plane: Some(p), .. } => self.config.channel_of_plane(*p),
-            PlacementHint::Grouped { group, plane: None } => self.group_home(*group),
-            PlacementHint::Striped => (lpn % self.ftl_shards.len() as u64) as usize,
-        }
-    }
-
-    /// Stable shard choice for a group with no plane affinity.
-    fn group_home(&self, g: crate::ftl::GroupKey) -> usize {
-        let mut h = g.group.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= g.slot.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= g.overflow.wrapping_mul(0x94D0_49BB_1331_11EB);
-        (h % self.ftl_shards.len() as u64) as usize
-    }
-
-    /// Finds the shard holding `lpn`'s mapping: probes the home shard
-    /// (`lpn % channels`) first, then the rest — guards are taken one at
-    /// a time, never nested.
-    fn probe(&self, lpn: u64) -> Option<(usize, Ppa, PageMeta)> {
-        let n = self.ftl_shards.len();
-        let home = (lpn % n as u64) as usize;
-        for i in 0..n {
-            let s = (home + i) % n;
-            let guard = self.ftl_shard(s);
-            if let Some(ppa) = guard.translate(lpn) {
-                let meta = guard.meta(lpn).expect("mapped pages always carry metadata");
-                return Some((s, ppa, meta));
-            }
-        }
-        None
+    pub fn ftl_mut_for_audit(&mut self) -> &mut Ftl {
+        &mut self.ftl
     }
 
     /// A logical page's physical address and metadata, if mapped.
     pub fn lookup(&self, lpn: u64) -> Option<(Ppa, PageMeta)> {
-        self.probe(lpn).map(|(_, ppa, meta)| (ppa, meta))
+        self.ftl.lookup(lpn)
     }
 
     /// A logical page's physical address, if mapped.
     pub fn translate(&self, lpn: u64) -> Option<Ppa> {
-        self.probe(lpn).map(|(_, ppa, _)| ppa)
+        self.ftl.translate(lpn)
     }
 
     /// A logical page's metadata, if mapped.
     pub fn page_meta(&self, lpn: u64) -> Option<PageMeta> {
-        self.probe(lpn).map(|(_, _, meta)| meta)
-    }
-
-    /// Mapped logical pages across every shard.
-    pub fn mapped_pages(&self) -> usize {
-        (0..self.ftl_shards.len()).map(|s| self.ftl_shard(s).mapped_pages()).sum()
-    }
-
-    /// Mapped logical pages whose metadata says ECC, across every shard.
-    /// Flash-Cosmos operand pages carry no ECC, so on a compute-only
-    /// device this is zero and ECC-only walks can be skipped.
-    pub fn mapped_ecc_pages(&self) -> usize {
-        (0..self.ftl_shards.len()).map(|s| self.ftl_shard(s).ecc_pages()).sum()
+        self.ftl.meta(lpn)
     }
 
     /// A point-in-time copy of every mapping in ascending LPN order — the
     /// walk that scrubbing, grown-defect discovery, and the `fc_audit`
     /// residency pass run over. The order is fixed so a seeded run walks
     /// (and breaks scrub-priority ties) the same way in every process;
-    /// the shards' hash maps iterate in a per-process order. It copies
-    /// the whole FTL, so per-drain callers check
-    /// [`SsdDevice::mapped_ecc_pages`] first when only ECC pages matter.
+    /// the FTL's hash map iterates in a per-process order. It copies the
+    /// whole map, so per-drain callers check [`Ftl::ecc_pages`] first
+    /// when only ECC pages matter.
     pub fn mapped_snapshot(&self) -> Vec<(u64, Ppa, PageMeta)> {
-        let mut out = Vec::with_capacity(self.mapped_pages());
-        for s in 0..self.ftl_shards.len() {
-            out.extend(self.ftl_shard(s).iter_mapped());
-        }
+        let mut out: Vec<_> = self.ftl.iter_mapped().collect();
         out.sort_by_key(|&(lpn, ..)| lpn);
         out
-    }
-
-    /// Blocks already allocated per flat plane, across every shard in
-    /// global plane order — the block pressure the core layer consults
-    /// to spread placement groups across dies.
-    pub fn plane_pressures(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.config.total_planes());
-        for s in 0..self.ftl_shards.len() {
-            out.extend_from_slice(self.ftl_shard(s).plane_pressures());
-        }
-        out
-    }
-
-    /// The global flat plane the next striped allocation for `lpn` would
-    /// land on (the round-robin cursor of `lpn`'s home shard).
-    pub fn next_striped_plane_for(&self, lpn: u64) -> usize {
-        let home = (lpn % self.ftl_shards.len() as u64) as usize;
-        self.ftl_shard(home).next_striped_plane()
-    }
-
-    /// The global flat plane a grouped allocation with this key and
-    /// affinity would land on, without allocating (routed to the shard
-    /// the allocation itself would reach).
-    pub fn group_plane(&self, group: crate::ftl::GroupKey, plane: Option<usize>) -> usize {
-        let shard = match plane {
-            Some(p) => self.config.channel_of_plane(p),
-            None => self.group_home(group),
-        };
-        self.ftl_shard(shard).group_plane(group, plane)
     }
 
     /// The ECC correction margin as a fraction: `t / n` of the current
@@ -514,7 +415,7 @@ impl SsdDevice {
     ///
     /// Fails on payload-size mismatch, FTL exhaustion, or chip errors.
     pub fn write(
-        &self,
+        &mut self,
         lpn: u64,
         payload: &BitVec,
         opts: WriteOptions,
@@ -524,8 +425,7 @@ impl SsdDevice {
             return Err(DeviceError::PayloadSize { got: payload.len(), expected });
         }
         let stored = self.build_stored(payload, opts.meta);
-        let shard = self.route(lpn, &opts.placement);
-        let ppa = self.ftl_shard_mut(shard).allocate(lpn, opts.placement, opts.meta)?;
+        let ppa = self.ftl.allocate(lpn, opts.placement, opts.meta)?;
         let addr = wl_addr(ppa);
         let die = ppa.plane.die;
         self.chip_exec(die).execute(Command::Program {
@@ -553,7 +453,7 @@ impl SsdDevice {
     /// ([`NandError::InvalidMlsense`] / [`DeviceError::PayloadSize`]);
     /// otherwise fails like [`write`](Self::write).
     pub fn write_ml(
-        &self,
+        &mut self,
         lpns: &[u64],
         payloads: &[BitVec],
         placement: PlacementHint,
@@ -577,16 +477,11 @@ impl SsdDevice {
         }
         let stored: Vec<BitVec> =
             payloads.iter().map(|p| if inverted { p.not() } else { p.clone() }).collect();
-        let ppa = {
-            // All aliases of one wordline live in the base lpn's shard.
-            let mut ftl = self.ftl_shard_mut(self.route(lpns[0], &placement));
-            let ppa =
-                ftl.allocate(lpns[0], placement, PageMeta::multi_level(scheme, 0, inverted))?;
-            for (b, &lpn) in lpns.iter().enumerate().skip(1) {
-                ftl.alias(lpn, lpns[0], PageMeta::multi_level(scheme, b as u8, inverted))?;
-            }
-            ppa
-        };
+        let ppa =
+            self.ftl.allocate(lpns[0], placement, PageMeta::multi_level(scheme, 0, inverted))?;
+        for (b, &lpn) in lpns.iter().enumerate().skip(1) {
+            self.ftl.alias(lpn, lpns[0], PageMeta::multi_level(scheme, b as u8, inverted))?;
+        }
         let addr = wl_addr(ppa);
         let die = ppa.plane.die;
         self.chip_exec(die).execute(Command::ProgramMl { addr, pages: stored, scheme })?;
@@ -719,9 +614,8 @@ impl SsdDevice {
     /// superseded page's mapping. The physical wordline keeps its stale
     /// bits until a (future) garbage collector erases the block — exactly
     /// like a real drive. Returns the freed physical address, if any.
-    pub fn trim(&self, lpn: u64) -> Option<Ppa> {
-        let (shard, _, _) = self.probe(lpn)?;
-        self.ftl_shard_mut(shard).trim(lpn)
+    pub fn trim(&mut self, lpn: u64) -> Option<Ppa> {
+        self.ftl.trim(lpn)
     }
 
     /// Assembles the raw stored page for a logical payload: optional
@@ -757,12 +651,12 @@ impl SsdDevice {
     ///
     /// Fails on unmapped pages, placement exhaustion, or chip errors.
     pub fn migrate(
-        &self,
+        &mut self,
         lpn: u64,
         placement: PlacementHint,
         meta: PageMeta,
     ) -> Result<bool, DeviceError> {
-        let (old_shard, old_ppa, old_meta) = self.probe(lpn).ok_or(DeviceError::NotMapped(lpn))?;
+        let (old_ppa, old_meta) = self.lookup(lpn).ok_or(DeviceError::NotMapped(lpn))?;
         if old_meta.scheme.cell_mode().bits_per_cell() > 1
             || meta.scheme.cell_mode().bits_per_cell() > 1
         {
@@ -779,10 +673,9 @@ impl SsdDevice {
         // remapping: cross-die moves (and metadata changes) must read the
         // logical payload first — reading after remap would chase the new
         // address.
-        let target_shard = self.route(lpn, &placement);
         let target_plane = match placement {
-            PlacementHint::Grouped { group, plane } => self.group_plane(group, plane),
-            PlacementHint::Striped => self.ftl_shard(target_shard).next_striped_plane(),
+            PlacementHint::Grouped { group, plane } => self.ftl.group_plane(group, plane),
+            PlacementHint::Striped => self.ftl.next_striped_plane(),
         };
         let same_die = crate::topology::PlaneId::from_flat(target_plane, &self.config).die
             == old_ppa.plane.die;
@@ -791,19 +684,7 @@ impl SsdDevice {
         // descramble with the wrong keystream on read.
         let use_copyback = compatible && same_die && !meta.randomized;
         let payload = if use_copyback { None } else { Some(self.read(lpn)?) };
-        let (old, new) = if target_shard == old_shard {
-            self.ftl_shard_mut(target_shard).remap(lpn, placement, meta)?
-        } else {
-            // Cross-channel move: allocate in the destination shard first
-            // (the old mapping survives an allocation failure), then
-            // retire the source entry — guards taken one at a time.
-            let new = self.ftl_shard_mut(target_shard).allocate(lpn, placement, meta)?;
-            let old = self
-                .ftl_shard_mut(old_shard)
-                .trim(lpn)
-                .expect("probed mapping is still present under exclusive migration");
-            (old, new)
-        };
+        let (old, new) = self.ftl.remap(lpn, placement, meta)?;
         let old_addr = wl_addr(old);
         let new_addr = wl_addr(new);
         if use_copyback {
@@ -847,22 +728,22 @@ mod tests {
 
     #[test]
     fn mapped_snapshot_walks_in_lpn_order() {
-        let dev = device();
+        let mut dev = device();
         // Striped writes rotate over planes, so the pages land in both
-        // channel shards; write them in descending LPN order.
+        // channels; write them in descending LPN order.
         for lpn in (0..24).rev() {
             dev.write(lpn, &payload(&dev, true, lpn), WriteOptions::conventional()).unwrap();
         }
-        let shards: std::collections::BTreeSet<u32> =
+        let channels: std::collections::BTreeSet<u32> =
             (0..24).map(|lpn| dev.translate(lpn).unwrap().plane.die.channel).collect();
-        assert_eq!(shards.len(), 2, "pages span both FTL shards");
+        assert_eq!(channels.len(), 2, "pages span both channels");
         let lpns: Vec<u64> = dev.mapped_snapshot().iter().map(|&(lpn, ..)| lpn).collect();
         assert_eq!(lpns, (0..24).collect::<Vec<u64>>());
     }
 
     #[test]
     fn conventional_roundtrip() {
-        let dev = device();
+        let mut dev = device();
         let data = payload(&dev, true, 1);
         dev.write(10, &data, WriteOptions::conventional()).unwrap();
         assert_eq!(dev.read(10).unwrap(), data);
@@ -870,7 +751,7 @@ mod tests {
 
     #[test]
     fn flash_cosmos_roundtrip_with_inversion() {
-        let dev = device();
+        let mut dev = device();
         let data = payload(&dev, false, 2);
         dev.write(
             20,
@@ -959,7 +840,7 @@ mod tests {
 
     #[test]
     fn payload_size_is_validated() {
-        let dev = device();
+        let mut dev = device();
         let err = dev.write(1, &BitVec::zeros(7), WriteOptions::conventional()).unwrap_err();
         assert!(matches!(err, DeviceError::PayloadSize { got: 7, expected: 180 }));
     }
@@ -972,7 +853,7 @@ mod tests {
 
     #[test]
     fn grouped_writes_share_a_block() {
-        let dev = device();
+        let mut dev = device();
         for i in 0..4 {
             let data = payload(&dev, false, 10 + i);
             dev.write(
@@ -990,7 +871,7 @@ mod tests {
 
     #[test]
     fn mlc_roundtrip_reads_each_logical_page() {
-        let dev = device();
+        let mut dev = device();
         let pages: Vec<BitVec> = (0..2).map(|i| payload(&dev, false, 70 + i)).collect();
         dev.write_ml(&[40, 41], &pages, PlacementHint::Striped, ProgramScheme::Mlc, false).unwrap();
         // Both logical pages live on one physical wordline.
@@ -1001,7 +882,7 @@ mod tests {
 
     #[test]
     fn tlc_roundtrip_with_inversion() {
-        let dev = device();
+        let mut dev = device();
         let pages: Vec<BitVec> = (0..3).map(|i| payload(&dev, false, 80 + i)).collect();
         dev.write_ml(&[50, 51, 52], &pages, PlacementHint::Striped, ProgramScheme::Tlc, true)
             .unwrap();
@@ -1012,7 +893,7 @@ mod tests {
 
     #[test]
     fn ml_write_validates_scheme_and_page_count() {
-        let dev = device();
+        let mut dev = device();
         let pages: Vec<BitVec> = (0..2).map(|i| payload(&dev, false, 90 + i)).collect();
         // Single-bit schemes have no aliased pages.
         let err = dev
@@ -1028,7 +909,7 @@ mod tests {
 
     #[test]
     fn ml_pages_cannot_migrate() {
-        let dev = device();
+        let mut dev = device();
         let pages: Vec<BitVec> = (0..2).map(|i| payload(&dev, false, 95 + i)).collect();
         dev.write_ml(&[60, 61], &pages, PlacementHint::Striped, ProgramScheme::Mlc, false).unwrap();
         let err = dev
@@ -1043,7 +924,7 @@ mod tests {
 
     #[test]
     fn striped_migration_uses_copyback_on_the_same_die() {
-        let dev = device();
+        let mut dev = device();
         // Striped raw pages (no randomization — address-dependent
         // keystreams forbid copyback for scrambled data).
         let raw =
@@ -1071,7 +952,7 @@ mod tests {
 
     #[test]
     fn energy_accumulates() {
-        let dev = device();
+        let mut dev = device();
         let before = dev.energy_uj();
         let data = payload(&dev, true, 4);
         dev.write(1, &data, WriteOptions::conventional()).unwrap();

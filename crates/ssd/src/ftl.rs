@@ -183,21 +183,12 @@ struct GroupCursor {
     next_wl: u32,
 }
 
-/// The page-mapped FTL.
-///
-/// An FTL instance owns a contiguous *plane domain*: the whole SSD for
-/// [`Ftl::new`], or one channel's planes for [`Ftl::for_channel`] (the
-/// per-channel shards the device layer serializes independently). All
-/// plane indices crossing the API are global flat indices; allocation
-/// never leaves the domain, which is exactly the shard↔channel lockstep
-/// audit code FC108 verifies.
+/// The page-mapped FTL: one per SSD, over every plane. All plane
+/// indices crossing the API are flat plane indices. It has no lock of
+/// its own; the owning device's `&mut` methods serialize every change.
 #[derive(Debug, Clone)]
 pub struct Ftl {
-    /// Planes in this FTL's domain.
     planes: usize,
-    /// Global flat index of the domain's first plane (0 for a whole-SSD
-    /// FTL; `channel × planes_per_channel` for a channel shard).
-    plane_lo: usize,
     wls_per_block: u32,
     blocks_per_plane: u32,
     /// One entry per mapped logical page: its physical address and
@@ -207,7 +198,7 @@ pub struct Ftl {
     /// Entries of `map` whose metadata says ECC — kept in step by `put`
     /// and `trim`, so "is any ECC page mapped?" costs no walk.
     ecc_pages: usize,
-    /// Next free block per domain plane (blocks are allocated whole).
+    /// Next free block per plane (blocks are allocated whole).
     next_block: Vec<u32>,
     /// Striped-allocation cursor: (plane, open block, next wordline).
     stripe_cursor: usize,
@@ -219,19 +210,9 @@ pub struct Ftl {
 impl Ftl {
     /// Creates an empty FTL over every plane of the SSD.
     pub fn new(config: &SsdConfig) -> Self {
-        Self::with_domain(config, 0, config.total_planes())
-    }
-
-    /// Creates an empty FTL shard over one channel's planes.
-    pub fn for_channel(config: &SsdConfig, channel: usize) -> Self {
-        let per = config.planes_per_channel();
-        Self::with_domain(config, channel * per, per)
-    }
-
-    fn with_domain(config: &SsdConfig, plane_lo: usize, planes: usize) -> Self {
+        let planes = config.total_planes();
         Self {
             planes,
-            plane_lo,
             wls_per_block: config.wls_per_block as u32,
             blocks_per_plane: config.blocks_per_plane as u32,
             map: HashMap::new(),
@@ -244,16 +225,6 @@ impl Ftl {
         }
     }
 
-    /// The domain's first global flat plane index.
-    pub fn domain_start(&self) -> usize {
-        self.plane_lo
-    }
-
-    /// Whether a global flat plane index falls in this FTL's domain.
-    pub fn owns_plane(&self, flat_plane: usize) -> bool {
-        (self.plane_lo..self.plane_lo + self.planes).contains(&flat_plane)
-    }
-
     /// Number of mapped logical pages.
     pub fn mapped_pages(&self) -> usize {
         self.map.len()
@@ -264,6 +235,11 @@ impl Ftl {
     /// skip ECC-only walks such as the scrub scan.
     pub fn ecc_pages(&self) -> usize {
         self.ecc_pages
+    }
+
+    /// Looks up a logical page's physical address and metadata.
+    pub fn lookup(&self, lpn: u64) -> Option<(Ppa, PageMeta)> {
+        self.map.get(&lpn).copied()
     }
 
     /// Looks up a logical page's physical address.
@@ -321,7 +297,6 @@ impl Ftl {
         Ok(ppa)
     }
 
-    /// `plane` is domain-local here (0-based within the shard).
     fn take_block(&mut self, plane: usize) -> Result<u32, FtlError> {
         let b = self.next_block[plane];
         if b >= self.blocks_per_plane {
@@ -340,7 +315,7 @@ impl Ftl {
         };
         self.stripe_open[plane] =
             if wl + 1 < self.wls_per_block { Some((block, wl + 1)) } else { None };
-        Ok(Ppa { plane: PlaneId::from_flat(self.plane_lo + plane, &self.config), block, wl })
+        Ok(Ppa { plane: PlaneId::from_flat(plane, &self.config), block, wl })
     }
 
     /// Maps `lpn` onto the physical page that already backs `to`
@@ -383,31 +358,28 @@ impl Ftl {
         Ok((old, new))
     }
 
-    /// Blocks already allocated per domain plane (index 0 is the domain's
-    /// first plane, [`Ftl::domain_start`]) — the block pressure the
+    /// Blocks already allocated per flat plane — the block pressure the
     /// device layer consults to spread placement groups across dies.
     pub fn plane_pressures(&self) -> &[u32] {
         &self.next_block
     }
 
-    /// The domain plane with the fewest allocated blocks (lowest index on
-    /// ties), as a global flat index — the default placement for grouped
-    /// allocations without an explicit plane affinity.
+    /// The plane with the fewest allocated blocks (lowest index on ties)
+    /// — the default placement for grouped allocations without an
+    /// explicit plane affinity.
     pub fn least_loaded_plane(&self) -> usize {
-        self.plane_lo
-            + self
-                .next_block
-                .iter()
-                .enumerate()
-                .min_by_key(|&(plane, &pressure)| (pressure, plane))
-                .map(|(plane, _)| plane)
-                .expect("an SSD has at least one plane")
+        self.next_block
+            .iter()
+            .enumerate()
+            .min_by_key(|&(plane, &pressure)| (pressure, plane))
+            .map(|(plane, _)| plane)
+            .expect("an SSD has at least one plane")
     }
 
-    /// The global flat plane the next striped allocation would land on,
-    /// without allocating (the round-robin cursor's position).
+    /// The flat plane the next striped allocation would land on, without
+    /// allocating (the round-robin cursor's position).
     pub fn next_striped_plane(&self) -> usize {
-        self.plane_lo + self.stripe_cursor
+        self.stripe_cursor
     }
 
     /// The flat plane a grouped allocation with this key and affinity
@@ -422,22 +394,17 @@ impl Ftl {
         }
     }
 
-    /// Group cursors store global flat planes; `take_block` wants
-    /// domain-local ones.
     fn allocate_grouped(&mut self, group: GroupKey, plane: Option<usize>) -> Result<Ppa, FtlError> {
         let cursor = match self.groups.get(&group).copied() {
             Some(c) => c,
             None => {
                 if let Some(p) = plane {
-                    if !self.owns_plane(p) {
-                        return Err(FtlError::PlaneOutOfRange {
-                            plane: p,
-                            planes: self.plane_lo + self.planes,
-                        });
+                    if p >= self.planes {
+                        return Err(FtlError::PlaneOutOfRange { plane: p, planes: self.planes });
                     }
                 }
                 let plane = plane.unwrap_or_else(|| self.least_loaded_plane());
-                let block = self.take_block(plane - self.plane_lo)?;
+                let block = self.take_block(plane)?;
                 GroupCursor { plane, block, next_wl: 0 }
             }
         };
@@ -451,15 +418,6 @@ impl Ftl {
         };
         self.groups.insert(group, GroupCursor { next_wl: cursor.next_wl + 1, ..cursor });
         Ok(ppa)
-    }
-
-    /// Force-inserts a mapping, bypassing allocation — the `fc_audit`
-    /// mutation harness's hook for planting a mapping in the *wrong*
-    /// channel shard so FC108 has something to catch. Never call this
-    /// outside the audit harness.
-    #[doc(hidden)]
-    pub fn adopt_for_audit(&mut self, lpn: u64, ppa: Ppa, meta: PageMeta) {
-        self.put(lpn, ppa, meta);
     }
 }
 
@@ -489,39 +447,6 @@ mod tests {
 
     fn grouped(group: GroupKey, plane: Option<usize>) -> PlacementHint {
         PlacementHint::Grouped { group, plane }
-    }
-
-    #[test]
-    fn channel_shard_allocates_only_its_domain() {
-        let cfg = SsdConfig::tiny_test(); // 2 channels × 4 planes each
-        let mut shard = Ftl::for_channel(&cfg, 1);
-        assert_eq!(shard.domain_start(), 4);
-        assert!(!shard.owns_plane(3) && shard.owns_plane(4) && !shard.owns_plane(8));
-        // Striped allocations rotate the shard's planes (4..8) only.
-        for i in 0..8u64 {
-            let ppa = shard.allocate(i, PlacementHint::Striped, PageMeta::conventional()).unwrap();
-            let flat = ppa.plane.flat(&cfg);
-            assert_eq!(flat, 4 + (i as usize % 4), "stays in channel 1's domain");
-            assert_eq!(ppa.plane.die.channel, 1);
-        }
-        assert_eq!(shard.next_striped_plane(), 4);
-        assert_eq!(shard.least_loaded_plane(), 4);
-        assert_eq!(shard.plane_pressures().len(), 4, "pressures are domain-local");
-        // Grouped affinity outside the domain is rejected; inside works.
-        let err = shard
-            .allocate(100, grouped(GroupKey::new(9, 0), Some(0)), PageMeta::flash_cosmos(false))
-            .unwrap_err();
-        assert!(matches!(err, FtlError::PlaneOutOfRange { plane: 0, .. }));
-        let ppa = shard
-            .allocate(100, grouped(GroupKey::new(9, 0), Some(5)), PageMeta::flash_cosmos(false))
-            .unwrap();
-        assert_eq!(ppa.plane.flat(&cfg), 5);
-        assert_eq!(shard.group_plane(GroupKey::new(9, 0), None), 5);
-        // Default (least-loaded) grouped placement also stays in-domain.
-        let ppa = shard
-            .allocate(101, grouped(GroupKey::new(10, 0), None), PageMeta::flash_cosmos(false))
-            .unwrap();
-        assert!(shard.owns_plane(ppa.plane.flat(&cfg)));
     }
 
     #[test]

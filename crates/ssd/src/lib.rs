@@ -16,16 +16,15 @@
 //!   can *demonstrate* why in-flash bitwise ops cannot run over
 //!   ECC-encoded data.
 //! * [`ftl`] — page-mapped flash translation layer with the placement
-//!   metadata Flash-Cosmos needs (program scheme, inverse-stored flag).
-//! * [`isp`] — the in-storage-processing accelerator baseline (per-channel
-//!   bitwise logic + 256 KiB SRAM, 93 pJ / 64 B op; Table 1).
+//!   metadata Flash-Cosmos needs (program scheme, inverse-stored flag):
+//!   one per device, with no lock of its own.
 //! * [`energy`] — per-component energy metering.
 //! * [`pipeline`] — the execution-pipeline model that turns per-die job
 //!   lists into end-to-end makespan + energy (regenerates Fig. 7 and
 //!   drives Figs. 17/18).
 //! * [`device`] — a functional SSD: NAND chips + FTL + ECC + randomizer
 //!   behind a logical-page API, with a shifted-Vref read-retry ladder on
-//!   ECC failure.
+//!   ECC failure. Reads take `&self`; FTL changes take `&mut self`.
 //! * [`parity`] — RAIN-style cross-die XOR parity stripes: the outer
 //!   redundancy layer that rebuilds pages the retry ladder cannot save.
 
@@ -34,7 +33,6 @@ pub mod device;
 pub mod ecc;
 pub mod energy;
 pub mod ftl;
-pub mod isp;
 pub mod parity;
 pub mod pipeline;
 pub mod sim;

@@ -257,14 +257,6 @@ fn fc107_fires_on_corrupted_operand_plane_cache() {
     assert_device_mutation_fires(&mut dev, DeviceMutation::SwapOperandPlane, LintCode::Fc107);
 }
 
-#[test]
-fn fc108_fires_on_cross_channel_shard_entry() {
-    let mut rng = StdRng::seed_from_u64(0xA108);
-    let mut dev = device();
-    store_group(&mut dev, "g", 2, None, &mut rng);
-    assert_device_mutation_fires(&mut dev, DeviceMutation::CrossChannelShardEntry, LintCode::Fc108);
-}
-
 // ---------------------------------------------------------------------------
 // Healthy state stays silent across representative shapes.
 // ---------------------------------------------------------------------------
@@ -380,5 +372,5 @@ fn findings_are_typed_ordered_and_displayable() {
         assert!(line.starts_with(f.code.as_str()), "display leads with the code: {line}");
         assert!(!f.hint.is_empty(), "every finding carries a fix hint");
     }
-    assert_eq!(LintCode::ALL.len(), 15);
+    assert_eq!(LintCode::ALL.len(), 14);
 }
