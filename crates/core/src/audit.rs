@@ -1584,7 +1584,7 @@ fn check_place(
             LintCode::Fc107,
             loc.clone(),
             format!("base plane {base_plane} outside the {total_planes}-plane SSD"),
-            "placement policies choose among existing planes",
+            "the spread rule chooses among existing planes",
         ));
     }
     if pinned_die.is_some_and(|d| d >= total_dies) {

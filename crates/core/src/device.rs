@@ -50,7 +50,7 @@ use fc_ssd::SsdConfig;
 
 use crate::batch::BatchStats;
 use crate::expr::{Expr, OperandId};
-use crate::maintenance::{MaintenanceConfig, PlacementPolicy, PlacementQuery, SpreadPlacement};
+use crate::maintenance::{channel_first_die, channel_first_step, spread_plane, MaintenanceConfig};
 use crate::planner::{PlacementMap, PlanError};
 
 /// Handle to a stored operand vector.
@@ -297,10 +297,10 @@ pub(crate) struct DeviceCore {
     pub(crate) group_place: HashMap<u64, GroupPlace>,
     /// Base plane per colocation domain (groups in a domain share it).
     pub(crate) domain_place: HashMap<String, GroupPlace>,
-    /// Where fresh placement groups land (see [`crate::maintenance`]):
-    /// the default [`SpreadPlacement`] rotates pressure ties across dies,
-    /// [`crate::maintenance::WearAwarePlacement`] levels P/E wear.
-    pub(crate) placement_policy: Box<dyn PlacementPolicy>,
+    /// The channel-first step where the next fresh placement group's
+    /// search for the least-pressure plane starts (see
+    /// [`crate::maintenance`]), so pressure ties rotate across dies.
+    spread_cursor: usize,
     /// Maintenance tuning (heat thresholds, slack budget).
     pub(crate) maintenance_cfg: MaintenanceConfig,
     /// Ruleset of the static analyzer (see [`crate::audit`]): what the
@@ -354,7 +354,7 @@ impl DeviceCore {
             group_fill: HashMap::new(),
             group_place: HashMap::new(),
             domain_place: HashMap::new(),
-            placement_policy: Box::new(SpreadPlacement::new()),
+            spread_cursor: 0,
             maintenance_cfg: MaintenanceConfig::default(),
             audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
@@ -455,34 +455,19 @@ impl DeviceCore {
         Ok((group_index, place))
     }
 
-    /// Picks the base plane for a fresh group by consulting the installed
-    /// [`PlacementPolicy`] with a snapshot of the FTL's block pressures
-    /// and the chips' per-block wear. A die pin (validated by
+    /// Picks the base plane for a fresh group by the spread rule over
+    /// the FTL's block pressures. A die pin (validated by
     /// [`Self::group_placement`]) restricts the choice to that die's
     /// planes.
     fn choose_plane(&mut self, die: Option<usize>) -> usize {
-        let query = self.placement_query(self.placement_policy.needs_wear());
-        self.placement_policy.choose_plane(&query, die)
-    }
-
-    /// Snapshots the placement facts policies decide from: per-plane
-    /// block pressure, plus summed per-block P/E cycles when asked
-    /// (`with_wear`) — the wear scan touches every block's counter, so
-    /// callers whose policy ignores wear skip it.
-    pub(crate) fn placement_query(&self, with_wear: bool) -> PlacementQuery {
-        let cfg = self.ssd.config();
-        PlacementQuery {
-            pressures: self.ssd.ftl().plane_pressures().to_vec(),
-            wear: if with_wear { self.plane_wear() } else { vec![0; cfg.total_planes()] },
-            planes_per_die: cfg.planes_per_die,
-            dies: cfg.total_dies(),
-            dies_per_channel: cfg.dies_per_channel,
-        }
+        let pressures = self.ssd.ftl().plane_pressures();
+        spread_plane(self.ssd.config(), pressures, die, &mut self.spread_cursor)
     }
 
     /// Summed per-block P/E-cycle counts per flat plane — the wear signal
-    /// [`crate::maintenance::WearAwarePlacement`] and the regrouping
-    /// planner's target-die selection consume.
+    /// the regrouping planner's target-die selection consumes. Fresh
+    /// placement groups ignore wear, so the per-block scan runs only
+    /// when maintenance plans (and in the device audit).
     pub(crate) fn plane_wear(&self) -> Vec<u64> {
         let cfg = self.ssd.config();
         (0..cfg.total_planes())
@@ -512,9 +497,8 @@ impl DeviceCore {
         if place.pinned_die.is_some() {
             base_die * ppd + (base_pid + slot as usize) % ppd
         } else {
-            let q = self.placement_query_geometry();
-            let step = q.channel_first_step(base_die) + slot as usize;
-            q.channel_first_die(step) * ppd + base_pid
+            let step = channel_first_step(cfg, base_die) + slot as usize;
+            channel_first_die(cfg, step) * ppd + base_pid
         }
     }
 
@@ -531,19 +515,6 @@ impl DeviceCore {
         let overflow = *fill / wls;
         *fill += 1;
         GroupKey { group, slot, overflow }
-    }
-
-    /// A [`PlacementQuery`] carrying only the geometry (no pressure or
-    /// wear snapshot) — for the channel-first die-order helpers.
-    fn placement_query_geometry(&self) -> PlacementQuery {
-        let cfg = self.ssd.config();
-        PlacementQuery {
-            pressures: Vec::new(),
-            wear: Vec::new(),
-            planes_per_die: cfg.planes_per_die,
-            dies: cfg.total_dies(),
-            dies_per_channel: cfg.dies_per_channel,
-        }
     }
 
     /// Programs `data` one stripe page per slot into placement group
@@ -568,7 +539,7 @@ impl DeviceCore {
             let plane = self.plane_for_slot(place, slot);
             let page = stripe_page(data, slot as usize, page_bits);
             let lpn = self.alloc_lpn();
-            let placement = PlacementHint::Grouped { group: key, plane: Some(plane) };
+            let placement = PlacementHint::Grouped { group: key, plane };
             let ppa = self.ssd.write(lpn, &page, WriteOptions { placement, meta })?;
             lpns.push(lpn);
             planes.push(ppa.plane);
@@ -704,7 +675,7 @@ impl DeviceCore {
             let ppa = self.ssd.write_ml(
                 &slot_lpns,
                 &slot_pages,
-                PlacementHint::Grouped { group: key, plane: Some(plane) },
+                PlacementHint::Grouped { group: key, plane },
                 scheme,
                 hints.inverted,
             )?;
@@ -868,11 +839,8 @@ impl DeviceCore {
                 inverted: hints.inverted,
                 ..self.ssd.page_meta(lpn).expect("written operands carry metadata")
             };
-            let used_copyback = self.ssd.migrate(
-                lpn,
-                PlacementHint::Grouped { group: key, plane: Some(plane) },
-                meta,
-            )?;
+            let used_copyback =
+                self.ssd.migrate(lpn, PlacementHint::Grouped { group: key, plane }, meta)?;
             copybacks += u64::from(used_copyback);
             let ppa = self.ssd.translate(lpn).expect("migrated pages stay mapped");
             planes.push(ppa.plane);
@@ -1016,17 +984,10 @@ impl FlashCosmosDevice {
     }
 
     /// Summed per-block P/E-cycle counts per flat plane — the wear signal
-    /// [`crate::maintenance::WearAwarePlacement`] and the regrouping
-    /// planner's target-die selection consume.
+    /// the regrouping planner's target-die selection consumes (see
+    /// [`crate::maintenance`]; fresh placement groups ignore wear).
     pub fn plane_wear(&self) -> Vec<u64> {
         self.core().plane_wear()
-    }
-
-    /// Installs a placement policy for fresh groups and colocation
-    /// domains (existing placements are unaffected). See
-    /// [`crate::maintenance`] for the provided policies.
-    pub fn set_placement_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
-        self.core_mut().placement_policy = policy;
     }
 
     /// Replaces the maintenance tuning (heat thresholds, slack budget).

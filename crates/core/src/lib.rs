@@ -36,17 +36,17 @@
 //!   **result cache** keyed by canonical form + per-operand *placement
 //!   generations* replays repeated units without sensing — overwrites
 //!   ([`FlashCosmosDevice::fc_overwrite`]), migrations and raw-SSD access
-//!   bump the stamps, so stale results are structurally unservable.
+//!   bump the stamps, so stale results are structurally unservable. The
+//!   cache retains by hit frequency × senses saved and refuses inserts
+//!   that score below every resident entry.
 //! * [`maintenance`] — the maintenance layer: an affinity tracker
 //!   records which operand sets get fused together (and what they
 //!   cost), a fixed regrouping rule turns hot scattered sets into
 //!   migration jobs with wear-aware target selection, and a background
 //!   executor fills the jobs into
 //!   [`drain`](FlashCosmosDevice::drain)'s idle-die slack
-//!   under a critical-path budget. Placement ([`SpreadPlacement`] /
-//!   [`WearAwarePlacement`]) and result-cache admission
-//!   ([`CostAwareAdmission`] — the default, hit-frequency ×
-//!   senses-saved — vs [`FifoAdmission`]) are pluggable policies.
+//!   under a critical-path budget. It also holds the placement rule
+//!   fresh placement groups follow.
 //! * [`recovery`] — the reliability tiers over the physics model's real
 //!   bit errors: shifted-Vref read-retry (in the SSD device), cross-die
 //!   XOR parity stripes with out-of-place rebuild, retention scrubbing
@@ -72,8 +72,9 @@
 //!
 //! ## Die-aware placement
 //!
-//! Distinct placement groups spread across the SSD's dies (least-loaded
-//! plane, die-rotating), so a batch of independent queries senses on
+//! Distinct placement groups spread across the SSD's dies (least block
+//! pressure, ties rotating over channels, then dies; see [`maintenance`]),
+//! so a batch of independent queries senses on
 //! many dies concurrently — [`BatchStats::dies_used`] reports the spread
 //! and [`BatchStats::critical_path_us`] is the busiest die's time, not
 //! the serial sum. Groups one expression combines should share a plane
@@ -150,10 +151,7 @@ pub use cluster::{ClusterResults, FcCluster};
 pub use device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 pub use engines::{Engines, Platform, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};
-pub use maintenance::{
-    AffinityTracker, CacheAdmission, CostAwareAdmission, FifoAdmission, MaintenanceConfig,
-    MaintenanceStats, PlacementPolicy, SpreadPlacement, WearAwarePlacement,
-};
+pub use maintenance::{AffinityTracker, MaintenanceConfig, MaintenanceStats};
 pub use placement::{suggest_hints, LayoutAdvice};
 pub use planner::{MwsProgram, PlacementMap, PlanError, PlannerCaps};
 pub use recovery::{DeviceHealth, FaultPlan, FaultReport};
@@ -168,7 +166,6 @@ pub use session::{CacheStats, DrainStats, Session, Ticket};
 /// in the state these types own must fail *this build*, not a stress
 /// test three PRs later.
 const _: fn() = || {
-    fn assert_send<T: Send>() {}
     fn assert_send_sync<T: Send + Sync>() {}
 
     // The shared handle itself, bare and behind the Arc workers clone.
@@ -185,7 +182,4 @@ const _: fn() = || {
     assert_send_sync::<BatchStats>();
     assert_send_sync::<DrainStats>();
     assert_send_sync::<FcError>();
-    // Installable policies travel into the locked core.
-    assert_send::<Box<dyn PlacementPolicy>>();
-    assert_send::<Box<dyn CacheAdmission>>();
 };

@@ -1,5 +1,5 @@
-//! Policy-driven device maintenance: hot-operand regrouping, wear-aware
-//! placement and cost-aware cache admission on idle-die time.
+//! Device maintenance: hot-operand regrouping on idle-die time, and the
+//! placement rule fresh placement groups follow.
 //!
 //! Flash-Cosmos only gets its single-sense wins when the operands an
 //! expression fuses are co-located in one block (intra-block MWS), so
@@ -48,13 +48,11 @@
 //! planning consumed the earlier heat), a later pass sees its operands
 //! still scattered and finishes the gather.
 //!
-//! Two decisions are pluggable policies, each with an alternative to
-//! compare against: fresh placement groups ask a [`PlacementPolicy`]
-//! (default [`SpreadPlacement`], the die-rotating least-loaded spread;
-//! [`WearAwarePlacement`] prefers low-wear planes), and the result cache
-//! asks a [`CacheAdmission`] policy which entry to evict (default
-//! [`CostAwareAdmission`], hit-frequency × senses-saved;
-//! [`FifoAdmission`] restores the oldest-first bound).
+//! Every decision here is a fixed rule. A fresh placement group opens its
+//! block on the plane with the least block pressure, ties spread over
+//! channels first, then dies, then planes; gather targets add wear and
+//! queued jobs to that. The result cache keeps its own retention rule
+//! (see [`crate::session`]).
 //!
 //! ```
 //! use flash_cosmos::device::{FlashCosmosDevice, StoreHints};
@@ -87,277 +85,60 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+use fc_ssd::SsdConfig;
+
 use crate::device::StoreHints;
 use crate::expr::OperandId;
 
-/// Read-only placement facts a [`PlacementPolicy`] decides from,
-/// snapshotted per decision (placements are rare; queries are not).
-#[derive(Debug, Clone)]
-pub struct PlacementQuery {
-    /// Blocks already allocated per flat plane (the FTL's block
-    /// pressure).
-    pub pressures: Vec<u32>,
-    /// Summed per-block P/E cycles per flat plane (the chips' erase
-    /// counters). Scanning every block's counter is the expensive part
-    /// of the snapshot, so it is only populated for policies whose
-    /// [`PlacementPolicy::needs_wear`] returns `true` (all zeros
-    /// otherwise).
-    pub wear: Vec<u64>,
-    /// Planes per die.
-    pub planes_per_die: usize,
-    /// Dies in the SSD.
-    pub dies: usize,
-    /// Dies sharing one channel bus (flat die layout is channel-major:
-    /// dies `c*dies_per_channel..(c+1)*dies_per_channel` sit on channel
-    /// `c`). `0` or `1` degrades to every die on its own channel.
-    pub dies_per_channel: usize,
+/// The channel-first die visiting order: step `j` visits one die of
+/// every channel before revisiting a channel, so consecutive placements
+/// spread over channel buses before doubling up within one. Flat dies
+/// are channel-major (dies `c * dies_per_channel..(c + 1) *
+/// dies_per_channel` sit on channel `c`) and the grid is always full, so
+/// the order is a closed form; with one die per channel it is the
+/// identity. Steps wrap around the die count.
+pub(crate) fn channel_first_die(cfg: &SsdConfig, step: usize) -> usize {
+    let j = step % cfg.total_dies();
+    (j % cfg.channels) * cfg.dies_per_channel + j / cfg.channels
 }
 
-impl PlacementQuery {
-    /// Total flat planes.
-    pub fn planes(&self) -> usize {
-        self.dies * self.planes_per_die
-    }
-
-    /// The die a flat plane belongs to.
-    pub fn die_of(&self, plane: usize) -> usize {
-        plane / self.planes_per_die
-    }
-
-    /// Summed wear of one die's planes.
-    pub fn die_wear(&self, die: usize) -> u64 {
-        self.wear[die * self.planes_per_die..(die + 1) * self.planes_per_die].iter().sum()
-    }
-
-    /// Summed block pressure of one die's planes.
-    pub fn die_pressure(&self, die: usize) -> u64 {
-        self.pressures[die * self.planes_per_die..(die + 1) * self.planes_per_die]
-            .iter()
-            .map(|&p| p as u64)
-            .sum()
-    }
-
-    /// Channels in the SSD (≥ 1).
-    pub fn channels(&self) -> usize {
-        self.dies.div_ceil(self.dies_per_channel.max(1)).max(1)
-    }
-
-    /// The channel a die's bus belongs to.
-    pub fn channel_of(&self, die: usize) -> usize {
-        die / self.dies_per_channel.max(1)
-    }
-
-    /// The channel-first die visiting order: step `j` visits one die of
-    /// every channel before revisiting a channel, so consecutive
-    /// placements spread over channel buses before doubling up within
-    /// one. With one die per channel this is the identity (the historic
-    /// die-rotating order).
-    pub(crate) fn channel_first_die(&self, step: usize) -> usize {
-        let dpc = self.dies_per_channel.max(1).min(self.dies.max(1));
-        let channels = self.dies.div_ceil(dpc);
-        // Walk the channel-major grid column by column, skipping the
-        // padding cells of a ragged last channel.
-        let mut j = step % self.dies.max(1);
-        for k in 0..channels * dpc {
-            let d = (k % channels) * dpc + k / channels;
-            if d < self.dies {
-                if j == 0 {
-                    return d;
-                }
-                j -= 1;
-            }
-        }
-        unreachable!("the grid holds every die exactly once");
-    }
-
-    /// Inverse of [`PlacementQuery::channel_first_die`]: the step at
-    /// which the order visits `die`.
-    pub(crate) fn channel_first_step(&self, die: usize) -> usize {
-        let dpc = self.dies_per_channel.max(1).min(self.dies.max(1));
-        let channels = self.dies.div_ceil(dpc);
-        let mut step = 0;
-        for k in 0..channels * dpc {
-            let d = (k % channels) * dpc + k / channels;
-            if d < self.dies {
-                if d == die {
-                    return step;
-                }
-                step += 1;
-            }
-        }
-        unreachable!("the grid holds every die exactly once");
-    }
+/// Inverse of [`channel_first_die`]: the step at which the order visits
+/// `die`.
+pub(crate) fn channel_first_step(cfg: &SsdConfig, die: usize) -> usize {
+    (die % cfg.dies_per_channel) * cfg.channels + die / cfg.dies_per_channel
 }
 
-/// Picks the base plane for a fresh placement group (or colocation
-/// domain). The policy owns whatever cursor state it needs; the device
-/// consults it through
-/// [`set_placement_policy`](crate::device::FlashCosmosDevice::set_placement_policy).
-pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
-    /// Chooses a flat plane. `pinned_die`, when given, restricts the
-    /// choice to that die's planes (the caller validated the index).
-    fn choose_plane(&mut self, query: &PlacementQuery, pinned_die: Option<usize>) -> usize;
-
-    /// Whether this policy reads [`PlacementQuery::wear`]. Defaults to
-    /// `false`, sparing every fresh-group placement the per-block
-    /// erase-counter scan; a policy that consults wear **must** override
-    /// this or it will see zeros.
-    fn needs_wear(&self) -> bool {
-        false
-    }
-}
-
-/// The default policy: least-loaded plane by block pressure, visiting
-/// dies round-robin from a rotating cursor so pressure ties spread across
-/// dies rather than filling die 0 (the PR 3 behavior, extracted).
-#[derive(Debug, Clone, Default)]
-pub struct SpreadPlacement {
-    die_cursor: usize,
-}
-
-impl SpreadPlacement {
-    /// A fresh spread policy (cursor at die 0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The shared channel-first least-key scan both provided policies use:
-/// the minimal-`key` plane wins, ties visiting one die of every
-/// *channel* before a second die within any channel, and one plane of
-/// every die before revisiting a die (starting at `die_cursor`, a step
-/// in the channel-first order, which advances past the chosen die); a
-/// pin restricts the scan to one die's planes. With one die per channel
-/// the order degrades to the historic die rotation.
-fn choose_rotating<K: Ord + Copy>(
-    q: &PlacementQuery,
+/// The placement rule for a fresh placement group (or colocation
+/// domain): the plane with the least block pressure wins. Ties visit one
+/// die of every channel before a second die within any channel, and one
+/// plane of every die before a second plane of any die, starting at
+/// `die_cursor` (a step in the channel-first order), which advances past
+/// the chosen die. A pin restricts the choice to that die's planes (the
+/// caller validated the index), the lowest plane winning ties.
+///
+/// Wear plays no part (the FTL never erases a block, so only injected
+/// aging wears one); the regrouping planner's gather target weighs it
+/// (`least_worn_die`).
+pub(crate) fn spread_plane(
+    cfg: &SsdConfig,
+    pressures: &[u32],
     pinned_die: Option<usize>,
     die_cursor: &mut usize,
-    key: impl Fn(usize) -> K,
 ) -> usize {
-    let ppd = q.planes_per_die;
+    let ppd = cfg.planes_per_die;
     if let Some(d) = pinned_die {
-        return (0..ppd)
-            .map(|p| d * ppd + p)
-            .min_by_key(|&plane| (key(plane), plane))
+        return (d * ppd..(d + 1) * ppd)
+            .min_by_key(|&plane| pressures[plane])
             .expect("a die has at least one plane");
     }
-    let mut best: Option<(K, usize, usize)> = None;
-    for k in 0..q.planes() {
-        // Channel-fastest enumeration: spread ties over channel buses
-        // first, then over dies within a channel, then over planes.
-        let d = q.channel_first_die(*die_cursor + k % q.dies);
-        let pid = k / q.dies;
-        let plane = d * ppd + pid;
-        let plane_key = key(plane);
-        if best.is_none_or(|(bk, bi, _)| (plane_key, k) < (bk, bi)) {
-            best = Some((plane_key, k, plane));
-        }
-    }
-    let (_, _, plane) = best.expect("an SSD has at least one plane");
-    *die_cursor = (q.channel_first_step(plane / ppd) + 1) % q.dies;
+    let dies = cfg.total_dies();
+    // Channel-fastest enumeration; `min_by_key` keeps the first minimum.
+    let plane = (0..cfg.total_planes())
+        .map(|k| channel_first_die(cfg, *die_cursor + k % dies) * ppd + k / dies)
+        .min_by_key(|&plane| pressures[plane])
+        .expect("an SSD has at least one plane");
+    *die_cursor = (channel_first_step(cfg, plane / ppd) + 1) % dies;
     plane
-}
-
-impl PlacementPolicy for SpreadPlacement {
-    fn choose_plane(&mut self, q: &PlacementQuery, pinned_die: Option<usize>) -> usize {
-        choose_rotating(q, pinned_die, &mut self.die_cursor, |plane| q.pressures[plane])
-    }
-}
-
-/// Wear-levelling placement: prefers the plane with the least summed
-/// per-block P/E cycles, breaking wear ties by block pressure and then by
-/// the same die-rotating enumeration as [`SpreadPlacement`] — worn planes
-/// stop receiving fresh groups while even wear degrades to the default
-/// spread.
-#[derive(Debug, Clone, Default)]
-pub struct WearAwarePlacement {
-    die_cursor: usize,
-}
-
-impl WearAwarePlacement {
-    /// A fresh wear-aware policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl PlacementPolicy for WearAwarePlacement {
-    fn needs_wear(&self) -> bool {
-        true
-    }
-
-    fn choose_plane(&mut self, q: &PlacementQuery, pinned_die: Option<usize>) -> usize {
-        choose_rotating(q, pinned_die, &mut self.die_cursor, |plane| {
-            (q.wear[plane], q.pressures[plane])
-        })
-    }
-}
-
-/// Observable facts about one result-cache entry, handed to a
-/// [`CacheAdmission`] policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheEntryInfo {
-    /// Lookups this entry has served.
-    pub hits: u64,
-    /// Senses a cold execution of the unit costs (what each future hit
-    /// saves).
-    pub senses: u64,
-    /// Insertion sequence number (monotonic; smaller = older).
-    pub seq: u64,
-    /// Size of the memoized result vector, bits.
-    pub bits: usize,
-}
-
-/// Scores result-cache entries for admission and eviction. When the
-/// cache is full, the entry with the lowest `(score, seq)` is the
-/// eviction victim; a fresh insert only displaces it when
-/// [`CacheAdmission::admit`] agrees. Select a policy with
-/// [`set_cache_admission`](crate::device::FlashCosmosDevice::set_cache_admission).
-pub trait CacheAdmission: std::fmt::Debug + Send + Sync {
-    /// The entry's retention value; higher survives longer.
-    fn score(&self, entry: &CacheEntryInfo) -> f64;
-
-    /// Whether `fresh` may displace `victim` (the lowest-scored resident
-    /// entry). The default admits unless the fresh entry scores strictly
-    /// below the victim — cost-aware *admission*, not just eviction.
-    fn admit(&self, fresh: &CacheEntryInfo, victim: &CacheEntryInfo) -> bool {
-        self.score(fresh) >= self.score(victim)
-    }
-}
-
-/// Oldest-first eviction, always admitting — the PR 4 FIFO bound, kept
-/// selectable for comparison and for workloads without re-query skew.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoAdmission;
-
-impl CacheAdmission for FifoAdmission {
-    fn score(&self, entry: &CacheEntryInfo) -> f64 {
-        entry.seq as f64
-    }
-
-    fn admit(&self, _fresh: &CacheEntryInfo, _victim: &CacheEntryInfo) -> bool {
-        true
-    }
-}
-
-/// Cost-aware retention (the default): an entry is worth what its future
-/// hits save, estimated as hit frequency × senses per cold execution.
-/// Entries that were never re-queried decay to their sense cost alone, so
-/// a full cache sheds cold one-off results before proven-hot ones — and
-/// refuses to evict a proven-hot entry for a one-off insert. Hit counts
-/// age: the cache halves every resident's count once per decay window
-/// of insert attempts (two turnovers' worth), so the score measures
-/// *recent* frequency — after a working-set shift the stale-hot entries
-/// decay to evictable while genuinely hot ones re-earn their hits
-/// between halvings.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostAwareAdmission;
-
-impl CacheAdmission for CostAwareAdmission {
-    fn score(&self, entry: &CacheEntryInfo) -> f64 {
-        (entry.hits + 1) as f64 * entry.senses.max(1) as f64
-    }
 }
 
 /// Aggregate affinity facts about one co-fused operand set.
@@ -653,13 +434,14 @@ impl crate::device::DeviceCore {
         if picks.is_empty() {
             return 0;
         }
-        // Gathering targets are always wear-aware, whatever the write
-        // path's placement policy is. `queued_on` tracks gather jobs
-        // already aimed per die (earlier passes' backlog plus the sets
-        // planned below), so distinct hot sets spread across dies
+        // Gathering targets are wear-aware. `queued_on` tracks gather
+        // jobs already aimed per die (earlier passes' backlog plus the
+        // sets planned below), so distinct hot sets spread across dies
         // instead of all landing on one snapshot's least-worn die.
-        let query = self.placement_query(true);
-        let mut queued_on = vec![0u64; query.dies];
+        let cfg = self.ssd.config();
+        let wear = self.plane_wear();
+        let pressures = self.ssd.ftl().plane_pressures();
+        let mut queued_on = vec![0u64; cfg.total_dies()];
         for job in self.session.jobs().iter() {
             queued_on[job.target_die] += 1;
         }
@@ -701,8 +483,9 @@ impl crate::device::DeviceCore {
             let gather_index = self.group_index_by_name(&gather);
             // A replan after a partial pass must target where the gather
             // group already sits, not today's least-worn die.
-            let target_die =
-                self.group_base_die(&gather).unwrap_or_else(|| least_worn_die(&query, &queued_on));
+            let target_die = self
+                .group_base_die(&gather)
+                .unwrap_or_else(|| least_worn_die(cfg, &wear, pressures, &queued_on));
             let mut set_jobs = Vec::with_capacity(set.ids.len());
             for &id in &set.ids {
                 let rec = &self.operands[id];
@@ -890,15 +673,20 @@ impl crate::device::FlashCosmosDevice {
 /// all stream out over one bus, so back-to-back hot sets spread across
 /// channels), then on block pressure plus the jobs aimed at the die
 /// itself (`queued_on`) — distinct hot sets planned in one pass spread
-/// out instead of piling onto the snapshot's least-worn die.
-fn least_worn_die(q: &PlacementQuery, queued_on: &[u64]) -> usize {
-    let mut chan_queued = vec![0u64; q.channels()];
+/// out instead of piling onto the snapshot's least-worn die. `wear` and
+/// `pressures` are per flat plane.
+fn least_worn_die(cfg: &SsdConfig, wear: &[u64], pressures: &[u32], queued_on: &[u64]) -> usize {
+    let ppd = cfg.planes_per_die;
+    let mut chan_queued = vec![0u64; cfg.channels];
     for (d, &n) in queued_on.iter().enumerate() {
-        chan_queued[q.channel_of(d)] += n;
+        chan_queued[d / cfg.dies_per_channel] += n;
     }
-    (0..q.dies)
+    (0..cfg.total_dies())
         .min_by_key(|&d| {
-            (q.die_wear(d), chan_queued[q.channel_of(d)], q.die_pressure(d) + queued_on[d], d)
+            let planes = d * ppd..(d + 1) * ppd;
+            let die_wear: u64 = wear[planes.clone()].iter().sum();
+            let die_pressure: u64 = pressures[planes].iter().map(|&p| u64::from(p)).sum();
+            (die_wear, chan_queued[d / cfg.dies_per_channel], die_pressure + queued_on[d], d)
         })
         .expect("an SSD has at least one die")
 }
@@ -907,39 +695,64 @@ fn least_worn_die(q: &PlacementQuery, queued_on: &[u64]) -> usize {
 mod tests {
     use super::*;
 
-    fn query(pressures: Vec<u32>, wear: Vec<u64>) -> PlacementQuery {
-        let planes = pressures.len();
-        PlacementQuery { pressures, wear, planes_per_die: 2, dies: planes / 2, dies_per_channel: 1 }
+    #[test]
+    fn channel_first_order_covers_every_preset_geometry() {
+        let grid = |channels, dies_per_channel| SsdConfig {
+            channels,
+            dies_per_channel,
+            ..SsdConfig::tiny_test()
+        };
+        // The presets plus the two fcbench geometries.
+        for cfg in [
+            SsdConfig::tiny_test(),
+            SsdConfig::fig7_example(),
+            SsdConfig::paper_table1(),
+            grid(8, 4),
+            grid(4, 2),
+        ] {
+            let dies = cfg.total_dies();
+            let order: Vec<usize> = (0..dies).map(|j| channel_first_die(&cfg, j)).collect();
+            let mut visited = vec![false; dies];
+            for (step, &die) in order.iter().enumerate() {
+                assert!(!visited[die], "die {die} visited twice");
+                visited[die] = true;
+                assert_eq!(channel_first_step(&cfg, die), step, "step and die are inverses");
+                assert_eq!(channel_first_die(&cfg, step + dies), die, "steps wrap");
+            }
+            for round in order.chunks(cfg.channels) {
+                let mut channels: Vec<usize> =
+                    round.iter().map(|d| d / cfg.dies_per_channel).collect();
+                channels.sort_unstable();
+                assert_eq!(channels, (0..cfg.channels).collect::<Vec<_>>(), "one die per channel");
+            }
+        }
     }
 
     #[test]
-    fn spread_policy_rotates_dies_on_ties() {
-        let mut p = SpreadPlacement::new();
-        let q = query(vec![0; 8], vec![0; 8]);
-        let first = p.choose_plane(&q, None);
-        let second = p.choose_plane(&q, None);
+    fn spread_rule_rotates_dies_on_ties() {
+        // 4 dies, each on its own channel, 2 planes per die.
+        let cfg = SsdConfig { channels: 4, dies_per_channel: 1, ..SsdConfig::tiny_test() };
+        let pressures = vec![0; 8];
+        let mut cursor = 0;
+        let first = spread_plane(&cfg, &pressures, None, &mut cursor);
+        let second = spread_plane(&cfg, &pressures, None, &mut cursor);
         assert_ne!(first / 2, second / 2, "pressure ties must rotate dies");
         // A pin restricts to the die's planes.
-        assert_eq!(p.choose_plane(&q, Some(3)) / 2, 3);
+        assert_eq!(spread_plane(&cfg, &pressures, Some(3), &mut cursor) / 2, 3);
     }
 
     #[test]
-    fn spread_policy_hops_channels_before_dies() {
+    fn spread_rule_hops_channels_before_dies() {
         // 4 dies on 2 channels (dies 0,1 on channel 0; dies 2,3 on
         // channel 1): consecutive tie placements alternate channel buses
         // before reusing one, and the full tie rotation still visits
         // every die once.
-        let mut p = SpreadPlacement::new();
-        let q = PlacementQuery {
-            pressures: vec![0; 8],
-            wear: vec![0; 8],
-            planes_per_die: 2,
-            dies: 4,
-            dies_per_channel: 2,
-        };
-        let dies: Vec<usize> = (0..4).map(|_| p.choose_plane(&q, None) / 2).collect();
+        let cfg = SsdConfig::tiny_test();
+        let mut cursor = 0;
+        let dies: Vec<usize> =
+            (0..4).map(|_| spread_plane(&cfg, &[0; 8], None, &mut cursor) / 2).collect();
         assert_eq!(dies, vec![0, 2, 1, 3], "channel-first order: ch0, ch1, ch0, ch1");
-        let channels: Vec<usize> = dies.iter().map(|d| q.channel_of(*d)).collect();
+        let channels: Vec<usize> = dies.iter().map(|d| d / cfg.dies_per_channel).collect();
         assert_eq!(channels, vec![0, 1, 0, 1]);
     }
 
@@ -948,50 +761,13 @@ mod tests {
         // Even wear everywhere; 3 gather jobs already aimed at die 0
         // (channel 0). The channel-aware tie-break sends the next set to
         // channel 1 — not merely a different die on the loaded bus.
-        let q = PlacementQuery {
-            pressures: vec![0; 8],
-            wear: vec![0; 8],
-            planes_per_die: 2,
-            dies: 4,
-            dies_per_channel: 2,
-        };
-        let target = least_worn_die(&q, &[3, 0, 0, 0]);
-        assert_eq!(q.channel_of(target), 1, "queued channel 0 load repels the gather");
-    }
-
-    #[test]
-    fn wear_aware_policy_avoids_worn_planes() {
-        let mut p = WearAwarePlacement::new();
-        // Die 0 heavily cycled, die 1 mildly, dies 2/3 fresh.
-        let q = query(vec![0; 8], vec![9000, 9000, 40, 40, 0, 0, 0, 0]);
-        let plane = p.choose_plane(&q, None);
-        assert!(plane >= 4, "fresh dies win: got plane {plane}");
-        // Pinned to the worn die, it still picks the less-worn plane.
-        let q2 = query(vec![0; 8], vec![9000, 10, 0, 0, 0, 0, 0, 0]);
-        let mut p2 = WearAwarePlacement::new();
-        assert_eq!(p2.choose_plane(&q2, Some(0)), 1);
-        // Even wear degrades to the spread behavior (distinct dies).
-        let even = query(vec![0; 8], vec![5; 8]);
-        let a = p2.choose_plane(&even, None);
-        let b = p2.choose_plane(&even, None);
-        assert_ne!(a / 2, b / 2);
-    }
-
-    #[test]
-    fn cache_policies_score_as_documented() {
-        let old_hot = CacheEntryInfo { hits: 9, senses: 4, seq: 1, bits: 256 };
-        let young_cold = CacheEntryInfo { hits: 0, senses: 4, seq: 9, bits: 256 };
-        let fifo = FifoAdmission;
-        assert!(fifo.score(&old_hot) < fifo.score(&young_cold), "FIFO evicts oldest");
-        assert!(fifo.admit(&young_cold, &old_hot), "FIFO always admits");
-        let cost = CostAwareAdmission;
-        assert!(cost.score(&old_hot) > cost.score(&young_cold), "hits outweigh age");
-        assert!(!cost.admit(&young_cold, &old_hot), "cold insert cannot displace hot entry");
-        assert!(cost.admit(&young_cold, &young_cold), "equal scores admit (degrades to FIFO)");
-        // Senses weigh in: an expensive entry outranks a cheap one.
-        let cheap = CacheEntryInfo { hits: 1, senses: 1, seq: 2, bits: 256 };
-        let dear = CacheEntryInfo { hits: 1, senses: 8, seq: 3, bits: 256 };
-        assert!(cost.score(&dear) > cost.score(&cheap));
+        let cfg = SsdConfig::tiny_test(); // 4 dies on 2 channels
+        let target = least_worn_die(&cfg, &[0; 8], &[0; 8], &[3, 0, 0, 0]);
+        assert_eq!(target / cfg.dies_per_channel, 1, "queued channel 0 load repels the gather");
+        // Wear outranks every tie-break: with channel 1 worn, the gather
+        // stays on the loaded channel 0, on its unloaded die.
+        let worn = [0, 0, 0, 0, 40, 40, 9000, 9000];
+        assert_eq!(least_worn_die(&cfg, &worn, &[0; 8], &[3, 0, 0, 0]), 1);
     }
 
     #[test]

@@ -402,10 +402,7 @@ impl DeviceCore {
         self.ssd.write(
             lpn,
             payload,
-            WriteOptions {
-                placement: PlacementHint::Grouped { group: key, plane: Some(plane) },
-                meta,
-            },
+            WriteOptions { placement: PlacementHint::Grouped { group: key, plane }, meta },
         )?;
         Ok(lpn)
     }
@@ -512,10 +509,7 @@ impl DeviceCore {
         self.ssd.write(
             lpn,
             payload,
-            WriteOptions {
-                placement: PlacementHint::Grouped { group: key, plane: Some(plane) },
-                meta,
-            },
+            WriteOptions { placement: PlacementHint::Grouped { group: key, plane }, meta },
         )?;
         self.recovery.relocations += 1;
         if let Some((id, slot)) = self.operand_of_lpn(lpn) {
@@ -931,7 +925,7 @@ impl DeviceCore {
             let hint = match stripe_plane {
                 Some(plane) => PlacementHint::Grouped {
                     group: self.next_group_key(REBUILD_GROUP_BASE + plane as u64, 0),
-                    plane: Some(plane),
+                    plane,
                 },
                 None => PlacementHint::Striped,
             };

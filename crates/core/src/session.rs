@@ -101,10 +101,7 @@ use crate::batch::{
 };
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
-use crate::maintenance::{
-    AffinityTracker, CacheAdmission, CacheEntryInfo, CostAwareAdmission, MaintenanceStats,
-    RegroupJob, RetiredJob,
-};
+use crate::maintenance::{AffinityTracker, MaintenanceStats, RegroupJob, RetiredJob};
 
 /// Result-cache key: device epoch, canonical normal form, and the
 /// placement generation of every referenced operand (ascending by id).
@@ -119,23 +116,19 @@ pub(crate) struct CacheEntry {
     /// Senses a cold execution of the unit runs (serial-cost accounting
     /// for hits).
     pub(crate) senses: u64,
-    /// Lookups this entry has served (feeds the cost-aware admission
-    /// score and the affinity tracker).
+    /// Lookups this entry has served (feeds the retention score and the
+    /// affinity tracker).
     hits: u64,
-    /// Insertion sequence (monotonic; ties in admission scores degrade to
-    /// FIFO on it).
+    /// Insertion sequence (monotonic; ties in retention scores evict the
+    /// oldest entry first).
     seq: u64,
 }
 
-impl CacheEntry {
-    fn info(&self) -> CacheEntryInfo {
-        CacheEntryInfo {
-            hits: self.hits,
-            senses: self.senses,
-            seq: self.seq,
-            bits: self.result.len(),
-        }
-    }
+/// The retention score of a cache entry: what its future hits save,
+/// estimated as hit frequency × senses per cold execution. A fresh entry
+/// has no hits and scores its sense cost alone.
+fn retention(hits: u64, senses: u64) -> f64 {
+    (hits + 1) as f64 * senses.max(1) as f64
 }
 
 /// Observable cache counters (see [`Session::cache_stats`]).
@@ -151,21 +144,28 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
-    /// Inserts the admission policy refused (the fresh entry scored below
-    /// every resident entry — only a non-FIFO policy ever refuses).
+    /// Inserts the cache refused: the fresh entry's retention score was
+    /// below every resident entry's.
     pub rejections: u64,
 }
 
-/// The generation-stamped result cache. Bounded; when full, the
-/// installed [`CacheAdmission`] policy picks the eviction victim (lowest
-/// score, oldest on ties) and may refuse the insert outright (cost-aware
-/// admission). Invalidation is purely structural — stale keys can never
-/// match — so eviction is only a memory bound, never a correctness
-/// mechanism.
+/// The generation-stamped result cache. Bounded, with cost-aware
+/// retention: an entry is worth what its future hits save, hit frequency
+/// × senses per cold execution. When the cache is full, the entry with
+/// the lowest score (oldest on ties) is the eviction victim, and a fresh
+/// insert that scores below it is refused, so a full cache sheds cold
+/// one-off results before proven-hot ones and never evicts a proven-hot
+/// entry for a one-off insert. Hit counts age: every resident's count
+/// halves once per decay window of insert attempts (two turnovers'
+/// worth), so the score measures *recent* frequency — after a
+/// working-set shift the stale-hot entries decay to evictable while
+/// genuinely hot ones re-earn their hits between halvings.
+///
+/// Invalidation is purely structural — stale keys can never match — so
+/// eviction is only a memory bound, never a correctness mechanism.
 pub(crate) struct ResultCache {
     entries: HashMap<CacheKey, CacheEntry>,
     capacity: usize,
-    policy: Box<dyn CacheAdmission>,
     next_seq: u64,
     /// New-key insert attempts since creation; every
     /// [`ResultCache::decay_window`] of them halves all hit counts so
@@ -186,7 +186,6 @@ impl Default for ResultCache {
         Self {
             entries: HashMap::new(),
             capacity: DEFAULT_CACHE_CAPACITY,
-            policy: Box::new(CostAwareAdmission),
             next_seq: 0,
             attempts: 0,
             hits: 0,
@@ -225,15 +224,17 @@ impl ResultCache {
         (self.capacity as u64 * 2).max(8)
     }
 
-    /// The resident entry with the lowest `(score, seq)` — the next
-    /// eviction victim under the installed policy.
-    fn victim(&self) -> Option<(&CacheKey, CacheEntryInfo)> {
-        self.entries.iter().map(|(k, e)| (k, e.info())).min_by(|(_, a), (_, b)| {
-            self.policy.score(a).total_cmp(&self.policy.score(b)).then_with(|| a.seq.cmp(&b.seq))
-        })
+    /// The resident entry with the lowest `(retention, seq)` — the next
+    /// eviction victim — and its retention score.
+    fn victim(&self) -> Option<(&CacheKey, f64)> {
+        self.entries
+            .iter()
+            .map(|(k, e)| (k, retention(e.hits, e.senses), e.seq))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.2.cmp(&b.2)))
+            .map(|(k, score, _)| (k, score))
     }
 
-    /// Evicts down to `bound` entries via the policy's victim choice.
+    /// Evicts victims down to `bound` entries.
     fn evict_to(&mut self, bound: usize) {
         while self.entries.len() > bound {
             let key = self.victim().map(|(k, _)| k.clone()).expect("non-empty while over bound");
@@ -264,12 +265,13 @@ impl ResultCache {
                 entry.hits /= 2;
             }
         }
-        let fresh = CacheEntryInfo { hits: 0, senses, seq: self.next_seq, bits: result.len() };
         if self.entries.len() >= self.capacity {
-            let Some((victim_key, victim)) = self.victim().map(|(k, i)| (k.clone(), i)) else {
+            let Some((victim_key, victim)) = self.victim().map(|(k, v)| (k.clone(), v)) else {
                 return; // capacity 0 handled above; len >= capacity >= 1
             };
-            if !self.policy.admit(&fresh, &victim) {
+            // A fresh entry scoring below the victim is refused; an equal
+            // score displaces it.
+            if retention(0, senses) < victim {
                 self.rejections += 1;
                 return;
             }
@@ -308,10 +310,6 @@ impl ResultCache {
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         self.evict_to(capacity);
-    }
-
-    pub(crate) fn set_policy(&mut self, policy: Box<dyn CacheAdmission>) {
-        self.policy = policy;
     }
 
     fn stats(&self) -> CacheStats {
@@ -1047,7 +1045,7 @@ impl FlashCosmosDevice {
     }
 
     /// Bounds the result cache to `capacity` memoized unit results
-    /// (evicting the admission policy's victims down to the bound). `0`
+    /// (evicting the lowest-retention entries down to the bound). `0`
     /// disables caching — the cold-cache reference configuration the
     /// soundness tests compare against.
     pub fn set_result_cache_capacity(&self, capacity: usize) {
@@ -1057,16 +1055,6 @@ impl FlashCosmosDevice {
     /// Drops every memoized result (counters survive).
     pub fn clear_result_cache(&self) {
         self.session.cache().clear();
-    }
-
-    /// Installs a result-cache admission/eviction policy (see
-    /// [`crate::maintenance`]): [`CostAwareAdmission`] (the default)
-    /// retains by hit frequency × senses saved,
-    /// [`crate::maintenance::FifoAdmission`] restores the oldest-first
-    /// bound. Resident entries keep their history; only future victim
-    /// choices change.
-    pub fn set_cache_admission(&self, policy: Box<dyn CacheAdmission>) {
-        self.session.cache().set_policy(policy);
     }
 }
 
@@ -1168,6 +1156,30 @@ mod tests {
         assert!(s.senses > 0, "capacity 0 disables caching");
         let (_, s) = dev.fc_read(&Expr::var(ids[3])).unwrap();
         assert!(s.senses > 0, "still disabled on the re-read");
+    }
+
+    #[test]
+    fn retention_weighs_hits_and_senses() {
+        assert!(retention(9, 4) > retention(0, 4), "hits outweigh age");
+        assert!(retention(1, 8) > retention(1, 1), "an expensive entry outranks a cheap one");
+        assert_eq!(retention(0, 0), retention(0, 1), "a free unit still costs one sense");
+        // A full cache refuses a fresh insert scoring below its victim and
+        // admits one scoring equal to it (the oldest entry makes way).
+        let key = |epoch| (epoch, Expr::var(0).to_nnf(), Vec::new());
+        let mut cache = ResultCache::default();
+        cache.set_capacity(1);
+        cache.insert(key(0), BitVec::zeros(8), 4);
+        for _ in 0..9 {
+            assert!(cache.lookup(&key(0)).is_some());
+        }
+        cache.insert(key(1), BitVec::zeros(8), 4);
+        assert_eq!((cache.stats().rejections, cache.stats().evictions), (1, 0));
+        assert!(cache.lookup(&key(0)).is_some(), "the hot entry stays");
+        cache.clear();
+        cache.insert(key(2), BitVec::zeros(8), 4);
+        cache.insert(key(3), BitVec::zeros(8), 4);
+        assert_eq!((cache.stats().rejections, cache.stats().evictions), (1, 1));
+        assert!(cache.lookup(&key(3)).is_some(), "equal scores admit");
     }
 
     #[test]

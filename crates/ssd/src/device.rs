@@ -97,7 +97,7 @@ impl From<FtlError> for DeviceError {
 /// How to store a logical page.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WriteOptions {
-    /// Placement policy.
+    /// Where the FTL places the page.
     pub placement: PlacementHint,
     /// Page metadata (scheme / randomization / inversion / ECC).
     pub meta: PageMeta,
@@ -110,8 +110,8 @@ impl WriteOptions {
     }
 
     /// The Flash-Cosmos computation path: grouped, ESP, raw bits. `plane`
-    /// pins the group's block to a flat plane (`None` = least-loaded).
-    pub fn flash_cosmos(group: crate::ftl::GroupKey, plane: Option<usize>, inverted: bool) -> Self {
+    /// is the flat plane a fresh group opens its block on.
+    pub fn flash_cosmos(group: crate::ftl::GroupKey, plane: usize, inverted: bool) -> Self {
         Self {
             placement: PlacementHint::Grouped { group, plane },
             meta: PageMeta::flash_cosmos(inverted),
@@ -753,12 +753,8 @@ mod tests {
     fn flash_cosmos_roundtrip_with_inversion() {
         let mut dev = device();
         let data = payload(&dev, false, 2);
-        dev.write(
-            20,
-            &data,
-            WriteOptions::flash_cosmos(crate::ftl::GroupKey::new(0, 0), None, true),
-        )
-        .unwrap();
+        dev.write(20, &data, WriteOptions::flash_cosmos(crate::ftl::GroupKey::new(0, 0), 0, true))
+            .unwrap();
         // Stored raw bits are the inverse; logical read restores.
         let (die, addr) = dev.locate(20).unwrap();
         assert_eq!(dev.chip(die).page_raw(addr).unwrap(), &data.not());
@@ -859,7 +855,7 @@ mod tests {
             dev.write(
                 i,
                 &data,
-                WriteOptions::flash_cosmos(crate::ftl::GroupKey::new(7, 0), None, false),
+                WriteOptions::flash_cosmos(crate::ftl::GroupKey::new(7, 0), 0, false),
             )
             .unwrap();
         }

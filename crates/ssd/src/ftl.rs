@@ -15,10 +15,9 @@
 //!   block* of a given plane, consecutive wordlines (operands that will be
 //!   combined by intra-block MWS; "the application decides which operands
 //!   to be stored in the same block to minimize the number of MWS
-//!   operations", §6.3). The caller picks the plane explicitly (the
-//!   device layer spreads placement groups across dies); with no explicit
-//!   affinity the FTL falls back to the least-loaded plane, tracked via
-//!   per-plane block pressure, so allocation never piles onto plane 0.
+//!   operations", §6.3). The caller picks the plane: the device layer
+//!   spreads placement groups across dies by the per-plane block
+//!   pressure the FTL tracks ([`Ftl::plane_pressures`]).
 
 use std::collections::HashMap;
 
@@ -123,10 +122,9 @@ pub enum PlacementHint {
     Grouped {
         /// Group identity (e.g. one operand set of one plane-stripe).
         group: GroupKey,
-        /// Flat plane the group's block should live on. `None` lets the
-        /// FTL pick the least-loaded plane; callers that schedule work
-        /// across dies (the Flash-Cosmos device) pass an explicit plane.
-        plane: Option<usize>,
+        /// Flat plane a fresh group opens its block on (an existing group
+        /// stays where its block is).
+        plane: usize,
     },
 }
 
@@ -364,18 +362,6 @@ impl Ftl {
         &self.next_block
     }
 
-    /// The plane with the fewest allocated blocks (lowest index on ties)
-    /// — the default placement for grouped allocations without an
-    /// explicit plane affinity.
-    pub fn least_loaded_plane(&self) -> usize {
-        self.next_block
-            .iter()
-            .enumerate()
-            .min_by_key(|&(plane, &pressure)| (pressure, plane))
-            .map(|(plane, _)| plane)
-            .expect("an SSD has at least one plane")
-    }
-
     /// The flat plane the next striped allocation would land on, without
     /// allocating (the round-robin cursor's position).
     pub fn next_striped_plane(&self) -> usize {
@@ -384,26 +370,19 @@ impl Ftl {
 
     /// The flat plane a grouped allocation with this key and affinity
     /// would land on, without allocating — existing groups answer from
-    /// their cursor, fresh groups from the affinity (or the least-loaded
-    /// default). Lets the device decide copyback-vs-rewrite before it
-    /// commits the remap.
-    pub fn group_plane(&self, group: GroupKey, plane: Option<usize>) -> usize {
-        match self.groups.get(&group) {
-            Some(c) => c.plane,
-            None => plane.unwrap_or_else(|| self.least_loaded_plane()),
-        }
+    /// their cursor, fresh groups from the affinity. Lets the device
+    /// decide copyback-vs-rewrite before it commits the remap.
+    pub fn group_plane(&self, group: GroupKey, plane: usize) -> usize {
+        self.groups.get(&group).map_or(plane, |c| c.plane)
     }
 
-    fn allocate_grouped(&mut self, group: GroupKey, plane: Option<usize>) -> Result<Ppa, FtlError> {
+    fn allocate_grouped(&mut self, group: GroupKey, plane: usize) -> Result<Ppa, FtlError> {
         let cursor = match self.groups.get(&group).copied() {
             Some(c) => c,
             None => {
-                if let Some(p) = plane {
-                    if p >= self.planes {
-                        return Err(FtlError::PlaneOutOfRange { plane: p, planes: self.planes });
-                    }
+                if plane >= self.planes {
+                    return Err(FtlError::PlaneOutOfRange { plane, planes: self.planes });
                 }
-                let plane = plane.unwrap_or_else(|| self.least_loaded_plane());
                 let block = self.take_block(plane)?;
                 GroupCursor { plane, block, next_wl: 0 }
             }
@@ -445,7 +424,7 @@ mod tests {
         assert_eq!(distinct.len(), 8);
     }
 
-    fn grouped(group: GroupKey, plane: Option<usize>) -> PlacementHint {
+    fn grouped(group: GroupKey, plane: usize) -> PlacementHint {
         PlacementHint::Grouped { group, plane }
     }
 
@@ -454,12 +433,8 @@ mod tests {
         let mut f = ftl();
         let ppas: Vec<Ppa> = (0..8)
             .map(|i| {
-                f.allocate(
-                    100 + i,
-                    grouped(GroupKey::new(42, 0), None),
-                    PageMeta::flash_cosmos(false),
-                )
-                .unwrap()
+                f.allocate(100 + i, grouped(GroupKey::new(42, 0), 0), PageMeta::flash_cosmos(false))
+                    .unwrap()
             })
             .collect();
         let first = ppas[0];
@@ -475,21 +450,19 @@ mod tests {
         let mut f = ftl();
         let key = GroupKey::new(1, 0);
         for i in 0..8 {
-            f.allocate(i, grouped(key, None), PageMeta::flash_cosmos(false)).unwrap();
+            f.allocate(i, grouped(key, 0), PageMeta::flash_cosmos(false)).unwrap();
         }
-        let err = f.allocate(99, grouped(key, None), PageMeta::flash_cosmos(false)).unwrap_err();
+        let err = f.allocate(99, grouped(key, 0), PageMeta::flash_cosmos(false)).unwrap_err();
         assert_eq!(err, FtlError::GroupFull { group: key, capacity: 8 });
     }
 
     #[test]
     fn distinct_groups_get_distinct_blocks() {
         let mut f = ftl();
-        let a = f
-            .allocate(1, grouped(GroupKey::new(8, 0), Some(3)), PageMeta::flash_cosmos(false))
-            .unwrap();
-        let b = f
-            .allocate(2, grouped(GroupKey::new(16, 0), Some(3)), PageMeta::flash_cosmos(true))
-            .unwrap();
+        let a =
+            f.allocate(1, grouped(GroupKey::new(8, 0), 3), PageMeta::flash_cosmos(false)).unwrap();
+        let b =
+            f.allocate(2, grouped(GroupKey::new(16, 0), 3), PageMeta::flash_cosmos(true)).unwrap();
         // Same plane affinity, but the groups still get distinct blocks.
         assert_eq!(a.plane, b.plane);
         assert_eq!(a.plane.flat(&SsdConfig::tiny_test()), 3);
@@ -504,33 +477,16 @@ mod tests {
             let ppa = f
                 .allocate(
                     plane as u64,
-                    grouped(GroupKey::new(plane as u64, 0), Some(plane)),
+                    grouped(GroupKey::new(plane as u64, 0), plane),
                     PageMeta::flash_cosmos(false),
                 )
                 .unwrap();
             assert_eq!(ppa.plane.flat(&SsdConfig::tiny_test()), plane);
         }
         let err = f
-            .allocate(99, grouped(GroupKey::new(99, 0), Some(8)), PageMeta::flash_cosmos(false))
+            .allocate(99, grouped(GroupKey::new(99, 0), 8), PageMeta::flash_cosmos(false))
             .unwrap_err();
         assert_eq!(err, FtlError::PlaneOutOfRange { plane: 8, planes: 8 });
-    }
-
-    #[test]
-    fn default_affinity_spreads_by_block_pressure() {
-        // With no explicit plane, each new group lands on the least-loaded
-        // plane — 8 groups cover all 8 planes instead of piling onto one.
-        let mut f = ftl();
-        let planes: std::collections::HashSet<usize> = (0..8u64)
-            .map(|g| {
-                f.allocate(g, grouped(GroupKey::new(g, 0), None), PageMeta::flash_cosmos(false))
-                    .unwrap()
-                    .plane
-                    .flat(&SsdConfig::tiny_test())
-            })
-            .collect();
-        assert_eq!(planes.len(), 8, "least-loaded default must spread groups");
-        assert!(f.plane_pressures().iter().all(|&p| p == 1));
     }
 
     #[test]
@@ -543,8 +499,8 @@ mod tests {
         let mut f = ftl();
         let a = GroupKey { group: 0, slot: 0, overflow: 256 };
         let b = GroupKey { group: 1, slot: 0, overflow: 0 };
-        let pa = f.allocate(1, grouped(a, Some(0)), PageMeta::flash_cosmos(false)).unwrap();
-        let pb = f.allocate(2, grouped(b, Some(0)), PageMeta::flash_cosmos(false)).unwrap();
+        let pa = f.allocate(1, grouped(a, 0), PageMeta::flash_cosmos(false)).unwrap();
+        let pb = f.allocate(2, grouped(b, 0), PageMeta::flash_cosmos(false)).unwrap();
         assert_ne!(pa.block, pb.block, "colliding packed keys silently merged groups");
         // And the old encoding really did collide:
         let packed = |g: u64, ovf: u64, slot: u64| (g << 32) | (ovf << 24) | slot;
@@ -557,7 +513,7 @@ mod tests {
         let base = f
             .allocate(
                 10,
-                grouped(GroupKey::new(5, 0), None),
+                grouped(GroupKey::new(5, 0), 0),
                 PageMeta::multi_level(ProgramScheme::esp_default(), 0, false),
             )
             .unwrap();
@@ -593,7 +549,7 @@ mod tests {
         let mut f = ftl();
         let fc = PageMeta::flash_cosmos(false);
         f.allocate(1, PlacementHint::Striped, PageMeta::conventional()).unwrap();
-        f.allocate(2, grouped(GroupKey::new(0, 0), None), fc).unwrap();
+        f.allocate(2, grouped(GroupKey::new(0, 0), 0), fc).unwrap();
         assert_eq!(f.ecc_pages(), 1);
         f.alias(3, 1, PageMeta::conventional()).unwrap();
         assert_eq!(f.ecc_pages(), 2);
@@ -613,7 +569,7 @@ mod tests {
     fn metadata_is_recorded() {
         let mut f = ftl();
         f.allocate(1, PlacementHint::Striped, PageMeta::conventional()).unwrap();
-        f.allocate(2, grouped(GroupKey::new(0, 0), None), PageMeta::flash_cosmos(true)).unwrap();
+        f.allocate(2, grouped(GroupKey::new(0, 0), 0), PageMeta::flash_cosmos(true)).unwrap();
         let conv = f.meta(1).unwrap();
         assert!(conv.randomized && conv.ecc && !conv.inverted);
         assert_eq!(conv.scheme, ProgramScheme::Slc);
@@ -630,17 +586,13 @@ mod tests {
         let mut lpn = 0;
         for g in 0..16u64 {
             for _ in 0..8 {
-                f.allocate(
-                    lpn,
-                    grouped(GroupKey::new(g, 0), Some(0)),
-                    PageMeta::flash_cosmos(false),
-                )
-                .unwrap();
+                f.allocate(lpn, grouped(GroupKey::new(g, 0), 0), PageMeta::flash_cosmos(false))
+                    .unwrap();
                 lpn += 1;
             }
         }
         let err = f
-            .allocate(lpn, grouped(GroupKey::new(128, 0), Some(0)), PageMeta::flash_cosmos(false))
+            .allocate(lpn, grouped(GroupKey::new(128, 0), 0), PageMeta::flash_cosmos(false))
             .unwrap_err();
         assert_eq!(err, FtlError::OutOfSpace);
     }

@@ -204,8 +204,12 @@ impl DieQueues {
     /// Idle time left on a die before its queue reaches `budget_us` —
     /// the slack a background task can fill without pushing the drain's
     /// critical path past the budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `die` is not a die of the tracker's SSD.
     pub fn slack_us(&self, die: usize, budget_us: f64) -> f64 {
-        (budget_us - self.busy_us.get(die).copied().unwrap_or(0.0)).max(0.0)
+        (budget_us - self.busy_us[die]).max(0.0)
     }
 
     /// Attempts to schedule fill-in work — `(die, latency_us)` pieces that
@@ -214,6 +218,11 @@ impl DieQueues {
     /// at or below `budget_us` afterwards, so accepted fill-in can never
     /// extend the critical path beyond the budget. Returns whether the
     /// work was accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics in the fit check, before anything is booked, when a piece
+    /// names a die the tracker's SSD does not have.
     pub fn try_fill(&mut self, work: &[(usize, f64)], budget_us: f64) -> bool {
         // Aggregate per-die first: two pieces on one die must jointly fit.
         let mut needed: Vec<(usize, f64)> = Vec::with_capacity(work.len());
@@ -672,7 +681,6 @@ mod tests {
         assert_eq!(q.slack_us(0, 100.0), 20.0);
         assert_eq!(q.slack_us(1, 100.0), 80.0);
         assert_eq!(q.slack_us(3, 100.0), 100.0);
-        assert_eq!(q.slack_us(9, 100.0), 100.0, "out-of-range dies are idle");
         // A two-die job that fits goes in; the occupancy reflects it.
         assert!(q.try_fill(&[(1, 30.0), (2, 50.0)], 100.0));
         assert_eq!(q.occupancy_us()[1], 50.0);
@@ -694,6 +702,18 @@ mod tests {
         assert_eq!(q.filled_us(), 185.0);
         q.clear();
         assert_eq!(q.filled_us(), 0.0);
+    }
+
+    #[test]
+    fn fill_in_work_on_a_missing_die_panics_before_booking() {
+        let cfg = SsdConfig::tiny_test(); // 4 dies
+        let mut q = DieQueues::for_config(&cfg);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.try_fill(&[(0, 1.0), (9, 1.0)], 100.0)
+        }));
+        assert!(outcome.is_err(), "die 9 does not exist");
+        assert_eq!(q.occupancy_us()[0], 0.0, "nothing booked on die 0");
+        assert_eq!(q.filled_us(), 0.0, "nothing booked as fill-in");
     }
 
     #[test]

@@ -24,10 +24,8 @@ fn in_flash_and_over_conventional_pages_is_corrupt() {
     // Conventional path stripes pages; force both onto one die/block by
     // writing through the FC grouped path but with conventional metadata.
     let mut opts = WriteOptions::conventional();
-    opts.placement = fc_ssd::ftl::PlacementHint::Grouped {
-        group: fc_ssd::ftl::GroupKey::new(0, 0),
-        plane: None,
-    };
+    opts.placement =
+        fc_ssd::ftl::PlacementHint::Grouped { group: fc_ssd::ftl::GroupKey::new(0, 0), plane: 0 };
     dev.write(0, &a, opts).unwrap();
     dev.write(1, &b, opts).unwrap();
     let (die, wl_a) = dev.locate(0).unwrap();
@@ -99,7 +97,7 @@ fn copyback_via_chip_commands() {
     let bits = dev.logical_page_bits(false);
     let mut rng = StdRng::seed_from_u64(0xC0B);
     let data = BitVec::random(bits, &mut rng);
-    dev.write(1, &data, WriteOptions::flash_cosmos(fc_ssd::ftl::GroupKey::new(3, 0), None, false))
+    dev.write(1, &data, WriteOptions::flash_cosmos(fc_ssd::ftl::GroupKey::new(3, 0), 0, false))
         .unwrap();
     let (die, src) = dev.locate(1).unwrap();
     let dst = BlockAddr::new(src.plane, src.block + 1).wordline(0);
