@@ -1803,7 +1803,7 @@ impl DeviceCore {
                     Nnf::Literal(crate::expr::Literal { id: 0, negated: false }),
                     vec![(0usize, forged)],
                 );
-                self.session.cache().insert(key, BitVec::zeros(8), 1);
+                self.session.cache().insert(&key, &BitVec::zeros(8), 1);
                 true
             }
             DeviceMutation::DeadJob => {

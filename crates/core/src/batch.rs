@@ -917,10 +917,7 @@ impl DeviceCore {
                 outs[qi].or_assign(result);
             }
             if let Some(senses) = fresh_senses.filter(|_| compiled.memoize) {
-                let mut cache = self.session.cache();
-                if cache.enabled() {
-                    cache.insert(unit.key.clone(), result.clone(), senses);
-                }
+                self.session.cache().insert(&unit.key, result, senses);
             }
         }
         for (qi, out) in outs.iter_mut().enumerate() {

@@ -82,7 +82,7 @@
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 use fc_ssd::SsdConfig;
@@ -159,9 +159,18 @@ pub struct AffinityEntry {
 /// Records which operand sets the batch compiler fuses and what they
 /// cost — the observation stream the regrouping planner consumes.
 /// Bounded: beyond `capacity` distinct sets, the coldest set is dropped.
+///
+/// A heat index keeps every tracked set bucketed by its fuse count, ids
+/// ascending inside a bucket. The coldest set — fewest fuses, smallest
+/// ids on ties — is the first set of the first bucket, and walking the
+/// buckets hottest first ranks [`AffinityTracker::candidates`], so
+/// eviction finds its victim without a scan and ranking needs no sort.
+/// A record or a consume moves a set between buckets in O(log n).
 #[derive(Debug)]
 pub struct AffinityTracker {
     entries: HashMap<Vec<OperandId>, AffinityEntry>,
+    /// Every tracked set under its `fused` count.
+    heat: BTreeMap<u64, BTreeSet<Vec<OperandId>>>,
     capacity: usize,
 }
 
@@ -170,11 +179,35 @@ const DEFAULT_AFFINITY_CAPACITY: usize = 1024;
 
 impl Default for AffinityTracker {
     fn default() -> Self {
-        Self { entries: HashMap::new(), capacity: DEFAULT_AFFINITY_CAPACITY }
+        Self::with_capacity(DEFAULT_AFFINITY_CAPACITY)
     }
 }
 
+/// Moves a tracked set from heat bucket `from` to bucket `to`, reusing
+/// its allocation; emptied buckets go, so the first bucket is the
+/// coldest one in use.
+fn reheat(
+    heat: &mut BTreeMap<u64, BTreeSet<Vec<OperandId>>>,
+    ids: &[OperandId],
+    from: u64,
+    to: u64,
+) {
+    if from == to {
+        return;
+    }
+    let bucket = heat.get_mut(&from).expect("a tracked set sits in its fuse-count bucket");
+    let set = bucket.take(ids).expect("a tracked set sits in its fuse-count bucket");
+    if bucket.is_empty() {
+        heat.remove(&from);
+    }
+    heat.entry(to).or_default().insert(set);
+}
+
 impl AffinityTracker {
+    fn with_capacity(capacity: usize) -> Self {
+        Self { entries: HashMap::new(), heat: BTreeMap::new(), capacity }
+    }
+
     /// Records one compiled unit over `ids` (sorted, deduplicated; sets
     /// of fewer than two operands carry no regrouping signal and are
     /// ignored). `weight` is the number of queries the unit served.
@@ -190,25 +223,31 @@ impl AffinityTracker {
             return;
         }
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted and deduped");
-        // Hot path: an already-tracked set updates in place, allocation
-        // free (this runs once per compiled unit on every submit).
+        // Hot path: an already-tracked set updates in place and moves its
+        // own ids to its new heat bucket, never copying them (this runs
+        // once per compiled unit on every submit).
         if let Some(entry) = self.entries.get_mut(ids) {
+            let from = entry.fused;
             entry.fused += weight;
             entry.cache_hits += if cached { weight } else { 0 };
             entry.senses = senses;
             entry.pages = pages;
+            reheat(&mut self.heat, ids, from, entry.fused);
             return;
         }
         if self.entries.len() >= self.capacity {
             // Bound the tracker: drop the coldest set (never the one
             // being recorded — it is demonstrably live). Ties fall to the
             // smallest ids, so eviction never depends on hash order.
-            if let Some(coldest) =
-                self.entries.iter().min_by_key(|&(ids, e)| (e.fused, ids)).map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&coldest);
+            if let Some(mut coldest) = self.heat.first_entry() {
+                let set = coldest.get_mut().pop_first().expect("heat buckets are never empty");
+                if coldest.get().is_empty() {
+                    coldest.remove();
+                }
+                self.entries.remove(&set);
             }
         }
+        self.heat.entry(weight).or_default().insert(ids.to_vec());
         self.entries.insert(
             ids.to_vec(),
             AffinityEntry {
@@ -242,24 +281,27 @@ impl AffinityTracker {
     /// back and forth on every pass off the same stale counts.
     pub(crate) fn consume(&mut self, ids: &[OperandId]) {
         if let Some(entry) = self.entries.get_mut(ids) {
-            entry.fused = 0;
+            let from = std::mem::take(&mut entry.fused);
             entry.cache_hits = 0;
+            reheat(&mut self.heat, ids, from, 0);
         }
     }
 
-    /// All tracked sets as regrouping candidates, hottest first.
+    /// All tracked sets as regrouping candidates, hottest first (most
+    /// fuses first, then ascending ids).
     pub fn candidates(&self) -> Vec<HotSet> {
-        let mut out: Vec<HotSet> =
-            self.entries.iter().map(|(ids, e)| HotSet { ids: ids.clone(), stats: *e }).collect();
-        out.sort_by(|a, b| {
-            (b.stats.fused, &a.ids).cmp(&(a.stats.fused, &b.ids)) // hottest first, ids tiebreak
-        });
-        out
+        self.heat
+            .values()
+            .rev()
+            .flatten()
+            .map(|ids| HotSet { ids: ids.clone(), stats: self.entries[ids] })
+            .collect()
     }
 
     /// Forgets everything (e.g. after a workload change).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.heat.clear();
     }
 }
 
@@ -694,6 +736,8 @@ fn least_worn_die(cfg: &SsdConfig, wear: &[u64], pressures: &[u32], queued_on: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn channel_first_order_covers_every_preset_geometry() {
@@ -772,7 +816,7 @@ mod tests {
 
     #[test]
     fn affinity_tracker_records_and_bounds() {
-        let mut t = AffinityTracker { entries: HashMap::new(), capacity: 2 };
+        let mut t = AffinityTracker::with_capacity(2);
         t.record(&[1, 2], 4, 1, 1, false);
         t.record(&[1, 2], 4, 1, 2, true);
         t.record(&[3, 4], 2, 1, 1, false);
@@ -801,7 +845,7 @@ mod tests {
         // Every fresh tracker hashes with its own seed, so a hash-order
         // tie-break would pick different victims across these trackers.
         for _ in 0..16 {
-            let mut t = AffinityTracker { entries: HashMap::new(), capacity: 4 };
+            let mut t = AffinityTracker::with_capacity(4);
             for ids in [[7, 8], [3, 9], [3, 4], [5, 6]] {
                 t.record(&ids, 1, 1, 1, false);
             }
@@ -810,6 +854,101 @@ mod tests {
             assert_eq!(t.len(), 4);
             for ids in [[7, 8], [3, 9], [5, 6], [1, 2]] {
                 assert!(t.entry(&ids).is_some(), "{ids:?} survives");
+            }
+        }
+    }
+
+    /// The tracker as it ran before its heat index: eviction by a full
+    /// scan for the `(fused, ids)` minimum, candidates by clone and sort.
+    struct ScanTracker {
+        entries: HashMap<Vec<OperandId>, AffinityEntry>,
+        capacity: usize,
+    }
+
+    impl ScanTracker {
+        fn record(&mut self, ids: &[OperandId], senses: u64, pages: u64, weight: u64, hit: bool) {
+            if ids.len() < 2 {
+                return;
+            }
+            let cache_hits = if hit { weight } else { 0 };
+            if let Some(e) = self.entries.get_mut(ids) {
+                e.fused += weight;
+                e.cache_hits += cache_hits;
+                e.senses = senses;
+                e.pages = pages;
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                let coldest = self
+                    .entries
+                    .iter()
+                    .min_by_key(|&(ids, e)| (e.fused, ids))
+                    .map(|(k, _)| k.clone())
+                    .expect("a full tracker has a coldest set");
+                self.entries.remove(&coldest);
+            }
+            self.entries
+                .insert(ids.to_vec(), AffinityEntry { fused: weight, cache_hits, senses, pages });
+        }
+
+        fn consume(&mut self, ids: &[OperandId]) {
+            if let Some(e) = self.entries.get_mut(ids) {
+                e.fused = 0;
+                e.cache_hits = 0;
+            }
+        }
+
+        fn candidates(&self) -> Vec<HotSet> {
+            let mut out: Vec<HotSet> = self
+                .entries
+                .iter()
+                .map(|(ids, e)| HotSet { ids: ids.clone(), stats: *e })
+                .collect();
+            out.sort_by(|a, b| (b.stats.fused, &a.ids).cmp(&(a.stats.fused, &b.ids)));
+            out
+        }
+    }
+
+    #[test]
+    fn heat_index_matches_a_full_scan() {
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // 20 distinct sets over 8 operands; the singletons among them
+            // must be ignored.
+            let mut pool: Vec<Vec<OperandId>> = Vec::new();
+            while pool.len() < 20 {
+                let mut ids: Vec<OperandId> =
+                    (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..8usize)).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                if !pool.contains(&ids) {
+                    pool.push(ids);
+                }
+            }
+            let mut t = AffinityTracker::with_capacity(8);
+            let mut scan = ScanTracker { entries: HashMap::new(), capacity: 8 };
+            for step in 0..2_000 {
+                let ids = &pool[rng.gen_range(0..pool.len())];
+                match rng.gen_range(0..100u32) {
+                    0..=79 => {
+                        let senses = rng.gen_range(1..=8u64);
+                        let pages = rng.gen_range(1..=2u64);
+                        let weight = rng.gen_range(1..=3u64);
+                        let hit = rng.gen_bool(0.3);
+                        t.record(ids, senses, pages, weight, hit);
+                        scan.record(ids, senses, pages, weight, hit);
+                    }
+                    80..=98 => {
+                        t.consume(ids);
+                        scan.consume(ids);
+                    }
+                    _ => {
+                        t.clear();
+                        scan.entries.clear();
+                    }
+                }
+                assert_eq!(t.entries, scan.entries, "seed {seed} step {step}: tracked sets");
+                assert_eq!(t.candidates(), scan.candidates(), "seed {seed} step {step}: ranking");
             }
         }
     }

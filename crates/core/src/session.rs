@@ -89,7 +89,7 @@
 //! assert_eq!(r2.stats.cached_units, 1);
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -131,6 +131,30 @@ fn retention(hits: u64, senses: u64) -> f64 {
     (hits + 1) as f64 * senses.max(1) as f64
 }
 
+/// An entry's place in the eviction order: its retention score's bits,
+/// then its insertion seq. Scores are positive and finite, so their bits
+/// order like the values; seqs are unique, so no two entries share a
+/// slot.
+type Slot = (u64, u64);
+
+impl CacheEntry {
+    fn slot(&self) -> Slot {
+        (retention(self.hits, self.senses).to_bits(), self.seq)
+    }
+}
+
+/// Applies `change` to a resident entry's hits or senses and moves the
+/// entry to its new slot in `order`.
+fn rescore(
+    order: &mut BTreeMap<Slot, Arc<CacheKey>>,
+    entry: &mut CacheEntry,
+    change: impl FnOnce(&mut CacheEntry),
+) {
+    let key = order.remove(&entry.slot()).expect("every resident entry holds its slot");
+    change(entry);
+    order.insert(entry.slot(), key);
+}
+
 /// Observable cache counters (see [`Session::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -161,10 +185,19 @@ pub struct CacheStats {
 /// working-set shift the stale-hot entries decay to evictable while
 /// genuinely hot ones re-earn their hits between halvings.
 ///
+/// The eviction order is an index, not a scan: `order` holds every
+/// resident entry under its `(score, seq)` slot, so the victim is its
+/// first element and a hit, a re-insert or an eviction costs O(log n).
+/// A decay halving can reorder entries, so it rebuilds the index from
+/// the entries once per window, without re-hashing any key.
+///
 /// Invalidation is purely structural — stale keys can never match — so
 /// eviction is only a memory bound, never a correctness mechanism.
 pub(crate) struct ResultCache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<Arc<CacheKey>, CacheEntry>,
+    /// Every resident entry's key under its [`Slot`]; the first element
+    /// is the eviction victim. The key is shared with `entries`.
+    order: BTreeMap<Slot, Arc<CacheKey>>,
     capacity: usize,
     next_seq: u64,
     /// New-key insert attempts since creation; every
@@ -185,6 +218,7 @@ impl Default for ResultCache {
     fn default() -> Self {
         Self {
             entries: HashMap::new(),
+            order: BTreeMap::new(),
             capacity: DEFAULT_CACHE_CAPACITY,
             next_seq: 0,
             attempts: 0,
@@ -197,16 +231,10 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// Whether inserts can possibly be served later — callers skip the
-    /// result/key clones feeding [`ResultCache::insert`] when disabled.
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     pub(crate) fn lookup(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
         match self.entries.get_mut(key) {
             Some(entry) => {
-                entry.hits += 1;
+                rescore(&mut self.order, entry, |e| e.hits += 1);
                 self.hits += 1;
                 Some(entry)
             }
@@ -224,34 +252,37 @@ impl ResultCache {
         (self.capacity as u64 * 2).max(8)
     }
 
-    /// The resident entry with the lowest `(retention, seq)` — the next
-    /// eviction victim — and its retention score.
-    fn victim(&self) -> Option<(&CacheKey, f64)> {
-        self.entries
-            .iter()
-            .map(|(k, e)| (k, retention(e.hits, e.senses), e.seq))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.2.cmp(&b.2)))
-            .map(|(k, score, _)| (k, score))
+    /// The retention score of the next eviction victim, the resident
+    /// entry with the lowest `(retention, seq)`.
+    fn victim(&self) -> Option<f64> {
+        self.order.first_key_value().map(|(&(score, _), _)| f64::from_bits(score))
+    }
+
+    fn evict_victim(&mut self) {
+        let (_, key) = self.order.pop_first().expect("a non-empty cache has a victim");
+        self.entries.remove(&*key);
+        self.evictions += 1;
     }
 
     /// Evicts victims down to `bound` entries.
     fn evict_to(&mut self, bound: usize) {
         while self.entries.len() > bound {
-            let key = self.victim().map(|(k, _)| k.clone()).expect("non-empty while over bound");
-            self.entries.remove(&key);
-            self.evictions += 1;
+            self.evict_victim();
         }
     }
 
-    pub(crate) fn insert(&mut self, key: CacheKey, result: BitVec, senses: u64) {
+    /// Offers a freshly executed unit's result. The key and the result
+    /// are cloned only when the cache stores or refreshes an entry, not
+    /// when it refuses one.
+    pub(crate) fn insert(&mut self, key: &CacheKey, result: &BitVec, senses: u64) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(existing) = self.entries.get_mut(&key) {
+        if let Some(existing) = self.entries.get_mut(key) {
             // Same key re-inserted (e.g. capacity was toggled): refresh
             // the payload, keep the entry's history.
-            existing.result = result;
-            existing.senses = senses;
+            existing.result.clone_from(result);
+            rescore(&mut self.order, existing, |e| e.senses = senses);
             return;
         }
         // Frequency aging: halve every resident's hit count once per
@@ -261,25 +292,32 @@ impl ResultCache {
         // entries re-earn their hits between halvings.
         self.attempts += 1;
         if self.attempts.is_multiple_of(self.decay_window()) {
-            for entry in self.entries.values_mut() {
-                entry.hits /= 2;
-            }
+            // Halving can reorder entries: rebuild the order from them,
+            // sharing each key again rather than hashing it.
+            self.order = self
+                .entries
+                .iter_mut()
+                .map(|(key, entry)| {
+                    entry.hits /= 2;
+                    (entry.slot(), Arc::clone(key))
+                })
+                .collect();
         }
         if self.entries.len() >= self.capacity {
-            let Some((victim_key, victim)) = self.victim().map(|(k, v)| (k.clone(), v)) else {
-                return; // capacity 0 handled above; len >= capacity >= 1
-            };
+            let victim = self.victim().expect("len >= capacity >= 1");
             // A fresh entry scoring below the victim is refused; an equal
             // score displaces it.
             if retention(0, senses) < victim {
                 self.rejections += 1;
                 return;
             }
-            self.entries.remove(&victim_key);
-            self.evictions += 1;
+            self.evict_victim();
         }
-        self.entries.insert(key, CacheEntry { result, senses, hits: 0, seq: self.next_seq });
+        let key = Arc::new(key.clone());
+        let entry = CacheEntry { result: result.clone(), senses, hits: 0, seq: self.next_seq };
         self.next_seq += 1;
+        self.order.insert(entry.slot(), Arc::clone(&key));
+        self.entries.insert(key, entry);
     }
 
     /// Like [`ResultCache::lookup`] but for re-checking a unit that
@@ -288,7 +326,7 @@ impl ResultCache {
     pub(crate) fn peek_hit(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
         match self.entries.get_mut(key) {
             Some(entry) => {
-                entry.hits += 1;
+                rescore(&mut self.order, entry, |e| e.hits += 1);
                 self.hits += 1;
                 Some(entry)
             }
@@ -298,13 +336,14 @@ impl ResultCache {
 
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.order.clear();
     }
 
     /// Resident keys, in no particular order (the device audit
     /// cross-checks every cached generation against the operand table —
     /// see `crate::audit`).
     pub(crate) fn keys(&self) -> impl Iterator<Item = &CacheKey> {
-        self.entries.keys()
+        self.entries.keys().map(|key| &**key)
     }
 
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
@@ -1065,7 +1104,7 @@ mod tests {
     use crate::expr::Expr;
     use fc_ssd::SsdConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn device() -> FlashCosmosDevice {
         FlashCosmosDevice::new(SsdConfig::tiny_test())
@@ -1168,18 +1207,159 @@ mod tests {
         let key = |epoch| (epoch, Expr::var(0).to_nnf(), Vec::new());
         let mut cache = ResultCache::default();
         cache.set_capacity(1);
-        cache.insert(key(0), BitVec::zeros(8), 4);
+        cache.insert(&key(0), &BitVec::zeros(8), 4);
         for _ in 0..9 {
             assert!(cache.lookup(&key(0)).is_some());
         }
-        cache.insert(key(1), BitVec::zeros(8), 4);
+        cache.insert(&key(1), &BitVec::zeros(8), 4);
         assert_eq!((cache.stats().rejections, cache.stats().evictions), (1, 0));
         assert!(cache.lookup(&key(0)).is_some(), "the hot entry stays");
         cache.clear();
-        cache.insert(key(2), BitVec::zeros(8), 4);
-        cache.insert(key(3), BitVec::zeros(8), 4);
+        cache.insert(&key(2), &BitVec::zeros(8), 4);
+        cache.insert(&key(3), &BitVec::zeros(8), 4);
         assert_eq!((cache.stats().rejections, cache.stats().evictions), (1, 1));
         assert!(cache.lookup(&key(3)).is_some(), "equal scores admit");
+    }
+
+    /// The retention rule by full scan, as the cache ran it before its
+    /// eviction index: `(hits, senses, seq)` per resident key, and the
+    /// victim found by a `min_by` over all of them.
+    #[derive(Default)]
+    struct ScanCache {
+        entries: HashMap<CacheKey, (u64, u64, u64)>,
+        capacity: usize,
+        next_seq: u64,
+        attempts: u64,
+        decays: u64,
+        counters: CacheStats,
+    }
+
+    impl ScanCache {
+        fn victim(&self) -> Option<(f64, u64)> {
+            self.entries
+                .values()
+                .map(|&(hits, senses, seq)| (retention(hits, senses), seq))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        }
+
+        fn evict_victim(&mut self) {
+            let (_, seq) = self.victim().expect("evicting from a non-empty cache");
+            self.entries.retain(|_, e| e.2 != seq);
+            self.counters.evictions += 1;
+        }
+
+        fn hit(&mut self, key: &CacheKey, count_miss: bool) -> bool {
+            match self.entries.get_mut(key) {
+                Some(e) => {
+                    e.0 += 1;
+                    self.counters.hits += 1;
+                    true
+                }
+                None => {
+                    self.counters.misses += u64::from(count_miss);
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, key: &CacheKey, senses: u64) {
+            if self.capacity == 0 {
+                return;
+            }
+            if let Some(e) = self.entries.get_mut(key) {
+                e.1 = senses;
+                return;
+            }
+            self.attempts += 1;
+            if self.attempts.is_multiple_of((self.capacity as u64 * 2).max(8)) {
+                self.decays += 1;
+                for e in self.entries.values_mut() {
+                    e.0 /= 2;
+                }
+            }
+            if self.entries.len() >= self.capacity {
+                let (victim, _) = self.victim().expect("a full cache has a victim");
+                if retention(0, senses) < victim {
+                    self.counters.rejections += 1;
+                    return;
+                }
+                self.evict_victim();
+            }
+            self.entries.insert(key.clone(), (0, senses, self.next_seq));
+            self.next_seq += 1;
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity;
+            while self.entries.len() > capacity {
+                self.evict_victim();
+            }
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats { entries: self.entries.len(), capacity: self.capacity, ..self.counters }
+        }
+    }
+
+    #[test]
+    fn eviction_index_matches_a_full_scan() {
+        let key = |k: u64| (k, Expr::var(0).to_nnf(), Vec::new());
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cache = ResultCache::default();
+            let mut scan = ScanCache::default();
+            cache.set_capacity(6);
+            scan.set_capacity(6);
+            for step in 0..2_000 {
+                // 16 distinct keys, skewed toward key 0, so some entries
+                // earn many hits while others churn.
+                let k = key(rng.gen_range(0..4u64) * rng.gen_range(0..8u64));
+                match rng.gen_range(0..100u32) {
+                    0..=29 => assert_eq!(cache.lookup(&k).is_some(), scan.hit(&k, true)),
+                    30..=44 => assert_eq!(cache.peek_hit(&k).is_some(), scan.hit(&k, false)),
+                    // A fresh insert, or a resident key's re-insert with
+                    // new senses (0 scores like 1, so scores tie often).
+                    45..=96 => {
+                        let senses = rng.gen_range(0..=6u64);
+                        cache.insert(&k, &BitVec::zeros(8), senses);
+                        scan.insert(&k, senses);
+                    }
+                    97..=98 => {
+                        let capacity = rng.gen_range(0..=8usize);
+                        cache.set_capacity(capacity);
+                        scan.set_capacity(capacity);
+                    }
+                    _ => {
+                        cache.clear();
+                        scan.entries.clear();
+                    }
+                }
+                let victim = cache
+                    .order
+                    .first_key_value()
+                    .map(|(&(score, seq), _)| (f64::from_bits(score), seq));
+                assert_eq!(victim, scan.victim(), "seed {seed} step {step}: victim");
+                assert_eq!(cache.stats(), scan.stats(), "seed {seed} step {step}: counters");
+                let mut resident: Vec<_> =
+                    cache.entries.iter().map(|(k, e)| (k.0, e.hits, e.senses, e.seq)).collect();
+                let mut expected: Vec<_> = scan
+                    .entries
+                    .iter()
+                    .map(|(k, &(hits, senses, seq))| (k.0, hits, senses, seq))
+                    .collect();
+                resident.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(resident, expected, "seed {seed} step {step}: residents");
+                assert_eq!(cache.order.len(), cache.entries.len(), "one slot per entry");
+                assert!(
+                    cache.entries.values().all(|e| cache.order.contains_key(&e.slot())),
+                    "seed {seed} step {step}: an entry's slot is stale"
+                );
+            }
+            assert!(scan.decays >= 3, "seed {seed}: only {} decay windows", scan.decays);
+            let CacheStats { evictions, rejections, .. } = scan.counters;
+            assert!(evictions > 0 && rejections > 0, "seed {seed}: both full-cache outcomes");
+        }
     }
 
     #[test]
