@@ -17,10 +17,11 @@
 //! too). A serving layer that serialized submit→drain→wait behind one
 //! exclusive lock would show no scaling here regardless of core count.
 //!
-//! The result cache is disabled and maintenance regrouping is
-//! effectively off (`min_cofuse = u64::MAX`), so every batch pays the
-//! full compile + simulated-sensing cost: the numbers measure the
-//! serving core's scaling, not cache recurrence on the hot ranks.
+//! The result cache is disabled, so every batch pays the full compile +
+//! simulated-sensing cost: the numbers measure the serving core's
+//! scaling, not cache recurrence on the hot ranks. No maintenance runs
+//! either: the bench never plans regroup jobs, so drains have none to
+//! execute.
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -72,11 +73,8 @@ fn setup(workers: usize) -> Serving {
         .map(|_| (0..share).map(|_| wl.zipf_batch(QUERIES_PER_BATCH, &mut rng).0).collect())
         .collect();
 
-    let mut dev = wl.dev;
+    let dev = wl.dev;
     dev.set_result_cache_capacity(0);
-    let mut mc = dev.maintenance_config();
-    mc.min_cofuse = u64::MAX;
-    dev.set_maintenance_config(mc);
     Serving { dev: Arc::new(dev), per_worker }
 }
 
@@ -231,11 +229,8 @@ fn channel_scaling(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        let mut dev = wl.dev;
+        let dev = wl.dev;
         dev.set_result_cache_capacity(0);
-        let mut mc = dev.maintenance_config();
-        mc.min_cofuse = u64::MAX;
-        dev.set_maintenance_config(mc);
         let serving = Serving { dev: Arc::new(dev), per_worker };
 
         // Attribution pass: queue one worker's traffic and drain it in

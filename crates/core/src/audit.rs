@@ -16,12 +16,13 @@
 //!   runs on the output of `compile_batch` before any chip is touched
 //!   and checks the plan IR against the operand table: wordline
 //!   co-residency, cross-die merge structure, threshold lowering,
-//!   ML routing, generation snapshots, die-queue assignment, and sense
-//!   accounting.
+//!   ML routing, generation snapshots, die-queue assignment, and
+//!   per-query accounting.
 //! * **Pass 2 — device audit** ([`FlashCosmosDevice::audit`], codes
 //!   `FC101`–`FC107`) cross-checks whole-device metadata: FTL aliasing
 //!   discipline, parity-stripe integrity and coverage, result-cache
-//!   generations, queued-job stamps, and placement/wear bookkeeping.
+//!   generations, queued-job stamps, and placement bookkeeping against
+//!   the FTL.
 //!
 //! Both passes are wired in under `debug_assertions` — on every batch
 //! compile, and in the background tail after every
@@ -36,7 +37,7 @@
 //! The analyzer is validated by a **mutation harness** (the
 //! `#[doc(hidden)]` surface below): seeded corruptions of a healthy
 //! plan or device — forge a wordline, drop a merge, skew a generation,
-//! alias an LPN, drop a parity member, misprice a unit — where each
+//! alias an LPN, drop a parity member, orphan a unit — where each
 //! lint code must fire on its matching mutation and stay silent on
 //! healthy state. `LINTS.md` at the repo root catalogs every code.
 
@@ -49,7 +50,7 @@ use fc_ssd::topology::{PlaneId, Ppa};
 
 use crate::batch::{CompiledBatch, PlannedUnit, QueryBatch, UnitWork};
 use crate::crossdie::MergeTree;
-use crate::device::{DeviceCore, FcError, FlashCosmosDevice, StoreHints};
+use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
 use crate::maintenance::RegroupJob;
 use crate::recovery::ScrubJob;
@@ -92,7 +93,8 @@ pub enum LintCode {
     Fc005,
     /// Die-queue assignment disagrees with cached placement.
     Fc006,
-    /// Modeled sense totals or per-query accounting inconsistent.
+    /// Per-query accounting inconsistent: a unit no query consumes, a
+    /// query no unit feeds, or leaf bookkeeping out of step.
     Fc007,
     /// Undeclared physical-page aliasing in the FTL map.
     Fc101,
@@ -106,7 +108,8 @@ pub enum LintCode {
     Fc105,
     /// Queued maintenance/scrub job not stamped with live state.
     Fc106,
-    /// Placement bookkeeping inconsistent (operand/group/wear tables).
+    /// Placement bookkeeping inconsistent (operand planes vs the FTL,
+    /// group and domain placements, wear table).
     Fc107,
 }
 
@@ -428,9 +431,6 @@ struct UnitScratch {
     slot_start: Vec<u32>,
     cursor: Vec<u32>,
     slot_leaves: Vec<usize>,
-    /// Merge recipes per slot, and the first recipe's index + 1.
-    merge_count: Vec<u32>,
-    merge_first: Vec<u32>,
     /// Leaf set referenced by one spanning stripe's merge recipe.
     referenced: Vec<usize>,
 }
@@ -507,31 +507,6 @@ pub(crate) fn lint_plan(dev: &DeviceCore, compiled: &CompiledBatch) -> Vec<Findi
                 "mutations must bump generations through the device chokepoints before compiling",
             ));
         }
-    }
-
-    // FC007 — batch-level stats-seed accounting.
-    let stats = &compiled.stats_seed;
-    if stats.queries != n || stats.per_query.len() != n {
-        out.push(finding(
-            LintCode::Fc007,
-            "batch stats".to_string(),
-            format!(
-                "stats sized for {} queries ({} per-query rows) but the batch has {n}",
-                stats.queries,
-                stats.per_query.len()
-            ),
-            "seed BatchStats from the validated query list, not a separate count",
-        ));
-    }
-    let cached =
-        compiled.units.iter().filter(|u| matches!(u.work, UnitWork::Cached { .. })).count();
-    if stats.cached_units != cached {
-        out.push(finding(
-            LintCode::Fc007,
-            "batch stats".to_string(),
-            format!("stats claim {} cached units but the plan holds {cached}", stats.cached_units),
-            "count cached units from the planned work items",
-        ));
     }
 
     let residency = batch_residency(dev, compiled);
@@ -639,21 +614,22 @@ fn lint_unit(
         ));
     }
 
-    let UnitWork::Execute { leaves, slots, direct, merges, senses } = &unit.work else {
+    let UnitWork::Execute { leaves, slots, merges } = &unit.work else {
         return;
     };
 
-    if slots.len() != leaves.len() || direct.len() != leaves.len() {
+    if slots.len() != leaves.len() || merges.len() != unit.pages {
         out.push(finding(
             LintCode::Fc007,
             loc(""),
             format!(
-                "leaf bookkeeping out of step: {} leaves, {} slots, {} direct flags",
+                "leaf bookkeeping out of step: {} leaves, {} slots, {} merge entries for {} pages",
                 leaves.len(),
                 slots.len(),
-                direct.len()
+                merges.len(),
+                unit.pages
             ),
-            "slots and direct flags are per-leaf and must grow with the leaf list",
+            "slots are per leaf and merges per stripe; both grow with the plan",
         ));
         return; // The structural checks below index these in lockstep.
     }
@@ -698,13 +674,9 @@ fn lint_unit(
             scratch.cursor[slot] += 1;
         }
     }
-    // The sense total accumulates alongside the structural walk (the
-    // PR 5 bug class: pricing must come from the compiled programs).
-    let mut actual: u64 = 0;
     for (li, leaf) in leaves.iter().enumerate() {
         let slot = slots[li];
         if slot >= unit.pages {
-            actual += leaf.program.sense_count() as u64;
             out.push(finding(
                 LintCode::Fc007,
                 loc(&format!("leaf {li} (slot {slot})")),
@@ -747,7 +719,6 @@ fn lint_unit(
         for (ci, cmd) in leaf.program.commands.iter().enumerate() {
             match cmd {
                 Command::Mws { targets, .. } => {
-                    actual += 1;
                     for (ti, t) in targets.iter().enumerate() {
                         // FC001 — every fused wordline co-resident in one
                         // block/plane of the unit's operands, duplicate-free.
@@ -806,7 +777,6 @@ fn lint_unit(
                     }
                 }
                 Command::ThresholdMws { target, k } => {
-                    actual += 1;
                     if !thr_init {
                         thr_init = true;
                         collect_literals(&unit.nnf, &mut scratch.polarity, &mut scratch.touched);
@@ -834,93 +804,39 @@ fn lint_unit(
             }
         }
     }
-    if *senses != actual {
-        out.push(finding(
-            LintCode::Fc007,
-            loc(""),
-            format!("unit priced at {senses} senses but its leaf programs sense {actual} times"),
-            "price units from the compiled programs, never from a separate estimate",
-        ));
-    }
-
-    // FC002 — the merge recipe and the leaf partition must describe the
+    // FC002 — the merge recipes and the leaf partition must describe the
     // same cross-die split.
-    scratch.merge_count.clear();
-    scratch.merge_count.resize(pages, 0);
-    scratch.merge_first.clear();
-    scratch.merge_first.resize(pages, 0);
-    for (mi, (slot, _)) in merges.iter().enumerate() {
-        if *slot < pages {
-            scratch.merge_count[*slot] += 1;
-            if scratch.merge_first[*slot] == 0 {
-                scratch.merge_first[*slot] = mi as u32 + 1;
-            }
-        } else {
-            out.push(finding(
-                LintCode::Fc002,
-                loc(&format!("slot {slot}")),
-                "merge recipe for a slot with no leaves".to_string(),
-                "merges index the flattened leaf list of their own stripe",
-            ));
-        }
-    }
-    for slot in 0..pages {
-        let trees = scratch.merge_count[slot];
+    for (slot, merge) in merges.iter().enumerate() {
         let group = &scratch.slot_leaves
             [scratch.slot_start[slot] as usize..scratch.slot_start[slot + 1] as usize];
-        if group.is_empty() {
-            if trees > 0 {
+        let tree = match (merge, group.len()) {
+            (None, 0 | 1) => continue, // a lone leaf's page is the stripe result
+            (Some(_), 0 | 1) => {
                 out.push(finding(
                     LintCode::Fc002,
                     loc(&format!("slot {slot}")),
-                    "merge recipe for a slot with no leaves".to_string(),
-                    "merges index the flattened leaf list of their own stripe",
-                ));
-            }
-            continue;
-        }
-        if let [li] = *group {
-            if !direct[li] {
-                out.push(finding(
-                    LintCode::Fc002,
-                    loc(&format!("slot {slot}")),
-                    "single-leaf stripe not marked direct".to_string(),
-                    "a lone leaf's page is the stripe result; stream it directly",
-                ));
-            }
-            if trees > 0 {
-                out.push(finding(
-                    LintCode::Fc002,
-                    loc(&format!("slot {slot}")),
-                    "merge recipe attached to a single-leaf stripe".to_string(),
+                    format!("merge recipe attached to a stripe of {} leaves", group.len()),
                     "merges exist only for genuinely spanning stripes",
                 ));
+                continue;
             }
-            continue;
-        }
+            (None, leaves) => {
+                out.push(finding(
+                    LintCode::Fc002,
+                    loc(&format!("slot {slot}")),
+                    format!("{leaves}-leaf spanning stripe has no merge recipe"),
+                    "spanning stripes buffer partials; only the merge produces the result",
+                ));
+                continue;
+            }
+            (Some(tree), _) => tree,
+        };
         // A genuinely spanning stripe (only cross-die units reach here).
         // `group` is ascending, so comparing against the sorted
         // (undeduped) merge references catches both missing and
         // double-consumed leaves.
-        if let Some(&li) = group.iter().find(|&&li| direct[li]) {
-            out.push(finding(
-                LintCode::Fc002,
-                loc(&format!("slot {slot}")),
-                format!("leaf {li} marked direct inside a {}-leaf spanning stripe", group.len()),
-                "spanning stripes buffer partials; only the merge produces the result",
-            ));
-        }
-        if trees != 1 {
-            out.push(finding(
-                LintCode::Fc002,
-                loc(&format!("slot {slot}")),
-                format!("{trees} merge recipes for one spanning stripe"),
-                "each spanning stripe carries exactly one MergeTree",
-            ));
-            continue;
-        }
         scratch.referenced.clear();
-        tree_leaves(&merges[(scratch.merge_first[slot] - 1) as usize].1, &mut scratch.referenced);
+        tree_leaves(tree, &mut scratch.referenced);
         scratch.referenced.sort_unstable();
         if scratch.referenced != group {
             out.push(finding(
@@ -1414,30 +1330,16 @@ impl DeviceCore {
                     format!("job targets unknown operand v{}", job.operand),
                     "plan jobs from the live operand table",
                 )),
-                Some(r) => {
-                    if r.name != job.name {
-                        out.push(finding(
-                            LintCode::Fc106,
-                            loc.clone(),
-                            format!(
-                                "job names {:?} but v{} is {:?}",
-                                job.name, job.operand, r.name
-                            ),
-                            "the job's name and operand id must describe the same record",
-                        ));
-                    }
-                    if job.expected_generation > r.generation {
-                        out.push(finding(
-                            LintCode::Fc106,
-                            loc.clone(),
-                            format!(
-                                "job expects generation {} but the table has only reached {}",
-                                job.expected_generation, r.generation
-                            ),
-                            "expected generations are snapshots of the past, never the future",
-                        ));
-                    }
-                }
+                Some(r) if job.expected_generation > r.generation => out.push(finding(
+                    LintCode::Fc106,
+                    loc.clone(),
+                    format!(
+                        "job expects generation {} but the table has only reached {}",
+                        job.expected_generation, r.generation
+                    ),
+                    "expected generations are snapshots of the past, never the future",
+                )),
+                Some(_) => {}
             }
             if job.target_die >= total_dies {
                 out.push(finding(
@@ -1460,37 +1362,28 @@ impl DeviceCore {
         }
     }
 
-    /// FC107 — colocation-domain / placement / wear bookkeeping agrees
-    /// with itself and with the FTL.
+    /// FC107 — the operand plane cache agrees with the FTL, and group,
+    /// domain and wear bookkeeping agree with the SSD's geometry.
     fn audit_placement(&self, out: &mut Vec<Finding>) {
         let cfg = self.ssd.config();
         let total_planes = cfg.total_planes();
         let total_dies = cfg.total_dies();
         for (id, r) in self.operands.iter().enumerate() {
             let loc = format!("operand v{id} ({:?})", r.name);
-            if r.planes.len() != r.lpns.len() || r.dies.len() != r.lpns.len() {
+            if r.planes.len() != r.lpns.len() {
                 out.push(finding(
                     LintCode::Fc107,
                     loc.clone(),
                     format!(
-                        "placement caches out of step: {} pages, {} planes, {} dies",
+                        "plane cache out of step: {} pages, {} planes",
                         r.lpns.len(),
-                        r.planes.len(),
-                        r.dies.len()
+                        r.planes.len()
                     ),
-                    "update lpns, planes and dies together on every placement change",
+                    "update lpns and planes together on every placement change",
                 ));
                 continue;
             }
             for (slot, &lpn) in r.lpns.iter().enumerate() {
-                if r.dies[slot] != r.planes[slot].die {
-                    out.push(finding(
-                        LintCode::Fc107,
-                        loc.clone(),
-                        format!("slot {slot}: cached die disagrees with the cached plane's die"),
-                        "the die cache is derived from the plane cache; update both",
-                    ));
-                }
                 if self.recovery.lost_pages.contains(&lpn) {
                     continue;
                 }
@@ -1614,7 +1507,7 @@ pub struct PlanProbe {
 pub enum PlanMutation {
     /// OR a foreign wordline into an MWS target's PBM → `FC001`.
     ForgeWordline,
-    /// Drop a spanning stripe's merge recipe → `FC002`.
+    /// Clear one spanning stripe's merge recipe → `FC002`.
     DropMerge,
     /// Skew a chip threshold's k beyond its wordline count → `FC003`.
     SkewThresholdK,
@@ -1624,8 +1517,9 @@ pub enum PlanMutation {
     SkewUnitGeneration,
     /// Re-queue a leaf on another die → `FC006` (and usually `FC001`).
     MisrouteLeafDie,
-    /// Misprice a unit's sense total → `FC007` (the PR 5 bug class).
-    MispriceUnit,
+    /// Empty a unit's consumer list → `FC007` (its senses price no
+    /// query, and the query it fed goes uncovered).
+    OrphanUnit,
 }
 
 /// Seeded device corruptions; each targets one device-audit code.
@@ -1685,10 +1579,8 @@ impl DeviceCore {
             }),
             PlanMutation::DropMerge => units.iter_mut().any(|u| {
                 let UnitWork::Execute { merges, .. } = &mut u.work else { return false };
-                if merges.is_empty() {
-                    return false;
-                }
-                merges.remove(0);
+                let Some(merge) = merges.iter_mut().find(|m| m.is_some()) else { return false };
+                *merge = None;
                 true
             }),
             PlanMutation::SkewThresholdK => units.iter_mut().any(|u| {
@@ -1710,9 +1602,7 @@ impl DeviceCore {
                 u.work = UnitWork::Execute {
                     leaves: Vec::new(),
                     slots: Vec::new(),
-                    direct: Vec::new(),
-                    merges: Vec::new(),
-                    senses: 0,
+                    merges: vec![None; u.pages],
                 };
                 true
             }),
@@ -1734,9 +1624,11 @@ impl DeviceCore {
                     true
                 })
             }
-            PlanMutation::MispriceUnit => units.iter_mut().any(|u| {
-                let UnitWork::Execute { senses, .. } = &mut u.work else { return false };
-                *senses += 3;
+            PlanMutation::OrphanUnit => units.iter_mut().any(|u| {
+                if u.consumers.is_empty() {
+                    return false;
+                }
+                u.consumers.clear();
                 true
             }),
         }
@@ -1809,13 +1701,11 @@ impl DeviceCore {
             DeviceMutation::DeadJob => {
                 let dead = self.operands.len() + 41;
                 self.session.jobs().push_back(RegroupJob {
-                    name: "audit-dead-job".to_string(),
                     operand: dead,
-                    hints: StoreHints::and_group("audit-dead-job"),
                     expected_generation: u64::MAX,
-                    pages: 1,
                     target_die: 0,
                     set_key: u64::MAX,
+                    inverted: false,
                 });
                 true
             }

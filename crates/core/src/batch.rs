@@ -290,7 +290,10 @@ struct Unit {
     shared: bool,
 }
 
-/// How a planned unit obtains its result vector.
+/// How a planned unit obtains its result vector. Each variant holds only
+/// what the [`PlannedUnit`] does not: the unit's expression is its
+/// `nnf`, its operands are the ids of its cache key, and an executed
+/// unit's sense total is its leaf programs' ([`UnitWork::senses`]).
 pub(crate) enum UnitWork {
     /// Served from the cross-batch result cache: the unit's full output
     /// (snapshotted at compile time — valid as long as the operand
@@ -299,19 +302,17 @@ pub(crate) enum UnitWork {
     Cached {
         /// The memoized unit output (`pages × page_bits` bits).
         result: BitVec,
+        /// Senses a cold execution costs (what the hit saved).
+        senses: u64,
     },
     /// Controller evaluation: the unit touches a multi-level operand
     /// ([`FlashCosmosDevice::fc_write_ml`]), whose pages are Gray-coded
     /// cell levels rather than raw SLC bits — no MWS sense can combine
-    /// them, so the controller reads every operand page (2–4 senses per
-    /// MLC/TLC page) and evaluates the expression itself. This is the
-    /// density side of the §6.3 trade, priced honestly against in-flash
-    /// sensing.
+    /// them, so the controller reads every page of the unit's operands
+    /// (2–4 senses per MLC/TLC page) and evaluates the unit expression
+    /// itself. This is the density side of the §6.3 trade, priced
+    /// honestly against in-flash sensing.
     Controller {
-        /// The unit expression, evaluated per stripe over the read pages.
-        nnf: Nnf,
-        /// The operands to read.
-        ids: Vec<OperandId>,
         /// Total senses the page reads cost across all stripes.
         senses: u64,
     },
@@ -322,14 +323,25 @@ pub(crate) enum UnitWork {
         leaves: Vec<Leaf>,
         /// Stripe slot per leaf.
         slots: Vec<usize>,
-        /// Whether the leaf's page *is* its stripe's result (single-plane
-        /// stripe) — streamed straight into the unit output.
-        direct: Vec<bool>,
-        /// Controller merges for stripes that span planes.
-        merges: Vec<(usize, MergeTree)>,
-        /// Total senses across the leaves.
-        senses: u64,
+        /// Controller merge per stripe slot. `None` for a stripe with a
+        /// single leaf: that leaf's page *is* the stripe's result and
+        /// streams straight into the unit output.
+        merges: Vec<Option<MergeTree>>,
     },
+}
+
+impl UnitWork {
+    /// Senses the unit costs: its leaf programs' senses when executed,
+    /// its page reads' under controller evaluation, and what a cold
+    /// execution would cost when cached.
+    pub(crate) fn senses(&self) -> u64 {
+        match self {
+            UnitWork::Cached { senses, .. } | UnitWork::Controller { senses } => *senses,
+            UnitWork::Execute { leaves, .. } => {
+                leaves.iter().map(|leaf| leaf.program.sense_count() as u64).sum()
+            }
+        }
+    }
 }
 
 /// One planned unit of a compiled batch.
@@ -352,9 +364,14 @@ pub(crate) struct CompiledBatch {
     pub(crate) q_bits: Vec<usize>,
     pub(crate) q_pages: Vec<usize>,
     pub(crate) units: Vec<PlannedUnit>,
-    /// Stats fields known at compile time (dedup/sharing/cache/serial
-    /// counts); execution clones this and fills in the measured fields.
-    pub(crate) stats_seed: BatchStats,
+    /// [`BatchStats::deduped_queries`]. This and the next two are the
+    /// stats only compilation knows; execution counts the rest, cached
+    /// units included, from the units it runs.
+    pub(crate) deduped_queries: usize,
+    /// [`BatchStats::shared_units`].
+    pub(crate) shared_units: usize,
+    /// [`BatchStats::serial_senses`].
+    pub(crate) serial_senses: u64,
     /// Generation of every operand the batch references, plus the device
     /// epoch — the staleness check for queued batches.
     pub(crate) epoch: u64,
@@ -398,11 +415,6 @@ impl DeviceCore {
         record_affinity: bool,
     ) -> Result<CompiledBatch, FcError> {
         let n = batch.len();
-        let mut stats = BatchStats {
-            queries: n,
-            per_query: vec![QueryStats::default(); n],
-            ..BatchStats::default()
-        };
 
         // Validate every query and capture its geometry.
         let mut q_bits = vec![0usize; n];
@@ -428,7 +440,7 @@ impl DeviceCore {
                 }
             }
         }
-        stats.deduped_queries = n - uniques.len();
+        let deduped_queries = n - uniques.len();
 
         let caps = PlannerCaps {
             max_inter_blocks: self.ssd.config().max_inter_blocks,
@@ -450,7 +462,7 @@ impl DeviceCore {
             }
             None => plan_a,
         };
-        stats.shared_units = units.iter().filter(|u| u.shared).count();
+        let shared_units = units.iter().filter(|u| u.shared).count();
 
         // Standalone cost per exact expression form, seeded by the unit
         // compiles below and topped up on demand — the serial-reference
@@ -484,68 +496,26 @@ impl DeviceCore {
                 unit.ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
             let key: crate::session::CacheKey = (epoch, unit.canon.clone(), gens);
             let cached = self.session.cache().lookup(&key).map(|e| (e.result.clone(), e.senses));
-            if let Some((result, senses)) = cached {
-                stats.cached_units += 1;
-                stats.cached_senses += senses;
-                form_cost.entry(unit.nnf.clone()).or_insert(senses);
-                // The maintenance layer's observation stream: this set
-                // was fused again (served from cache this time).
-                if record_affinity {
-                    self.session.affinity().record(
-                        &unit.ids,
-                        senses,
-                        unit.pages as u64,
-                        unit.consumers.len() as u64,
-                        true,
-                    );
-                }
-                planned.push(PlannedUnit {
-                    pages: unit.pages,
-                    consumers: unit.consumers.clone(),
-                    nnf: unit.nnf.clone(),
-                    work: UnitWork::Cached { result },
-                    key,
-                });
-                continue;
-            }
-            // Units touching a multi-level operand bypass the planner:
-            // their pages cannot join an MWS sense (see
-            // [`UnitWork::Controller`]).
-            if unit.ids.iter().any(|&id| self.operands.get(id).is_some_and(|r| r.ml)) {
-                let senses = self.controller_senses(&unit.ids)?;
-                form_cost.entry(unit.nnf.clone()).or_insert(senses);
-                if record_affinity {
-                    self.session.affinity().record(
-                        &unit.ids,
-                        senses,
-                        unit.pages as u64,
-                        unit.consumers.len() as u64,
-                        false,
-                    );
-                }
-                planned.push(PlannedUnit {
-                    pages: unit.pages,
-                    consumers: unit.consumers.clone(),
-                    nnf: unit.nnf.clone(),
-                    work: UnitWork::Controller {
-                        nnf: unit.nnf.clone(),
-                        ids: unit.ids.clone(),
-                        senses,
-                    },
-                    key,
-                });
-                continue;
-            }
-            let (work, senses) =
-                stripe_work(unit.pages, |slot| self.stripe_plan(&unit.nnf, &unit.ids, slot, caps))?;
+            let work = if let Some((result, senses)) = cached {
+                UnitWork::Cached { result, senses }
+            } else if unit.ids.iter().any(|&id| self.operands.get(id).is_some_and(|r| r.ml)) {
+                // Units touching a multi-level operand bypass the
+                // planner: their pages cannot join an MWS sense (see
+                // [`UnitWork::Controller`]).
+                UnitWork::Controller { senses: self.controller_senses(&unit.ids)? }
+            } else {
+                stripe_work(unit.pages, |slot| self.stripe_plan(&unit.nnf, &unit.ids, slot, caps))?
+            };
+            let senses = work.senses();
             form_cost.entry(unit.nnf.clone()).or_insert(senses);
+            // The maintenance layer's observation stream: this set was
+            // fused again (a cache hit counts too).
             if record_affinity {
                 self.session.affinity().record(
                     &unit.ids,
                     senses,
                     unit.pages as u64,
                     unit.consumers.len() as u64,
-                    false,
                 );
             }
             planned.push(PlannedUnit {
@@ -565,6 +535,7 @@ impl DeviceCore {
         // projected across slots (stripe structure is slot-invariant —
         // placement groups fill every slot the same way, the same
         // assumption `estimate_senses` plans by).
+        let mut serial_senses = 0;
         for (qi, nnf) in q_nnf.iter().enumerate() {
             let cost = match form_cost.get(nnf) {
                 Some(&c) => c,
@@ -581,13 +552,15 @@ impl DeviceCore {
                     senses
                 }
             };
-            stats.serial_senses += cost;
+            serial_senses += cost;
         }
         let compiled = CompiledBatch {
             q_bits,
             q_pages,
             units: planned,
-            stats_seed: stats,
+            deduped_queries,
+            shared_units,
+            serial_senses,
             epoch,
             snapshot,
             memoize: true,
@@ -610,13 +583,14 @@ impl DeviceCore {
         let (bits, pages) = self.query_geometry(expr)?;
         let ids: Vec<OperandId> = expr.operands().into_iter().collect();
         let nnf = expr.to_nnf();
-        let (work, senses) = stripe_work(pages, |slot| {
+        let work = stripe_work(pages, |slot| {
             let map = self.stripe_map(&ids, slot)?;
             crossdie::compile_spanning(&nnf, &|id| self.operand_plane(id, slot), &mut |sub| {
                 parabit::compile(sub, &map)
             })
             .map_err(FcError::Plan)
         })?;
+        let serial_senses = work.senses();
         let snapshot: Vec<(OperandId, u64)> =
             ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
         Ok(CompiledBatch {
@@ -629,12 +603,9 @@ impl DeviceCore {
                 nnf,
                 work,
             }],
-            stats_seed: BatchStats {
-                queries: 1,
-                serial_senses: senses,
-                per_query: vec![QueryStats::default()],
-                ..BatchStats::default()
-            },
+            deduped_queries: 0,
+            shared_units: 0,
+            serial_senses,
             epoch: self.epoch,
             snapshot,
             memoize: false,
@@ -667,13 +638,12 @@ impl DeviceCore {
     /// batches are recompiled before this runs).
     pub(crate) fn refresh_cache_hits(&self, compiled: &mut CompiledBatch) {
         for unit in &mut compiled.units {
-            let UnitWork::Execute { senses, .. } = &unit.work else { continue };
-            let senses = *senses;
+            if !matches!(unit.work, UnitWork::Execute { .. }) {
+                continue;
+            }
             let hit = self.session.cache().peek_hit(&unit.key).map(|e| e.result.clone());
             if let Some(result) = hit {
-                unit.work = UnitWork::Cached { result };
-                compiled.stats_seed.cached_units += 1;
-                compiled.stats_seed.cached_senses += senses;
+                unit.work = UnitWork::Cached { result, senses: unit.work.senses() };
             }
         }
     }
@@ -701,7 +671,21 @@ impl DeviceCore {
         outs: &mut [BitVec],
         workers: Option<usize>,
     ) -> Result<(BatchStats, Vec<QueryFailure>, DieQueues), FcError> {
-        let mut stats = compiled.stats_seed.clone();
+        let n = compiled.queries();
+        let mut stats = BatchStats {
+            queries: n,
+            serial_senses: compiled.serial_senses,
+            deduped_queries: compiled.deduped_queries,
+            shared_units: compiled.shared_units,
+            per_query: vec![QueryStats::default(); n],
+            ..BatchStats::default()
+        };
+        for unit in &compiled.units {
+            if let UnitWork::Cached { senses, .. } = unit.work {
+                stats.cached_units += 1;
+                stats.cached_senses += senses;
+            }
+        }
         let page_bits = self.ssd.config().page_bits();
         let xfer_us = self.ssd.config().page_transfer_us();
 
@@ -780,7 +764,7 @@ impl DeviceCore {
         let mut own = DieQueues::for_config(self.ssd.config());
         for (&(ui, li), outcome) in order.iter().zip(outcomes) {
             let unit = &compiled.units[ui];
-            let UnitWork::Execute { leaves, slots, direct, .. } = &unit.work else {
+            let UnitWork::Execute { leaves, slots, merges } = &unit.work else {
                 unreachable!("order only holds executable units");
             };
             let leaf = &leaves[li];
@@ -809,7 +793,7 @@ impl DeviceCore {
                     qs.energy_uj += energy * share;
                 }
             }
-            if direct[li] {
+            if merges[slots[li]].is_none() {
                 unit_outs[ui]
                     .as_mut()
                     .expect("executable units own an output buffer")
@@ -824,27 +808,17 @@ impl DeviceCore {
             if unit_failed[ui].is_some() {
                 continue;
             }
-            let UnitWork::Controller { nnf, ids, senses } = &unit.work else { continue };
+            let UnitWork::Controller { senses } = &unit.work else { continue };
             let mut latency_total = 0.0;
             let mut env: HashMap<OperandId, BitVec> = HashMap::new();
             for slot in 0..unit.pages {
                 env.clear();
-                for &id in ids {
-                    let (lpn, die_flat, page_senses) = {
-                        let rec = &self.operands[id];
-                        let lpn = rec.lpns[slot];
-                        let meta =
-                            self.ssd.page_meta(lpn).expect("written operands carry metadata");
-                        let mode = meta.scheme.cell_mode();
-                        let s = if mode.bits_per_cell() > 1 {
-                            fc_nand::mlsense::senses_for_page(mode, meta.ml_page as usize)
-                        } else {
-                            1
-                        };
-                        (lpn, rec.dies[slot].flat(self.ssd.config()), s)
-                    };
+                for &(id, _) in &unit.key.2 {
+                    let rec = &self.operands[id];
+                    let lpn = rec.lpns[slot];
+                    let die_flat = rec.planes[slot].die.flat(self.ssd.config());
                     let page = self.ssd.read(lpn)?;
-                    let us = page_senses as f64 * fc_nand::calib::timing::T_R_SLC_US;
+                    let us = self.page_read_senses(lpn) as f64 * fc_nand::calib::timing::T_R_SLC_US;
                     own.push(die_flat, us);
                     // Controller evaluation moves every operand page off
                     // the die — each read crosses the channel bus.
@@ -852,7 +826,7 @@ impl DeviceCore {
                     latency_total += us;
                     env.insert(id, page);
                 }
-                let page = nnf.eval(&|id| env[&id].clone());
+                let page = unit.nnf.eval(&|id| env[&id].clone());
                 unit_outs[ui]
                     .as_mut()
                     .expect("controller units own an output buffer")
@@ -886,7 +860,8 @@ impl DeviceCore {
                 continue;
             }
             let UnitWork::Execute { merges, .. } = &unit.work else { continue };
-            for (slot, tree) in merges {
+            for (slot, tree) in merges.iter().enumerate() {
+                let Some(tree) = tree else { continue };
                 let page = crossdie::eval_merge(tree, &mut partials[ui]);
                 unit_outs[ui]
                     .as_mut()
@@ -906,18 +881,17 @@ impl DeviceCore {
             if unit_failed[ui].is_some() {
                 continue;
             }
-            let (result, fresh_senses) = match &unit.work {
-                UnitWork::Cached { result, .. } => (result, None),
-                UnitWork::Execute { senses, .. } | UnitWork::Controller { senses, .. } => (
-                    unit_outs[ui].as_ref().expect("executable units own an output buffer"),
-                    Some(*senses),
-                ),
+            let (result, fresh) = match &unit.work {
+                UnitWork::Cached { result, .. } => (result, false),
+                UnitWork::Execute { .. } | UnitWork::Controller { .. } => {
+                    (unit_outs[ui].as_ref().expect("executable units own an output buffer"), true)
+                }
             };
             for &qi in &unit.consumers {
                 outs[qi].or_assign(result);
             }
-            if let Some(senses) = fresh_senses.filter(|_| compiled.memoize) {
-                self.session.cache().insert(&unit.key, result, senses);
+            if fresh && compiled.memoize {
+                self.session.cache().insert(&unit.key, result, unit.work.senses());
             }
         }
         for (qi, out) in outs.iter_mut().enumerate() {
@@ -1044,23 +1018,27 @@ impl DeviceCore {
     }
 
     /// Senses a controller evaluation costs: every operand page is read
-    /// once, at its real page-read price (1 sense for SLC/ESP pages, 2–4
-    /// for MLC/TLC logical pages).
+    /// once, at its real page-read price ([`Self::page_read_senses`]).
     fn controller_senses(&self, ids: &[OperandId]) -> Result<u64, FcError> {
         let mut senses = 0u64;
         for &id in ids {
-            let rec = self.record(id)?;
-            for &lpn in &rec.lpns {
-                let meta = self.ssd.page_meta(lpn).expect("written operands carry metadata");
-                let mode = meta.scheme.cell_mode();
-                senses += if mode.bits_per_cell() > 1 {
-                    fc_nand::mlsense::senses_for_page(mode, meta.ml_page as usize) as u64
-                } else {
-                    1
-                };
+            for &lpn in &self.record(id)?.lpns {
+                senses += self.page_read_senses(lpn) as u64;
             }
         }
         Ok(senses)
+    }
+
+    /// Senses one page read costs: 1 for an SLC/ESP page, 2–4 for an
+    /// MLC/TLC logical page.
+    fn page_read_senses(&self, lpn: u64) -> usize {
+        let meta = self.ssd.page_meta(lpn).expect("written operands carry metadata");
+        let mode = meta.scheme.cell_mode();
+        if mode.bits_per_cell() > 1 {
+            fc_nand::mlsense::senses_for_page(mode, meta.ml_page as usize)
+        } else {
+            1
+        }
     }
 
     /// Plan A: one unit per unique query, compiled exactly as a serial
@@ -1227,33 +1205,26 @@ type LeafOutcome = Result<(BitVec, f64, f64), FcError>;
 type DieRun<'a> = (&'a [(usize, usize)], &'a mut [Option<LeafOutcome>]);
 
 /// Compiles a unit's stripes with `plan` (stripe slot → cross-die plan)
-/// and flattens them into one executable leaf list. Returns the work and
-/// its total senses.
+/// and flattens them into one executable leaf list.
 fn stripe_work(
     pages: usize,
     mut plan: impl FnMut(usize) -> Result<ExecPlan, FcError>,
-) -> Result<(UnitWork, u64), FcError> {
+) -> Result<UnitWork, FcError> {
     let mut leaves: Vec<Leaf> = Vec::new();
     let mut slots: Vec<usize> = Vec::new();
-    let mut direct: Vec<bool> = Vec::new();
-    let mut merges: Vec<(usize, MergeTree)> = Vec::new();
-    let mut senses = 0u64;
+    let mut merges: Vec<Option<MergeTree>> = Vec::with_capacity(pages);
     for slot in 0..pages {
-        let plan = plan(slot)?;
-        senses += plan.sense_count() as u64;
-        let tree = plan.flatten(&mut leaves);
+        let tree = plan(slot)?.flatten(&mut leaves);
         slots.resize(leaves.len(), slot);
-        direct.resize(leaves.len(), false);
         // Single-leaf plans (the common co-planar case) stream their page
         // straight into the unit output; only genuinely spanning plans
         // buffer partials for the controller merge.
-        if let MergeTree::Leaf(i) = tree {
-            direct[i] = true;
-        } else {
-            merges.push((slot, tree));
-        }
+        merges.push(match tree {
+            MergeTree::Leaf(_) => None,
+            tree => Some(tree),
+        });
     }
-    Ok((UnitWork::Execute { leaves, slots, direct, merges, senses }, senses))
+    Ok(UnitWork::Execute { leaves, slots, merges })
 }
 
 /// The leaf at `(unit, leaf)` of an execution order.

@@ -47,7 +47,9 @@ use std::time::Instant;
 use fc_bits::BitVec;
 use fc_ssd::SsdConfig;
 
-use crate::batch::{fail_fast, BatchStats, QueryBatch, QueryFailure, QueryId, QueryStats};
+use crate::batch::{
+    fail_fast, BatchResults, BatchStats, QueryBatch, QueryFailure, QueryId, QueryStats,
+};
 use crate::crossdie;
 use crate::device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 use crate::expr::{Expr, Nnf, OperandId};
@@ -74,26 +76,6 @@ pub struct FcCluster {
     registry: Vec<Slot>,
     /// Name → cluster operand id.
     names: BTreeMap<String, OperandId>,
-}
-
-/// Results of [`FcCluster::submit`]: one vector per query in submission
-/// order, cluster statistics, and per-query failures (failure isolation
-/// carries over from the shards: a leaf failure fails only the queries
-/// that depend on it).
-#[derive(Debug, Clone)]
-pub struct ClusterResults {
-    /// Per-query result vectors, indexed by [`QueryId`]. Failed queries
-    /// hold empty vectors.
-    pub results: Vec<BitVec>,
-    /// Cluster execution statistics: counts summed over the shards,
-    /// `critical_path_us` and the `busiest_*` lanes from the slowest
-    /// shard (shards run concurrently), `merge_us` the shards' merges
-    /// plus the cluster controller's measured merge, and `per_query[q]`
-    /// the summed shares of query `q`'s leaves.
-    pub stats: BatchStats,
-    /// Queries that could not be answered, with the cluster-level query
-    /// id and the underlying shard failure.
-    pub failures: Vec<QueryFailure>,
 }
 
 impl FcCluster {
@@ -200,22 +182,31 @@ impl FcCluster {
         Ok((out.results.swap_remove(0), out.stats))
     }
 
-    /// Submits a batch of queries across the cluster.
+    /// Submits a batch of queries across the cluster and returns one
+    /// vector per query in submission order, the pass's statistics and
+    /// its per-query failures — the device's own [`BatchResults`].
     ///
     /// Every query splits into per-shard leaves; all leaves bound for
     /// the same shard form **one** shard sub-batch, so shard-local joint
     /// planning (dedup, shared-term extraction, die spreading) sees the
     /// whole cluster batch's demand on that shard. Shards execute
     /// independently; the cluster controller then merges each query's
-    /// partial vectors and adds the measured merge time to
-    /// [`BatchStats::merge_us`].
+    /// partial vectors.
+    ///
+    /// The statistics describe the cluster pass: counts sum over the
+    /// shards, `critical_path_us` and the `busiest_*` lanes come from the
+    /// slowest shard (shards run concurrently), `merge_us` is the shards'
+    /// merges plus the cluster controller's measured merge, and
+    /// `per_query[q]` sums the shares of query `q`'s leaves.
     ///
     /// # Errors
     ///
     /// Fails on unknown operand ids or planner errors. Shard-side
     /// *query* failures do not fail the batch: they surface per query in
-    /// [`ClusterResults::failures`], and unaffected queries complete.
-    pub fn submit(&self, batch: &QueryBatch) -> Result<ClusterResults, FcError> {
+    /// [`BatchResults::failures`], with the cluster-level query id and
+    /// the underlying shard failure (a leaf failure fails only the
+    /// queries that depend on it), and unaffected queries complete.
+    pub fn submit(&self, batch: &QueryBatch) -> Result<BatchResults, FcError> {
         let shards = self.shards.len();
         let mut sub_batches: Vec<QueryBatch> = vec![QueryBatch::new(); shards];
         // Every query's leaves as (shard, shard-local QueryId), in plan
@@ -299,7 +290,7 @@ impl FcCluster {
             }
         }
         stats.merge_us += merge_start.elapsed().as_secs_f64() * 1e6;
-        Ok(ClusterResults { results, stats, failures })
+        Ok(BatchResults { results, stats, failures })
     }
 
     /// Fans [`FlashCosmosDevice::drain`] out to every shard. Shard

@@ -242,17 +242,14 @@ impl From<PlanError> for FcError {
 
 #[derive(Debug, Clone)]
 pub(crate) struct OperandRecord {
-    /// The registered name (maintenance jobs migrate by name).
+    /// The registered name.
     pub(crate) name: String,
     pub(crate) bits: usize,
     pub(crate) lpns: Vec<u64>,
     /// Plane of each stripe page (slot-indexed) — cached from the FTL so
     /// the die splitter resolves placement with an array lookup on the
-    /// hot compile path.
+    /// hot compile path. A slot's die is its plane's die.
     pub(crate) planes: Vec<PlaneId>,
-    /// Die of each stripe page (slot-indexed) — the placement layout,
-    /// surfaced so tests and benches can assert die spreading.
-    pub(crate) dies: Vec<DieId>,
     pub(crate) group_index: u64,
     /// Placement generation: bumped by every mutation of the operand's
     /// data or placement (`fc_overwrite`, `migrate_operand`), so result-
@@ -292,7 +289,6 @@ pub(crate) struct DeviceCore {
     pub(crate) operands: Vec<OperandRecord>,
     names: HashMap<String, OperandId>,
     pub(crate) groups: HashMap<String, u64>,
-    group_fill: HashMap<(u64, u64), u64>,
     /// Base plane per placement group (by group index).
     pub(crate) group_place: HashMap<u64, GroupPlace>,
     /// Base plane per colocation domain (groups in a domain share it).
@@ -351,7 +347,6 @@ impl DeviceCore {
             operands: Vec::new(),
             names: HashMap::new(),
             groups: HashMap::new(),
-            group_fill: HashMap::new(),
             group_place: HashMap::new(),
             domain_place: HashMap::new(),
             spread_cursor: 0,
@@ -502,21 +497,6 @@ impl DeviceCore {
         }
     }
 
-    /// The FTL group key for the next page written into `(group, slot)`.
-    /// One FTL group per (group, stripe slot, overflow id): the overflow
-    /// id moves to a fresh block — on the same plane, preserving
-    /// co-residency — once a block's wordlines are exhausted (more than
-    /// `wls_per_block` pages per group slot). Placement groups count from
-    /// 0; the recovery tier's parity and rebuild groups sit far above
-    /// them (see [`crate::recovery`]), so the counters never collide.
-    pub(crate) fn next_group_key(&mut self, group: u64, slot: u64) -> GroupKey {
-        let wls = self.ssd.config().wls_per_block as u64;
-        let fill = self.group_fill.entry((group, slot)).or_insert(0);
-        let overflow = *fill / wls;
-        *fill += 1;
-        GroupKey { group, slot, overflow }
-    }
-
     /// Programs `data` one stripe page per slot into placement group
     /// `group` (each slot on [`Self::plane_for_slot`]) with page metadata
     /// `meta`, returning the fresh pages' LPNs and planes (slot-indexed).
@@ -535,11 +515,10 @@ impl DeviceCore {
         let mut lpns = Vec::with_capacity(pages);
         let mut planes = Vec::with_capacity(pages);
         for slot in 0..pages as u64 {
-            let key = self.next_group_key(group, slot);
             let plane = self.plane_for_slot(place, slot);
             let page = stripe_page(data, slot as usize, page_bits);
             let lpn = self.alloc_lpn();
-            let placement = PlacementHint::Grouped { group: key, plane };
+            let placement = PlacementHint::Grouped { group: GroupKey::new(group, slot), plane };
             let ppa = self.ssd.write(lpn, &page, WriteOptions { placement, meta })?;
             lpns.push(lpn);
             planes.push(ppa.plane);
@@ -572,7 +551,6 @@ impl DeviceCore {
             meta.scheme = scheme;
         }
         let (lpns, planes) = self.write_stripes(group_index, place, data, meta)?;
-        let dies = planes.iter().map(|p| p.die).collect();
         let id = self.operands.len();
         self.generation_counter += 1;
         self.operands.push(OperandRecord {
@@ -580,7 +558,6 @@ impl DeviceCore {
             bits: data.len(),
             lpns,
             planes,
-            dies,
             group_index,
             generation: self.generation_counter,
             ml: false,
@@ -661,9 +638,7 @@ impl DeviceCore {
         let pages = bits.div_ceil(page_bits).max(1);
         let mut lpns: Vec<Vec<u64>> = vec![Vec::with_capacity(pages); bpc];
         let mut planes = Vec::with_capacity(pages);
-        let mut dies = Vec::with_capacity(pages);
         for slot in 0..pages as u64 {
-            let key = self.next_group_key(group_index, slot);
             let plane = self.plane_for_slot(place, slot);
             let mut slot_lpns = Vec::with_capacity(bpc);
             let mut slot_pages = Vec::with_capacity(bpc);
@@ -675,7 +650,7 @@ impl DeviceCore {
             let ppa = self.ssd.write_ml(
                 &slot_lpns,
                 &slot_pages,
-                PlacementHint::Grouped { group: key, plane },
+                PlacementHint::Grouped { group: GroupKey::new(group_index, slot), plane },
                 scheme,
                 hints.inverted,
             )?;
@@ -683,7 +658,6 @@ impl DeviceCore {
                 lpns[b].push(lpn);
             }
             planes.push(ppa.plane);
-            dies.push(ppa.plane.die);
         }
         let mut handles = Vec::with_capacity(bpc);
         for (name, operand_lpns) in names.iter().zip(lpns) {
@@ -694,7 +668,6 @@ impl DeviceCore {
                 bits,
                 lpns: operand_lpns,
                 planes: planes.clone(),
-                dies: dies.clone(),
                 group_index,
                 generation: self.generation_counter,
                 ml: true,
@@ -750,7 +723,6 @@ impl DeviceCore {
         let new_lpns = lpns.clone();
         let rec = &mut self.operands[id];
         rec.lpns = lpns;
-        rec.dies = planes.iter().map(|p| p.die).collect();
         rec.planes = planes;
         self.bump_generation(id);
         self.parity_protect_lpns(&new_lpns)?;
@@ -805,12 +777,8 @@ impl DeviceCore {
         self.ssd.page_meta(*rec.lpns.first()?).map(|m| m.inverted)
     }
 
-    /// Migrates a stored operand to new placement hints — the §10
-    /// background gathering: operands written at different times (or with
-    /// the wrong polarity) move into a shared block so a later `fc_read`
-    /// needs fewer MWS commands. Each page keeps its programming scheme
-    /// and takes its polarity from `hints`. Returns how many pages moved
-    /// via the chip's copyback fast path (vs controller rewrite).
+    /// Migrates the stored operand `name` to new placement hints — see
+    /// [`Self::migrate_operand_id`].
     ///
     /// # Errors
     ///
@@ -822,6 +790,24 @@ impl DeviceCore {
         hints: StoreHints,
     ) -> Result<u64, FcError> {
         let id = *self.names.get(name).ok_or_else(|| FcError::UnknownName(name.to_string()))?;
+        self.migrate_operand_id(id, hints)
+    }
+
+    /// Migrates operand `id` to new placement hints — the §10
+    /// background gathering: operands written at different times (or with
+    /// the wrong polarity) move into a shared block so a later `fc_read`
+    /// needs fewer MWS commands. Each page keeps its programming scheme
+    /// and takes its polarity from `hints`. Returns how many pages moved
+    /// via the chip's copyback fast path (vs controller rewrite).
+    ///
+    /// # Errors
+    ///
+    /// Fails on multi-level operands or SSD migration errors.
+    pub(crate) fn migrate_operand_id(
+        &mut self,
+        id: OperandId,
+        hints: StoreHints,
+    ) -> Result<u64, FcError> {
         if self.operands[id].ml {
             return Err(FcError::Device(DeviceError::Nand(NandError::InvalidMlsense(
                 "multi-level operands cannot migrate; rewrite the operand group".to_string(),
@@ -831,24 +817,21 @@ impl DeviceCore {
         let lpns = self.operands[id].lpns.clone();
         let mut copybacks = 0;
         let mut planes = Vec::with_capacity(lpns.len());
-        let mut dies = Vec::with_capacity(lpns.len());
         for (slot, &lpn) in lpns.iter().enumerate() {
-            let key = self.next_group_key(group_index, slot as u64);
-            let plane = self.plane_for_slot(place, slot as u64);
+            let slot = slot as u64;
+            let placement = PlacementHint::Grouped {
+                group: GroupKey::new(group_index, slot),
+                plane: self.plane_for_slot(place, slot),
+            };
             let meta = PageMeta {
                 inverted: hints.inverted,
                 ..self.ssd.page_meta(lpn).expect("written operands carry metadata")
             };
-            let used_copyback =
-                self.ssd.migrate(lpn, PlacementHint::Grouped { group: key, plane }, meta)?;
-            copybacks += u64::from(used_copyback);
-            let ppa = self.ssd.translate(lpn).expect("migrated pages stay mapped");
-            planes.push(ppa.plane);
-            dies.push(ppa.plane.die);
+            copybacks += u64::from(self.ssd.migrate(lpn, placement, meta)?);
+            planes.push(self.ssd.translate(lpn).expect("migrated pages stay mapped").plane);
         }
         self.operands[id].group_index = group_index;
         self.operands[id].planes = planes;
-        self.operands[id].dies = dies;
         // Placement moved (even though the data did not): conservatively
         // retire every cached result and compiled program that referenced
         // the old wordlines — the same hazard class as the poisoned
@@ -1142,7 +1125,7 @@ impl FlashCosmosDevice {
     /// placement layout, for asserting die-aware spreading in tests and
     /// benches.
     pub fn operand_dies(&self, id: OperandId) -> Option<Vec<DieId>> {
-        self.core().operands.get(id).map(|r| r.dies.clone())
+        self.core().operands.get(id).map(|r| r.planes.iter().map(|p| p.die).collect())
     }
 
     /// Device-lifetime die and channel occupancy accumulated by every

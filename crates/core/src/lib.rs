@@ -147,7 +147,7 @@ pub use audit::{AuditConfig, AuditMode, Finding, LintCode, Severity};
 pub use batch::{
     BatchResults, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId, QueryStats,
 };
-pub use cluster::{ClusterResults, FcCluster};
+pub use cluster::FcCluster;
 pub use device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 pub use engines::{Engines, Platform, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};

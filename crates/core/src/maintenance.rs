@@ -9,7 +9,6 @@
 //! * the batch compiler knows which operand sets are **fused together**
 //!   and how many senses each unit costs (scattered sets cost more than
 //!   one sense per stripe);
-//! * the result cache knows which units are **re-queried** (hit counts);
 //! * every serving pass — a [`drain`](crate::device::FlashCosmosDevice::drain)
 //!   or a sync read — knows which dies sit **idle** while the busiest die
 //!   bounds the critical path.
@@ -19,12 +18,11 @@
 //!
 //! 1. **Affinity tracking** — [`AffinityTracker`] (fed by every batch
 //!    compile) counts, per co-fused operand set, how often the set was
-//!    queried, how often the cache answered it, and what it last cost in
-//!    senses.
+//!    queried and what it last cost in senses.
 //! 2. **Regroup planning** — a fixed rule selects hot, scattered sets
 //!    (fused at least [`MaintenanceConfig::min_cofuse`] times and still
 //!    costing at least [`MaintenanceConfig::scatter_ratio`] senses per
-//!    stripe); the planner turns each into [`RegroupJob`]s that
+//!    stripe); the planner turns each into regroup jobs that
 //!    [`migrate_operand`](crate::device::FlashCosmosDevice::migrate_operand)
 //!    the set into a fresh shared placement group on a **wear-aware**
 //!    target die (least summed per-block P/E cycles, block pressure as
@@ -144,11 +142,9 @@ pub(crate) fn spread_plane(
 /// Aggregate affinity facts about one co-fused operand set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AffinityEntry {
-    /// Times the set was compiled as one plan unit, weighted by the
-    /// queries each unit served.
+    /// Times the set was compiled as one plan unit (a cache hit counts
+    /// too), weighted by the queries each unit served.
     pub fused: u64,
-    /// Times the set's unit was answered by the result cache.
-    pub cache_hits: u64,
     /// Most recently modeled senses for the set's unit (scatter signal:
     /// a co-located set costs `pages` senses, a scattered one more).
     pub senses: u64,
@@ -211,14 +207,7 @@ impl AffinityTracker {
     /// Records one compiled unit over `ids` (sorted, deduplicated; sets
     /// of fewer than two operands carry no regrouping signal and are
     /// ignored). `weight` is the number of queries the unit served.
-    pub(crate) fn record(
-        &mut self,
-        ids: &[OperandId],
-        senses: u64,
-        pages: u64,
-        weight: u64,
-        cached: bool,
-    ) {
+    pub(crate) fn record(&mut self, ids: &[OperandId], senses: u64, pages: u64, weight: u64) {
         if ids.len() < 2 {
             return;
         }
@@ -229,7 +218,6 @@ impl AffinityTracker {
         if let Some(entry) = self.entries.get_mut(ids) {
             let from = entry.fused;
             entry.fused += weight;
-            entry.cache_hits += if cached { weight } else { 0 };
             entry.senses = senses;
             entry.pages = pages;
             reheat(&mut self.heat, ids, from, entry.fused);
@@ -248,15 +236,7 @@ impl AffinityTracker {
             }
         }
         self.heat.entry(weight).or_default().insert(ids.to_vec());
-        self.entries.insert(
-            ids.to_vec(),
-            AffinityEntry {
-                fused: weight,
-                cache_hits: if cached { weight } else { 0 },
-                senses,
-                pages,
-            },
-        );
+        self.entries.insert(ids.to_vec(), AffinityEntry { fused: weight, senses, pages });
     }
 
     /// Distinct operand sets currently tracked.
@@ -274,15 +254,14 @@ impl AffinityTracker {
         self.entries.get(ids).copied()
     }
 
-    /// Consumes a set's heat (fuse and cache-hit counts; the cost facts
-    /// stay). The planner calls this when it acts on a set, so the next
-    /// regroup of the same set requires *fresh* observations — without
-    /// this, two overlapping hot sets would steal their shared operand
-    /// back and forth on every pass off the same stale counts.
+    /// Consumes a set's heat (its fuse count; the cost facts stay). The
+    /// planner calls this when it acts on a set, so the next regroup of
+    /// the same set requires *fresh* observations — without this, two
+    /// overlapping hot sets would steal their shared operand back and
+    /// forth on every pass off the same stale counts.
     pub(crate) fn consume(&mut self, ids: &[OperandId]) {
         if let Some(entry) = self.entries.get_mut(ids) {
             let from = std::mem::take(&mut entry.fused);
-            entry.cache_hits = 0;
             reheat(&mut self.heat, ids, from, 0);
         }
     }
@@ -386,32 +365,51 @@ impl Default for MaintenanceConfig {
     }
 }
 
-/// One planned migration: move `operand` into the gather group described
-/// by `hints`, provided its placement generation still matches.
+/// One planned migration: move `operand` into its hot set's gather
+/// group, provided its placement generation still matches.
 ///
-/// Queued jobs are audited by `FC106` (see `LINTS.md`): the operand id
-/// and name must describe the same live record, `expected_generation`
-/// must not exceed the table's (snapshots of the past, never the
-/// future), and `target_die` must exist.
+/// The job stores only what planning decided. Execution reads the
+/// operand's stripe count (and, for the retired log, its name) from the
+/// operand table, and builds the destination [`StoreHints`] from
+/// `set_key`, `target_die` and `inverted` ([`RegroupJob::hints`]).
+///
+/// Queued jobs are audited by `FC106` (see `LINTS.md`): the operand must
+/// exist, `expected_generation` must not exceed the table's (snapshots
+/// of the past, never the future), and `target_die` must exist.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegroupJob {
-    /// The operand's registered name (what `migrate_operand` takes).
-    pub name: String,
+pub(crate) struct RegroupJob {
     /// The operand id.
-    pub operand: OperandId,
-    /// Destination placement (gather group + colocation domain + target
-    /// die).
-    pub hints: StoreHints,
+    pub(crate) operand: OperandId,
     /// The operand's placement generation at planning time; execution
     /// drops the job (retires it) when the live generation differs.
-    pub expected_generation: u64,
-    /// Stripe pages the migration moves.
-    pub pages: usize,
+    pub(crate) expected_generation: u64,
     /// Target die (wear-aware pick at planning time).
-    pub target_die: usize,
-    /// Identity of the hot set this job belongs to (the planner skips a
-    /// set while any of its jobs are still queued).
-    pub set_key: u64,
+    pub(crate) target_die: usize,
+    /// Identity of the hot set this job belongs to: names its gather
+    /// group and colocation domain, and the planner skips a set while
+    /// any of its jobs are still queued.
+    pub(crate) set_key: u64,
+    /// Polarity of the gathered set (§6.1): every member stores the same.
+    pub(crate) inverted: bool,
+}
+
+impl RegroupJob {
+    /// Destination placement: the set's gather group in its own
+    /// colocation domain, pinned to the target die.
+    fn hints(&self) -> StoreHints {
+        StoreHints {
+            group: gather_group(self.set_key),
+            inverted: self.inverted,
+            die: Some(self.target_die),
+            colocate: Some(format!("fc-gatherdom-{:016x}", self.set_key)),
+            scheme: None,
+        }
+    }
+}
+
+/// The placement group a hot set gathers into.
+fn gather_group(set_key: u64) -> String {
+    format!("fc-gather-{set_key:016x}")
 }
 
 /// A job dropped instead of applied: its operand mutated between
@@ -520,8 +518,7 @@ impl crate::device::DeviceCore {
                 continue;
             }
             let inverted = polarities[0];
-            let gather = format!("fc-gather-{key:016x}");
-            let domain = format!("fc-gatherdom-{key:016x}");
+            let gather = gather_group(key);
             let gather_index = self.group_index_by_name(&gather);
             // A replan after a partial pass must target where the gather
             // group already sits, not today's least-worn die.
@@ -534,21 +531,12 @@ impl crate::device::DeviceCore {
                 if Some(rec.group_index) == gather_index {
                     continue; // already gathered (a retired sibling re-armed the set)
                 }
-                let hints = crate::device::StoreHints {
-                    group: gather.clone(),
-                    inverted,
-                    die: Some(target_die),
-                    colocate: Some(domain.clone()),
-                    scheme: None,
-                };
                 set_jobs.push(RegroupJob {
-                    name: rec.name.clone(),
                     operand: id,
-                    hints,
                     expected_generation: rec.generation,
-                    pages: rec.lpns.len(),
                     target_die,
                     set_key: key,
+                    inverted,
                 });
             }
             if set_jobs.is_empty() {
@@ -627,9 +615,10 @@ impl crate::device::DeviceCore {
             if found != job.expected_generation {
                 stats.jobs_retired += 1;
                 self.session.bump_jobs_retired();
+                let name = self.operands.get(job.operand).map(|r| r.name.clone());
                 let mut log = self.session.retired_log();
                 log.push_back(RetiredJob {
-                    name: job.name,
+                    name: name.unwrap_or_default(),
                     operand: job.operand,
                     expected_generation: job.expected_generation,
                     found_generation: found,
@@ -643,9 +632,11 @@ impl crate::device::DeviceCore {
             // die and programs on the target die (a die-internal move —
             // copyback — keeps both halves on one die).
             let cfg = self.ssd.config();
+            let planes = &self.operands[job.operand].planes;
+            let pages = planes.len() as u64;
             let mut work: Vec<(usize, f64)> = Vec::new();
-            for die in &self.operands[job.operand].dies {
-                let src = die.flat(cfg);
+            for plane in planes {
+                let src = plane.die.flat(cfg);
                 if src == job.target_die {
                     work.push((src, tr_us + tesp_us));
                 } else {
@@ -658,7 +649,7 @@ impl crate::device::DeviceCore {
                 continue;
             }
             let moved_us: f64 = work.iter().map(|&(_, us)| us).sum();
-            let copybacks = match self.migrate_operand(&job.name, job.hints.clone()) {
+            let copybacks = match self.migrate_operand_id(job.operand, job.hints()) {
                 Ok(c) => c,
                 Err(e) => {
                     // The failing job is consumed, but neither the
@@ -672,7 +663,7 @@ impl crate::device::DeviceCore {
                 }
             };
             stats.jobs_executed += 1;
-            stats.pages_moved += job.pages as u64;
+            stats.pages_moved += pages;
             stats.copybacks += copybacks;
             stats.fill_time_us += moved_us;
         }
@@ -817,18 +808,17 @@ mod tests {
     #[test]
     fn affinity_tracker_records_and_bounds() {
         let mut t = AffinityTracker::with_capacity(2);
-        t.record(&[1, 2], 4, 1, 1, false);
-        t.record(&[1, 2], 4, 1, 2, true);
-        t.record(&[3, 4], 2, 1, 1, false);
+        t.record(&[1, 2], 4, 1, 1);
+        t.record(&[1, 2], 4, 1, 2);
+        t.record(&[3, 4], 2, 1, 1);
         let e = t.entry(&[1, 2]).unwrap();
         assert_eq!(e.fused, 3);
-        assert_eq!(e.cache_hits, 2);
         assert_eq!(e.senses, 4);
         // Single-operand sets carry no signal.
-        t.record(&[7], 1, 1, 1, false);
+        t.record(&[7], 1, 1, 1);
         assert_eq!(t.len(), 2);
         // Capacity bound: the coldest set ([3,4], fused 1) is dropped.
-        t.record(&[5, 6], 8, 2, 1, false);
+        t.record(&[5, 6], 8, 2, 1);
         assert_eq!(t.len(), 2);
         assert!(t.entry(&[3, 4]).is_none());
         assert!(t.entry(&[1, 2]).is_some());
@@ -847,9 +837,9 @@ mod tests {
         for _ in 0..16 {
             let mut t = AffinityTracker::with_capacity(4);
             for ids in [[7, 8], [3, 9], [3, 4], [5, 6]] {
-                t.record(&ids, 1, 1, 1, false);
+                t.record(&ids, 1, 1, 1);
             }
-            t.record(&[1, 2], 1, 1, 1, false);
+            t.record(&[1, 2], 1, 1, 1);
             assert!(t.entry(&[3, 4]).is_none(), "smallest tied set is evicted");
             assert_eq!(t.len(), 4);
             for ids in [[7, 8], [3, 9], [5, 6], [1, 2]] {
@@ -866,14 +856,12 @@ mod tests {
     }
 
     impl ScanTracker {
-        fn record(&mut self, ids: &[OperandId], senses: u64, pages: u64, weight: u64, hit: bool) {
+        fn record(&mut self, ids: &[OperandId], senses: u64, pages: u64, weight: u64) {
             if ids.len() < 2 {
                 return;
             }
-            let cache_hits = if hit { weight } else { 0 };
             if let Some(e) = self.entries.get_mut(ids) {
                 e.fused += weight;
-                e.cache_hits += cache_hits;
                 e.senses = senses;
                 e.pages = pages;
                 return;
@@ -887,14 +875,12 @@ mod tests {
                     .expect("a full tracker has a coldest set");
                 self.entries.remove(&coldest);
             }
-            self.entries
-                .insert(ids.to_vec(), AffinityEntry { fused: weight, cache_hits, senses, pages });
+            self.entries.insert(ids.to_vec(), AffinityEntry { fused: weight, senses, pages });
         }
 
         fn consume(&mut self, ids: &[OperandId]) {
             if let Some(e) = self.entries.get_mut(ids) {
                 e.fused = 0;
-                e.cache_hits = 0;
             }
         }
 
@@ -934,9 +920,8 @@ mod tests {
                         let senses = rng.gen_range(1..=8u64);
                         let pages = rng.gen_range(1..=2u64);
                         let weight = rng.gen_range(1..=3u64);
-                        let hit = rng.gen_bool(0.3);
-                        t.record(ids, senses, pages, weight, hit);
-                        scan.record(ids, senses, pages, weight, hit);
+                        t.record(ids, senses, pages, weight);
+                        scan.record(ids, senses, pages, weight);
                     }
                     80..=98 => {
                         t.consume(ids);
@@ -958,7 +943,7 @@ mod tests {
         let cfg = MaintenanceConfig::default();
         let mk = |ids: Vec<usize>, fused, senses, pages| HotSet {
             ids,
-            stats: AffinityEntry { fused, cache_hits: 0, senses, pages },
+            stats: AffinityEntry { fused, senses, pages },
         };
         let candidates = vec![
             mk(vec![0, 1], 5, 4, 1), // hot and scattered → selected

@@ -38,7 +38,6 @@ use std::collections::HashMap;
 use fc_nand::calib::timing;
 use fc_nand::command::{Command, IscmFlags, MwsTarget};
 use fc_nand::geometry::{BlockAddr, WlAddr};
-use fc_nand::sense;
 use serde::{Deserialize, Serialize};
 
 use crate::expr::{flatten_and, flatten_or, Literal, Nnf, OperandId};
@@ -177,24 +176,6 @@ impl MwsProgram {
             .iter()
             .filter(|c| matches!(c, Command::Mws { .. } | Command::ThresholdMws { .. }))
             .count()
-    }
-
-    /// Estimated chip latency of the program, µs, using the Fig. 12/13
-    /// latency model on the Table 1 base read latency.
-    pub fn estimated_latency_us(&self) -> f64 {
-        self.commands
-            .iter()
-            .map(|c| match c {
-                Command::Mws { targets, .. } => {
-                    let max_wls = targets.iter().map(MwsTarget::wl_count).max().unwrap_or(1);
-                    sense::mws_latency_us(timing::T_R_SLC_US, max_wls, targets.len())
-                }
-                Command::ThresholdMws { target, .. } => {
-                    sense::mws_latency_us(timing::T_R_SLC_US, target.wl_count(), 1)
-                }
-                _ => 0.0,
-            })
-            .sum()
     }
 }
 
@@ -1081,7 +1062,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(p.estimated_latency_us() > 0.0);
     }
 
     #[test]
@@ -1197,17 +1177,5 @@ mod tests {
             Err(PlanError::Unplannable(msg)) => assert!(msg.contains("expansion")),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn estimated_latency_reflects_command_count() {
-        let mut m = PlacementMap::new();
-        for i in 0..8 {
-            m.insert(i, WlAddr::new(0, (i / 4) as u32, (i % 4) as u32), false);
-        }
-        let one = compile(&Expr::and_vars(0..4).to_nnf(), &m, caps()).unwrap();
-        let two = compile(&Expr::and_vars(0..8).to_nnf(), &m, caps()).unwrap();
-        assert!(two.estimated_latency_us() > one.estimated_latency_us());
-        assert!(one.estimated_latency_us() > 22.0);
     }
 }

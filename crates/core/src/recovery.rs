@@ -64,7 +64,7 @@ use fc_nand::geometry::BlockAddr;
 use fc_nand::rber::BlockGrade;
 use fc_nand::stress::StressState;
 use fc_ssd::device::{DeviceError, WriteOptions};
-use fc_ssd::ftl::{PageMeta, PlacementHint};
+use fc_ssd::ftl::{GroupKey, PageMeta, PlacementHint};
 use fc_ssd::parity::{rebuild_member, xor_fold, StripeMap};
 use fc_ssd::pipeline::DieQueues;
 use fc_ssd::topology::{DieId, Ppa};
@@ -74,11 +74,13 @@ use rand::SeedableRng;
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::OperandId;
 
-/// FTL group-index namespace for parity pages (one group per plane).
-/// Regular placement groups are numbered sequentially from zero, so the
-/// high-bit bases can never collide with them.
+/// FTL group-index namespace for parity pages: one group per plane,
+/// `PARITY_GROUP_BASE + plane`, so a group's id encodes the plane the
+/// FTL keeps it on. Regular placement groups are numbered sequentially
+/// from zero, so the high-bit bases can never collide with them.
 const PARITY_GROUP_BASE: u64 = 1 << 40;
-/// FTL group-index namespace for rebuild rewrites (one group per plane).
+/// FTL group-index namespace for rebuild rewrites (one group per plane,
+/// encoded like [`PARITY_GROUP_BASE`]).
 const REBUILD_GROUP_BASE: u64 = 1 << 41;
 
 /// Device-wide reliability snapshot: the SSD's read-health counters plus
@@ -395,7 +397,7 @@ impl DeviceCore {
         conventional: bool,
         plane: usize,
     ) -> Result<u64, FcError> {
-        let key = self.next_group_key(PARITY_GROUP_BASE + plane as u64, 0);
+        let key = GroupKey::new(PARITY_GROUP_BASE + plane as u64, 0);
         let meta =
             if conventional { PageMeta::conventional() } else { PageMeta::flash_cosmos(false) };
         let lpn = self.alloc_lpn();
@@ -504,7 +506,7 @@ impl DeviceCore {
     fn relocate_rebuilt(&mut self, lpn: u64, payload: &BitVec) -> Result<(), FcError> {
         let meta = self.ssd.page_meta(lpn).expect("rebuilt pages are mapped");
         let plane = self.stripe_target_plane(lpn).expect("rebuilt pages belong to a stripe");
-        let key = self.next_group_key(REBUILD_GROUP_BASE + plane as u64, 0);
+        let key = GroupKey::new(REBUILD_GROUP_BASE + plane as u64, 0);
         self.ssd.trim(lpn);
         self.ssd.write(
             lpn,
@@ -515,7 +517,6 @@ impl DeviceCore {
         if let Some((id, slot)) = self.operand_of_lpn(lpn) {
             let ppa = self.ssd.translate(lpn).expect("just rewritten");
             self.operands[id].planes[slot] = ppa.plane;
-            self.operands[id].dies[slot] = ppa.plane.die;
             self.bump_generation(id);
         }
         Ok(())
@@ -924,7 +925,7 @@ impl DeviceCore {
             }
             let hint = match stripe_plane {
                 Some(plane) => PlacementHint::Grouped {
-                    group: self.next_group_key(REBUILD_GROUP_BASE + plane as u64, 0),
+                    group: GroupKey::new(REBUILD_GROUP_BASE + plane as u64, 0),
                     plane,
                 },
                 None => PlacementHint::Striped,

@@ -9,15 +9,17 @@
 //!
 //! * [`dram`] — DDR4 channel bandwidth and per-byte energy.
 //! * [`cpu`] — streaming bitwise / popcount throughput and energy.
-//! * [`osp`] — the OSP executor model: compute overlapped with SSD reads.
+//!
+//! The crate prices host work only. Overlapping it with the SSD's reads
+//! is the pipeline model's job: `flash_cosmos::engines` hands each
+//! platform's host work to it as the `HostWork` tail behind the page
+//! stream.
 
 pub mod cpu;
 pub mod dram;
-pub mod osp;
 
 pub use cpu::HostCpu;
 pub use dram::Ddr4;
-pub use osp::OspModel;
 
 /// Host calibration constants (Table 1 host row + representative
 /// technology figures; the paper reports only end-to-end energies).

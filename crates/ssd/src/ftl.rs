@@ -15,9 +15,10 @@
 //!   block* of a given plane, consecutive wordlines (operands that will be
 //!   combined by intra-block MWS; "the application decides which operands
 //!   to be stored in the same block to minimize the number of MWS
-//!   operations", §6.3). The caller picks the plane: the device layer
-//!   spreads placement groups across dies by the per-plane block
-//!   pressure the FTL tracks ([`Ftl::plane_pressures`]).
+//!   operations", §6.3); a group that fills its block continues in a
+//!   fresh block on the same plane. The caller picks a fresh group's
+//!   plane: the device layer spreads placement groups across dies by the
+//!   per-plane block pressure the FTL tracks ([`Ftl::plane_pressures`]).
 
 use std::collections::HashMap;
 
@@ -82,32 +83,28 @@ impl PageMeta {
 /// Identity of one co-residency group: the pages that must share a block
 /// so intra-block MWS can combine them in one sense.
 ///
-/// A structured key rather than bit-packing: the earlier encoding
-/// (`(group << 32) | (overflow << 24) | slot`) silently merged unrelated
-/// groups once `overflow` exceeded 8 bits and — worse — erased the
-/// `group` bits under the FTL's `group % planes` plane choice, so every
-/// group landed on the plane of its stripe slot.
+/// The FTL keeps the group's write cursor: its plane, its open block and
+/// the next wordline. A group whose block is full continues in a fresh
+/// block on the same plane ([`Ftl::allocate`]), so callers name a group
+/// by `(group, slot)` alone however many pages it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct GroupKey {
     /// Application-level placement-group index.
     pub group: u64,
     /// Stripe slot within the group's operand vectors.
     pub slot: u64,
-    /// Overflow block ordinal (a group whose wordlines exhaust one block
-    /// continues in a fresh block with the next overflow id).
-    pub overflow: u64,
 }
 
 impl GroupKey {
-    /// A key with no overflow (the common, first-block case).
+    /// The key of stripe slot `slot` of placement group `group`.
     pub fn new(group: u64, slot: u64) -> Self {
-        Self { group, slot, overflow: 0 }
+        Self { group, slot }
     }
 }
 
 impl std::fmt::Display for GroupKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "g{}/s{}/o{}", self.group, self.slot, self.overflow)
+        write!(f, "g{}/s{}", self.group, self.slot)
     }
 }
 
@@ -117,13 +114,14 @@ pub enum PlacementHint {
     /// Round-robin striping across all planes.
     Striped,
     /// Co-locate with other pages of `group` in one block of one plane.
-    /// Pages of a group occupy consecutive wordlines, so any subset can be
-    /// combined with a single intra-block MWS.
+    /// Pages of a group occupy consecutive wordlines, so any subset of
+    /// one block can be combined with a single intra-block MWS; a full
+    /// block continues in a fresh block on the group's plane.
     Grouped {
         /// Group identity (e.g. one operand set of one plane-stripe).
         group: GroupKey,
         /// Flat plane a fresh group opens its block on (an existing group
-        /// stays where its block is).
+        /// stays on its plane, also when it opens a fresh block).
         plane: usize,
     },
 }
@@ -137,14 +135,6 @@ pub enum FtlError {
     AlreadyMapped(u64),
     /// No free wordline is available in the required placement domain.
     OutOfSpace,
-    /// A grouped allocation exceeded one block's wordline count (callers
-    /// must split operand sets across groups; §6.1 covers combining them).
-    GroupFull {
-        /// The group that overflowed.
-        group: GroupKey,
-        /// Block capacity in wordlines.
-        capacity: usize,
-    },
     /// A grouped allocation named a plane the SSD does not have.
     PlaneOutOfRange {
         /// The requested flat plane index.
@@ -161,9 +151,6 @@ impl std::fmt::Display for FtlError {
         match self {
             FtlError::AlreadyMapped(lpn) => write!(f, "logical page {lpn} is already mapped"),
             FtlError::OutOfSpace => write!(f, "no free wordlines left in the placement domain"),
-            FtlError::GroupFull { group, capacity } => {
-                write!(f, "group {group} exceeds one block ({capacity} wordlines)")
-            }
             FtlError::PlaneOutOfRange { plane, planes } => {
                 write!(f, "plane affinity {plane} out of range (SSD has {planes} planes)")
             }
@@ -376,9 +363,13 @@ impl Ftl {
         self.groups.get(&group).map_or(plane, |c| c.plane)
     }
 
+    /// The next wordline of `group`: its open block while it has room, a
+    /// fresh block on the group's own plane once it is full (so overflow
+    /// keeps the group's pages co-resident per block and on one plane).
     fn allocate_grouped(&mut self, group: GroupKey, plane: usize) -> Result<Ppa, FtlError> {
         let cursor = match self.groups.get(&group).copied() {
-            Some(c) => c,
+            Some(c) if c.next_wl < self.wls_per_block => c,
+            Some(c) => GroupCursor { block: self.take_block(c.plane)?, next_wl: 0, ..c },
             None => {
                 if plane >= self.planes {
                     return Err(FtlError::PlaneOutOfRange { plane, planes: self.planes });
@@ -387,9 +378,6 @@ impl Ftl {
                 GroupCursor { plane, block, next_wl: 0 }
             }
         };
-        if cursor.next_wl >= self.wls_per_block {
-            return Err(FtlError::GroupFull { group, capacity: self.wls_per_block as usize });
-        }
         let ppa = Ppa {
             plane: PlaneId::from_flat(cursor.plane, &self.config),
             block: cursor.block,
@@ -446,14 +434,22 @@ mod tests {
     }
 
     #[test]
-    fn group_overflow_is_reported() {
+    fn full_group_continues_in_a_fresh_block_on_its_plane() {
         let mut f = ftl();
         let key = GroupKey::new(1, 0);
-        for i in 0..8 {
-            f.allocate(i, grouped(key, 0), PageMeta::flash_cosmos(false)).unwrap();
-        }
-        let err = f.allocate(99, grouped(key, 0), PageMeta::flash_cosmos(false)).unwrap_err();
-        assert_eq!(err, FtlError::GroupFull { group: key, capacity: 8 });
+        let first: Vec<Ppa> = (0..8)
+            .map(|i| f.allocate(i, grouped(key, 3), PageMeta::flash_cosmos(false)).unwrap())
+            .collect();
+        assert_eq!(f.plane_pressures()[3], 1);
+        // The ninth page names another plane, but the group stays on its
+        // own: a fresh block there, from its first wordline.
+        let ninth = f.allocate(99, grouped(key, 5), PageMeta::flash_cosmos(false)).unwrap();
+        assert_eq!(ninth.plane, first[0].plane);
+        assert_eq!(ninth.plane.flat(&SsdConfig::tiny_test()), 3);
+        assert_ne!(ninth.block, first[0].block);
+        assert_eq!(ninth.wl, 0);
+        assert_eq!(f.plane_pressures()[3], 2);
+        assert_eq!(f.plane_pressures()[5], 0);
     }
 
     #[test]
@@ -487,24 +483,6 @@ mod tests {
             .allocate(99, grouped(GroupKey::new(99, 0), 8), PageMeta::flash_cosmos(false))
             .unwrap_err();
         assert_eq!(err, FtlError::PlaneOutOfRange { plane: 8, planes: 8 });
-    }
-
-    #[test]
-    fn structured_keys_do_not_collide_across_overflow() {
-        // Regression for the packed-u64 encoding: after 256 block
-        // overflows, `(g << 32) | (ovf << 24) | slot` bled the overflow
-        // id into the group bits, so (g=0, ovf=256) collided with
-        // (g=1, ovf=0) — two unrelated groups silently merged into one
-        // block. The struct key keeps them distinct.
-        let mut f = ftl();
-        let a = GroupKey { group: 0, slot: 0, overflow: 256 };
-        let b = GroupKey { group: 1, slot: 0, overflow: 0 };
-        let pa = f.allocate(1, grouped(a, 0), PageMeta::flash_cosmos(false)).unwrap();
-        let pb = f.allocate(2, grouped(b, 0), PageMeta::flash_cosmos(false)).unwrap();
-        assert_ne!(pa.block, pb.block, "colliding packed keys silently merged groups");
-        // And the old encoding really did collide:
-        let packed = |g: u64, ovf: u64, slot: u64| (g << 32) | (ovf << 24) | slot;
-        assert_eq!(packed(0, 256, 0), packed(1, 0, 0));
     }
 
     #[test]

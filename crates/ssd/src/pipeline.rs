@@ -153,10 +153,6 @@ pub struct DieQueues {
     /// Dies sharing each channel bus (flat die `d` transfers over channel
     /// `d / dies_per_channel`).
     dies_per_channel: usize,
-    /// Total fill-in (background/maintenance) latency accepted via
-    /// [`DieQueues::try_fill`], µs. Included in `busy_us` as well — this
-    /// is the attribution split, not extra time.
-    filled_us: f64,
 }
 
 impl DieQueues {
@@ -167,7 +163,6 @@ impl DieQueues {
             busy_us: vec![0.0; config.total_dies()],
             chan_us: vec![0.0; config.channels],
             dies_per_channel: config.dies_per_channel,
-            filled_us: 0.0,
         }
     }
 
@@ -198,7 +193,6 @@ impl DieQueues {
         for (acc, &b) in self.chan_us.iter_mut().zip(&other.chan_us) {
             *acc += b;
         }
-        self.filled_us += other.filled_us;
     }
 
     /// Idle time left on a die before its queue reaches `budget_us` —
@@ -237,14 +231,8 @@ impl DieQueues {
         }
         for &(die, us) in &needed {
             self.push(die, us);
-            self.filled_us += us;
         }
         true
-    }
-
-    /// Total fill-in latency accepted by [`DieQueues::try_fill`], µs.
-    pub fn filled_us(&self) -> f64 {
-        self.filled_us
     }
 
     /// The busiest die's total queued latency, µs — the modeled critical
@@ -301,7 +289,6 @@ impl DieQueues {
     pub fn clear(&mut self) {
         self.busy_us.iter_mut().for_each(|b| *b = 0.0);
         self.chan_us.iter_mut().for_each(|b| *b = 0.0);
-        self.filled_us = 0.0;
     }
 }
 
@@ -685,23 +672,14 @@ mod tests {
         assert!(q.try_fill(&[(1, 30.0), (2, 50.0)], 100.0));
         assert_eq!(q.occupancy_us()[1], 50.0);
         assert_eq!(q.occupancy_us()[2], 50.0);
-        assert_eq!(q.filled_us(), 80.0);
         // All-or-nothing: one overfull die rejects the whole job, and the
         // fitting piece must not have been applied.
         assert!(!q.try_fill(&[(3, 10.0), (0, 30.0)], 100.0));
         assert_eq!(q.occupancy_us()[3], 0.0, "rejected job left no residue");
-        assert_eq!(q.filled_us(), 80.0);
         // Two pieces on one die must jointly fit, not just individually.
         assert!(!q.try_fill(&[(3, 60.0), (3, 60.0)], 100.0));
         assert!(q.try_fill(&[(3, 60.0), (3, 40.0)], 100.0));
         assert_eq!(q.busiest_us(), 100.0, "fill-in never exceeds the budget");
-        // merge carries the fill-in attribution along.
-        let mut other = DieQueues::for_config(&cfg);
-        other.try_fill(&[(0, 5.0)], 100.0);
-        q.merge(&other);
-        assert_eq!(q.filled_us(), 185.0);
-        q.clear();
-        assert_eq!(q.filled_us(), 0.0);
     }
 
     #[test]
@@ -713,7 +691,6 @@ mod tests {
         }));
         assert!(outcome.is_err(), "die 9 does not exist");
         assert_eq!(q.occupancy_us()[0], 0.0, "nothing booked on die 0");
-        assert_eq!(q.filled_us(), 0.0, "nothing booked as fill-in");
     }
 
     #[test]

@@ -145,11 +145,13 @@ fn fc006_fires_on_misrouted_leaf_die() {
 
 #[test]
 fn fc007_fires_on_mispriced_unit() {
+    // An orphaned unit is priced for no query: its senses land in no
+    // per-query share, and the query it fed is left uncovered.
     let mut rng = StdRng::seed_from_u64(0xA007);
     let mut dev = device();
     let ids = store_group(&mut dev, "g", 3, None, &mut rng);
     let batch: QueryBatch = [Expr::and_vars(ids)].into_iter().collect();
-    assert_plan_mutation_fires(&mut dev, &batch, PlanMutation::MispriceUnit, LintCode::Fc007);
+    assert_plan_mutation_fires(&mut dev, &batch, PlanMutation::OrphanUnit, LintCode::Fc007);
 }
 
 // ---------------------------------------------------------------------------

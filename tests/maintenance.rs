@@ -163,6 +163,7 @@ fn overwritten_operand_retires_its_job_instead_of_migrating() {
     let retired: Vec<_> = dev.session().retired_jobs().collect();
     assert_eq!(retired.len(), 1);
     assert_eq!(retired[0].operand, ids[1]);
+    assert_eq!(retired[0].name, "op1", "the log names the operand from the table");
     assert!(retired[0].found_generation > retired[0].expected_generation);
     assert_eq!(dev.session().jobs_retired_total(), 1);
     // The un-migrated operand stayed in its original group...

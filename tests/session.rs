@@ -223,6 +223,32 @@ fn async_batches_observe_drain_time_data() {
     assert_eq!(after.results[0], replacement.and(&data[1]));
 }
 
+/// A batch queued behind an identical one replays the result the earlier
+/// batch just cached: the drain refreshes its unit into a cache hit, and
+/// the hit reports the senses it saved.
+#[test]
+fn drain_refreshes_a_queued_unit_from_an_earlier_batch() {
+    let mut rng = StdRng::seed_from_u64(0xD4A2);
+    let mut dev = device();
+    let (ids, data) = store_group(&mut dev, "g", 3, None, &mut rng);
+    let batch: QueryBatch = [Expr::and_vars(ids.iter().copied())].into_iter().collect();
+    // Both batches compile before either executes, so both miss the cache.
+    let t1 = dev.submit_async(&batch).unwrap();
+    let t2 = dev.submit_async(&batch).unwrap();
+    dev.drain().unwrap();
+    let first = t1.wait(&dev).unwrap();
+    let second = t2.wait(&dev).unwrap();
+    assert!(first.stats.senses > 0);
+    assert_eq!(first.stats.cached_units, 0);
+    assert_eq!(second.stats.cached_units, 1);
+    assert_eq!(second.stats.cached_senses, first.stats.senses);
+    assert_eq!(second.stats.senses, 0);
+    assert_eq!(second.stats.serial_senses, first.stats.serial_senses);
+    let expect = data[0].and(&data[1]).and(&data[2]);
+    assert_eq!(first.results[0], expect);
+    assert_eq!(second.results[0], expect);
+}
+
 /// Overwrite and migration invalidation on the synchronous path, plus
 /// handle/geometry stability across `fc_overwrite`.
 #[test]
