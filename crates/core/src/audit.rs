@@ -52,8 +52,7 @@ use crate::batch::{CompiledBatch, PlannedUnit, QueryBatch, UnitWork};
 use crate::crossdie::MergeTree;
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
-use crate::maintenance::RegroupJob;
-use crate::recovery::ScrubJob;
+use crate::maintenance::{Job, RegroupJob};
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,7 +105,7 @@ pub enum LintCode {
     Fc104,
     /// Result-cache entry stamped with an impossible generation.
     Fc105,
-    /// Queued maintenance/scrub job not stamped with live state.
+    /// Queued background job not stamped with live state.
     Fc106,
     /// Placement bookkeeping inconsistent (operand planes vs the FTL,
     /// group and domain placements, wear table).
@@ -1315,14 +1314,27 @@ impl DeviceCore {
         }
     }
 
-    /// FC106 — queued maintenance and scrub jobs are stamped with live
-    /// state: known operands, reachable generations, existing dies and
-    /// allocated pages.
+    /// FC106 — queued background jobs are stamped with live state:
+    /// regroup jobs name known operands, reachable generations and
+    /// existing dies; refreshes name allocated pages.
     fn audit_job_stamps(&self, out: &mut Vec<Finding>) {
         let total_dies = self.ssd.config().total_dies();
-        let jobs: Vec<RegroupJob> = self.session.jobs().iter().cloned().collect();
-        for (ji, job) in jobs.iter().enumerate() {
-            let loc = format!("maintenance job {ji}");
+        for (ji, job) in self.jobs.iter().enumerate() {
+            let loc = format!("job {ji}");
+            let job = match job {
+                Job::Regroup(job) => job,
+                Job::Scrub { lpn } => {
+                    if *lpn >= self.next_lpn {
+                        out.push(finding(
+                            LintCode::Fc106,
+                            loc,
+                            format!("scrub queued for never-allocated page {lpn}"),
+                            "scrub candidates come from the mapped-page scan",
+                        ));
+                    }
+                    continue;
+                }
+            };
             match self.operands.get(job.operand) {
                 None => out.push(finding(
                     LintCode::Fc106,
@@ -1347,16 +1359,6 @@ impl DeviceCore {
                     loc,
                     format!("job targets die {} of a {total_dies}-die SSD", job.target_die),
                     "validate target dies at planning time",
-                ));
-            }
-        }
-        for (ji, job) in self.recovery.scrub_queue.iter().enumerate() {
-            if job.lpn >= self.next_lpn {
-                out.push(finding(
-                    LintCode::Fc106,
-                    format!("scrub job {ji}"),
-                    format!("scrub queued for never-allocated page {}", job.lpn),
-                    "scrub candidates come from the mapped-page scan",
                 ));
             }
         }
@@ -1534,7 +1536,7 @@ pub enum DeviceMutation {
     DropParityMember,
     /// Insert a cache entry stamped with a future generation → `FC105`.
     SkewCacheGeneration,
-    /// Queue a maintenance job for a nonexistent operand → `FC106`.
+    /// Queue a regroup job for a nonexistent operand → `FC106`.
     DeadJob,
     /// Queue a scrub for a never-allocated page → `FC106`.
     UnmappedScrub,
@@ -1700,17 +1702,17 @@ impl DeviceCore {
             }
             DeviceMutation::DeadJob => {
                 let dead = self.operands.len() + 41;
-                self.session.jobs().push_back(RegroupJob {
+                self.jobs.push_back(Job::Regroup(RegroupJob {
                     operand: dead,
                     expected_generation: u64::MAX,
                     target_die: 0,
                     set_key: u64::MAX,
                     inverted: false,
-                });
+                }));
                 true
             }
             DeviceMutation::UnmappedScrub => {
-                self.recovery.scrub_queue.push_back(ScrubJob { lpn: u64::MAX });
+                self.jobs.push_back(Job::Scrub { lpn: u64::MAX });
                 true
             }
             DeviceMutation::SwapOperandPlane => {

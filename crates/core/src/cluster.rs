@@ -93,11 +93,6 @@ impl FcCluster {
         }
     }
 
-    /// Number of shards behind the router.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Read access to one shard device.
     pub fn shard(&self, shard: usize) -> &FlashCosmosDevice {
         &self.shards[shard]

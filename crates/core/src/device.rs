@@ -36,7 +36,7 @@
 //! batch compiler splits it into per-die programs and merges the partial
 //! pages in the controller (see [`crate::crossdie`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fc_bits::BitVec;
@@ -50,7 +50,7 @@ use fc_ssd::SsdConfig;
 
 use crate::batch::BatchStats;
 use crate::expr::{Expr, OperandId};
-use crate::maintenance::{channel_first_die, channel_first_step, spread_plane, MaintenanceConfig};
+use crate::maintenance::{channel_first_die, channel_first_step, spread_plane, Job, RetiredJob};
 use crate::planner::{PlacementMap, PlanError};
 
 /// Handle to a stored operand vector.
@@ -273,17 +273,17 @@ pub(crate) struct GroupPlace {
 }
 
 /// The single-owner state of the Flash-Cosmos device: operand and
-/// placement tables, the functional SSD, the maintenance/audit/recovery
-/// configuration, and the epoch/generation counters.
+/// placement tables, the functional SSD, the background job queue, the
+/// audit ruleset, the recovery state, and the epoch/generation counters.
 ///
 /// Everything here is guarded by the `RwLock` inside
 /// [`FlashCosmosDevice`]: the hot serving path (batch compile and the
 /// serve step, for sync reads and drains alike) runs under the **read**
 /// lock — chip-level
 /// mutual exclusion comes from the per-die locks inside [`SsdDevice`]
-/// and the session's own mutex shards — while structural mutations
-/// (writes, migrations, maintenance, scrubbing, fault injection, the
-/// device audit) take the **write** lock.
+/// and the session's own mutexes — while structural mutations
+/// (writes, migrations, background jobs, fault injection, the device
+/// audit) take the **write** lock.
 pub(crate) struct DeviceCore {
     pub(crate) ssd: SsdDevice,
     pub(crate) operands: Vec<OperandRecord>,
@@ -297,8 +297,14 @@ pub(crate) struct DeviceCore {
     /// search for the least-pressure plane starts (see
     /// [`crate::maintenance`]), so pressure ties rotate across dies.
     spread_cursor: usize,
-    /// Maintenance tuning (heat thresholds, slack budget).
-    pub(crate) maintenance_cfg: MaintenanceConfig,
+    /// The background job queue, oldest first: regroup jobs (see
+    /// [`crate::maintenance`]) and scrub refreshes (see
+    /// [`crate::recovery`]), run in each serving pass's idle-die slack.
+    pub(crate) jobs: VecDeque<Job>,
+    /// Bounded log of regroup jobs retired on a generation mismatch.
+    pub(crate) retired_jobs: VecDeque<RetiredJob>,
+    /// Regroup jobs ever retired (the log itself is bounded).
+    pub(crate) jobs_retired_total: u64,
     /// Ruleset of the static analyzer (see [`crate::audit`]): what the
     /// debug-build plan-lint and device-audit hooks do per lint code.
     pub(crate) audit_cfg: crate::audit::AuditConfig,
@@ -311,8 +317,8 @@ pub(crate) struct DeviceCore {
     /// Device-lifetime die and channel occupancy: a leaf mutex every
     /// served batch takes once, to merge its own [`DieQueues`].
     pub(crate) die_load: Mutex<DieQueues>,
-    /// Reliability state: parity stripes, scrub queue, fault bookkeeping
-    /// and recovery counters (see [`crate::recovery`]).
+    /// Reliability state: parity stripes, durable records, fault
+    /// bookkeeping and recovery counters (see [`crate::recovery`]).
     pub(crate) recovery: crate::recovery::RecoveryState,
     /// Device epoch: bumped by any hazard the per-operand generations
     /// cannot see (raw [`Self::ssd_mut`] access — reliability-mode
@@ -350,7 +356,9 @@ impl DeviceCore {
             group_place: HashMap::new(),
             domain_place: HashMap::new(),
             spread_cursor: 0,
-            maintenance_cfg: MaintenanceConfig::default(),
+            jobs: VecDeque::new(),
+            retired_jobs: VecDeque::new(),
+            jobs_retired_total: 0,
             audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
             session: Arc::new(crate::session::Session::default()),
@@ -852,21 +860,20 @@ impl DeviceCore {
 /// call [`Self::submit_async`] / [`Self::drain`] / [`Self::wait`] /
 /// [`Self::fc_read`] / [`Self::fc_overwrite`] concurrently. Internally
 /// the serving path (compile + the serve step, sync or drained) runs
-/// under a read lock — per-die chip mutexes and the session's mutex
-/// shards provide the fine-grained exclusion — while structural
-/// mutations (writes, migrations, maintenance, scrubbing, fault
-/// injection, the debug-build device audit) take the write lock. The
+/// under a read lock — per-die chip mutexes and the session's mutexes
+/// provide the fine-grained exclusion — while structural mutations
+/// (writes, migrations, background jobs, fault injection, the
+/// debug-build device audit) take the write lock. The
 /// FTL has no lock of its own: [`SsdDevice`]'s FTL-changing methods take
 /// `&mut self`, reachable only through the write lock or `&mut self`.
 ///
 /// ## Lock order
 ///
-/// Device `RwLock` → session shards (pending → executing, retired shard
-/// → executing) → per-die chip mutex → leaf mutexes
-/// (scratch, energy, die load). The session's condvar waits in
+/// Device `RwLock` → session ticket table → per-die chip mutex → leaf
+/// mutexes (scratch, energy, die load). The session's condvar waits in
 /// [`Self::wait`] happen **outside** the device lock, so parked waiters
-/// never starve a writer. A read drops its read guard before its background tail takes
-/// the write guard — no thread ever holds both.
+/// never starve a writer. A read drops its read guard before its
+/// background tail takes the write guard — no thread ever holds both.
 ///
 /// The single-threaded API is source-compatible: `&mut self` callers
 /// hit the same methods (a `&mut` coerces to `&`), and methods that
@@ -973,27 +980,11 @@ impl FlashCosmosDevice {
         self.core().plane_wear()
     }
 
-    /// Replaces the maintenance tuning (heat thresholds, slack budget).
-    pub fn set_maintenance_config(&mut self, cfg: MaintenanceConfig) {
-        self.core_mut().maintenance_cfg = cfg;
-    }
-
     /// Replaces the static analyzer's ruleset (see [`crate::audit`]):
     /// the default mode and any per-code overrides the debug-build
     /// plan-lint and device-audit hooks apply.
     pub fn set_audit_config(&mut self, cfg: crate::audit::AuditConfig) {
         self.core_mut().audit_cfg = cfg;
-    }
-
-    /// The static analyzer's current ruleset (a snapshot — the device
-    /// lock is not held once this returns).
-    pub fn audit_config(&self) -> crate::audit::AuditConfig {
-        self.core().audit_cfg.clone()
-    }
-
-    /// The current maintenance tuning (a snapshot).
-    pub fn maintenance_config(&self) -> MaintenanceConfig {
-        self.core().maintenance_cfg.clone()
     }
 
     /// Stores an operand vector for in-flash computation.
@@ -1114,11 +1105,6 @@ impl FlashCosmosDevice {
     /// The placement-group index an operand landed in (for tests).
     pub fn group_index_of(&self, id: OperandId) -> Option<u64> {
         self.core().operands.get(id).map(|r| r.group_index)
-    }
-
-    /// The name an operand was registered under.
-    pub fn operand_name(&self, id: OperandId) -> Option<String> {
-        self.core().operands.get(id).map(|r| r.name.clone())
     }
 
     /// The die of every stripe page of an operand (slot-indexed) — the

@@ -42,17 +42,18 @@
 //! * [`maintenance`] — the maintenance layer: an affinity tracker
 //!   records which operand sets get fused together (and what they
 //!   cost), a fixed regrouping rule turns hot scattered sets into
-//!   migration jobs with wear-aware target selection, and a background
-//!   executor fills the jobs into
-//!   [`drain`](FlashCosmosDevice::drain)'s idle-die slack
-//!   under a critical-path budget. It also holds the placement rule
-//!   fresh placement groups follow.
+//!   migration jobs with wear-aware target selection, and the device's
+//!   one background job queue runs them, beside the scrubber's page
+//!   refreshes, in each serving pass's idle-die slack (a
+//!   [`drain`](FlashCosmosDevice::drain) or a sync read) under a
+//!   critical-path budget. It also holds the placement rule fresh
+//!   placement groups follow.
 //! * [`recovery`] — the reliability tiers over the physics model's real
 //!   bit errors: shifted-Vref read-retry (in the SSD device), cross-die
 //!   XOR parity stripes with out-of-place rebuild, retention scrubbing
-//!   of at-risk pages in drain's idle-die slack, and a deterministic
-//!   typed fault-injection harness ([`FaultPlan`]) whose itemized faults
-//!   bump only the touched operands' generations.
+//!   of at-risk pages through that background job queue, and a
+//!   deterministic typed fault-injection harness ([`FaultPlan`]) whose
+//!   itemized faults bump only the touched operands' generations.
 //!   [`FlashCosmosDevice::health`] snapshots which tiers fired
 //!   ([`DeviceHealth`]); queries that touch a page no tier
 //!   could save fail individually ([`FcError::QueryFailed`]) while the
@@ -151,7 +152,7 @@ pub use cluster::FcCluster;
 pub use device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 pub use engines::{Engines, Platform, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};
-pub use maintenance::{AffinityTracker, MaintenanceConfig, MaintenanceStats};
+pub use maintenance::{AffinityTracker, MaintenanceStats};
 pub use placement::{suggest_hints, LayoutAdvice};
 pub use planner::{MwsProgram, PlacementMap, PlanError, PlannerCaps};
 pub use recovery::{DeviceHealth, FaultPlan, FaultReport};

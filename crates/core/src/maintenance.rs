@@ -20,31 +20,32 @@
 //!    compile) counts, per co-fused operand set, how often the set was
 //!    queried and what it last cost in senses.
 //! 2. **Regroup planning** — a fixed rule selects hot, scattered sets
-//!    (fused at least [`MaintenanceConfig::min_cofuse`] times and still
-//!    costing at least [`MaintenanceConfig::scatter_ratio`] senses per
+//!    (fused at least twice and still costing at least 1.5 senses per
 //!    stripe); the planner turns each into regroup jobs that
 //!    [`migrate_operand`](crate::device::FlashCosmosDevice::migrate_operand)
 //!    the set into a fresh shared placement group on a **wear-aware**
 //!    target die (least summed per-block P/E cycles, block pressure as
 //!    the tie-break — see
 //!    [`plane_wear`](crate::device::FlashCosmosDevice::plane_wear)).
-//! 3. **Background execution** — queued jobs ride the next serving
-//!    pass's background tail (a
+//! 3. **Background execution** — the device keeps one job queue for all
+//!    of its background work: these regroup jobs and the retention
+//!    scrubber's page refreshes (see [`crate::recovery`]). Queued jobs
+//!    ride the next serving pass's background tail (a
 //!    [`drain`](crate::device::FlashCosmosDevice::drain) or a sync
-//!    read, see [`crate::session`]): each job's
-//!    modeled chip time fills the per-die idle slack
+//!    read, see [`crate::session`]), oldest first: each job's modeled
+//!    chip time fills the per-die idle slack
 //!    ([`DieQueues::try_fill`](fc_ssd::pipeline::DieQueues::try_fill))
-//!    and is executed only when every touched die stays within the
-//!    configured critical-path budget ([`MaintenanceConfig`]); jobs that
-//!    do not fit stay queued for the next pass.
+//!    and the job runs only when every touched die stays within the
+//!    pass's critical-path budget, `max(critical path × 1.25, 5 ms)`;
+//!    jobs that do not fit stay queued, in order, for the next pass.
 //!
-//! A job whose source operand changed between planning and execution
-//! (its placement **generation** no longer matches) is *retired*, never
-//! applied — the observations it was planned from are stale. Retired
-//! jobs land in a bounded log ([`RetiredJob`]); once the set is
-//! re-observed hot ([`MaintenanceConfig::min_cofuse`] fresh co-queries —
-//! planning consumed the earlier heat), a later pass sees its operands
-//! still scattered and finishes the gather.
+//! A regroup job whose source operand changed between planning and
+//! execution (its placement **generation** no longer matches) is
+//! *retired*, never applied — the observations it was planned from are
+//! stale. Retired jobs land in a bounded log ([`RetiredJob`]); once the
+//! set is re-observed hot (two fresh co-queries — planning consumed the
+//! earlier heat), a later pass sees its operands still scattered and
+//! finishes the gather.
 //!
 //! Every decision here is a fixed rule. A fresh placement group opens its
 //! block on the plane with the least block pressure, ties spread over
@@ -80,12 +81,13 @@
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
+use fc_ssd::pipeline::DieQueues;
 use fc_ssd::SsdConfig;
 
-use crate::device::StoreHints;
+use crate::device::{FcError, StoreHints};
 use crate::expr::OperandId;
 
 /// The channel-first die visiting order: step `j` visits one die of
@@ -309,60 +311,56 @@ impl HotSet {
     }
 }
 
+/// A set is hot once the batch compiler fused it this many times.
+const MIN_COFUSE: u64 = 2;
+/// A hot set is worth gathering while its unit still costs at least this
+/// many senses per stripe (a co-located set costs exactly one).
+const SCATTER_RATIO: f64 = 1.5;
+/// Cap on jobs one planning pass queues, applied at hot-set granularity:
+/// a set's jobs are never split across passes, and a single set larger
+/// than the cap still plans whole.
+const MAX_JOBS_PER_PASS: usize = 64;
+/// A serving pass may stretch its critical path by this factor with
+/// background work…
+const SLACK_FACTOR: f64 = 1.25;
+/// …but never below this budget, µs: the window an otherwise idle pass
+/// may spend. One ESP program is 400 µs, so this leaves room for a
+/// handful of page moves.
+const SLACK_FLOOR_US: f64 = 5_000.0;
+/// Entries the retired-job log keeps (the total counter keeps counting).
+const RETIRED_LOG_CAPACITY: usize = 64;
+
+/// The critical-path budget of a serving pass's background work, µs: the
+/// pass's own critical path stretched by [`SLACK_FACTOR`], never below
+/// [`SLACK_FLOOR_US`].
+pub(crate) fn slack_budget_us(critical_path_us: f64) -> f64 {
+    (critical_path_us * SLACK_FACTOR).max(SLACK_FLOOR_US)
+}
+
 /// The regrouping rule: indices into `candidates` worth gathering, in
 /// candidate order. A set qualifies when it was fused at least
-/// [`MaintenanceConfig::min_cofuse`] times *and* its unit still costs at
-/// least [`MaintenanceConfig::scatter_ratio`] senses per stripe (a
-/// co-located set costs exactly one).
-fn select_regroups(candidates: &[HotSet], cfg: &MaintenanceConfig) -> Vec<usize> {
+/// [`MIN_COFUSE`] times *and* its unit still costs at least
+/// [`SCATTER_RATIO`] senses per stripe.
+fn select_regroups(candidates: &[HotSet]) -> Vec<usize> {
     candidates
         .iter()
         .enumerate()
-        .filter(|(_, c)| {
-            c.stats.fused >= cfg.min_cofuse && c.senses_per_stripe() >= cfg.scatter_ratio
-        })
+        .filter(|(_, c)| c.stats.fused >= MIN_COFUSE && c.senses_per_stripe() >= SCATTER_RATIO)
         .map(|(i, _)| i)
         .collect()
 }
 
-/// Tuning knobs of the maintenance layer. Set with
-/// [`set_maintenance_config`](crate::device::FlashCosmosDevice::set_maintenance_config).
+/// One unit of background work in the device's job queue, run oldest
+/// first by `DeviceCore::execute_jobs`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MaintenanceConfig {
-    /// Minimum times a set must have been co-fused before it is hot.
-    pub min_cofuse: u64,
-    /// Minimum modeled senses per stripe for a set to count as scattered
-    /// (1.0 = already co-located).
-    pub scatter_ratio: f64,
-    /// Cap on jobs queued per planning pass, applied at hot-set
-    /// granularity (a set's jobs are never split across passes; a single
-    /// set larger than the cap still plans whole).
-    pub max_jobs_per_pass: usize,
-    /// A serving pass (a drain or a sync read) may extend its critical
-    /// path to `critical × slack_factor` with fill-in migration work…
-    pub slack_factor: f64,
-    /// …but never below this absolute budget, µs — the maintenance
-    /// window an otherwise idle pass may spend.
-    pub slack_floor_us: f64,
-    /// Bound on the retired-job log ([`Session::retired_jobs`]).
-    ///
-    /// [`Session::retired_jobs`]: crate::session::Session::retired_jobs
-    pub retired_log_capacity: usize,
-}
-
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        Self {
-            min_cofuse: 2,
-            scatter_ratio: 1.5,
-            max_jobs_per_pass: 64,
-            slack_factor: 1.25,
-            // One ESP program is 400 µs; leave room for a handful of
-            // page moves per otherwise-idle drain.
-            slack_floor_us: 5_000.0,
-            retired_log_capacity: 64,
-        }
-    }
+pub(crate) enum Job {
+    /// Gather an operand into its hot set's group.
+    Regroup(RegroupJob),
+    /// Refresh one aged ECC page (see [`crate::recovery`]).
+    Scrub {
+        /// The logical page.
+        lpn: u64,
+    },
 }
 
 /// One planned migration: move `operand` into its hot set's gather
@@ -412,7 +410,29 @@ fn gather_group(set_key: u64) -> String {
     format!("fc-gather-{set_key:016x}")
 }
 
-/// A job dropped instead of applied: its operand mutated between
+/// The modeled chip time of moving one page off each of `sources` (flat
+/// dies) onto die `target`, as `(die, µs)` pieces: a sense on the source
+/// die and a program on the target, one piece when the two are the same
+/// die (a die-internal move, copyback, keeps both halves there).
+fn page_moves(
+    sources: impl IntoIterator<Item = usize>,
+    target: usize,
+    tr_us: f64,
+    program_us: f64,
+) -> Vec<(usize, f64)> {
+    let mut work = Vec::new();
+    for src in sources {
+        if src == target {
+            work.push((src, tr_us + program_us));
+        } else {
+            work.push((src, tr_us));
+            work.push((target, program_us));
+        }
+    }
+    work
+}
+
+/// A regroup job dropped instead of applied: its operand mutated between
 /// planning and execution. Kept in a bounded log for observability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetiredJob {
@@ -426,30 +446,31 @@ pub struct RetiredJob {
     pub found_generation: u64,
 }
 
-/// Outcome of one maintenance execution pass (standalone
+/// Outcome of one background-job pass (standalone
 /// [`run_maintenance`](crate::device::FlashCosmosDevice::run_maintenance)
 /// or the fill-in slice of a [`DrainStats`](crate::session::DrainStats)).
+/// A serving pass that finds no job queued reports all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MaintenanceStats {
-    /// Migration jobs applied.
+    /// Regroup jobs applied.
     pub jobs_executed: usize,
-    /// Jobs left queued because they did not fit the slack budget.
+    /// Regroup jobs left queued because they did not fit the slack budget.
     pub jobs_deferred: usize,
-    /// Jobs dropped on a generation mismatch (see [`RetiredJob`]).
+    /// Regroup jobs dropped on a generation mismatch (see [`RetiredJob`]).
     pub jobs_retired: usize,
-    /// Pages moved by the executed jobs.
+    /// Pages moved by the applied regroup jobs.
     pub pages_moved: u64,
     /// Pages that moved via the chip's copyback fast path.
     pub copybacks: u64,
-    /// Modeled chip time of the fill-in work, µs.
+    /// Modeled chip time of the jobs that ran, µs.
     pub fill_time_us: f64,
-    /// The critical-path budget the fill-in had to respect, µs.
+    /// The critical-path budget the jobs had to respect, µs.
     pub budget_us: f64,
-    /// Busiest die after fill-in, µs (≤ `budget_us` whenever any budget
-    /// was finite).
+    /// Busiest die after the jobs ran, µs (≤ `budget_us` whenever the
+    /// budget was finite).
     pub critical_path_us: f64,
-    /// Aged pages refreshed by the retention scrubber during this drain
-    /// (see [`crate::recovery`]); scrubbing shares the slack budget.
+    /// Aged pages refreshed by the retention scrubber (see
+    /// [`crate::recovery`]).
     pub pages_scrubbed: u64,
     /// Scrub jobs left queued because they did not fit the slack budget.
     pub scrubs_deferred: usize,
@@ -470,7 +491,7 @@ impl crate::device::DeviceCore {
     /// this pass.
     pub(crate) fn schedule_maintenance(&mut self) -> usize {
         let candidates = self.session.affinity().candidates();
-        let picks = select_regroups(&candidates, &self.maintenance_cfg);
+        let picks = select_regroups(&candidates);
         if picks.is_empty() {
             return 0;
         }
@@ -482,14 +503,16 @@ impl crate::device::DeviceCore {
         let wear = self.plane_wear();
         let pressures = self.ssd.ftl().plane_pressures();
         let mut queued_on = vec![0u64; cfg.total_dies()];
-        for job in self.session.jobs().iter() {
-            queued_on[job.target_die] += 1;
+        for job in &self.jobs {
+            if let Job::Regroup(job) = job {
+                queued_on[job.target_die] += 1;
+            }
         }
         let mut queued = 0usize;
         for idx in picks {
             let set = &candidates[idx];
             let key = set.key();
-            if self.session.jobs().iter().any(|j| j.set_key == key) {
+            if self.jobs.iter().any(|j| matches!(j, Job::Regroup(j) if j.set_key == key)) {
                 continue; // already planned, still queued
             }
             // Already co-located (all operands share one group)? Nothing
@@ -547,128 +570,123 @@ impl crate::device::DeviceCore {
             // not finish gathering until re-observed). A set that alone
             // exceeds the cap still plans whole, as the first of its
             // pass.
-            if queued > 0 && queued + set_jobs.len() > self.maintenance_cfg.max_jobs_per_pass {
+            if queued > 0 && queued + set_jobs.len() > MAX_JOBS_PER_PASS {
                 break;
             }
             // Acting on the observations consumes them: regathering this
             // set later (e.g. after an overlapping hot set steals a
-            // member) requires `min_cofuse` *fresh* co-queries, so
-            // sustained conflicts migrate at most once per min_cofuse
+            // member) requires MIN_COFUSE *fresh* co-queries, so
+            // sustained conflicts migrate at most once per MIN_COFUSE
             // queries instead of on every pass.
             self.session.affinity().consume(&set.ids);
             queued_on[target_die] += set_jobs.len() as u64;
             queued += set_jobs.len();
-            self.session.jobs().extend(set_jobs);
-            if queued >= self.maintenance_cfg.max_jobs_per_pass {
+            self.jobs.extend(set_jobs.into_iter().map(Job::Regroup));
+            if queued >= MAX_JOBS_PER_PASS {
                 break;
             }
         }
         queued
     }
 
-    /// Plans ([`schedule_maintenance`](Self::schedule_maintenance)) and
-    /// then executes **every** queued migration job immediately, with no
-    /// critical-path budget — the foreground maintenance pass for tests,
-    /// tools and explicit reorganization windows. Background operation
-    /// queues jobs instead and lets the drain fill them into
-    /// idle-die slack.
+    /// Plans regroups ([`schedule_maintenance`](Self::schedule_maintenance))
+    /// and scrubs ([`schedule_scrub`](Self::schedule_scrub)), then runs
+    /// **every** queued job immediately, with no critical-path budget —
+    /// the foreground pass for tests, tools and explicit reorganization
+    /// windows. Background operation queues jobs instead and lets the
+    /// next serving pass fill them into idle-die slack.
     ///
     /// # Errors
     ///
-    /// Propagates migration failures (the failing job is consumed; the
-    /// rest stay queued).
-    pub fn run_maintenance(&mut self) -> Result<MaintenanceStats, crate::device::FcError> {
+    /// Propagates job failures (the failing job is consumed; every other
+    /// job stays queued).
+    pub fn run_maintenance(&mut self) -> Result<MaintenanceStats, FcError> {
         self.schedule_maintenance();
-        let mut queues = fc_ssd::pipeline::DieQueues::for_config(self.ssd.config());
-        self.execute_maintenance(&mut queues, f64::INFINITY)
+        self.schedule_scrub();
+        let mut queues = DieQueues::for_config(self.ssd.config());
+        self.execute_jobs(&mut queues, f64::INFINITY)
     }
 
-    /// Executes queued migration jobs into `queues`' idle slack, stopping
-    /// at the first job whose modeled chip time would push any touched
-    /// die past `budget_us`. A job whose operand generation no longer
-    /// matches its plan is retired (logged, never applied); once the set
-    /// is re-observed hot, a later planning pass sees it still scattered
-    /// and finishes it.
-    pub(crate) fn execute_maintenance(
+    /// Runs queued jobs, oldest first, into `queues`' idle slack: a job
+    /// runs only when its modeled chip time keeps every die it touches
+    /// within `budget_us` ([`DieQueues::try_fill`]). A job that does not
+    /// fit is skipped over and stays queued, in order, so one oversized
+    /// job never wedges the work behind it. A job left with nothing to do
+    /// books no die time: a regroup job whose operand's generation moved
+    /// is retired and logged (once the set is re-observed hot, a later
+    /// planning pass finishes it), and a refresh of an unmapped page is
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing job's error. That job is consumed;
+    /// the skipped-over jobs and the untouched rest stay queued, in order.
+    pub(crate) fn execute_jobs(
         &mut self,
-        queues: &mut fc_ssd::pipeline::DieQueues,
+        queues: &mut DieQueues,
         budget_us: f64,
-    ) -> Result<MaintenanceStats, crate::device::FcError> {
-        let (tr_us, tesp_us) = {
-            let cfg = self.ssd.config();
-            (cfg.tr_us, cfg.tesp_us)
-        };
+    ) -> Result<MaintenanceStats, FcError> {
         let mut stats = MaintenanceStats { budget_us, ..MaintenanceStats::default() };
-        // Jobs that miss the budget are *skipped over*, not head-of-line
-        // blockers: a single oversized job (more pages than any drain's
-        // slack can swallow) must not wedge unrelated work behind it —
-        // it re-queues, in order, for a bigger budget or a foreground
-        // `run_maintenance`.
-        let mut deferred: std::collections::VecDeque<RegroupJob> =
-            std::collections::VecDeque::new();
-        loop {
-            // `let-else` drops the queue guard at the end of the
-            // statement — a `while let` would hold it across the whole
-            // body and deadlock on the re-lock below.
-            let Some(job) = self.session.jobs().pop_front() else { break };
-            let found = self.operand_generation(job.operand);
-            if found != job.expected_generation {
-                stats.jobs_retired += 1;
-                self.session.bump_jobs_retired();
-                let name = self.operands.get(job.operand).map(|r| r.name.clone());
-                let mut log = self.session.retired_log();
-                log.push_back(RetiredJob {
-                    name: name.unwrap_or_default(),
-                    operand: job.operand,
-                    expected_generation: job.expected_generation,
-                    found_generation: found,
-                });
-                while log.len() > self.maintenance_cfg.retired_log_capacity {
-                    log.pop_front();
-                }
-                continue;
-            }
-            // Modeled chip time: each stripe page senses on its source
-            // die and programs on the target die (a die-internal move —
-            // copyback — keeps both halves on one die).
+        let mut skipped: VecDeque<Job> = VecDeque::new();
+        while let Some(job) = self.jobs.pop_front() {
             let cfg = self.ssd.config();
-            let planes = &self.operands[job.operand].planes;
-            let pages = planes.len() as u64;
-            let mut work: Vec<(usize, f64)> = Vec::new();
-            for plane in planes {
-                let src = plane.die.flat(cfg);
-                if src == job.target_die {
-                    work.push((src, tr_us + tesp_us));
-                } else {
-                    work.push((src, tr_us));
-                    work.push((job.target_die, tesp_us));
-                }
-            }
-            if !queues.try_fill(&work, budget_us) {
-                deferred.push_back(job);
-                continue;
-            }
-            let moved_us: f64 = work.iter().map(|&(_, us)| us).sum();
-            let copybacks = match self.migrate_operand_id(job.operand, job.hints()) {
-                Ok(c) => c,
-                Err(e) => {
-                    // The failing job is consumed, but neither the
-                    // skipped-over jobs nor the untouched remainder may
-                    // be dropped with it.
-                    let mut jobs = self.session.jobs();
-                    while let Some(j) = deferred.pop_back() {
-                        jobs.push_front(j);
+            let work = match &job {
+                Job::Regroup(regroup) => {
+                    let found = self.operand_generation(regroup.operand);
+                    if found != regroup.expected_generation {
+                        stats.jobs_retired += 1;
+                        self.jobs_retired_total += 1;
+                        let name = self.operands.get(regroup.operand).map(|r| r.name.clone());
+                        self.retired_jobs.push_back(RetiredJob {
+                            name: name.unwrap_or_default(),
+                            operand: regroup.operand,
+                            expected_generation: regroup.expected_generation,
+                            found_generation: found,
+                        });
+                        if self.retired_jobs.len() > RETIRED_LOG_CAPACITY {
+                            self.retired_jobs.pop_front();
+                        }
+                        continue;
                     }
-                    return Err(e);
+                    let planes = self.operands[regroup.operand].planes.iter();
+                    let sources = planes.map(|p| p.die.flat(cfg));
+                    page_moves(sources, regroup.target_die, cfg.tr_us, cfg.tesp_us)
+                }
+                Job::Scrub { lpn } => {
+                    let Some(ppa) = self.ssd.translate(*lpn) else { continue };
+                    let target = self.refresh_plane(*lpn).0 / cfg.planes_per_die;
+                    page_moves([ppa.plane.die.flat(cfg)], target, cfg.tr_us, cfg.tprog_slc_us)
                 }
             };
-            stats.jobs_executed += 1;
-            stats.pages_moved += pages;
-            stats.copybacks += copybacks;
-            stats.fill_time_us += moved_us;
+            if !queues.try_fill(&work, budget_us) {
+                skipped.push_back(job);
+                continue;
+            }
+            let ran = match &job {
+                Job::Regroup(regroup) => {
+                    self.migrate_operand_id(regroup.operand, regroup.hints()).map(|copybacks| {
+                        stats.jobs_executed += 1;
+                        stats.pages_moved += self.operands[regroup.operand].planes.len() as u64;
+                        stats.copybacks += copybacks;
+                    })
+                }
+                Job::Scrub { lpn } => self
+                    .refresh_page(*lpn)
+                    .map(|refreshed| stats.pages_scrubbed += u64::from(refreshed)),
+            };
+            if let Err(e) = ran {
+                // The failing job is consumed; the skipped-over jobs go
+                // back in front of the untouched rest.
+                while let Some(job) = skipped.pop_back() {
+                    self.jobs.push_front(job);
+                }
+                return Err(e);
+            }
+            stats.fill_time_us += work.iter().map(|&(_, us)| us).sum::<f64>();
         }
-        stats.jobs_deferred = deferred.len();
-        *self.session.jobs() = deferred;
+        stats.jobs_deferred = skipped.iter().filter(|job| matches!(job, Job::Regroup(_))).count();
+        stats.scrubs_deferred = skipped.len() - stats.jobs_deferred;
+        self.jobs = skipped;
         stats.critical_path_us = queues.busiest_us();
         Ok(stats)
     }
@@ -683,20 +701,38 @@ impl crate::device::FlashCosmosDevice {
         self.core_write().schedule_maintenance()
     }
 
-    /// Plans ([`Self::schedule_maintenance`]) and then executes
-    /// **every** queued migration job immediately, with no critical-path
-    /// budget — the foreground maintenance pass for tests, tools and
-    /// explicit reorganization windows. Background operation queues jobs
-    /// instead and lets the next serving pass ([`Self::drain`] or a sync
-    /// read) fill them into idle-die slack.
+    /// Plans regroups ([`Self::schedule_maintenance`]) and scrubs
+    /// ([`Self::schedule_scrub`]), then runs **every** queued job
+    /// immediately, with no critical-path budget — the foreground pass
+    /// for tests, tools and explicit reorganization windows. Background
+    /// operation queues jobs instead and lets the next serving pass
+    /// ([`Self::drain`] or a sync read) fill them into idle-die slack.
     /// Runs under the exclusive device lock.
     ///
     /// # Errors
     ///
-    /// Propagates migration failures (the failing job is consumed; the
-    /// rest stay queued).
-    pub fn run_maintenance(&self) -> Result<MaintenanceStats, crate::device::FcError> {
+    /// Propagates job failures (the failing job is consumed; every other
+    /// job stays queued).
+    pub fn run_maintenance(&self) -> Result<MaintenanceStats, FcError> {
         self.core_write().run_maintenance()
+    }
+
+    /// Background jobs queued and not yet run: regroup jobs and scrub
+    /// refreshes.
+    pub fn pending_jobs(&self) -> usize {
+        self.core().jobs.len()
+    }
+
+    /// The bounded log of retired (generation-mismatched) regroup jobs,
+    /// oldest first. Past 64 entries a retirement drops the oldest one;
+    /// [`Self::jobs_retired_total`] still counts them all.
+    pub fn retired_jobs(&self) -> Vec<RetiredJob> {
+        self.core().retired_jobs.iter().cloned().collect()
+    }
+
+    /// Total regroup jobs ever retired on a generation mismatch.
+    pub fn jobs_retired_total(&self) -> u64 {
+        self.core().jobs_retired_total
     }
 }
 
@@ -727,6 +763,12 @@ fn least_worn_die(cfg: &SsdConfig, wear: &[u64], pressures: &[u32], queued_on: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::QueryBatch;
+    use crate::device::FlashCosmosDevice;
+    use crate::expr::Expr;
+    use fc_bits::BitVec;
+    use fc_nand::error::NandError;
+    use fc_ssd::device::DeviceError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -938,9 +980,83 @@ mod tests {
         }
     }
 
+    /// A starved budget defers jobs instead of blowing the critical path;
+    /// a later pass under the default budget finishes the queue.
+    #[test]
+    fn jobs_that_miss_the_budget_defer_to_the_next_pass() {
+        let mut rng = StdRng::seed_from_u64(0xB4D);
+        let dev = FlashCosmosDevice::new(SsdConfig::tiny_test());
+        let bits = dev.config().page_bits();
+        let ids: Vec<OperandId> = (0..4)
+            .map(|i| {
+                let v = BitVec::random(bits, &mut rng);
+                let hints = StoreHints::and_group(&format!("solo{i}"));
+                dev.fc_write(&format!("op{i}"), &v, hints).unwrap().id
+            })
+            .collect();
+        let mut batch = QueryBatch::new();
+        batch.push(Expr::and_vars(ids.iter().copied()));
+        dev.submit(&batch).unwrap();
+        dev.submit(&batch).unwrap();
+        assert_eq!(dev.schedule_maintenance(), 4);
+        // A budget too small for even one page move (tR + tESP ≈ 425 µs).
+        let mut queues = DieQueues::for_config(dev.config());
+        let starved = dev.core_write().execute_jobs(&mut queues, 100.0).unwrap();
+        assert_eq!(starved.jobs_executed, 0, "nothing fits 100 µs");
+        assert_eq!(starved.jobs_deferred, 4);
+        assert_eq!(dev.pending_jobs(), 4);
+        // An idle drain under the default budget finishes the queue.
+        let drained = dev.drain().unwrap();
+        assert_eq!(drained.batches, 0, "idle drain: maintenance only");
+        assert_eq!(drained.maintenance.jobs_executed, 4);
+        assert!(drained.maintenance.critical_path_us <= drained.maintenance.budget_us);
+        assert_eq!(dev.pending_jobs(), 0);
+        assert_eq!(dev.submit(&batch).unwrap().stats.senses, 1);
+    }
+
+    /// A failing job consumes only itself: the refresh skipped over before
+    /// it and the refresh queued behind it both stay queued, in order.
+    #[test]
+    fn a_failing_job_keeps_every_other_job_queued() {
+        let mut rng = StdRng::seed_from_u64(0xFA1);
+        let dev = FlashCosmosDevice::new(SsdConfig::tiny_test());
+        let cfg = dev.config().clone();
+        let chunk_bits = dev.core().ssd.logical_page_bits(true);
+        dev.store_durable("rec", &BitVec::random(chunk_bits + 1, &mut rng)).unwrap();
+        let mut core = dev.core_write();
+        let record = core.recovery.durables["rec"].lpns.clone();
+        assert_eq!(record.len(), 2, "a 2-page record");
+        let full_die = core.ssd.translate(record[0]).unwrap().plane.die.flat(&cfg);
+        // An MLC pair on another die: no regroup job can migrate it.
+        let ml_die = (full_die + 1) % cfg.total_dies();
+        let (a, b) = (BitVec::random(64, &mut rng), BitVec::random(64, &mut rng));
+        let hints = StoreHints::and_group("ml").with_die(ml_die);
+        let ml = core.fc_write_ml(&["m0", "m1"], &[&a, &b], hints).unwrap()[0].id;
+        let regroup = RegroupJob {
+            operand: ml,
+            expected_generation: core.operand_generation(ml),
+            target_die: ml_die,
+            set_key: 0,
+            inverted: false,
+        };
+        core.jobs.extend([
+            Job::Scrub { lpn: record[0] },
+            Job::Regroup(regroup),
+            Job::Scrub { lpn: record[1] },
+        ]);
+        // The first refresh's source die has no slack left: it is skipped.
+        let mut queues = DieQueues::for_config(&cfg);
+        queues.push(full_die, SLACK_FLOOR_US);
+        let err = core.execute_jobs(&mut queues, SLACK_FLOOR_US).unwrap_err();
+        assert!(
+            matches!(err, FcError::Device(DeviceError::Nand(NandError::InvalidMlsense(_)))),
+            "{err}"
+        );
+        assert_eq!(core.jobs, [Job::Scrub { lpn: record[0] }, Job::Scrub { lpn: record[1] }]);
+    }
+
     #[test]
     fn hot_set_regrouper_filters_on_heat_and_scatter() {
-        let cfg = MaintenanceConfig::default();
         let mk = |ids: Vec<usize>, fused, senses, pages| HotSet {
             ids,
             stats: AffinityEntry { fused, senses, pages },
@@ -951,6 +1067,6 @@ mod tests {
             mk(vec![4, 5], 5, 1, 1), // already co-located
             mk(vec![6, 7], 2, 3, 2), // exactly at both thresholds → selected
         ];
-        assert_eq!(select_regroups(&candidates, &cfg), vec![0, 3]);
+        assert_eq!(select_regroups(&candidates), vec![0, 3]);
     }
 }

@@ -17,13 +17,15 @@
 //!    stripe, and that page is rebuilt from its peers and rewritten
 //!    out-of-place.
 //! 3. **Retention scrubbing** (background, this module): a walk over the
-//!    mapped ECC pages in LPN order queues those whose *modeled* RBER
+//!    mapped ECC pages in LPN order picks those whose *modeled* RBER
 //!    (worst-grade, from the block's wear/retention/disturb state)
 //!    reaches 2 % of the ECC correction margin, at most 64 per pass,
-//!    most-at-risk first, and refreshes them before they become
-//!    uncorrectable — in the idle-die slack of every serving pass (a
-//!    [`drain`](FlashCosmosDevice::drain) or a sync read), under the
-//!    same latency budget as maintenance.
+//!    most-at-risk first, and queues a refresh of each on the device's
+//!    one background job queue (see [`crate::maintenance`]). The
+//!    refreshes run before the pages become uncorrectable, in the
+//!    idle-die slack of every serving pass (a
+//!    [`drain`](FlashCosmosDevice::drain) or a sync read), beside the
+//!    regroup jobs and under the same latency budget.
 //! 4. **Fault injection** ([`FaultPlan`] / [`FlashCosmosDevice::inject_faults`]):
 //!    a typed, deterministic harness for retention aging, read disturb,
 //!    P/E cycling, stuck blocks and die failures, replacing raw
@@ -57,7 +59,7 @@
 //! assert_eq!(result, data);
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use fc_bits::BitVec;
 use fc_nand::geometry::BlockAddr;
@@ -66,13 +68,13 @@ use fc_nand::stress::StressState;
 use fc_ssd::device::{DeviceError, WriteOptions};
 use fc_ssd::ftl::{GroupKey, PageMeta, PlacementHint};
 use fc_ssd::parity::{rebuild_member, xor_fold, StripeMap};
-use fc_ssd::pipeline::DieQueues;
 use fc_ssd::topology::{DieId, Ppa};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::OperandId;
+use crate::maintenance::Job;
 
 /// FTL group-index namespace for parity pages: one group per plane,
 /// `PARITY_GROUP_BASE + plane`, so a group's id encodes the plane the
@@ -143,12 +145,6 @@ fn select_scrubs(candidates: &[ScrubCandidate], max_per_pass: usize) -> Vec<usiz
     picks.sort_by(|&a, &b| candidates[b].predicted_rber.total_cmp(&candidates[a].predicted_rber));
     picks.truncate(max_per_pass);
     picks
-}
-
-/// A queued page refresh.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScrubJob {
-    pub(crate) lpn: u64,
 }
 
 /// A named durable record stored through the conventional (SLC +
@@ -253,7 +249,7 @@ pub struct FaultReport {
 }
 
 /// Reliability state carried by [`FlashCosmosDevice`]: parity stripes,
-/// the durable-record catalog, the scrub queue and recovery counters.
+/// the durable-record catalog, scrub bookkeeping and recovery counters.
 #[derive(Default)]
 pub(crate) struct RecoveryState {
     pub(crate) stripes: StripeMap,
@@ -265,7 +261,6 @@ pub(crate) struct RecoveryState {
     /// Dies failed via [`FaultPlan::fail_die`] — excluded from recovery
     /// placement.
     pub(crate) failed_dies: HashSet<usize>,
-    pub(crate) scrub_queue: VecDeque<ScrubJob>,
     /// Per-page stress fingerprint `(block PEC, retention bits)` at the
     /// last refresh — retention is chip-global and survives a refresh,
     /// so without this a hot page would re-queue forever.
@@ -284,17 +279,11 @@ impl std::fmt::Debug for RecoveryState {
             .field("durables", &self.durables.len())
             .field("lost_pages", &self.lost_pages.len())
             .field("failed_dies", &self.failed_dies)
-            .field("scrub_queue", &self.scrub_queue.len())
             .finish_non_exhaustive()
     }
 }
 
 impl DeviceCore {
-    /// Pages currently queued for a scrub refresh.
-    pub(crate) fn pending_scrub(&self) -> usize {
-        self.recovery.scrub_queue.len()
-    }
-
     /// Pages that stayed unreadable after every recovery tier.
     pub(crate) fn lost_page_count(&self) -> usize {
         self.recovery.lost_pages.len()
@@ -815,9 +804,10 @@ impl DeviceCore {
     // ------------------------------------------------------------------
 
     /// Walks every mapped ECC page, predicts its worst-grade RBER from
-    /// the block's current stress state, and queues the pages the scrub
-    /// rule selects (at-risk pages, most-at-risk first, at most
-    /// [`SCRUB_MAX_PER_PASS`]). Returns how many were queued.
+    /// the block's current stress state, and queues a refresh job for
+    /// each page the scrub rule selects (at-risk pages, most-at-risk
+    /// first, at most [`SCRUB_MAX_PER_PASS`]). Returns how many were
+    /// queued.
     ///
     /// Raw ESP operand pages are skipped: their modeled RBER is exactly
     /// zero (§5.2) and their protection is the parity tier.
@@ -827,7 +817,7 @@ impl DeviceCore {
         let mut queued_now = 0;
         for i in picks {
             if let Some(c) = candidates.get(i) {
-                self.recovery.scrub_queue.push_back(ScrubJob { lpn: c.lpn });
+                self.jobs.push_back(Job::Scrub { lpn: c.lpn });
                 queued_now += 1;
             }
         }
@@ -835,9 +825,9 @@ impl DeviceCore {
     }
 
     /// The read-only half of [`Self::schedule_scrub`]: every mapped ECC
-    /// page's worst-grade RBER prediction, minus pages already queued,
-    /// lost, stuck, on a failed die, or scrub-done at their current
-    /// stress fingerprint.
+    /// page's worst-grade RBER prediction, minus pages already queued for
+    /// a refresh, lost, stuck, on a failed die, or scrub-done at their
+    /// current stress fingerprint.
     fn scrub_candidates(&self) -> Vec<ScrubCandidate> {
         // Only ECC pages are scrubbed; skip the FTL walk when none is
         // mapped (every serving pass asks, and operand pages carry no
@@ -846,7 +836,14 @@ impl DeviceCore {
             return Vec::new();
         }
         let margin = self.ssd.ecc_correction_margin();
-        let queued: HashSet<u64> = self.recovery.scrub_queue.iter().map(|j| j.lpn).collect();
+        let queued: HashSet<u64> = self
+            .jobs
+            .iter()
+            .filter_map(|job| match job {
+                Job::Scrub { lpn } => Some(*lpn),
+                Job::Regroup(_) => None,
+            })
+            .collect();
         let mut candidates: Vec<ScrubCandidate> = Vec::new();
         for (lpn, ppa, meta) in self.ssd.mapped_snapshot() {
             if !meta.ecc || queued.contains(&lpn) || self.recovery.lost_pages.contains(&lpn) {
@@ -892,78 +889,52 @@ impl DeviceCore {
         !select_scrubs(&candidates, SCRUB_MAX_PER_PASS).is_empty()
     }
 
-    /// Executes queued scrub jobs within a die-time budget: each refresh
-    /// models a read on the source die plus a program on the target die
-    /// and is admitted through [`DieQueues::try_fill`] — jobs that do
-    /// not fit are deferred (skip-over) to the next pass, exactly like
-    /// maintenance jobs. Returns `(pages refreshed, jobs deferred)`.
-    ///
-    /// A refresh is a [`SsdDevice::migrate`](fc_ssd::device::SsdDevice::migrate)
-    /// to striped placement: randomized pages always rewrite through the
-    /// controller, which runs the full retry ladder; a refresh that
-    /// still fails escalates to parity rebuild.
-    pub(crate) fn execute_scrub(
-        &mut self,
-        queues: &mut DieQueues,
-        budget_us: f64,
-    ) -> Result<(u64, usize), FcError> {
-        let tr = self.ssd.config().tr_us;
-        let tprog = self.ssd.config().tprog_slc_us;
-        let ppd = self.ssd.config().planes_per_die;
-        let mut scrubbed = 0u64;
-        let mut deferred: Vec<ScrubJob> = Vec::new();
-        while let Some(job) = self.recovery.scrub_queue.pop_front() {
-            let Some((ppa, meta)) = self.ssd.lookup(job.lpn) else { continue };
-            let src = ppa.plane.die.flat(self.ssd.config());
-            let stripe_plane = self.stripe_target_plane(job.lpn);
-            let tgt = stripe_plane.unwrap_or_else(|| self.ssd.ftl().next_striped_plane()) / ppd;
-            let work: Vec<(usize, f64)> =
-                if src == tgt { vec![(src, tr + tprog)] } else { vec![(src, tr), (tgt, tprog)] };
-            if !queues.try_fill(&work, budget_us) {
-                deferred.push(job);
-                continue;
+    /// Where a refresh of `lpn` rewrites it: the plane, and the placement
+    /// that lands it there. A stripe page goes to
+    /// [`Self::stripe_target_plane`] through that plane's rebuild group,
+    /// so its stripe stays die-disjoint; any other page takes the plane
+    /// the striped round-robin hands out next.
+    pub(crate) fn refresh_plane(&self, lpn: u64) -> (usize, PlacementHint) {
+        match self.stripe_target_plane(lpn) {
+            Some(plane) => {
+                let group = GroupKey::new(REBUILD_GROUP_BASE + plane as u64, 0);
+                (plane, PlacementHint::Grouped { group, plane })
             }
-            let hint = match stripe_plane {
-                Some(plane) => PlacementHint::Grouped {
-                    group: GroupKey::new(REBUILD_GROUP_BASE + plane as u64, 0),
-                    plane,
-                },
-                None => PlacementHint::Striped,
-            };
-            match self.ssd.migrate(job.lpn, hint, meta) {
-                Ok(_) => {}
-                Err(DeviceError::Uncorrectable { .. }) => {
-                    if self.rebuild_lpn(job.lpn).is_err() {
-                        self.recovery.lost_pages.insert(job.lpn);
-                        self.recovery.uncorrectable_after_recovery += 1;
-                        continue;
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-            scrubbed += 1;
-            self.recovery.pages_scrubbed += 1;
-            if let Some(fp) = self.stress_fingerprint(job.lpn) {
-                self.recovery.scrub_done.insert(job.lpn, fp);
-            }
+            None => (self.ssd.ftl().next_striped_plane(), PlacementHint::Striped),
         }
-        let deferred_len = deferred.len();
-        self.recovery.scrub_queue.extend(deferred);
-        Ok((scrubbed, deferred_len))
     }
 
-    /// Schedules and runs a full scrub pass immediately (no budget) —
-    /// the foreground entry point; background refreshes ride along with
-    /// every serving pass instead. Returns pages refreshed.
+    /// Refreshes one mapped page out-of-place onto
+    /// [`Self::refresh_plane`] with a [`SsdDevice::migrate`]: randomized
+    /// pages always rewrite through the controller, which runs the full
+    /// retry ladder, and a refresh that still fails escalates to parity
+    /// rebuild. Returns `false` when no tier could read the page, which is
+    /// then recorded lost.
+    ///
+    /// [`SsdDevice::migrate`]: fc_ssd::device::SsdDevice::migrate
     ///
     /// # Errors
     ///
-    /// Propagates SSD rewrite errors.
-    pub fn run_scrub(&mut self) -> Result<u64, FcError> {
-        self.schedule_scrub();
-        let mut queues = DieQueues::for_config(self.ssd.config());
-        let (scrubbed, _) = self.execute_scrub(&mut queues, f64::INFINITY)?;
-        Ok(scrubbed)
+    /// SSD rewrite errors other than an uncorrectable read.
+    pub(crate) fn refresh_page(&mut self, lpn: u64) -> Result<bool, FcError> {
+        let meta = self.ssd.page_meta(lpn).expect("refreshed pages are mapped");
+        let (_, hint) = self.refresh_plane(lpn);
+        match self.ssd.migrate(lpn, hint, meta) {
+            Ok(_) => {}
+            Err(DeviceError::Uncorrectable { .. }) => {
+                if self.rebuild_lpn(lpn).is_err() {
+                    self.recovery.lost_pages.insert(lpn);
+                    self.recovery.uncorrectable_after_recovery += 1;
+                    return Ok(false);
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+        self.recovery.pages_scrubbed += 1;
+        if let Some(fp) = self.stress_fingerprint(lpn) {
+            self.recovery.scrub_done.insert(lpn, fp);
+        }
+        Ok(true)
     }
 
     /// The page's current stress fingerprint `(block PEC, retention)` —
@@ -993,11 +964,6 @@ impl FlashCosmosDevice {
     /// Number of live parity stripes.
     pub fn stripe_count(&self) -> usize {
         self.core().recovery.stripes.len()
-    }
-
-    /// Pages currently queued for a scrub refresh.
-    pub fn pending_scrub(&self) -> usize {
-        self.core().pending_scrub()
     }
 
     /// Pages that stayed unreadable after every recovery tier.
@@ -1065,25 +1031,14 @@ impl FlashCosmosDevice {
     }
 
     /// Walks every mapped ECC page, predicts its worst-grade RBER from
-    /// the block's current stress state, and queues the pages the scrub
-    /// rule selects (at-risk pages whose predicted RBER reaches 2 % of the
-    /// ECC correction margin, most-at-risk first, at most 64). Returns how
-    /// many were queued. Takes the exclusive device lock.
+    /// the block's current stress state, and queues a refresh job for
+    /// each page the scrub rule selects (at-risk pages whose predicted
+    /// RBER reaches 2 % of the ECC correction margin, most-at-risk first,
+    /// at most 64). Returns how many were queued. The refreshes run with
+    /// the other background jobs ([`Self::run_maintenance`] or a serving
+    /// pass's background tail). Takes the exclusive device lock.
     pub fn schedule_scrub(&self) -> usize {
         self.core_write().schedule_scrub()
-    }
-
-    /// Schedules and runs a full scrub pass immediately (no budget) —
-    /// the foreground entry point; background refreshes ride along with
-    /// every [`FlashCosmosDevice::drain`] and sync read instead. Returns
-    /// pages refreshed.
-    /// Takes the exclusive device lock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSD rewrite errors.
-    pub fn run_scrub(&self) -> Result<u64, FcError> {
-        self.core_write().run_scrub()
     }
 }
 
@@ -1227,13 +1182,13 @@ mod tests {
         dev.inject_faults(&FaultPlan::new().retention(48.0).age("log", 15_000)).unwrap();
         let queued = dev.schedule_scrub();
         assert!(queued > 0, "aged pages must cross the scrub threshold");
-        let scrubbed = dev.run_scrub().unwrap();
+        let scrubbed = dev.run_maintenance().unwrap().pages_scrubbed;
         assert!(scrubbed >= queued as u64, "every queued page refreshed");
         assert_eq!(dev.read_durable("log").unwrap(), data, "refresh preserves data");
         // Refreshed pages sit on fresh blocks (PEC 0) whose predicted
         // RBER is back under the margin: a second pass finds nothing.
         assert_eq!(dev.schedule_scrub(), 0, "scrub must converge");
-        assert_eq!(dev.pending_scrub(), 0);
+        assert_eq!(dev.pending_jobs(), 0);
         assert!(dev.health().pages_scrubbed >= scrubbed);
     }
 
@@ -1250,13 +1205,14 @@ mod tests {
         // A budget that fits roughly one refresh defers the rest instead
         // of blowing the latency envelope.
         let budget = dev.config().tr_us + dev.config().tprog_slc_us;
-        let mut queues = DieQueues::for_config(dev.config());
-        let (scrubbed, deferred) = dev.core_mut().execute_scrub(&mut queues, budget).unwrap();
+        let mut queues = fc_ssd::pipeline::DieQueues::for_config(dev.config());
+        let stats = dev.core_mut().execute_jobs(&mut queues, budget).unwrap();
+        let (scrubbed, deferred) = (stats.pages_scrubbed, stats.scrubs_deferred);
         assert!(deferred > 0, "oversized pass must defer: {scrubbed} scrubbed, {deferred} left");
         assert_eq!(scrubbed as usize + deferred, queued);
-        assert_eq!(dev.pending_scrub(), deferred, "deferred jobs stay queued");
+        assert_eq!(dev.pending_jobs(), deferred, "deferred jobs stay queued");
         // The remainder drains once the budget allows.
-        let rest = dev.run_scrub().unwrap();
+        let rest = dev.run_maintenance().unwrap().pages_scrubbed;
         assert_eq!(rest as usize, deferred);
     }
 

@@ -30,17 +30,26 @@
 //! Every device read ends in the same two steps. The **serve** step
 //! executes one compiled batch and merges its per-die and per-channel
 //! occupancy into the device-lifetime die load — one `Mutex<DieQueues>`,
-//! taken once per served batch. The **background tail** then fills queued
-//! maintenance and scrub jobs into that pass's idle-die slack and runs
-//! the debug-build device audit. A drain runs serve once per claimed
+//! taken once per served batch. The **background tail** then fills the
+//! device's queued background jobs (regroup migrations and scrub
+//! refreshes, see [`crate::maintenance`]) into that pass's idle-die slack
+//! and runs the debug-build device audit. A drain runs serve once per claimed
 //! batch (after its staleness recompile and cache refresh) and the tail
 //! once per drain. `submit`, `submit_into`, `fc_read`, `fc_read_into`
 //! and `parabit_read` compile under the read guard, serve, drop the
 //! guard and run the tail — the same sequence, without the queue, so a
 //! sync caller never runs other clients' batches or meets `Overloaded`.
-//! The tail takes the write lock only when jobs or scrubs are due, or, in
-//! debug builds, for the audit after a pass that sensed (a pure cache
+//! The tail takes the write lock only when background jobs are due, or,
+//! in debug builds, for the audit after a pass that sensed (a pure cache
 //! replay changes nothing the audit checks).
+//!
+//! ## One ticket table
+//!
+//! Queued batches, claimed seqs and retired results share one mutex and
+//! one condvar. A waiter whose batch another thread is executing parks on
+//! the condvar; `retire` and `abandon` wake every parked waiter, and each
+//! rechecks its own seq. Serving traffic holds the mutex only to push,
+//! pop or move one entry, never while a batch executes.
 //!
 //! ## Why stale results are structurally impossible
 //!
@@ -90,7 +99,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use fc_bits::BitVec;
@@ -101,7 +110,7 @@ use crate::batch::{
 };
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
-use crate::maintenance::{AffinityTracker, MaintenanceStats, RegroupJob, RetiredJob};
+use crate::maintenance::{slack_budget_us, AffinityTracker, MaintenanceStats};
 
 /// Result-cache key: device epoch, canonical normal form, and the
 /// placement generation of every referenced operand (ascending by id).
@@ -438,10 +447,10 @@ pub struct DrainStats {
     /// channel-scaling saturation signal: scaling is near-linear while
     /// flash (die or channel) dominates and flattens once the merge does.
     pub merge_us: f64,
-    /// Background-maintenance work this drain filled into the idle-die
-    /// slack (see [`crate::maintenance`]): migrations executed within the
-    /// critical-path budget, deferred jobs, retirements — plus retention
-    /// scrubbing (see [`crate::recovery`]), which shares the same budget.
+    /// The background jobs this drain ran in its idle-die slack (see
+    /// [`crate::maintenance`]): regroup migrations and retention-scrub
+    /// refreshes (see [`crate::recovery`]) within the critical-path
+    /// budget, plus the jobs it deferred or retired.
     pub maintenance: MaintenanceStats,
 }
 
@@ -466,39 +475,19 @@ impl DrainStats {
     }
 }
 
-/// One parked ticket's wake channel: a condvar shared by every thread
-/// waiting on the same seq, refcounted so the slot is reclaimed when the
-/// last waiter leaves.
-struct WaiterSlot {
-    cv: Arc<Condvar>,
-    waiters: usize,
-}
-
-/// One shard of the retired-results table (`seq % RETIRED_SHARDS`):
-/// parked results plus the per-seq waiter registry, under one mutex.
+/// The ticket table: every async batch from admission to its
+/// [`Ticket::wait`], under the session's one ticket mutex.
 #[derive(Default)]
-struct RetiredState {
-    results: HashMap<u64, BatchResults>,
-    /// Seq → wake channel for threads parked in
-    /// [`Session::wait_retired`]. Retire and abandon notify exactly the
-    /// affected seq's condvar — **under this mutex**, so a notification
-    /// can never slip between a waiter's last state check and its park.
-    waiters: HashMap<u64, WaiterSlot>,
+struct Tickets {
+    /// Admitted batches no drain has claimed yet, oldest first.
+    pending: VecDeque<PendingBatch>,
+    /// Seqs a drain has claimed but not yet retired (or abandoned):
+    /// `wait` parks on these instead of re-draining.
+    executing: HashSet<u64>,
+    /// Drained results awaiting their ticket's `wait`.
+    retired: HashMap<u64, BatchResults>,
+    next_seq: u64,
 }
-
-/// One shard of the retired-results table: a slice of the ticket space
-/// with its own mutex, so waiters of different tickets park and wake
-/// independently — and, within a shard, each ticket parks on its own
-/// condvar (no thundering herd, no periodic recheck).
-#[derive(Default)]
-struct RetiredShard {
-    state: Mutex<RetiredState>,
-}
-
-/// Mutex shards of the retired-results table. Eight is plenty: the
-/// shard only arbitrates the brief insert/remove/park window, not
-/// execution.
-const RETIRED_SHARDS: usize = 8;
 
 /// Default bound on batches queued by `submit_async` and not yet
 /// claimed by a drain. See [`FlashCosmosDevice::submit_async`]'s
@@ -506,45 +495,32 @@ const RETIRED_SHARDS: usize = 8;
 const DEFAULT_ADMISSION_CAPACITY: usize = 1024;
 
 /// The device's session state: in-flight async batches, retired results
-/// awaiting their [`Ticket::wait`], the cross-batch result cache, and
-/// the maintenance layer's observations and work queue. Accessible
-/// through [`FlashCosmosDevice::session`].
+/// awaiting their [`Ticket::wait`], the cross-batch result cache, and the
+/// affinity tracker the regrouping planner reads. Accessible through
+/// [`FlashCosmosDevice::session`].
 ///
-/// Every field is its own lock domain, so N threads serving traffic
-/// contend only where they genuinely share state:
+/// Three mutexes, each its own lock domain:
 ///
-/// | shard | guards | locked by |
+/// | mutex | guards | locked by |
 /// |---|---|---|
-/// | `pending` | admission queue | `submit_async`, drain claim, `wait` |
-/// | `executing` | claimed-but-not-retired seqs | drain claim/retire, `wait` |
-/// | `shards[k]` | retired results + per-seq waiters, `seq % 8 == k` | retire, `wait` |
+/// | `tickets` | pending queue, executing claims, retired results | `submit_async`, drain claim/retire, `wait` |
 /// | `cache` | memoized unit results | batch compile/execute |
 /// | `affinity` | co-query observations | batch compile, planner |
-/// | `jobs` / `retired_jobs` | maintenance queue / log | background tail, planner |
 ///
-/// Lock order within the session: `pending` → `executing`, and
-/// `shards[k].state` → `executing`. Nothing holds two of {cache,
-/// affinity, jobs} at once.
+/// No thread holds two of them at once. `wait` parks on `retired_cv`
+/// with the ticket mutex released and without the device lock.
 pub struct Session {
     cache: Mutex<ResultCache>,
     /// Which operand sets get fused together, and what they cost — the
     /// regrouping planner's input (fed by every batch compile).
     affinity: Mutex<AffinityTracker>,
-    pending: Mutex<Vec<PendingBatch>>,
+    tickets: Mutex<Tickets>,
+    /// Notified by `retire` and `abandon`: a parked waiter rechecks its
+    /// own seq.
+    retired_cv: Condvar,
     /// Bound on `pending` — admission above it fails with
     /// [`FcError::Overloaded`].
     admission_capacity: AtomicUsize,
-    /// Seqs a drain has claimed but not yet retired (or abandoned):
-    /// `wait` parks on these instead of re-draining.
-    executing: Mutex<HashSet<u64>>,
-    shards: Vec<RetiredShard>,
-    next_seq: AtomicU64,
-    /// Planned-but-not-executed migration jobs, FIFO.
-    jobs: Mutex<VecDeque<RegroupJob>>,
-    /// Bounded log of jobs dropped on generation mismatch.
-    retired_jobs: Mutex<VecDeque<RetiredJob>>,
-    /// Total jobs ever retired (the log itself is bounded).
-    jobs_retired_total: AtomicU64,
 }
 
 impl Default for Session {
@@ -552,14 +528,9 @@ impl Default for Session {
         Self {
             cache: Mutex::new(ResultCache::default()),
             affinity: Mutex::new(AffinityTracker::default()),
-            pending: Mutex::new(Vec::new()),
+            tickets: Mutex::new(Tickets::default()),
+            retired_cv: Condvar::new(),
             admission_capacity: AtomicUsize::new(DEFAULT_ADMISSION_CAPACITY),
-            executing: Mutex::new(HashSet::new()),
-            shards: (0..RETIRED_SHARDS).map(|_| RetiredShard::default()).collect(),
-            next_seq: AtomicU64::new(0),
-            jobs: Mutex::new(VecDeque::new()),
-            retired_jobs: Mutex::new(VecDeque::new()),
-            jobs_retired_total: AtomicU64::new(0),
         }
     }
 }
@@ -571,7 +542,6 @@ impl std::fmt::Debug for Session {
             .field("retired", &self.retired())
             .field("cache", &self.cache_stats())
             .field("tracked_sets", &lock(&self.affinity).len())
-            .field("pending_jobs", &self.pending_maintenance())
             .finish()
     }
 }
@@ -579,12 +549,12 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// Batches queued by `submit_async` and not yet claimed by a drain.
     pub fn in_flight(&self) -> usize {
-        lock(&self.pending).len()
+        lock(&self.tickets).pending.len()
     }
 
     /// Drained batches whose ticket has not been waited on yet.
     pub fn retired(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.state).results.len()).sum()
+        lock(&self.tickets).retired.len()
     }
 
     /// Result-cache counters.
@@ -599,45 +569,9 @@ impl Session {
         lock(&self.affinity)
     }
 
-    /// Planned migration jobs not yet executed.
-    pub fn pending_maintenance(&self) -> usize {
-        lock(&self.jobs).len()
-    }
-
-    /// The bounded log of retired (generation-mismatched) migration jobs,
-    /// oldest first (a snapshot — the log can grow concurrently).
-    /// Retirements beyond
-    /// [`MaintenanceConfig::retired_log_capacity`] drop the oldest log
-    /// entry; [`Session::jobs_retired_total`] still counts them.
-    ///
-    /// [`MaintenanceConfig::retired_log_capacity`]: crate::maintenance::MaintenanceConfig::retired_log_capacity
-    pub fn retired_jobs(&self) -> impl Iterator<Item = RetiredJob> {
-        lock(&self.retired_jobs).iter().cloned().collect::<Vec<_>>().into_iter()
-    }
-
-    /// Total migration jobs ever retired on generation mismatch.
-    pub fn jobs_retired_total(&self) -> u64 {
-        self.jobs_retired_total.load(Ordering::Relaxed)
-    }
-
     /// The result cache, locked.
     pub(crate) fn cache(&self) -> MutexGuard<'_, ResultCache> {
         lock(&self.cache)
-    }
-
-    /// The maintenance job queue, locked.
-    pub(crate) fn jobs(&self) -> MutexGuard<'_, VecDeque<RegroupJob>> {
-        lock(&self.jobs)
-    }
-
-    /// The retired-jobs log, locked.
-    pub(crate) fn retired_log(&self) -> MutexGuard<'_, VecDeque<RetiredJob>> {
-        lock(&self.retired_jobs)
-    }
-
-    /// Counts one generation-mismatched job retirement.
-    pub(crate) fn bump_jobs_retired(&self) {
-        self.jobs_retired_total.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn admission_capacity(&self) -> usize {
@@ -648,10 +582,6 @@ impl Session {
         self.admission_capacity.store(capacity, Ordering::Relaxed);
     }
 
-    fn shard(&self, seq: u64) -> &RetiredShard {
-        &self.shards[(seq % RETIRED_SHARDS as u64) as usize]
-    }
-
     /// Admits a compiled batch into the pending queue, or refuses with
     /// [`FcError::Overloaded`] when the queue is at capacity.
     pub(crate) fn enqueue(
@@ -659,12 +589,13 @@ impl Session {
         source: QueryBatch,
         compiled: CompiledBatch,
     ) -> Result<Ticket, FcError> {
-        let mut pending = lock(&self.pending);
-        if pending.len() >= self.admission_capacity() {
-            return Err(FcError::Overloaded { queued: pending.len() });
+        let mut tickets = lock(&self.tickets);
+        if tickets.pending.len() >= self.admission_capacity() {
+            return Err(FcError::Overloaded { queued: tickets.pending.len() });
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        pending.push(PendingBatch { seq, source, compiled });
+        let seq = tickets.next_seq;
+        tickets.next_seq += 1;
+        tickets.pending.push_back(PendingBatch { seq, source, compiled });
         Ok(Ticket { seq })
     }
 
@@ -679,118 +610,36 @@ impl Session {
     /// preserves the single-threaded contract (a drain retires every
     /// queued batch, including ones submitted while it runs).
     pub(crate) fn claim_next(&self) -> Option<PendingBatch> {
-        let mut pending = lock(&self.pending);
-        if pending.is_empty() {
-            return None;
-        }
-        let pb = pending.remove(0);
-        lock(&self.executing).insert(pb.seq); // order: pending → executing
+        let mut tickets = lock(&self.tickets);
+        let pb = tickets.pending.pop_front()?;
+        tickets.executing.insert(pb.seq);
         Some(pb)
     }
 
-    pub(crate) fn is_pending(&self, seq: u64) -> bool {
-        lock(&self.pending).iter().any(|p| p.seq == seq)
-    }
-
-    pub(crate) fn is_executing(&self, seq: u64) -> bool {
-        lock(&self.executing).contains(&seq)
-    }
-
-    /// Parks a claimed batch's results into its retired shard and wakes
-    /// exactly the waiters parked on that seq, then releases the
-    /// executing claim.
+    /// Parks a claimed batch's results for its ticket, releases the
+    /// executing claim, and wakes the parked waiters.
     pub(crate) fn retire(&self, seq: u64, results: BatchResults) {
-        let shard = self.shard(seq);
-        {
-            let mut state = lock(&shard.state);
-            state.results.insert(seq, results);
-            if let Some(slot) = state.waiters.get(&seq) {
-                slot.cv.notify_all();
-            }
-        }
-        lock(&self.executing).remove(&seq); // order: shard → executing
+        let mut tickets = lock(&self.tickets);
+        tickets.retired.insert(seq, results);
+        tickets.executing.remove(&seq);
+        self.retired_cv.notify_all();
     }
 
-    /// Releases executing claims whose batches will never retire (a
-    /// drain hit an error mid-pass): their waiters wake and report
+    /// Releases the executing claim of a batch that will never retire (a
+    /// drain hit an error on it): its waiters wake and report
     /// [`FcError::UnknownTicket`], mirroring the single-threaded
-    /// dropped-batch semantics. The per-seq notify happens under the
-    /// shard's state lock — a waiter holds that lock from its executing
-    /// check until it parks, so the wakeup cannot race past it.
-    pub(crate) fn abandon(&self, seqs: &[u64]) {
-        {
-            let mut executing = lock(&self.executing);
-            for seq in seqs {
-                executing.remove(seq);
-            }
-        }
-        for &seq in seqs {
-            let state = lock(&self.shard(seq).state);
-            if let Some(slot) = state.waiters.get(&seq) {
-                slot.cv.notify_all();
-            }
-        }
+    /// dropped-batch semantics.
+    pub(crate) fn abandon(&self, seq: u64) {
+        lock(&self.tickets).executing.remove(&seq);
+        self.retired_cv.notify_all();
     }
 
-    /// Removes and returns a retired batch's results, if present.
-    pub(crate) fn take_retired(&self, seq: u64) -> Option<BatchResults> {
-        lock(&self.shard(seq).state).results.remove(&seq)
-    }
-
-    /// Blocks until a currently-executing batch retires (returning its
-    /// results) or its claim is abandoned (returning `None`). The waiter
-    /// registers a per-seq condvar in the shard's waiter map and parks on
-    /// it — retire/abandon notify that seq alone, so unrelated tickets in
-    /// the same shard neither wake this thread nor get woken by it, and
-    /// no periodic recheck is needed. Missed wakeups are impossible: the
-    /// executing check and the park happen under the shard state lock,
-    /// the same lock retire inserts and notifies under — either the
-    /// insert (or the abandon's executing removal) happened before our
-    /// check, or its notify comes after we atomically release the lock
-    /// into the condvar wait.
-    pub(crate) fn wait_retired(&self, seq: u64) -> Option<BatchResults> {
-        let shard = self.shard(seq);
-        let mut state = lock(&shard.state);
-        let mut registered = false;
-        let outcome = loop {
-            if let Some(results) = state.results.remove(&seq) {
-                break Some(results);
-            }
-            if !lock(&self.executing).contains(&seq) {
-                break None;
-            }
-            let slot = state
-                .waiters
-                .entry(seq)
-                .or_insert_with(|| WaiterSlot { cv: Arc::new(Condvar::new()), waiters: 0 });
-            if !registered {
-                slot.waiters += 1;
-                registered = true;
-            }
-            let cv = Arc::clone(&slot.cv);
-            state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-        };
-        if registered {
-            let slot = state.waiters.get_mut(&seq).expect("registered waiters hold a slot");
-            slot.waiters -= 1;
-            if slot.waiters == 0 {
-                state.waiters.remove(&seq);
-            }
-        }
-        outcome
-    }
-
-    /// Drops every retired-but-unwaited result across all shards.
+    /// Drops every retired-but-unwaited result.
     pub(crate) fn discard_all_retired(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut state = lock(&s.state);
-                let n = state.results.len();
-                state.results.clear();
-                n
-            })
-            .sum()
+        let mut tickets = lock(&self.tickets);
+        let n = tickets.retired.len();
+        tickets.retired.clear();
+        n
     }
 }
 
@@ -810,14 +659,14 @@ impl DeviceCore {
         Ok(served)
     }
 
-    /// Whether retention scrubbing needs the background tail: pages are
-    /// still queued, or a scheduling pass would queue some now. Read-only
-    /// — a serving pass asks this under the read guard to learn whether
-    /// the write-locked tail is worth taking (under the functional error
-    /// model nothing ever qualifies, and a device without mapped ECC
-    /// pages skips the scan outright).
-    pub(crate) fn scrub_due(&self) -> bool {
-        self.pending_scrub() > 0 || self.scrub_would_schedule()
+    /// Whether the background tail has work: jobs are queued, or a scrub
+    /// pass would queue some now. Read-only — a serving pass asks this
+    /// under the read guard to learn whether the write-locked tail is
+    /// worth taking (under the functional error model no page ever
+    /// qualifies for a scrub, and a device without mapped ECC pages skips
+    /// the scan outright).
+    pub(crate) fn background_due(&self) -> bool {
+        !self.jobs.is_empty() || self.scrub_would_schedule()
     }
 }
 
@@ -874,9 +723,9 @@ impl FlashCosmosDevice {
     /// (read) device lock, so drains from several threads proceed in
     /// parallel — each claims whatever is pending at that instant, and
     /// per-die chip mutexes arbitrate the sensing. Only the background
-    /// tail (maintenance jobs, scrubbing, the debug-build device audit)
-    /// takes the write lock, and only when there is such work — the same
-    /// tail every sync read ends in.
+    /// tail (background jobs, the debug-build device audit) takes the
+    /// write lock, and only when there is such work — the same tail every
+    /// sync read ends in.
     ///
     /// # Errors
     ///
@@ -886,11 +735,11 @@ impl FlashCosmosDevice {
     pub fn drain(&self) -> Result<DrainStats, FcError> {
         let mut stats = DrainStats::default();
         let mut combined;
-        let scrub_due;
+        let due;
         {
             let core = self.core();
-            scrub_due = core.scrub_due();
-            if self.session.in_flight() == 0 && self.session.jobs().is_empty() && !scrub_due {
+            due = core.background_due();
+            if self.session.in_flight() == 0 && !due {
                 return Ok(stats);
             }
             combined = DieQueues::for_config(core.ssd.config());
@@ -945,7 +794,7 @@ impl FlashCosmosDevice {
                         // claim so waiters wake and report UnknownTicket
                         // instead of parking. Batches still pending stay
                         // queued for the next drain.
-                        self.session.abandon(&[pb.seq]);
+                        self.session.abandon(pb.seq);
                         return Err(e);
                     }
                 }
@@ -955,7 +804,7 @@ impl FlashCosmosDevice {
             stats.busiest_die_us = combined.busiest_us();
             stats.busiest_channel_us = combined.busiest_channel_us();
         }
-        stats.maintenance = self.background_tail(&mut combined, scrub_due, stats.senses > 0)?;
+        stats.maintenance = self.background_tail(&mut combined, due, stats.senses > 0)?;
         Ok(stats)
     }
 
@@ -970,55 +819,44 @@ impl FlashCosmosDevice {
         outs: &mut [BitVec],
         compile: impl FnOnce(&DeviceCore) -> Result<CompiledBatch, FcError>,
     ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
-        let (stats, failures, mut own, scrub_due) = {
+        let (stats, failures, mut own, due) = {
             let core = self.core();
-            let scrub_due = core.scrub_due();
+            let due = core.background_due();
             let compiled = compile(&core)?;
             let (stats, failures, own) = core.serve(&compiled, outs)?;
-            (stats, failures, own, scrub_due)
+            (stats, failures, own, due)
         };
-        self.background_tail(&mut own, scrub_due, stats.senses > 0)?;
+        self.background_tail(&mut own, due, stats.senses > 0)?;
         Ok((stats, failures))
     }
 
-    /// The write-locked tail every serving pass ends in: queued
-    /// maintenance and scrubbing fill the per-die idle slack of `queues`
-    /// (the pass's served occupancy) up to a budget of
-    /// `max(critical path × slack_factor, slack_floor_us)` — what doesn't
-    /// fit stays queued for the next pass — and the debug-build device
-    /// audit (pass 2 of the static analyzer) checks the result under the
-    /// same exclusive guard, a consistent snapshot no concurrent reader
-    /// can shear. Due when jobs are queued, when `scrub_due`, or — in
-    /// debug builds, for the audit — when the pass `sensed` anything:
-    /// fresh results entered the result cache the audit checks, whereas a
-    /// pass that only replayed cached results changed nothing it covers.
-    /// Otherwise the write lock is never taken. Returns what the jobs and
-    /// scrubs did (all zero when none ran).
+    /// The write-locked tail every serving pass ends in: it queues due
+    /// scrubs, then runs the queued background jobs into the per-die idle
+    /// slack of `queues` (the pass's served occupancy) up to the pass's
+    /// slack budget, `max(critical path × 1.25, 5 ms)` — what doesn't fit
+    /// stays queued for the next pass — and the debug-build device audit
+    /// (pass 2 of the static analyzer) checks the result under the same
+    /// exclusive guard, a consistent snapshot no concurrent reader can
+    /// shear. Runs when `due` (see [`DeviceCore::background_due`], asked
+    /// under the pass's read guard) or — in debug builds, for the audit —
+    /// when the pass `sensed` anything: fresh results entered the result
+    /// cache the audit checks, whereas a pass that only replayed cached
+    /// results changed nothing it covers. Otherwise the write lock is
+    /// never taken. Returns what the jobs did (all zero when none ran).
     fn background_tail(
         &self,
         queues: &mut DieQueues,
-        scrub_due: bool,
+        due: bool,
         sensed: bool,
     ) -> Result<MaintenanceStats, FcError> {
         let mut maintenance = MaintenanceStats::default();
-        let due =
-            !self.session.jobs().is_empty() || scrub_due || (cfg!(debug_assertions) && sensed);
-        if !due {
+        if !(due || cfg!(debug_assertions) && sensed) {
             return Ok(maintenance);
         }
         let mut core = self.core_write();
         core.schedule_scrub();
-        if !self.session.jobs().is_empty() || core.pending_scrub() > 0 {
-            let budget = (queues.critical_path_us() * core.maintenance_cfg.slack_factor)
-                .max(core.maintenance_cfg.slack_floor_us);
-            if !self.session.jobs().is_empty() {
-                maintenance = core.execute_maintenance(queues, budget)?;
-            }
-            if core.pending_scrub() > 0 {
-                let (scrubbed, deferred) = core.execute_scrub(queues, budget)?;
-                maintenance.pages_scrubbed = scrubbed;
-                maintenance.scrubs_deferred = deferred;
-            }
+        if !core.jobs.is_empty() {
+            maintenance = core.execute_jobs(queues, slack_budget_us(queues.critical_path_us()))?;
         }
         #[cfg(debug_assertions)]
         crate::audit::enforce_device(&core);
@@ -1052,33 +890,28 @@ impl FlashCosmosDevice {
     /// [`FcError::UnknownTicket`] for an already-waited (or foreign)
     /// ticket, plus anything [`FlashCosmosDevice::drain`] can return.
     pub fn wait(&self, ticket: Ticket) -> Result<BatchResults, FcError> {
+        let seq = ticket.seq;
+        let mut tickets = lock(&self.session.tickets);
         loop {
-            if let Some(results) = self.session.take_retired(ticket.seq) {
+            if let Some(results) = tickets.retired.remove(&seq) {
                 return Ok(results);
             }
-            if self.session.is_pending(ticket.seq) {
+            if tickets.executing.contains(&seq) {
+                tickets =
+                    self.session.retired_cv.wait(tickets).unwrap_or_else(PoisonError::into_inner);
+            } else if tickets.pending.iter().any(|p| p.seq == seq) {
+                drop(tickets);
                 self.drain()?;
-                continue;
+                tickets = lock(&self.session.tickets);
+            } else {
+                return Err(FcError::UnknownTicket(seq));
             }
-            if let Some(results) = self.session.wait_retired(ticket.seq) {
-                return Ok(results);
-            }
-            // Not retired, not pending, not executing. It may have
-            // hopped pending → executing → retired between our checks:
-            // one final sweep before declaring the ticket unknown.
-            if let Some(results) = self.session.take_retired(ticket.seq) {
-                return Ok(results);
-            }
-            if self.session.is_pending(ticket.seq) || self.session.is_executing(ticket.seq) {
-                continue;
-            }
-            return Err(FcError::UnknownTicket(ticket.seq));
         }
     }
 
     /// Read-only view of the session state (in-flight batches, cache
     /// counters). Does not take the device lock — the session carries
-    /// its own mutex shards.
+    /// its own mutexes.
     pub fn session(&self) -> &Session {
         &self.session
     }

@@ -297,7 +297,7 @@ fn healthy_device_audits_clean_after_maintenance_and_scrub() {
     let ids = store_group(&mut dev, "g", 6, None, &mut rng);
     let batch: QueryBatch = [Expr::and_vars(ids.clone()), Expr::or_vars(ids)].into_iter().collect();
     dev.submit(&batch).unwrap();
-    dev.run_scrub().unwrap();
+    dev.run_maintenance().unwrap();
     dev.drain().unwrap(); // enforce_device runs here in debug builds too
     let findings = dev.audit();
     assert!(findings.is_empty(), "got {findings:?}");

@@ -6,7 +6,7 @@
 use fc_bits::BitVec;
 use fc_ssd::SsdConfig;
 use fc_workloads::skew::CoQueryWorkload;
-use flash_cosmos::{Expr, FlashCosmosDevice, MaintenanceConfig, QueryBatch, Severity, StoreHints};
+use flash_cosmos::{Expr, FlashCosmosDevice, QueryBatch, Severity, StoreHints};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,7 +67,7 @@ fn regrouping_converges_within_the_drain_slack_budget() {
     w.dev.submit(&batch).unwrap();
     let queued = w.dev.schedule_maintenance();
     assert_eq!(queued, 4, "one migration job per hot-set operand");
-    assert_eq!(w.dev.session().pending_maintenance(), 4);
+    assert_eq!(w.dev.pending_jobs(), 4);
 
     // The jobs ride the next drain, filling idle-die slack.
     let ticket = w.dev.submit_async(&batch).unwrap();
@@ -104,40 +104,6 @@ fn regrouping_converges_within_the_drain_slack_budget() {
     assert!(hot_ids.iter().all(|&id| w.dev.group_index_of(id) == g));
 }
 
-/// A starved budget defers jobs instead of blowing the critical path;
-/// a later pass (or an unbudgeted `run_maintenance`) finishes the queue.
-#[test]
-fn jobs_that_miss_the_budget_defer_to_the_next_pass() {
-    let mut rng = StdRng::seed_from_u64(0xB4D);
-    let mut dev = device();
-    let (ids, _) = scattered_operands(&mut dev, 4, &mut rng);
-    let mut batch = QueryBatch::new();
-    batch.push(Expr::and_vars(ids.iter().copied()));
-    dev.submit(&batch).unwrap();
-    dev.submit(&batch).unwrap();
-    // A budget too small for even one page move (tR + tESP ≈ 425 µs).
-    dev.set_maintenance_config(MaintenanceConfig {
-        slack_factor: 1.0,
-        slack_floor_us: 100.0,
-        ..MaintenanceConfig::default()
-    });
-    assert_eq!(dev.schedule_maintenance(), 4);
-    dev.submit_async(&batch).unwrap();
-    let drained = dev.drain().unwrap();
-    assert_eq!(drained.maintenance.jobs_executed, 0, "nothing fits 100 µs");
-    assert_eq!(drained.maintenance.jobs_deferred, 4);
-    assert_eq!(dev.session().pending_maintenance(), 4);
-    // An idle drain with a restored budget finishes the queue.
-    dev.set_maintenance_config(MaintenanceConfig::default());
-    let drained = dev.drain().unwrap();
-    assert_eq!(drained.batches, 0, "idle drain: maintenance only");
-    assert_eq!(drained.maintenance.jobs_executed, 4);
-    assert!(drained.maintenance.critical_path_us <= drained.maintenance.budget_us);
-    assert_eq!(dev.session().pending_maintenance(), 0);
-    let after = dev.submit(&batch).unwrap();
-    assert_eq!(after.stats.senses, 1);
-}
-
 /// ISSUE satellite: a regroup job whose source operand was overwritten
 /// between planning and execution is retired (generation mismatch), not
 /// applied — and the retirement re-arms the set for replanning.
@@ -160,12 +126,12 @@ fn overwritten_operand_retires_its_job_instead_of_migrating() {
     let stats = dev.run_maintenance().unwrap();
     assert_eq!(stats.jobs_retired, 1, "the overwritten operand's job must drop");
     assert_eq!(stats.jobs_executed, 2, "its siblings still gather");
-    let retired: Vec<_> = dev.session().retired_jobs().collect();
+    let retired = dev.retired_jobs();
     assert_eq!(retired.len(), 1);
     assert_eq!(retired[0].operand, ids[1]);
     assert_eq!(retired[0].name, "op1", "the log names the operand from the table");
     assert!(retired[0].found_generation > retired[0].expected_generation);
-    assert_eq!(dev.session().jobs_retired_total(), 1);
+    assert_eq!(dev.jobs_retired_total(), 1);
     // The un-migrated operand stayed in its original group...
     assert_ne!(dev.group_index_of(ids[1]), dev.group_index_of(ids[0]));
     // ...and the query stays bit-exact on the overwritten data.
@@ -183,34 +149,31 @@ fn overwritten_operand_retires_its_job_instead_of_migrating() {
     assert_eq!(converged.stats.senses, 1, "fully gathered after the second pass");
 }
 
-/// The retired-job log is bounded by `retired_log_capacity` while the
-/// total counter keeps counting.
+/// The retired-job log keeps its newest 64 entries while the total
+/// counter keeps counting.
 #[test]
 fn retired_job_log_is_bounded() {
     let mut rng = StdRng::seed_from_u64(0x10);
     let mut dev = device();
-    dev.set_maintenance_config(MaintenanceConfig {
-        retired_log_capacity: 2,
-        ..MaintenanceConfig::default()
-    });
-    let (ids, _) = scattered_operands(&mut dev, 4, &mut rng);
-    let mut batch = QueryBatch::new();
-    batch.push(Expr::and_vars(ids.iter().copied()));
+    // 17 hot 4-operand sets: 68 jobs, planned over two passes (64 + 4).
+    let (ids, _) = scattered_operands(&mut dev, 68, &mut rng);
+    let batch: QueryBatch = ids.chunks(4).map(|set| Expr::and_vars(set.iter().copied())).collect();
     dev.submit(&batch).unwrap();
     dev.submit(&batch).unwrap();
+    assert_eq!(dev.schedule_maintenance(), 64);
     assert_eq!(dev.schedule_maintenance(), 4);
     // Invalidate every job before execution.
     let bits = dev.config().page_bits();
-    for i in 0..4 {
+    for i in 0..68 {
         let v = BitVec::random(bits, &mut rng);
         dev.fc_overwrite(&format!("op{i}"), &v).unwrap();
     }
     let stats = dev.run_maintenance().unwrap();
-    assert_eq!(stats.jobs_retired, 4);
-    assert_eq!(dev.session().jobs_retired_total(), 4, "the counter sees all retirements");
-    assert_eq!(dev.session().retired_jobs().count(), 2, "the log keeps only the newest 2");
-    let names: Vec<String> = dev.session().retired_jobs().map(|r| r.name.clone()).collect();
-    assert_eq!(names, ["op2", "op3"], "oldest entries dropped first");
+    assert_eq!(stats.jobs_retired, 68);
+    assert_eq!(dev.jobs_retired_total(), 68, "the counter sees all retirements");
+    let names: Vec<String> = dev.retired_jobs().into_iter().map(|r| r.name).collect();
+    let newest: Vec<String> = (4..68).map(|i| format!("op{i}")).collect();
+    assert_eq!(names, newest, "the log keeps the newest 64, oldest first");
 }
 
 /// At equal capacity, cost-aware retention beats FIFO eviction on a
@@ -318,33 +281,24 @@ fn drain_time_recompile_does_not_double_count_affinity() {
     assert_eq!(dev.schedule_maintenance(), 0, "a once-queried set is not hot");
 }
 
-/// The per-pass job cap applies at set granularity: a second hot set
-/// that would overshoot the cap waits for the next pass (and a set is
-/// never split).
+/// The per-pass job cap (64) applies at set granularity: a hot set that
+/// would overshoot it waits for the next pass, and a set is never split.
 #[test]
 fn job_cap_defers_whole_sets_to_the_next_pass() {
     let mut rng = StdRng::seed_from_u64(0x2D);
     let mut dev = device();
-    dev.set_maintenance_config(MaintenanceConfig {
-        max_jobs_per_pass: 4,
-        ..MaintenanceConfig::default()
-    });
-    let (ids, _) = scattered_operands(&mut dev, 6, &mut rng);
-    let mut batch = QueryBatch::new();
-    batch.push(Expr::and_vars(ids[..3].iter().copied()));
-    batch.push(Expr::and_vars(ids[3..].iter().copied()));
+    // Nine hot 8-operand sets: 72 jobs against a cap of 64.
+    let (ids, _) = scattered_operands(&mut dev, 72, &mut rng);
+    let batch: QueryBatch = ids.chunks(8).map(|set| Expr::and_vars(set.iter().copied())).collect();
     dev.submit(&batch).unwrap();
     dev.submit(&batch).unwrap();
-    // Two hot 3-operand sets against a cap of 4: exactly one set plans
-    // per pass — a set is never split, and the second set (which would
-    // overshoot the cap) waits for the next pass.
-    assert_eq!(dev.schedule_maintenance(), 3, "second set would overshoot the cap");
-    assert_eq!(dev.session().pending_maintenance(), 3);
-    assert_eq!(dev.schedule_maintenance(), 3, "next pass picks up the deferred set");
-    assert_eq!(dev.session().pending_maintenance(), 6);
+    assert_eq!(dev.schedule_maintenance(), 64, "the ninth set would overshoot the cap");
+    assert_eq!(dev.pending_jobs(), 64);
+    assert_eq!(dev.schedule_maintenance(), 8, "next pass picks up the deferred set");
+    assert_eq!(dev.pending_jobs(), 72);
     dev.run_maintenance().unwrap();
     let warm = dev.submit(&batch).unwrap();
-    assert_eq!(warm.stats.senses, 2, "both sets gathered in the end");
+    assert_eq!(warm.stats.senses, 9, "every set gathered: one sense each");
 }
 
 /// Two disjoint hot sets planned in one pass gather onto *different*
@@ -407,7 +361,7 @@ fn an_oversized_job_defers_without_wedging_the_queue() {
     // The foreground pass (no budget) finishes the big set.
     let fg = dev.run_maintenance().unwrap();
     assert!(fg.jobs_executed >= 1);
-    assert_eq!(dev.session().pending_maintenance(), 0);
+    assert_eq!(dev.pending_jobs(), 0);
     let mut big_batch = QueryBatch::new();
     big_batch.push(Expr::and_vars([0usize, 1]));
     let out = dev.submit(&big_batch).unwrap();
@@ -550,7 +504,7 @@ proptest! {
     #[test]
     fn background_maintenance_never_changes_results(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut maint = device();
+        let maint = device();
         let cold = device();
         cold.set_result_cache_capacity(0);
 
@@ -564,12 +518,6 @@ proptest! {
             truth.push(v);
         }
         let ids: Vec<usize> = (0..5).collect();
-        // Aggressive maintenance so migrations actually interleave.
-        maint.set_maintenance_config(MaintenanceConfig {
-            min_cofuse: 1,
-            scatter_ratio: 1.0,
-            ..MaintenanceConfig::default()
-        });
 
         let random_batch = |rng: &mut StdRng| -> QueryBatch {
             (0..rng.gen_range(1usize..=3))
@@ -597,13 +545,18 @@ proptest! {
             match op {
                 Op::Submit => {
                     let batch = random_batch(&mut rng);
-                    let a = maint.submit(&batch).map_err(|e| TestCaseError::fail(e.to_string()))?;
                     let b = cold.submit(&batch).map_err(|e| TestCaseError::fail(e.to_string()))?;
-                    prop_assert_eq!(&a.results, &b.results,
-                        "maintained device diverged from the reference");
+                    // Twice on the maintained device: the batch's sets turn
+                    // hot, so maintenance has migrations to interleave.
+                    for _ in 0..2 {
+                        let a = maint.submit(&batch)
+                            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                        prop_assert_eq!(&a.results, &b.results,
+                            "maintained device diverged from the reference");
+                    }
                     for (qi, q) in batch.queries().iter().enumerate() {
                         let lookup = |i: usize| truth[i].clone();
-                        prop_assert_eq!(&a.results[qi], &q.eval(&lookup),
+                        prop_assert_eq!(&b.results[qi], &q.eval(&lookup),
                             "query {} diverged from ground truth", qi);
                     }
                 }

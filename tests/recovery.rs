@@ -67,11 +67,16 @@ fn scrub_keeps_zipf_workload_at_zero_uncorrectable() {
         }
         // Drains with nothing queued still run the scrubber in the slack
         // budget; what does not fit one pass stays queued for the next.
-        let drained = dev.drain().unwrap();
-        scrubbed_total += drained.maintenance.pages_scrubbed;
+        let m = dev.drain().unwrap().maintenance;
+        if m.pages_scrubbed > 0 {
+            assert!(m.budget_us >= 5_000.0, "a refreshing pass reports its budget: {m:?}");
+            assert!(m.fill_time_us > 0.0, "and the die time its refreshes took: {m:?}");
+            assert!(m.critical_path_us <= m.budget_us, "within the budget: {m:?}");
+        }
+        scrubbed_total += m.pages_scrubbed;
     }
     assert!(scrubbed_total > 0, "aged pages must cross the scrub threshold");
-    assert_eq!(dev.pending_scrub(), 0, "repeated drains fully drain the scrub queue");
+    assert_eq!(dev.pending_jobs(), 0, "repeated drains fully drain the job queue");
     assert_eq!(dev.schedule_scrub(), 0, "refreshed pages must not re-queue");
     let h = dev.health();
     assert!(h.pages_scrubbed >= scrubbed_total);
@@ -212,7 +217,7 @@ fn endurance_run_with_full_fault_mix_stays_exact() {
     // Drain until the scrub backlog (refreshes deferred past each
     // drain's slack budget) fully clears.
     for _ in 0..16 {
-        if dev.pending_scrub() == 0 {
+        if dev.pending_jobs() == 0 {
             break;
         }
         dev.drain().unwrap();

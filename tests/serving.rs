@@ -101,7 +101,7 @@ fn sync_only_traffic_runs_queued_maintenance() {
     // the queued migrations in its idle-die slack.
     let served = dev.submit(&batch).unwrap();
     assert_eq!(served.results, cold.results);
-    assert_eq!(dev.session().pending_maintenance(), 0, "the sync read ran every job");
+    assert_eq!(dev.pending_jobs(), 0, "the sync read ran every job");
     let gathered = dev.submit(&batch).unwrap();
     assert_eq!(gathered.results, cold.results, "migration preserves data");
     assert_eq!(gathered.stats.senses, 1, "gathered set is one intra-block MWS");

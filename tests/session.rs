@@ -249,6 +249,32 @@ fn drain_refreshes_a_queued_unit_from_an_earlier_batch() {
     assert_eq!(second.results[0], expect);
 }
 
+/// A drain that fails on one batch drops only that batch: its ticket
+/// reports `UnknownTicket`, while the batch queued behind it stays
+/// pending and answers its own wait.
+#[test]
+fn a_failing_drain_drops_only_its_batch() {
+    let mut rng = StdRng::seed_from_u64(0xD4A3);
+    // 48 wordlines per block: all 20 voters share one block.
+    let config = SsdConfig { wls_per_block: 48, ..SsdConfig::tiny_test() };
+    let mut dev = FlashCosmosDevice::new(config.clone());
+    let (ids, data) = store_group(&mut dev, "g", 20, None, &mut rng);
+    let threshold: QueryBatch = [Expr::threshold_vars(10, ids.clone())].into_iter().collect();
+    let and: QueryBatch = [Expr::and_vars(ids[..2].iter().copied())].into_iter().collect();
+    let first = dev.submit_async(&threshold).unwrap();
+    let second = dev.submit_async(&and).unwrap();
+    // Moving one voter to another die makes the queued threshold stale,
+    // and its drain-time recompile must expand C(20, 10) terms: over the
+    // planner's cap.
+    let home = dev.operand_dies(ids[19]).unwrap()[0].flat(&config);
+    let away = (home + 1) % config.total_dies();
+    dev.migrate_operand("g-19", StoreHints::and_group("away").with_die(away)).unwrap();
+    assert!(dev.drain().is_err(), "the stale threshold cannot recompile");
+    assert_eq!(dev.session().in_flight(), 1, "the batch behind the failure stays queued");
+    assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
+    assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
+}
+
 /// Overwrite and migration invalidation on the synchronous path, plus
 /// handle/geometry stability across `fc_overwrite`.
 #[test]
