@@ -249,7 +249,7 @@ pub fn ablation_accumulation() -> Table {
         let nnf = Expr::and_vars(0..n).to_nnf();
         let caps = PlannerCaps { max_inter_blocks: 4, wls_per_block: 48 };
         let fc = planner::compile(&nnf, &map, caps).unwrap().sense_count();
-        let pb = flash_cosmos::parabit::sense_cost(&nnf);
+        let pb = flash_cosmos::parabit::compile(&nnf, &map).unwrap().sense_count();
         t.row(vec![n.to_string(), blocks.to_string(), fc.to_string(), pb.to_string()]);
     }
     t.note("BMI m=36's 1095 operands: 23 MWS senses for FC vs 1095 serial senses for PB");

@@ -442,10 +442,7 @@ impl DeviceCore {
         }
         let deduped_queries = n - uniques.len();
 
-        let caps = PlannerCaps {
-            max_inter_blocks: self.ssd.config().max_inter_blocks,
-            wls_per_block: self.ssd.config().wls_per_block,
-        };
+        let caps = PlannerCaps::for_config(self.ssd.config());
 
         // Candidate plans: per-unique-query units, and (when top-level OR
         // terms recur across queries) a decomposed plan that senses each

@@ -31,9 +31,9 @@
 //!   merge time joins `merge_us`, so [`BatchStats::bottleneck`] applies
 //!   the same die/channel/merge attribution to a cluster pass as to a
 //!   device batch.
-//! * **Per-shard maintenance** — every shard keeps its own session,
-//!   maintenance queue and scrub queue; [`FcCluster::run_maintenance`]
-//!   and [`FcCluster::drain`] fan out and report per-shard stats.
+//! * **Per-shard maintenance** — every shard keeps its own session and
+//!   background job queue; [`FcCluster::run_maintenance`] and
+//!   [`FcCluster::drain`] fan out and report per-shard stats.
 //!
 //! Lock order: the cluster adds no locks of its own — the registry and
 //! name table are plain single-owner state (`&mut self` on the write

@@ -305,6 +305,8 @@ pub(crate) struct DeviceCore {
     pub(crate) retired_jobs: VecDeque<RetiredJob>,
     /// Regroup jobs ever retired (the log itself is bounded).
     pub(crate) jobs_retired_total: u64,
+    /// Background jobs that ever failed.
+    pub(crate) jobs_failed_total: u64,
     /// Ruleset of the static analyzer (see [`crate::audit`]): what the
     /// debug-build plan-lint and device-audit hooks do per lint code.
     pub(crate) audit_cfg: crate::audit::AuditConfig,
@@ -359,6 +361,7 @@ impl DeviceCore {
             jobs: VecDeque::new(),
             retired_jobs: VecDeque::new(),
             jobs_retired_total: 0,
+            jobs_failed_total: 0,
             audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
             session: Arc::new(crate::session::Session::default()),

@@ -11,8 +11,13 @@
 //!   results cross the external link — Fig. 7c.
 //! * **ParaBit** — one sensing operation *per operand*, accumulating in
 //!   the latches; only results move — Fig. 7d.
-//! * **Flash-Cosmos** — `ceil(operands / 48)` MWS operations per result
+//! * **Flash-Cosmos** — the MWS operations the planner emits per result
 //!   page; only results move (§6).
+//!
+//! The in-flash platforms are priced from compiled programs: one query of
+//! the shape, laid out on a plane as the FTL places it, is compiled with
+//! [`planner::compile`] or [`parabit::compile`], so the figures count the
+//! senses the device runs (and panic on a shape they cannot lower).
 //!
 //! Every evaluation returns the pipeline model's own [`ExecutionReport`]
 //! (makespan, energy, stage bottleneck); [`Engines::evaluate_all`] pairs
@@ -20,10 +25,17 @@
 //! [`crate::timeline::Fig7Scenario::run_all`] pairs it with its approach.
 
 use fc_host::HostCpu;
+use fc_nand::command::Command;
+use fc_nand::geometry::WlAddr;
+use fc_nand::power::mws_power_norm;
 use fc_ssd::pipeline::{HostWork, PipelineModel, SenseJob};
 use fc_ssd::topology::Striping;
 use fc_ssd::{ExecutionReport, SsdConfig};
 use serde::{Deserialize, Serialize};
+
+use crate::expr::Expr;
+use crate::parabit;
+use crate::planner::{self, PlacementMap, PlannerCaps};
 
 /// The four evaluated computing platforms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -126,7 +138,9 @@ impl Engines {
     ///
     /// # Panics
     ///
-    /// Panics if `shapes` is empty.
+    /// Panics if `shapes` is empty. ParaBit and Flash-Cosmos compile one
+    /// query per shape, so they also panic on a shape with no AND operand
+    /// or one whose query the platform's compiler cannot lower.
     pub fn evaluate_batch(&self, platform: Platform, shapes: &[WorkloadShape]) -> ExecutionReport {
         assert!(!shapes.is_empty(), "a batch needs at least one workload shape");
         let mut jobs: Vec<Vec<SenseJob>> = Vec::new();
@@ -218,8 +232,9 @@ impl Engines {
             }
             Platform::ParaBit => {
                 host = self.host_work(shape, false);
+                let (senses, _) = self.query_step(platform, shape);
                 let job = SenseJob {
-                    latency_us: cfg.tr_us * (batch * ops) as f64,
+                    latency_us: cfg.tr_us * (batch * senses) as f64,
                     dma_bytes: scale(1) * chunk,
                     ext_bytes: scale(1) * chunk,
                     norm_power: 1.0,
@@ -228,8 +243,7 @@ impl Engines {
             }
             Platform::FlashCosmos => {
                 host = self.host_work(shape, false);
-                let senses = self.fc_senses_per_query(shape);
-                let power = self.fc_norm_power(shape);
+                let (senses, power) = self.query_step(platform, shape);
                 let job = SenseJob {
                     latency_us: cfg.tmws_us * (batch * senses) as f64,
                     dma_bytes: scale(1) * chunk,
@@ -242,25 +256,54 @@ impl Engines {
         (vec![per_die; dies], host, isp_bytes)
     }
 
-    /// Sensing operations Flash-Cosmos needs per query-step (§6.1):
-    /// `ceil(AND operands / string length)` intra-block MWS commands,
-    /// with up to `cap − 1` OR operands fused into the last command and
-    /// extra commands for any remainder.
+    /// Sensing operations Flash-Cosmos needs per query-step: the sense
+    /// count of the program [`planner::compile`] emits for one query of
+    /// `shape`, laid out as a device places it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape has no AND operand or the planner cannot lower
+    /// its query on the configured chip.
     pub fn fc_senses_per_query(&self, shape: &WorkloadShape) -> u64 {
-        let per_block = self.config.wls_per_block as u64;
-        let cap = self.config.max_inter_blocks as u64;
-        let and_senses = shape.and_operands.div_ceil(per_block).max(1);
-        let fused_or = shape.or_operands.min(cap - 1);
-        let extra_or = (shape.or_operands - fused_or).div_ceil(cap);
-        and_senses + extra_or
+        self.query_step(Platform::FlashCosmos, shape).0
     }
 
-    /// Chip power during a Flash-Cosmos sense, normalized (Fig. 14): the
-    /// last command activates `1 + min(or, cap−1)` blocks.
-    fn fc_norm_power(&self, shape: &WorkloadShape) -> f64 {
-        let cap = self.config.max_inter_blocks as u64;
-        let blocks = 1 + shape.or_operands.min(cap - 1) as usize;
-        fc_nand::power::mws_power_norm(blocks)
+    /// Senses and mean normalized chip power (Fig. 14, per `Mws` command)
+    /// of one ParaBit or Flash-Cosmos query-step: the program the
+    /// platform's compiler emits for the AND of the shape's AND operands
+    /// OR-ed with each OR operand, laid out on one plane by the FTL group
+    /// cursor's two rules: the AND operands fill blocks one string at a
+    /// time, and each OR operand gets a block of its own.
+    fn query_step(&self, platform: Platform, shape: &WorkloadShape) -> (u64, f64) {
+        assert!(shape.and_operands > 0, "{}: a query needs at least one AND operand", shape.name);
+        let per_block = self.config.wls_per_block;
+        let (ands, ors) = (shape.and_operands as usize, shape.or_operands as usize);
+        let mut map = PlacementMap::new();
+        for i in 0..ands {
+            map.insert(i, WlAddr::new(0, (i / per_block) as u32, (i % per_block) as u32), false);
+        }
+        let or_blocks = ands.div_ceil(per_block);
+        for j in 0..ors {
+            map.insert(ands + j, WlAddr::new(0, (or_blocks + j) as u32, 0), false);
+        }
+        let terms =
+            std::iter::once(Expr::and_vars(0..ands)).chain((ands..ands + ors).map(Expr::var));
+        let nnf = Expr::or(terms.collect()).to_nnf();
+        let program = match platform {
+            Platform::FlashCosmos => {
+                planner::compile(&nnf, &map, PlannerCaps::for_config(&self.config))
+            }
+            _ => parabit::compile(&nnf, &map),
+        }
+        .unwrap_or_else(|e| panic!("{}: {platform} cannot lower the query: {e}", shape.name));
+        let (mut power, mut mws) = (0.0, 0u32);
+        for command in &program.commands {
+            if let Command::Mws { targets, .. } = command {
+                power += mws_power_norm(targets.len());
+                mws += 1;
+            }
+        }
+        (program.sense_count() as u64, power / f64::from(mws))
     }
 
     fn host_work(&self, shape: &WorkloadShape, osp: bool) -> HostWork {
@@ -334,6 +377,11 @@ mod tests {
             result_popcount: false,
         };
         assert_eq!(engines.fc_senses_per_query(&kcs), 1, "AND+OR fuse into one MWS");
+        // Past one string the AND spans two blocks, accumulating in the
+        // S-latch over two senses; the planner ORs the clique vector's
+        // block in with a third.
+        let kcs64 = WorkloadShape { and_operands: 64, ..kcs };
+        assert_eq!(engines.fc_senses_per_query(&kcs64), 3);
     }
 
     #[test]

@@ -66,7 +66,9 @@
 //! * [`engines`] — the four evaluated platforms (OSP/ISP/PB/FC) as
 //!   pipeline-model job builders (Figs. 17/18), including batched
 //!   multi-workload evaluation; each evaluation returns the pipeline's
-//!   own `ExecutionReport`.
+//!   own `ExecutionReport`. ParaBit and Flash-Cosmos are priced from the
+//!   programs [`parabit`] and [`planner`] compile for one query of the
+//!   workload, so the figures count the senses the device runs.
 //! * [`reliability`] — the §5 characterization harness (Figs. 8, 11–14,
 //!   zero-error validation).
 //! * [`timeline`] — the Fig. 7 OSP/ISP/IFP timeline scenario.
@@ -80,10 +82,8 @@
 //! and [`BatchStats::critical_path_us`] is the busiest die's time, not
 //! the serial sum. Groups one expression combines should share a plane
 //! for MWS fusion: name a colocation domain with
-//! [`StoreHints::colocated`](device::StoreHints::colocated) (the
-//! [`suggest_hints`] advisor emits one per expression automatically), or
-//! pin a group to a die with
-//! [`StoreHints::with_die`](device::StoreHints::with_die).
+//! [`StoreHints::colocated`](device::StoreHints::colocated), or pin a
+//! group to a die with [`StoreHints::with_die`](device::StoreHints::with_die).
 //!
 //! ## Quickstart: a batched query session
 //!
@@ -137,7 +137,6 @@ pub mod expr;
 pub mod maintenance;
 pub mod ops;
 pub mod parabit;
-pub mod placement;
 pub mod planner;
 pub mod recovery;
 pub mod reliability;
@@ -153,7 +152,6 @@ pub use device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 pub use engines::{Engines, Platform, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};
 pub use maintenance::{AffinityTracker, MaintenanceStats};
-pub use placement::{suggest_hints, LayoutAdvice};
 pub use planner::{MwsProgram, PlacementMap, PlanError, PlannerCaps};
 pub use recovery::{DeviceHealth, FaultPlan, FaultReport};
 pub use session::{CacheStats, DrainStats, Session, Ticket};

@@ -37,7 +37,10 @@
 //!    ([`DieQueues::try_fill`](fc_ssd::pipeline::DieQueues::try_fill))
 //!    and the job runs only when every touched die stays within the
 //!    pass's critical-path budget, `max(critical path × 1.25, 5 ms)`;
-//!    jobs that do not fit stay queued, in order, for the next pass.
+//!    jobs that do not fit stay queued, in order, for the next pass. A
+//!    job that fails is consumed and counted
+//!    ([`MaintenanceStats::jobs_failed`]); it never fails the serving
+//!    pass, whose reads have already been answered.
 //!
 //! A regroup job whose source operand changed between planning and
 //! execution (its placement **generation** no longer matches) is
@@ -474,6 +477,9 @@ pub struct MaintenanceStats {
     pub pages_scrubbed: u64,
     /// Scrub jobs left queued because they did not fit the slack budget.
     pub scrubs_deferred: usize,
+    /// Jobs that failed (at most one: the pass stops there, consumes the
+    /// failing job and leaves every other job queued).
+    pub jobs_failed: usize,
 }
 
 impl crate::device::DeviceCore {
@@ -604,7 +610,10 @@ impl crate::device::DeviceCore {
         self.schedule_maintenance();
         self.schedule_scrub();
         let mut queues = DieQueues::for_config(self.ssd.config());
-        self.execute_jobs(&mut queues, f64::INFINITY)
+        match self.execute_jobs(&mut queues, f64::INFINITY) {
+            (_, Some(e)) => Err(e),
+            (stats, None) => Ok(stats),
+        }
     }
 
     /// Runs queued jobs, oldest first, into `queues`' idle slack: a job
@@ -617,17 +626,18 @@ impl crate::device::DeviceCore {
     /// planning pass finishes it), and a refresh of an unmapped page is
     /// dropped.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first failing job's error. That job is consumed;
-    /// the skipped-over jobs and the untouched rest stay queued, in order.
+    /// The pass stops at the first failing job and returns its error
+    /// beside the pass's stats, which count it in `jobs_failed` (and the
+    /// device's lifetime count). That job is consumed; the skipped-over
+    /// jobs and the untouched rest stay queued, in order.
     pub(crate) fn execute_jobs(
         &mut self,
         queues: &mut DieQueues,
         budget_us: f64,
-    ) -> Result<MaintenanceStats, FcError> {
+    ) -> (MaintenanceStats, Option<FcError>) {
         let mut stats = MaintenanceStats { budget_us, ..MaintenanceStats::default() };
         let mut skipped: VecDeque<Job> = VecDeque::new();
+        let mut failure = None;
         while let Some(job) = self.jobs.pop_front() {
             let cfg = self.ssd.config();
             let work = match &job {
@@ -675,20 +685,21 @@ impl crate::device::DeviceCore {
                     .map(|refreshed| stats.pages_scrubbed += u64::from(refreshed)),
             };
             if let Err(e) = ran {
-                // The failing job is consumed; the skipped-over jobs go
-                // back in front of the untouched rest.
-                while let Some(job) = skipped.pop_back() {
-                    self.jobs.push_front(job);
-                }
-                return Err(e);
+                failure = Some(e);
+                break;
             }
             stats.fill_time_us += work.iter().map(|&(_, us)| us).sum::<f64>();
         }
         stats.jobs_deferred = skipped.iter().filter(|job| matches!(job, Job::Regroup(_))).count();
         stats.scrubs_deferred = skipped.len() - stats.jobs_deferred;
+        stats.jobs_failed = usize::from(failure.is_some());
+        self.jobs_failed_total += stats.jobs_failed as u64;
+        // The failing job is consumed; the skipped-over jobs go back in
+        // front of the untouched rest.
+        skipped.append(&mut self.jobs);
         self.jobs = skipped;
         stats.critical_path_us = queues.busiest_us();
-        Ok(stats)
+        (stats, failure)
     }
 }
 
@@ -733,6 +744,12 @@ impl crate::device::FlashCosmosDevice {
     /// Total regroup jobs ever retired on a generation mismatch.
     pub fn jobs_retired_total(&self) -> u64 {
         self.core().jobs_retired_total
+    }
+
+    /// Total background jobs that ever failed, in serving passes and in
+    /// [`Self::run_maintenance`] alike.
+    pub fn jobs_failed_total(&self) -> u64 {
+        self.core().jobs_failed_total
     }
 }
 
@@ -1001,7 +1018,8 @@ mod tests {
         assert_eq!(dev.schedule_maintenance(), 4);
         // A budget too small for even one page move (tR + tESP ≈ 425 µs).
         let mut queues = DieQueues::for_config(dev.config());
-        let starved = dev.core_write().execute_jobs(&mut queues, 100.0).unwrap();
+        let (starved, failure) = dev.core_write().execute_jobs(&mut queues, 100.0);
+        assert!(failure.is_none());
         assert_eq!(starved.jobs_executed, 0, "nothing fits 100 µs");
         assert_eq!(starved.jobs_deferred, 4);
         assert_eq!(dev.pending_jobs(), 4);
@@ -1047,12 +1065,61 @@ mod tests {
         // The first refresh's source die has no slack left: it is skipped.
         let mut queues = DieQueues::for_config(&cfg);
         queues.push(full_die, SLACK_FLOOR_US);
-        let err = core.execute_jobs(&mut queues, SLACK_FLOOR_US).unwrap_err();
+        let (stats, failure) = core.execute_jobs(&mut queues, SLACK_FLOOR_US);
+        let err = failure.unwrap();
         assert!(
             matches!(err, FcError::Device(DeviceError::Nand(NandError::InvalidMlsense(_)))),
             "{err}"
         );
+        assert_eq!((stats.jobs_failed, core.jobs_failed_total), (1, 1));
         assert_eq!(core.jobs, [Job::Scrub { lpn: record[0] }, Job::Scrub { lpn: record[1] }]);
+    }
+
+    /// A failing background job never fails the serving pass that runs
+    /// it: a sync read, a sync submit and a drained async batch each
+    /// return their results, count the failure and consume the job.
+    #[test]
+    fn a_failing_job_never_fails_a_serving_pass() {
+        let mut rng = StdRng::seed_from_u64(0xFA2);
+        let dev = FlashCosmosDevice::new(SsdConfig::tiny_test());
+        let bits = dev.config().page_bits();
+        let (a, b) = (BitVec::random(bits, &mut rng), BitVec::random(bits, &mut rng));
+        let ha = dev.fc_write("a", &a, StoreHints::and_group("g")).unwrap();
+        let hb = dev.fc_write("b", &b, StoreHints::and_group("g")).unwrap();
+        let (m0, m1) = (BitVec::random(64, &mut rng), BitVec::random(64, &mut rng));
+        let hints = StoreHints::and_group("ml");
+        let ml = dev.fc_write_ml(&["m0", "m1"], &[&m0, &m1], hints).unwrap()[0].id;
+        // A regroup of an MLC operand always fails.
+        let queue_failing_job = || {
+            let mut core = dev.core_write();
+            let expected_generation = core.operand_generation(ml);
+            let regroup = RegroupJob {
+                operand: ml,
+                expected_generation,
+                target_die: 0,
+                set_key: 0,
+                inverted: false,
+            };
+            core.jobs.push_back(Job::Regroup(regroup));
+        };
+        let expr = ha & hb;
+        let want = a.and(&b);
+        let mut batch = QueryBatch::new();
+        batch.push(expr.clone());
+
+        queue_failing_job();
+        assert_eq!(dev.fc_read(&expr).unwrap().0, want);
+        assert_eq!((dev.jobs_failed_total(), dev.pending_jobs()), (1, 0));
+
+        queue_failing_job();
+        assert_eq!(dev.submit(&batch).unwrap().results, std::slice::from_ref(&want));
+        assert_eq!((dev.jobs_failed_total(), dev.pending_jobs()), (2, 0));
+
+        queue_failing_job();
+        let ticket = dev.submit_async(&batch).unwrap();
+        assert_eq!(dev.drain().unwrap().maintenance.jobs_failed, 1);
+        assert_eq!(dev.wait(ticket).unwrap().results, [want]);
+        assert_eq!((dev.jobs_failed_total(), dev.pending_jobs()), (3, 0));
     }
 
     #[test]

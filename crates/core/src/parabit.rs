@@ -67,27 +67,6 @@ pub fn compile(nnf: &Nnf, placements: &PlacementMap) -> Result<MwsProgram, PlanE
     Ok(MwsProgram { commands, controller_not: false, plane: compiler.plane.unwrap_or(0) })
 }
 
-/// Number of sensing operations ParaBit needs for an expression — always
-/// the operand-reference count (each operand sensed once).
-pub fn sense_cost(nnf: &Nnf) -> usize {
-    match nnf {
-        Nnf::Literal(_) => 1,
-        Nnf::And(cs) | Nnf::Or(cs) => cs.iter().map(sense_cost).sum(),
-        Nnf::Xor(a, b) => sense_cost(a) + sense_cost(b),
-        Nnf::Threshold { k, children } => {
-            // ParaBit has no vote counter, so it must execute the exact
-            // OR-of-C(n,k)-ANDs expansion serially; each child is sensed
-            // once per size-k combination it belongs to, i.e. C(n−1, k−1)
-            // times (saturating — the cost is astronomical either way).
-            let per_combo = crate::planner::binomial(children.len() - 1, k - 1);
-            children
-                .iter()
-                .map(sense_cost)
-                .fold(0usize, |acc, c| acc.saturating_add(c.saturating_mul(per_combo)))
-        }
-    }
-}
-
 struct Resolved {
     wl: fc_nand::geometry::WlAddr,
     raw_positive: bool,
@@ -241,12 +220,6 @@ mod tests {
         let m = placement(3);
         let e = Expr::and(vec![Expr::not(Expr::var(0)), Expr::not(Expr::var(1)), Expr::var(2)]);
         assert!(matches!(compile(&e.to_nnf(), &m).unwrap_err(), PlanError::Unplannable(_)));
-    }
-
-    #[test]
-    fn sense_cost_counts_operand_references() {
-        let e = Expr::or(vec![Expr::and_vars(0..30), Expr::var(30)]);
-        assert_eq!(sense_cost(&e.to_nnf()), 31);
     }
 
     #[test]

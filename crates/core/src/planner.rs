@@ -101,7 +101,7 @@ impl Default for PlannerCaps {
 
 impl PlannerCaps {
     /// The caps of a concrete SSD configuration — the single source the
-    /// advisor, batch compiler and planner all plan against.
+    /// batch compiler, the planner and the platform models plan against.
     pub fn for_config(config: &fc_ssd::SsdConfig) -> Self {
         Self { max_inter_blocks: config.max_inter_blocks, wls_per_block: config.wls_per_block }
     }
@@ -301,7 +301,7 @@ pub(crate) fn expand_thresholds(nnf: &Nnf) -> Result<Nnf, PlanError> {
 }
 
 /// `C(n, k)`, saturating far above [`MAX_THRESHOLD_COMBOS`].
-pub(crate) fn binomial(n: usize, k: usize) -> usize {
+fn binomial(n: usize, k: usize) -> usize {
     let k = k.min(n - k);
     let mut c: usize = 1;
     for i in 0..k {

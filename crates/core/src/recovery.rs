@@ -1206,7 +1206,8 @@ mod tests {
         // of blowing the latency envelope.
         let budget = dev.config().tr_us + dev.config().tprog_slc_us;
         let mut queues = fc_ssd::pipeline::DieQueues::for_config(dev.config());
-        let stats = dev.core_mut().execute_jobs(&mut queues, budget).unwrap();
+        let (stats, failure) = dev.core_mut().execute_jobs(&mut queues, budget);
+        assert!(failure.is_none());
         let (scrubbed, deferred) = (stats.pages_scrubbed, stats.scrubs_deferred);
         assert!(deferred > 0, "oversized pass must defer: {scrubbed} scrubbed, {deferred} left");
         assert_eq!(scrubbed as usize + deferred, queued);

@@ -31,17 +31,18 @@
 //! executes one compiled batch and merges its per-die and per-channel
 //! occupancy into the device-lifetime die load — one `Mutex<DieQueues>`,
 //! taken once per served batch. The **background tail** then fills the
-//! device's queued background jobs (regroup migrations and scrub
-//! refreshes, see [`crate::maintenance`]) into that pass's idle-die slack
-//! and runs the debug-build device audit. A drain runs serve once per claimed
+//! device's queued background jobs (regroup migrations and scrub refreshes,
+//! see [`crate::maintenance`]) into that pass's idle-die slack and runs the
+//! debug-build device audit; a failing job is counted, not returned, so it
+//! never costs the pass its results. A drain runs serve once per claimed
 //! batch (after its staleness recompile and cache refresh) and the tail
-//! once per drain. `submit`, `submit_into`, `fc_read`, `fc_read_into`
-//! and `parabit_read` compile under the read guard, serve, drop the
-//! guard and run the tail — the same sequence, without the queue, so a
-//! sync caller never runs other clients' batches or meets `Overloaded`.
-//! The tail takes the write lock only when background jobs are due, or,
-//! in debug builds, for the audit after a pass that sensed (a pure cache
-//! replay changes nothing the audit checks).
+//! once per drain. `submit`, `submit_into`, `fc_read`, `fc_read_into` and
+//! `parabit_read` compile under the read guard, serve, drop the guard and
+//! run the tail — the same sequence, without the queue, so a sync caller
+//! never runs other clients' batches or meets `Overloaded`. The tail takes
+//! the write lock only when background jobs are due, or, in debug builds,
+//! for the audit after a pass that sensed (a pure cache replay changes
+//! nothing the audit checks).
 //!
 //! ## One ticket table
 //!
@@ -804,7 +805,7 @@ impl FlashCosmosDevice {
             stats.busiest_die_us = combined.busiest_us();
             stats.busiest_channel_us = combined.busiest_channel_us();
         }
-        stats.maintenance = self.background_tail(&mut combined, due, stats.senses > 0)?;
+        stats.maintenance = self.background_tail(&mut combined, due, stats.senses > 0);
         Ok(stats)
     }
 
@@ -826,7 +827,7 @@ impl FlashCosmosDevice {
             let (stats, failures, own) = core.serve(&compiled, outs)?;
             (stats, failures, own, due)
         };
-        self.background_tail(&mut own, due, stats.senses > 0)?;
+        self.background_tail(&mut own, due, stats.senses > 0);
         Ok((stats, failures))
     }
 
@@ -842,25 +843,22 @@ impl FlashCosmosDevice {
     /// when the pass `sensed` anything: fresh results entered the result
     /// cache the audit checks, whereas a pass that only replayed cached
     /// results changed nothing it covers. Otherwise the write lock is
-    /// never taken. Returns what the jobs did (all zero when none ran).
-    fn background_tail(
-        &self,
-        queues: &mut DieQueues,
-        due: bool,
-        sensed: bool,
-    ) -> Result<MaintenanceStats, FcError> {
+    /// never taken. Returns what the jobs did (all zero when none ran); a
+    /// failing job is counted there ([`MaintenanceStats::jobs_failed`]).
+    fn background_tail(&self, queues: &mut DieQueues, due: bool, sensed: bool) -> MaintenanceStats {
         let mut maintenance = MaintenanceStats::default();
         if !(due || cfg!(debug_assertions) && sensed) {
-            return Ok(maintenance);
+            return maintenance;
         }
         let mut core = self.core_write();
         core.schedule_scrub();
         if !core.jobs.is_empty() {
-            maintenance = core.execute_jobs(queues, slack_budget_us(queues.critical_path_us()))?;
+            (maintenance, _) =
+                core.execute_jobs(queues, slack_budget_us(queues.critical_path_us()));
         }
         #[cfg(debug_assertions)]
         crate::audit::enforce_device(&core);
-        Ok(maintenance)
+        maintenance
     }
 
     /// Drops every drained-but-unwaited result, releasing their memory.

@@ -2,9 +2,14 @@
 //! headline ratios, §8.3 write bandwidths — the quantitative claims the
 //! reproduction must preserve in *shape*.
 
+use fc_bits::BitVec;
+use fc_ssd::SsdConfig;
 use fc_workloads::{bmi, ims, kcs};
 use flash_cosmos::engines::{Engines, Platform};
 use flash_cosmos::timeline::{Approach, Fig7Scenario};
+use flash_cosmos::{Expr, FlashCosmosDevice, StoreHints};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn get(v: &[(Platform, f64)], p: Platform) -> f64 {
     v.iter().find(|(q, _)| *q == p).map(|(_, x)| *x).unwrap()
@@ -51,6 +56,40 @@ fn average_speedups_match_headline_shape() {
     assert!(g_osp > 8.0 && g_osp < 80.0, "FC over OSP geomean {g_osp} (paper avg 32)");
     assert!(g_pb > 1.5 && g_pb < 8.0, "FC over PB geomean {g_pb} (paper avg 3.5)");
     assert!(g_isp > 6.0 && g_isp < 70.0, "FC over ISP geomean {g_isp} (paper avg 25)");
+}
+
+#[test]
+fn device_senses_what_the_figures_price() {
+    // One query per Fig. 17/18 shape, stored as a device places it: the
+    // AND operands in one placement group (filling 48-wordline blocks),
+    // each OR operand in a group of its own, all on one plane.
+    let engines = Engines::paper();
+    let cfg = SsdConfig { wls_per_block: 48, blocks_per_plane: 16, ..SsdConfig::tiny_test() };
+    let mut shapes = vec![bmi::paper_shape(1), bmi::paper_shape(3), ims::paper_shape(10_000)];
+    shapes.extend([8u32, 16, 48, 64].iter().map(|&k| kcs::paper_shape(k)));
+    let mut rng = StdRng::seed_from_u64(17);
+    for shape in &shapes {
+        let dev = FlashCosmosDevice::new(cfg.clone());
+        let (ands, ors) = (shape.and_operands as usize, shape.or_operands as usize);
+        // Dense vectors, so the AND of 91 of them keeps some ones.
+        let vectors: Vec<BitVec> = (0..ands + ors)
+            .map(|_| BitVec::from_fn(cfg.page_bits(), |_| rng.gen_bool(0.97)))
+            .collect();
+        for (i, v) in vectors.iter().enumerate() {
+            let group = if i < ands { "and".to_string() } else { format!("or{i}") };
+            let hints = StoreHints::and_group(&group).colocated("query");
+            dev.fc_write(&format!("v{i}"), v, hints).unwrap();
+        }
+        let terms =
+            std::iter::once(Expr::and_vars(0..ands)).chain((ands..ands + ors).map(Expr::var));
+        let query = Expr::or(terms.collect());
+        let want = query.eval(&|i| vectors[i].clone());
+        let (fc, fc_stats) = dev.fc_read(&query).unwrap();
+        let (pb, pb_stats) = dev.parabit_read(&query).unwrap();
+        assert_eq!((fc, pb), (want.clone(), want), "{}", shape.name);
+        assert_eq!(fc_stats.senses, engines.fc_senses_per_query(shape), "{}: FC", shape.name);
+        assert_eq!(pb_stats.senses, shape.operands_per_query(), "{}: PB", shape.name);
+    }
 }
 
 #[test]
