@@ -742,10 +742,9 @@ fn ispp_program(c: &mut Criterion) {
 fn pipeline_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(20);
-    let scenario = Fig7Scenario::default();
     group.bench_function("fig7_osp_64dies", |bench| {
-        let model = PipelineModel::new(SsdConfig::fig7_example());
-        let jobs = scenario.jobs(Approach::Osp).expect("default scenario has 3 operands");
+        let model = PipelineModel::new(Fig7Scenario.config());
+        let jobs = Fig7Scenario.jobs(Approach::Osp);
         bench.iter(|| model.run(std::hint::black_box(&jobs), HostWork::default()));
     });
     group.finish();

@@ -13,7 +13,7 @@ use crate::table::{fnum, Table};
 
 /// Fig. 7: OSP/ISP/IFP execution timelines on the illustrative SSD.
 pub fn fig07_timeline() -> Vec<Table> {
-    let scenario = Fig7Scenario::default();
+    let scenario = Fig7Scenario;
     let mut summary = Table::new(
         "Fig. 7 — channel timelines: bulk bitwise OR of three 1 MiB vectors",
         &["approach", "exec time (µs)", "paper (µs)", "bottleneck", "paper bottleneck"],
@@ -25,7 +25,7 @@ pub fn fig07_timeline() -> Vec<Table> {
     ];
     let mut timelines = Vec::new();
     for (approach, paper_us, paper_bn) in paper {
-        let report = scenario.run(approach).expect("the default Fig. 7 scenario has 3 operands");
+        let report = scenario.run(approach);
         summary.row(vec![
             approach.to_string(),
             fnum(report.makespan_us),
@@ -37,7 +37,7 @@ pub fn fig07_timeline() -> Vec<Table> {
             format!("Fig. 7 — {approach} timeline, channel 0 (S=sense D=dma E=ext)"),
             &["timeline"],
         );
-        for line in render_channel_timeline(&report, &scenario.config, 76).lines() {
+        for line in render_channel_timeline(&report, &scenario.config(), 76).lines() {
             t.row(vec![line.to_string()]);
         }
         timelines.push(t);

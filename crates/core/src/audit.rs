@@ -208,11 +208,6 @@ impl AuditConfig {
         Self::default()
     }
 
-    /// Print-only ruleset: every finding is reported, nothing panics.
-    pub fn warn_only() -> Self {
-        Self { default: AuditMode::Warn, overrides: HashMap::new() }
-    }
-
     /// Disarmed ruleset: the enforcement hooks do nothing. Explicit
     /// [`FlashCosmosDevice::audit`] calls still report.
     pub fn off() -> Self {

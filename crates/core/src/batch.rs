@@ -11,10 +11,8 @@
 //! * **Canonical dedup** — queries that are the same Boolean function
 //!   after normalization (operand reordering, duplicated terms, XOR
 //!   negation parity) share one compiled plan and one set of senses.
-//! * **Shared-term extraction** — a top-level OR term appearing in
-//!   several queries is sensed once and OR-merged into every consumer on
-//!   the controller, when the joint plan needs fewer senses than the
-//!   per-query plans (the planner compares both and keeps the cheaper).
+//!   Every canonically distinct query compiles whole, as one plan unit,
+//!   exactly as a serial `fc_read` would compile it.
 //! * **Cross-die execution** — a unit whose operands live on several
 //!   dies (die-aware placement spreads distinct groups on purpose) is
 //!   split into per-die sub-programs ([`crate::crossdie`]); the partial
@@ -45,7 +43,7 @@
 //! [`submit`]: FlashCosmosDevice::submit
 //! [`submit_into`]: FlashCosmosDevice::submit_into
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use fc_bits::BitVec;
@@ -162,8 +160,6 @@ pub struct BatchStats {
     pub energy_uj: f64,
     /// Queries answered by another query's pass (canonical duplicates).
     pub deduped_queries: usize,
-    /// Shared OR terms extracted into their own single-sense plan units.
-    pub shared_units: usize,
     /// Plan units answered by the cross-batch result cache (no compile,
     /// no sensing — see `flash_cosmos::session`).
     pub cached_units: usize,
@@ -268,26 +264,17 @@ pub struct QueryFailure {
     pub tiers_tried: u32,
 }
 
-/// One canonically-distinct query of a batch: the first submitted form
-/// plus its canonical normal form (computed once, reused as the dedup,
-/// sharing and cache key) and every query id it answers.
-struct UniqueQuery {
-    nnf: Nnf,
-    canon: Nnf,
-    consumers: Vec<QueryId>,
-}
-
-/// One schedulable piece of the joint plan: an expression evaluated by a
-/// single compiled program per stripe, feeding one or more queries. The
-/// canonical form rides along from dedup so the cache key never
-/// re-canonicalizes on the hot (warm-resubmit) path.
+/// One canonically distinct query of a batch, as dedup builds it: the
+/// first submitted form (what gets compiled), its canonical form (the
+/// dedup key, moved into the cache key so the hot warm-resubmit path
+/// never re-canonicalizes), its operands, its stripe count and every
+/// query id it answers.
 struct Unit {
     nnf: Nnf,
     canon: Nnf,
     ids: Vec<OperandId>,
     pages: usize,
     consumers: Vec<QueryId>,
-    shared: bool,
 }
 
 /// How a planned unit obtains its result vector. Each variant holds only
@@ -364,12 +351,10 @@ pub(crate) struct CompiledBatch {
     pub(crate) q_bits: Vec<usize>,
     pub(crate) q_pages: Vec<usize>,
     pub(crate) units: Vec<PlannedUnit>,
-    /// [`BatchStats::deduped_queries`]. This and the next two are the
-    /// stats only compilation knows; execution counts the rest, cached
-    /// units included, from the units it runs.
+    /// [`BatchStats::deduped_queries`]. This and the next are the stats
+    /// only compilation knows; execution counts the rest, cached units
+    /// included, from the units it runs.
     pub(crate) deduped_queries: usize,
-    /// [`BatchStats::shared_units`].
-    pub(crate) shared_units: usize,
     /// [`BatchStats::serial_senses`].
     pub(crate) serial_senses: u64,
     /// Generation of every operand the batch references, plus the device
@@ -390,10 +375,10 @@ impl CompiledBatch {
 }
 
 impl DeviceCore {
-    /// Compiles a batch against the current placement, dedup/sharing the
-    /// queries jointly and consulting the cross-batch result cache per
-    /// unit — the planning half of every Flash-Cosmos read, sync or
-    /// async. Records each unit's
+    /// Compiles a batch against the current placement, one plan unit per
+    /// canonically distinct query, consulting the cross-batch result
+    /// cache per unit — the planning half of every Flash-Cosmos read,
+    /// sync or async. Records each unit's
     /// operand set with the maintenance affinity tracker — one
     /// observation per *submission*, so the drain-time recompile of a
     /// stale async batch uses [`Self::recompile_batch`] instead (the
@@ -425,77 +410,52 @@ impl DeviceCore {
             q_nnf.push(expr.to_nnf());
         }
 
-        // Canonical dedup: queries with the same normal form share a plan.
-        // The canonical forms are kept — they become the plan units' cache
-        // keys without being recomputed.
+        // Canonical dedup: queries with the same normal form share one
+        // unit, compiled from the first submitted form. Its canonical form
+        // becomes the unit's cache key without being recomputed.
         let mut key_index: HashMap<Nnf, usize> = HashMap::new();
-        let mut uniques: Vec<UniqueQuery> = Vec::new();
+        let mut units: Vec<Unit> = Vec::new();
+        let mut q_unit: Vec<usize> = Vec::with_capacity(n);
         for (qi, nnf) in q_nnf.iter().enumerate() {
-            let key = canonicalize(nnf);
-            match key_index.get(&key) {
-                Some(&u) => uniques[u].consumers.push(qi),
-                None => {
-                    key_index.insert(key.clone(), uniques.len());
-                    uniques.push(UniqueQuery { nnf: nnf.clone(), canon: key, consumers: vec![qi] });
-                }
-            }
+            let u = *key_index.entry(canonicalize(nnf)).or_insert_with_key(|canon| {
+                units.push(Unit {
+                    nnf: nnf.clone(),
+                    canon: canon.clone(),
+                    ids: nnf.operands().into_iter().collect(),
+                    pages: q_pages[qi],
+                    consumers: Vec::new(),
+                });
+                units.len() - 1
+            });
+            units[u].consumers.push(qi);
+            q_unit.push(u);
         }
-        let deduped_queries = n - uniques.len();
+        let deduped_queries = n - units.len();
 
         let caps = PlannerCaps::for_config(self.ssd.config());
 
-        // Candidate plans: per-unique-query units, and (when top-level OR
-        // terms recur across queries) a decomposed plan that senses each
-        // shared term once. Keep whichever needs fewer senses.
-        let plan_a = self.whole_query_units(&uniques, &q_pages)?;
-        let units = match self.shared_term_units(&uniques, &q_pages, &plan_a) {
-            Some(plan_b) => {
-                let a = self.estimate_senses(&plan_a, caps);
-                let b = self.estimate_senses(&plan_b, caps);
-                match (a, b) {
-                    (Ok(a), Ok(b)) if b < a => plan_b,
-                    _ => plan_a,
-                }
-            }
-            None => plan_a,
-        };
-        let shared_units = units.iter().filter(|u| u.shared).count();
-
-        // Standalone cost per exact expression form, seeded by the unit
-        // compiles below and topped up on demand — the serial-reference
-        // accounting (`serial_senses`) prices each query's *own* form,
-        // because a canonical duplicate with a different written form
-        // (reordered or repeated literals) can compile to a different
-        // sense count than its class representative. (Found by the
-        // pinned-seed proptest replay: the old representative × count
-        // accounting drifted from an actual serial loop.)
-        let mut form_cost: HashMap<Nnf, u64> = HashMap::new();
+        // Canonical duplicates name the same operands, so the units' ids
+        // cover the batch.
+        let epoch = self.epoch;
+        let mut batch_ids: Vec<OperandId> =
+            units.iter().flat_map(|u| u.ids.iter().copied()).collect();
+        batch_ids.sort_unstable();
+        batch_ids.dedup();
+        let snapshot: Vec<(OperandId, u64)> =
+            batch_ids.into_iter().map(|id| (id, self.operand_generation(id))).collect();
 
         // Compile every unit: a cache hit snapshots the memoized result
         // (no plans compiled, no senses queued); a miss compiles each
         // stripe into a cross-die plan whose leaves queue on their dies.
-        let epoch = self.epoch;
-        let mut snapshot: Vec<(OperandId, u64)> = Vec::new();
-        {
-            let mut seen: HashSet<OperandId> = HashSet::new();
-            for nnf in &q_nnf {
-                for id in nnf.operands() {
-                    if seen.insert(id) {
-                        snapshot.push((id, self.operand_generation(id)));
-                    }
-                }
-            }
-            snapshot.sort_unstable();
-        }
         let mut planned: Vec<PlannedUnit> = Vec::with_capacity(units.len());
-        for unit in &units {
+        for unit in units {
             let gens: Vec<(OperandId, u64)> =
                 unit.ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
-            let key: crate::session::CacheKey = (epoch, unit.canon.clone(), gens);
+            let key: crate::session::CacheKey = (epoch, unit.canon, gens);
             let cached = self.session.cache().lookup(&key).map(|e| (e.result.clone(), e.senses));
             let work = if let Some((result, senses)) = cached {
                 UnitWork::Cached { result, senses }
-            } else if unit.ids.iter().any(|&id| self.operands.get(id).is_some_and(|r| r.ml)) {
+            } else if self.touches_ml(&unit.ids) {
                 // Units touching a multi-level operand bypass the
                 // planner: their pages cannot join an MWS sense (see
                 // [`UnitWork::Controller`]).
@@ -503,60 +463,59 @@ impl DeviceCore {
             } else {
                 stripe_work(unit.pages, |slot| self.stripe_plan(&unit.nnf, &unit.ids, slot, caps))?
             };
-            let senses = work.senses();
-            form_cost.entry(unit.nnf.clone()).or_insert(senses);
             // The maintenance layer's observation stream: this set was
             // fused again (a cache hit counts too).
             if record_affinity {
                 self.session.affinity().record(
                     &unit.ids,
-                    senses,
+                    work.senses(),
                     unit.pages as u64,
                     unit.consumers.len() as u64,
                 );
             }
             planned.push(PlannedUnit {
                 pages: unit.pages,
-                consumers: unit.consumers.clone(),
-                nnf: unit.nnf.clone(),
+                consumers: unit.consumers,
+                nnf: unit.nnf,
                 work,
                 key,
             });
         }
         // Serial reference (the paper's headline metric): what N
         // back-to-back `fc_read`s would sense — each query priced at its
-        // own form's standalone cost. Whole-query units seeded the map
-        // above with exact executed counts, so only forms the joint plan
-        // never compiled verbatim (decomposed terms, reordered
-        // duplicates) cost anything here: one stripe-0 compile each,
-        // projected across slots (stripe structure is slot-invariant —
-        // placement groups fill every slot the same way, the same
-        // assumption `estimate_senses` plans by).
+        // own form's standalone cost. A query written as its unit's form
+        // costs what the unit executes. A canonical duplicate written
+        // differently (reordered or repeated literals) can compile to a
+        // different sense count, so it is priced by its own form: one
+        // stripe-0 compile per distinct form, projected across slots
+        // (stripe structure is slot-invariant — placement groups fill
+        // every slot the same way). (Found by the pinned-seed proptest
+        // replay: pricing every consumer at its unit's cost drifted from
+        // an actual serial loop.)
+        let mut form_cost: HashMap<&Nnf, u64> = HashMap::new();
         let mut serial_senses = 0;
         for (qi, nnf) in q_nnf.iter().enumerate() {
-            let cost = match form_cost.get(nnf) {
-                Some(&c) => c,
-                None => {
-                    let ids: Vec<OperandId> = nnf.operands().into_iter().collect();
-                    let senses =
-                        if ids.iter().any(|&id| self.operands.get(id).is_some_and(|r| r.ml)) {
-                            self.controller_senses(&ids)?
-                        } else {
-                            self.stripe_plan(nnf, &ids, 0, caps)?.sense_count() as u64
-                                * q_pages[qi] as u64
-                        };
-                    form_cost.insert(nnf.clone(), senses);
-                    senses
-                }
+            let unit = &planned[q_unit[qi]];
+            serial_senses += if *nnf == unit.nnf {
+                unit.work.senses()
+            } else if let Some(&cost) = form_cost.get(nnf) {
+                cost
+            } else {
+                let ids: Vec<OperandId> = nnf.operands().into_iter().collect();
+                let cost = if self.touches_ml(&ids) {
+                    self.controller_senses(&ids)?
+                } else {
+                    self.stripe_plan(nnf, &ids, 0, caps)?.sense_count() as u64 * q_pages[qi] as u64
+                };
+                form_cost.insert(nnf, cost);
+                cost
             };
-            serial_senses += cost;
         }
         let compiled = CompiledBatch {
             q_bits,
             q_pages,
             units: planned,
             deduped_queries,
-            shared_units,
             serial_senses,
             epoch,
             snapshot,
@@ -572,8 +531,8 @@ impl DeviceCore {
 
     /// Compiles one expression with the ParaBit baseline compiler — one
     /// single-wordline sense per operand, stripe by stripe — into a
-    /// one-unit batch for the shared executor. No dedup, sharing or cache
-    /// lookup (the baseline is priced as it runs), and the result is not
+    /// one-unit batch for the shared executor. No dedup or cache lookup
+    /// (the baseline is priced as it runs), and the result is not
     /// memoized. Operands spanning dies split into per-die programs plus a
     /// controller merge, exactly like the Flash-Cosmos plans.
     pub(crate) fn compile_parabit(&self, expr: &Expr) -> Result<CompiledBatch, FcError> {
@@ -601,7 +560,6 @@ impl DeviceCore {
                 work,
             }],
             deduped_queries: 0,
-            shared_units: 0,
             serial_senses,
             epoch: self.epoch,
             snapshot,
@@ -673,7 +631,6 @@ impl DeviceCore {
             queries: n,
             serial_senses: compiled.serial_senses,
             deduped_queries: compiled.deduped_queries,
-            shared_units: compiled.shared_units,
             per_query: vec![QueryStats::default(); n],
             ..BatchStats::default()
         };
@@ -868,9 +825,10 @@ impl DeviceCore {
         }
         stats.merge_us = merge_start.elapsed().as_secs_f64() * 1e6;
 
-        // Accumulate unit results into the consumers' outputs (outputs
-        // start zeroed, so OR doubles as the plain copy for single-unit
-        // queries) and memoize fresh results for future submits.
+        // Write each unit's result into its consumers' outputs (every
+        // query has one unit and its output starts zeroed, so the OR is a
+        // plain copy into the recycled buffer) and memoize fresh results
+        // for future submits.
         for (qi, out) in outs.iter_mut().enumerate() {
             out.reset(compiled.q_pages[qi] * page_bits, false);
         }
@@ -1014,6 +972,12 @@ impl DeviceCore {
         Ok((page, latency, energy))
     }
 
+    /// Whether any of `ids` is a multi-level operand, which no MWS sense
+    /// can combine (see [`UnitWork::Controller`]).
+    fn touches_ml(&self, ids: &[OperandId]) -> bool {
+        ids.iter().any(|&id| self.operands.get(id).is_some_and(|r| r.ml))
+    }
+
     /// Senses a controller evaluation costs: every operand page is read
     /// once, at its real page-read price ([`Self::page_read_senses`]).
     fn controller_senses(&self, ids: &[OperandId]) -> Result<u64, FcError> {
@@ -1036,136 +1000,6 @@ impl DeviceCore {
         } else {
             1
         }
-    }
-
-    /// Plan A: one unit per unique query, compiled exactly as a serial
-    /// `fc_read` would compile it.
-    fn whole_query_units(
-        &self,
-        uniques: &[UniqueQuery],
-        q_pages: &[usize],
-    ) -> Result<Vec<Unit>, FcError> {
-        uniques
-            .iter()
-            .map(|uq| {
-                Ok(Unit {
-                    nnf: uq.nnf.clone(),
-                    canon: uq.canon.clone(),
-                    ids: uq.nnf.operands().into_iter().collect(),
-                    pages: q_pages[uq.consumers[0]],
-                    consumers: uq.consumers.clone(),
-                    shared: false,
-                })
-            })
-            .collect()
-    }
-
-    /// Plan B: top-level OR terms recurring across unique queries become
-    /// their own single plan units (sensed once, OR-merged into every
-    /// consumer by the controller); each query keeps a residual unit for
-    /// its unshared terms. Returns `None` when no term is shared.
-    fn shared_term_units(
-        &self,
-        uniques: &[UniqueQuery],
-        q_pages: &[usize],
-        plan_a: &[Unit],
-    ) -> Option<Vec<Unit>> {
-        // Count, per canonical term, the unique queries containing it.
-        let mut term_index: HashMap<Nnf, usize> = HashMap::new();
-        let mut terms: Vec<(Nnf, Nnf, Vec<usize>)> = Vec::new(); // (rep, canon, uniques)
-        for (u, uq) in uniques.iter().enumerate() {
-            let Nnf::Or(children) = &uq.nnf else { continue };
-            let mut local: HashSet<Nnf> = HashSet::new();
-            for child in children {
-                let key = canonicalize(child);
-                if !local.insert(key.clone()) {
-                    continue;
-                }
-                match term_index.get(&key) {
-                    Some(&t) => terms[t].2.push(u),
-                    None => {
-                        term_index.insert(key.clone(), terms.len());
-                        terms.push((child.clone(), key, vec![u]));
-                    }
-                }
-            }
-        }
-        let shared: Vec<&(Nnf, Nnf, Vec<usize>)> =
-            terms.iter().filter(|(_, _, us)| us.len() >= 2).collect();
-        if shared.is_empty() {
-            return None;
-        }
-        let shared_keys: HashSet<&Nnf> = shared.iter().map(|(_, canon, _)| canon).collect();
-
-        let mut units = Vec::new();
-        for (rep, canon, uqs) in &shared {
-            let mut consumers: Vec<QueryId> = Vec::new();
-            for &u in uqs {
-                consumers.extend(&uniques[u].consumers);
-            }
-            consumers.sort_unstable();
-            consumers.dedup();
-            units.push(Unit {
-                nnf: rep.clone(),
-                canon: canon.clone(),
-                ids: rep.operands().into_iter().collect(),
-                pages: q_pages[consumers[0]],
-                consumers,
-                shared: true,
-            });
-        }
-        for (u, uq) in uniques.iter().enumerate() {
-            let Nnf::Or(children) = &uq.nnf else {
-                units.push(Unit {
-                    nnf: plan_a[u].nnf.clone(),
-                    canon: plan_a[u].canon.clone(),
-                    ids: plan_a[u].ids.clone(),
-                    pages: plan_a[u].pages,
-                    consumers: uq.consumers.clone(),
-                    shared: false,
-                });
-                continue;
-            };
-            // Residual: this query's unshared terms, canonically deduped.
-            let mut local: HashSet<Nnf> = HashSet::new();
-            let residual: Vec<Nnf> = children
-                .iter()
-                .filter(|c| {
-                    let key = canonicalize(c);
-                    !shared_keys.contains(&key) && local.insert(key)
-                })
-                .cloned()
-                .collect();
-            if residual.is_empty() {
-                continue;
-            }
-            let nnf = if residual.len() == 1 {
-                residual.into_iter().next().expect("non-empty")
-            } else {
-                Nnf::Or(residual)
-            };
-            units.push(Unit {
-                canon: canonicalize(&nnf),
-                ids: nnf.operands().into_iter().collect(),
-                pages: q_pages[uq.consumers[0]],
-                consumers: uq.consumers.clone(),
-                shared: false,
-                nnf,
-            });
-        }
-        Some(units)
-    }
-
-    /// Total senses a plan would execute, projected from stripe 0 (stripe
-    /// structure is identical across slots: placement groups fill each
-    /// slot the same way).
-    fn estimate_senses(&self, units: &[Unit], caps: PlannerCaps) -> Result<u64, FcError> {
-        let mut total = 0u64;
-        for unit in units {
-            let plan = self.stripe_plan(&unit.nnf, &unit.ids, 0, caps)?;
-            total += plan.sense_count() as u64 * unit.pages as u64;
-        }
-        Ok(total)
     }
 
     /// Builds one stripe's placement from the FTL and compiles the unit
@@ -1319,8 +1153,8 @@ impl FlashCosmosDevice {
     }
 }
 
-/// Canonical form used as the dedup/sharing key. Key equality implies
-/// semantic equality: AND/OR children are sorted and deduplicated
+/// Canonical form used as the dedup and result-cache key. Key equality
+/// implies semantic equality: AND/OR children are sorted and deduplicated
 /// (commutativity + idempotence), XOR is commutative, and literal-literal
 /// XOR folds its negations into one parity bit (`!a ^ b == a ^ !b`).
 /// The *original* NNF is what gets compiled — the canonical form never
@@ -1459,13 +1293,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_or_term_is_sensed_once_when_cheaper() {
+    fn queries_sharing_an_or_term_each_compile_whole() {
         // A 12-operand AND term (2 senses on 8-WL blocks) shared by two
-        // queries, each OR-ing in its own extra operand. Serial: each
-        // query senses the big term itself (2) plus its own literal (1)
-        // → 6 total. Joint: big term once (2) + two residual literals
-        // (1 + 1) → 4.
+        // queries, each OR-ing in its own extra operand. The queries are
+        // canonically distinct, so each compiles whole, as its serial
+        // `fc_read` does: the term (2) plus its own literal (1) → 6, the
+        // same as the serial loop. The shared term is not sensed once
+        // for both.
         let mut dev = device();
+        dev.set_result_cache_capacity(0);
         let big = vectors(12, 256, 4);
         let extras = vectors(2, 256, 5);
         let big_ids = store_group(&mut dev, &big, "big");
@@ -1483,22 +1319,17 @@ mod tests {
         assert_eq!(results[0], serial0);
         assert_eq!(results[1], serial1);
         assert_eq!(stats.serial_senses, s0.senses + s1.senses);
-        assert_eq!(stats.shared_units, 1);
-        assert!(
-            stats.senses < stats.serial_senses,
-            "shared term must save senses: {} vs {}",
-            stats.senses,
-            stats.serial_senses
-        );
+        assert_eq!(stats.serial_senses, 6);
+        assert_eq!(stats.senses, stats.serial_senses);
     }
 
     #[test]
     fn sharing_is_rejected_when_it_would_cost_extra_senses() {
         // Two 2-term OR queries over single-block operands (colocated on
         // one plane so the whole query fuses) share one term, but each
-        // whole query is a single inter-block MWS (1 sense). Decomposing
-        // would need 3 senses for 2 queries — the planner must keep the
-        // 2-sense serial plan.
+        // whole query is a single inter-block MWS (1 sense). Sensing the
+        // shared term on its own would need 3 senses for 2 queries; each
+        // query compiles whole, so the batch costs the serial 2.
         let mut dev = device();
         let vs = vectors(3, 256, 6);
         let colocated = |dev: &mut FlashCosmosDevice, i: usize, g: &str| {
@@ -1515,7 +1346,6 @@ mod tests {
         let BatchResults { results, stats, .. } = dev.submit(&batch).unwrap();
         assert_eq!(results[0], vs[0].or(&vs[1]));
         assert_eq!(results[1], vs[0].or(&vs[2]));
-        assert_eq!(stats.shared_units, 0, "extraction must not fire at a loss");
         assert_eq!(stats.senses, stats.serial_senses);
     }
 

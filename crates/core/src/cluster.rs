@@ -23,8 +23,8 @@
 //!   never depends on where the rendezvous hash put its operands.
 //! * **Batched submission** — [`FcCluster::submit`] compiles a whole
 //!   [`QueryBatch`] into one per-shard sub-batch per shard (so each
-//!   shard plans its leaves jointly: dedup and shared-term extraction
-//!   still apply shard-locally), then merges per query. Shards are
+//!   shard plans its leaves jointly: canonical dedup still applies
+//!   shard-locally), then merges per query. Shards are
 //!   independent devices running concurrently, so the modeled critical
 //!   path is the slowest shard's. A pass reports the device's own
 //!   [`BatchStats`]: counts sum over shards, and the measured controller
@@ -183,8 +183,8 @@ impl FcCluster {
     ///
     /// Every query splits into per-shard leaves; all leaves bound for
     /// the same shard form **one** shard sub-batch, so shard-local joint
-    /// planning (dedup, shared-term extraction, die spreading) sees the
-    /// whole cluster batch's demand on that shard. Shards execute
+    /// planning (canonical dedup, die spreading) sees the whole cluster
+    /// batch's demand on that shard. Shards execute
     /// independently; the cluster controller then merges each query's
     /// partial vectors.
     ///
@@ -242,7 +242,6 @@ impl FcCluster {
             stats.chip_time_us += o.chip_time_us;
             stats.energy_uj += o.energy_uj;
             stats.deduped_queries += o.deduped_queries;
-            stats.shared_units += o.shared_units;
             stats.cached_units += o.cached_units;
             stats.cached_senses += o.cached_senses;
             stats.dies_used += o.dies_used;

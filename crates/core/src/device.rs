@@ -425,6 +425,13 @@ impl DeviceCore {
         self.names.get(name).map(|&id| OperandHandle { id })
     }
 
+    /// Whether an operand or a durable record already holds `name`: the
+    /// two share one namespace, so a name reaches one record (a fault
+    /// plan aging it, say).
+    pub(crate) fn name_taken(&self, name: &str) -> bool {
+        self.names.contains_key(name) || self.recovery.durables.contains_key(name)
+    }
+
     /// Resolves (creating on first sight) the index and plane placement
     /// of the named placement group. New groups spread across dies; a
     /// colocation domain or die pin on the hints overrides the spread.
@@ -541,14 +548,15 @@ impl DeviceCore {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate names or SSD allocation/programming errors.
+    /// [`FcError::DuplicateName`] when an operand or a durable record
+    /// already holds `name`, plus SSD allocation/programming errors.
     pub fn fc_write(
         &mut self,
         name: &str,
         data: &BitVec,
         hints: StoreHints,
     ) -> Result<OperandHandle, FcError> {
-        if self.names.contains_key(name) {
+        if self.name_taken(name) {
             return Err(FcError::DuplicateName(name.to_string()));
         }
         if hints.scheme.is_some_and(|s| s.cell_mode().bits_per_cell() > 1) {
@@ -613,9 +621,10 @@ impl DeviceCore {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate names, operand-count/scheme mismatches
-    /// ([`NandError::InvalidMlsense`]), size mismatches between the
-    /// vectors, or SSD errors.
+    /// Fails on a name an operand or a durable record already holds, or
+    /// one repeated within `names` ([`FcError::DuplicateName`]),
+    /// operand-count/scheme mismatches ([`NandError::InvalidMlsense`]),
+    /// size mismatches between the vectors, or SSD errors.
     pub fn fc_write_ml(
         &mut self,
         names: &[&str],
@@ -635,8 +644,8 @@ impl DeviceCore {
                 datas.len()
             )))));
         }
-        for name in names {
-            if self.names.contains_key(*name) {
+        for (i, name) in names.iter().enumerate() {
+            if self.name_taken(name) || names[..i].contains(name) {
                 return Err(FcError::DuplicateName((*name).to_string()));
             }
         }
@@ -994,7 +1003,8 @@ impl FlashCosmosDevice {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate names or SSD allocation/programming errors.
+    /// [`FcError::DuplicateName`] when an operand or a durable record
+    /// already holds `name`, plus SSD allocation/programming errors.
     pub fn fc_write(
         &self,
         name: &str,
@@ -1015,8 +1025,10 @@ impl FlashCosmosDevice {
     ///
     /// # Errors
     ///
-    /// Fails on duplicate names, operand-count/scheme mismatches,
-    /// size mismatches between the vectors, or SSD errors.
+    /// Fails on a name an operand or a durable record already holds, or
+    /// one repeated within `names` ([`FcError::DuplicateName`]),
+    /// operand-count/scheme mismatches, size mismatches between the
+    /// vectors, or SSD errors.
     pub fn fc_write_ml(
         &self,
         names: &[&str],

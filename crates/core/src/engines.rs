@@ -29,7 +29,6 @@ use fc_nand::command::Command;
 use fc_nand::geometry::WlAddr;
 use fc_nand::power::mws_power_norm;
 use fc_ssd::pipeline::{HostWork, PipelineModel, SenseJob};
-use fc_ssd::topology::Striping;
 use fc_ssd::{ExecutionReport, SsdConfig};
 use serde::{Deserialize, Serialize};
 
@@ -187,11 +186,12 @@ impl Engines {
         shape: &WorkloadShape,
     ) -> (Vec<Vec<SenseJob>>, HostWork, u64) {
         let cfg = &self.config;
-        let striping = Striping::new(cfg);
         let pages_per_vector = shape.vector_bytes.div_ceil(cfg.page_bytes as u64);
         // Die-steps per vector: each step is one multi-plane sense
-        // covering `planes_per_die` stripes.
-        let steps = striping.max_pages_per_plane(pages_per_vector).max(1);
+        // covering `planes_per_die` stripes. Vectors stripe round-robin
+        // over all planes (Fig. 7a), so the busiest plane holds this many
+        // of a vector's pages.
+        let steps = pages_per_vector.div_ceil(cfg.total_planes() as u64).max(1);
         let chunk = (cfg.page_bytes * cfg.planes_per_die) as u64;
         let ops = shape.operands_per_query();
         let dies = cfg.total_dies();

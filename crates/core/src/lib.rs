@@ -25,8 +25,8 @@
 //!   functional SSD.
 //! * [`batch`] — the query-session API: a [`QueryBatch`] of many
 //!   expressions submitted as one jointly planned device pass, with
-//!   cross-query dedup, shared-term extraction and per-query cost
-//!   attribution ([`BatchStats`] — the one per-pass stats record:
+//!   cross-query canonical dedup and per-query cost attribution
+//!   ([`BatchStats`] — the one per-pass stats record:
 //!   `fc_read`, `parabit_read` and [`FcCluster`] passes return it too).
 //! * [`session`] — queue-first submission on top of the batch API:
 //!   [`FlashCosmosDevice::submit_async`] compiles batches into per-die

@@ -533,7 +533,7 @@ impl DeviceCore {
     /// [`FcError::DuplicateName`] when the name is taken (by a durable
     /// record or an operand), plus SSD write errors.
     pub(crate) fn store_durable(&mut self, name: &str, data: &BitVec) -> Result<(), FcError> {
-        if self.recovery.durables.contains_key(name) || self.operand(name).is_some() {
+        if self.name_taken(name) {
             return Err(FcError::DuplicateName(name.to_string()));
         }
         let chunk_bits = self.ssd.logical_page_bits(true);
@@ -1169,6 +1169,30 @@ mod tests {
         assert_eq!(dev.read_durable("cfg").unwrap(), v2);
         assert!(matches!(dev.read_durable("nope").unwrap_err(), FcError::UnknownName(_)));
         assert!(matches!(dev.overwrite_durable("nope", &v2).unwrap_err(), FcError::UnknownName(_)));
+    }
+
+    #[test]
+    fn operands_and_durable_records_share_one_namespace() {
+        let dev = device();
+        let mut rng = StdRng::seed_from_u64(5);
+        let v = BitVec::random(300, &mut rng);
+        fn taken<T>(r: Result<T, FcError>) -> bool {
+            matches!(r, Err(FcError::DuplicateName(_)))
+        }
+        // A durable record's name is closed to both operand writers...
+        dev.store_durable("rec", &v).unwrap();
+        assert!(taken(dev.fc_write("rec", &v, StoreHints::and_group("g"))));
+        let ml = StoreHints::and_group("ml");
+        assert!(taken(dev.fc_write_ml(&["rec", "other"], &[&v, &v], ml.clone())));
+        assert!(taken(dev.fc_write_ml(&["other", "rec"], &[&v, &v], ml.clone())));
+        // A name repeated within one multi-level write is taken too.
+        assert!(taken(dev.fc_write_ml(&["other", "other"], &[&v, &v], ml)));
+        // ...and an operand's name to durable records.
+        dev.fc_write("op", &v, StoreHints::and_group("g")).unwrap();
+        assert!(taken(dev.store_durable("op", &v)));
+        // Every rejected write left nothing behind.
+        assert!(dev.operand("rec").is_none() && dev.operand("other").is_none());
+        assert_eq!(dev.read_durable("rec").unwrap(), v);
     }
 
     #[test]

@@ -673,7 +673,7 @@ impl DeviceCore {
 
 impl FlashCosmosDevice {
     /// Queues a batch for execution without blocking: the batch is
-    /// compiled (joint dedup/sharing, cache consultation, per-die program
+    /// compiled (canonical dedup, cache consultation, per-die program
     /// queues) but **no chip executes anything** until
     /// [`FlashCosmosDevice::drain`] or [`Ticket::wait`]. Batches queued
     /// together retire in one pass, interleaving on idle dies — see

@@ -26,108 +26,52 @@ impl std::fmt::Display for Approach {
     }
 }
 
-/// The Fig. 7 scenario parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig7Scenario {
-    /// SSD organization (Fig. 7a).
-    pub config: SsdConfig,
-    /// Number of operand vectors (3 in the figure: A, B, C).
-    pub operands: usize,
-}
+/// The Fig. 7 scenario: bulk bitwise OR of three operand vectors (A, B
+/// and C in the figure) on the illustrative SSD of Fig. 7a.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fig7Scenario;
 
-impl Default for Fig7Scenario {
-    fn default() -> Self {
-        Self { config: SsdConfig::fig7_example(), operands: 3 }
-    }
-}
-
-/// Errors building a [`Fig7Scenario`] job list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TimelineError {
-    /// The scenario needs at least two operand vectors: bulk bitwise OR
-    /// is binary at minimum, and with fewer operands the ISP/IFP job
-    /// lists degenerate (0 operands used to underflow and panic; 1
-    /// operand silently modeled a result-transfer pass with nothing to
-    /// combine).
-    TooFewOperands {
-        /// Operand count supplied.
-        operands: usize,
-    },
-}
-
-impl std::fmt::Display for TimelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TimelineError::TooFewOperands { operands } => {
-                write!(f, "Fig. 7 scenario needs at least 2 operand vectors, got {operands}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TimelineError {}
+/// Operand vectors the scenario combines.
+const OPERANDS: usize = 3;
 
 impl Fig7Scenario {
+    /// The SSD organization (Fig. 7a).
+    pub fn config(&self) -> SsdConfig {
+        SsdConfig::fig7_example()
+    }
+
     /// Builds the per-die job list for one approach.
-    ///
-    /// # Errors
-    ///
-    /// [`TimelineError::TooFewOperands`] when `operands < 2` — the
-    /// scenario combines operand vectors, so a 0-operand list used to
-    /// underflow (and panic) and a 1-operand list silently emitted a
-    /// transfer-only pass that misrepresented every approach.
-    pub fn jobs(&self, approach: Approach) -> Result<Vec<Vec<SenseJob>>, TimelineError> {
-        if self.operands < 2 {
-            return Err(TimelineError::TooFewOperands { operands: self.operands });
-        }
-        let cfg = &self.config;
+    pub fn jobs(&self, approach: Approach) -> Vec<Vec<SenseJob>> {
+        let cfg = self.config();
         let chunk = (cfg.page_bytes * cfg.planes_per_die) as u64;
+        let result_pass =
+            SenseJob { latency_us: cfg.tr_us, dma_bytes: chunk, ext_bytes: chunk, norm_power: 1.0 };
         let per_die: Vec<SenseJob> = match approach {
-            Approach::Osp => vec![SenseJob::read_to_host(cfg); self.operands],
+            Approach::Osp => vec![SenseJob::read_to_host(&cfg); OPERANDS],
             Approach::Isp => {
-                let mut v = vec![SenseJob::read_to_controller(cfg); self.operands - 1];
-                v.push(SenseJob {
-                    latency_us: cfg.tr_us,
-                    dma_bytes: chunk,
-                    ext_bytes: chunk,
-                    norm_power: 1.0,
-                });
+                let mut v = vec![SenseJob::read_to_controller(&cfg); OPERANDS - 1];
+                v.push(result_pass);
                 v
             }
             Approach::Ifp => {
-                let mut v = vec![SenseJob::sense_only(cfg.tr_us, 1.0); self.operands - 1];
-                v.push(SenseJob {
-                    latency_us: cfg.tr_us,
-                    dma_bytes: chunk,
-                    ext_bytes: chunk,
-                    norm_power: 1.0,
-                });
+                let mut v = vec![SenseJob::sense_only(cfg.tr_us, 1.0); OPERANDS - 1];
+                v.push(result_pass);
                 v
             }
         };
-        Ok(vec![per_die; cfg.total_dies()])
+        vec![per_die; cfg.total_dies()]
     }
 
     /// Runs one approach with tracing (for timeline rendering).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fig7Scenario::jobs`].
-    pub fn run(&self, approach: Approach) -> Result<ExecutionReport, TimelineError> {
-        Ok(PipelineModel::new(self.config.clone())
-            .run_traced(&self.jobs(approach)?, HostWork::default()))
+    pub fn run(&self, approach: Approach) -> ExecutionReport {
+        PipelineModel::new(self.config()).run_traced(&self.jobs(approach), HostWork::default())
     }
 
     /// Runs all three approaches.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fig7Scenario::jobs`].
-    pub fn run_all(&self) -> Result<Vec<(Approach, ExecutionReport)>, TimelineError> {
+    pub fn run_all(&self) -> Vec<(Approach, ExecutionReport)> {
         [Approach::Osp, Approach::Isp, Approach::Ifp]
             .into_iter()
-            .map(|a| Ok((a, self.run(a)?)))
+            .map(|a| (a, self.run(a)))
             .collect()
     }
 }
@@ -178,30 +122,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn too_few_operands_is_a_proper_error() {
-        // Regression: `operands: 0` used to underflow `self.operands - 1`
-        // and panic; `operands: 1` silently built a job list with nothing
-        // to combine. Both now report `TooFewOperands` for every
-        // approach and every entry point.
-        for operands in [0usize, 1] {
-            let s = Fig7Scenario { operands, ..Fig7Scenario::default() };
-            for a in [Approach::Osp, Approach::Isp, Approach::Ifp] {
-                assert_eq!(s.jobs(a).unwrap_err(), TimelineError::TooFewOperands { operands });
-                assert_eq!(s.run(a).unwrap_err(), TimelineError::TooFewOperands { operands });
-            }
-            assert!(s.run_all().is_err());
-        }
-        // The error formats usefully and the minimum valid count works.
-        let err = TimelineError::TooFewOperands { operands: 1 };
-        assert!(err.to_string().contains("at least 2"));
-        let s = Fig7Scenario { operands: 2, ..Fig7Scenario::default() };
-        assert!(s.run_all().is_ok());
-    }
-
-    #[test]
     fn fig7_numbers() {
-        let s = Fig7Scenario::default();
-        let all = s.run_all().unwrap();
+        let all = Fig7Scenario.run_all();
         let t = |a: Approach| all.iter().find(|(x, _)| *x == a).unwrap().1.makespan_us;
         // Paper: OSP 471 µs, ISP 431 µs, IFP 335 µs.
         assert!((t(Approach::Osp) - 471.0).abs() < 30.0, "OSP {}", t(Approach::Osp));
@@ -211,18 +133,18 @@ mod tests {
 
     #[test]
     fn fig7_bottlenecks() {
-        let s = Fig7Scenario::default();
-        assert_eq!(s.run(Approach::Osp).unwrap().bottleneck(), Stage::Ext);
-        assert_eq!(s.run(Approach::Isp).unwrap().bottleneck(), Stage::Dma);
-        assert_eq!(s.run(Approach::Ifp).unwrap().bottleneck(), Stage::Sense);
+        let s = Fig7Scenario;
+        assert_eq!(s.run(Approach::Osp).bottleneck(), Stage::Ext);
+        assert_eq!(s.run(Approach::Isp).bottleneck(), Stage::Dma);
+        assert_eq!(s.run(Approach::Ifp).bottleneck(), Stage::Sense);
     }
 
     #[test]
     fn timeline_renders_all_stages() {
-        let s = Fig7Scenario::default();
-        let r = s.run(Approach::Osp).unwrap();
-        let text = render_channel_timeline(&r, &s.config, 72);
+        let s = Fig7Scenario;
+        let r = s.run(Approach::Osp);
+        let text = render_channel_timeline(&r, &s.config(), 72);
         assert!(text.contains('S') && text.contains('D') && text.contains('E'));
-        assert!(text.lines().count() >= 3 * s.config.dies_per_channel);
+        assert!(text.lines().count() >= 3 * s.config().dies_per_channel);
     }
 }

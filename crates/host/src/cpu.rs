@@ -1,7 +1,6 @@
 //! Multicore CPU model for streaming bitwise kernels and population
 //! counts (the RAPL-measured side of §7).
 
-use fc_bits::BitVec;
 use serde::{Deserialize, Serialize};
 
 use crate::calib;
@@ -36,100 +35,10 @@ impl HostCpu {
             dram: Ddr4::paper_host(),
         }
     }
-
-    /// Time to combine `operands` vectors of `bytes_each` into one result
-    /// with a streaming bitwise kernel, microseconds. Each accumulation
-    /// step reads one operand and the accumulator and writes the
-    /// accumulator, so `operands − 1` passes of `bytes_each` output.
-    pub fn bitwise_combine_us(&self, operands: u64, bytes_each: u64) -> f64 {
-        if operands <= 1 {
-            return 0.0;
-        }
-        let passes = (operands - 1) as f64;
-        passes * bytes_each as f64 / (self.bitwise_gbps * 1e9) * 1e6
-    }
-
-    /// Time to popcount `bytes`, microseconds.
-    pub fn popcount_us(&self, bytes: u64) -> f64 {
-        bytes as f64 / (self.popcount_gbps * 1e9) * 1e6
-    }
-
-    /// Package energy for processing `bytes`, microjoules.
-    pub fn energy_uj(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.pj_per_byte * 1e-6
-    }
-
-    /// Reference (functional) bulk AND used for ground truth in tests and
-    /// examples: the actual computation the model's throughput numbers
-    /// describe.
-    pub fn combine_and(&self, operands: &[BitVec]) -> Option<BitVec> {
-        let (first, rest) = operands.split_first()?;
-        Some(rest.iter().fold(first.clone(), |acc, v| acc.and(v)))
-    }
-
-    /// Reference bulk OR.
-    pub fn combine_or(&self, operands: &[BitVec]) -> Option<BitVec> {
-        let (first, rest) = operands.split_first()?;
-        Some(rest.iter().fold(first.clone(), |acc, v| acc.or(v)))
-    }
-
-    /// Reference bulk XOR.
-    pub fn combine_xor(&self, operands: &[BitVec]) -> Option<BitVec> {
-        let (first, rest) = operands.split_first()?;
-        Some(rest.iter().fold(first.clone(), |acc, v| acc.xor(v)))
-    }
-
-    /// Reference popcount.
-    pub fn popcount(&self, v: &BitVec) -> usize {
-        v.count_ones()
-    }
 }
 
 impl Default for HostCpu {
     fn default() -> Self {
         Self::paper_host()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn throughput_model_scales() {
-        let cpu = HostCpu::paper_host();
-        // 3 operands of 1 GB → 2 passes at 15 GB/s ≈ 133 ms.
-        let t = cpu.bitwise_combine_us(3, 1_000_000_000);
-        assert!((t - 133_333.0).abs() < 1_000.0, "{t}");
-        assert_eq!(cpu.bitwise_combine_us(1, 1_000_000_000), 0.0);
-        // Popcount of 1 GB at 25 GB/s = 40 ms.
-        assert!((cpu.popcount_us(1_000_000_000) - 40_000.0).abs() < 100.0);
-    }
-
-    #[test]
-    fn energy_model() {
-        let cpu = HostCpu::paper_host();
-        // 1 GB × 2000 pJ/B = 2 J = 2e6 µJ.
-        assert!((cpu.energy_uj(1_000_000_000) - 2e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn reference_kernels_match_bitvec_ops() {
-        let cpu = HostCpu::paper_host();
-        let mut rng = StdRng::seed_from_u64(1);
-        let ops: Vec<BitVec> = (0..4).map(|_| BitVec::random(512, &mut rng)).collect();
-        let and = cpu.combine_and(&ops).unwrap();
-        let or = cpu.combine_or(&ops).unwrap();
-        let xor = cpu.combine_xor(&ops).unwrap();
-        for i in 0..512 {
-            let bits: Vec<bool> = ops.iter().map(|o| o.get(i)).collect();
-            assert_eq!(and.get(i), bits.iter().all(|&b| b));
-            assert_eq!(or.get(i), bits.iter().any(|&b| b));
-            assert_eq!(xor.get(i), bits.iter().fold(false, |a, &b| a ^ b));
-        }
-        assert_eq!(cpu.popcount(&and), and.count_ones());
-        assert!(cpu.combine_and(&[]).is_none());
     }
 }

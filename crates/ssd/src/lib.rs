@@ -10,7 +10,7 @@
 //!   resources (dies, channel buses, the external link).
 //! * [`config`] — SSD organizations: Table 1, the Fig. 7 example, and a
 //!   tiny functional-test preset.
-//! * [`topology`] — channel/die/plane addressing and page striping.
+//! * [`topology`] — channel/die/plane and physical page addressing.
 //! * [`ecc`] — a real BCH encoder/decoder over GF(2^m) standing in for the
 //!   LDPC engines of commercial SSDs (§2.2). It exists so the reproduction
 //!   can *demonstrate* why in-flash bitwise ops cannot run over

@@ -61,14 +61,6 @@ impl Resource {
     pub fn busy_time(&self) -> SimTime {
         self.busy
     }
-
-    /// Utilization over the window `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == 0 {
-            return 0.0;
-        }
-        self.busy as f64 / horizon as f64
-    }
 }
 
 #[cfg(test)]
@@ -99,12 +91,5 @@ mod tests {
         let (s3, e3) = r.reserve(500, 10);
         assert_eq!((s3, e3), (500, 510));
         assert_eq!(r.busy_time(), 210);
-        assert!((r.utilization(510) - 210.0 / 510.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_horizon_utilization_is_zero() {
-        let r = Resource::new();
-        assert_eq!(r.utilization(0), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! SSD topology: channel/die/plane addressing and page striping (Fig. 7a).
+//! SSD topology: channel/die/plane and physical page addressing (Fig. 7a).
 
 use serde::{Deserialize, Serialize};
 
@@ -79,46 +79,6 @@ pub struct Ppa {
     pub wl: u32,
 }
 
-/// Round-robin striping of a logical bit-vector across all planes
-/// (Fig. 7a: "each bit-vector is distributed across all the 64 planes").
-///
-/// Page `i` of a vector lands on plane `i % planes`, at that plane's
-/// stripe-slot `i / planes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Striping {
-    planes: usize,
-}
-
-impl Striping {
-    /// Striping over all planes of `config`.
-    pub fn new(config: &SsdConfig) -> Self {
-        Self { planes: config.total_planes() }
-    }
-
-    /// Plane that holds page index `i` of a striped vector.
-    pub fn plane_of(&self, page_index: u64) -> usize {
-        (page_index % self.planes as u64) as usize
-    }
-
-    /// Per-plane slot of page index `i`.
-    pub fn slot_of(&self, page_index: u64) -> u64 {
-        page_index / self.planes as u64
-    }
-
-    /// Pages of an `n_pages` vector that land on `plane` (their indices).
-    pub fn pages_on_plane(&self, n_pages: u64, plane: usize) -> u64 {
-        let full = n_pages / self.planes as u64;
-        let rem = n_pages % self.planes as u64;
-        full + u64::from((plane as u64) < rem)
-    }
-
-    /// Maximum pages any plane holds for an `n_pages` vector — the
-    /// per-plane depth that sizes sensing work in the platform models.
-    pub fn max_pages_per_plane(&self, n_pages: u64) -> u64 {
-        n_pages.div_ceil(self.planes as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,32 +94,5 @@ mod tests {
         }
         assert_eq!(DieId::from_flat(9, &c), DieId::new(1, 1));
         assert_eq!(DieId::new(1, 1).to_string(), "CH1/D1");
-    }
-
-    #[test]
-    fn striping_is_balanced() {
-        let c = SsdConfig::paper_table1();
-        let s = Striping::new(&c);
-        // A 100 MB vector = 6400 pages over 128 planes → 50 each.
-        let pages = 6400u64;
-        for p in 0..c.total_planes() {
-            assert_eq!(s.pages_on_plane(pages, p), 50);
-        }
-        assert_eq!(s.max_pages_per_plane(pages), 50);
-        // Uneven case.
-        assert_eq!(s.pages_on_plane(129, 0), 2);
-        assert_eq!(s.pages_on_plane(129, 1), 1);
-        assert_eq!(s.max_pages_per_plane(129), 2);
-    }
-
-    #[test]
-    fn plane_and_slot_cover_all_pages() {
-        let c = SsdConfig::tiny_test();
-        let s = Striping::new(&c);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..64u64 {
-            seen.insert((s.plane_of(i), s.slot_of(i)));
-        }
-        assert_eq!(seen.len(), 64, "striping must not collide");
     }
 }

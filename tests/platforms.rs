@@ -17,10 +17,10 @@ fn get(v: &[(Platform, f64)], p: Platform) -> f64 {
 
 #[test]
 fn fig7_execution_times_within_tolerance() {
-    let s = Fig7Scenario::default();
-    let osp = s.run(Approach::Osp).unwrap().makespan_us;
-    let isp = s.run(Approach::Isp).unwrap().makespan_us;
-    let ifp = s.run(Approach::Ifp).unwrap().makespan_us;
+    let s = Fig7Scenario;
+    let osp = s.run(Approach::Osp).makespan_us;
+    let isp = s.run(Approach::Isp).makespan_us;
+    let ifp = s.run(Approach::Ifp).makespan_us;
     // Paper: 471 / 431 / 335 µs.
     assert!((osp - 471.0).abs() / 471.0 < 0.07, "OSP {osp}");
     assert!((isp - 431.0).abs() / 431.0 < 0.07, "ISP {isp}");
