@@ -21,8 +21,8 @@
 //! * **Pass 2 — device audit** ([`FlashCosmosDevice::audit`], codes
 //!   `FC101`–`FC107`) cross-checks whole-device metadata: FTL aliasing
 //!   discipline, parity-stripe integrity and coverage, result-cache
-//!   generations, queued-job stamps, and placement bookkeeping against
-//!   the FTL.
+//!   stamps, queued-job stamps, and placement, name and wear bookkeeping
+//!   against the FTL and the chips.
 //!
 //! Both passes are wired in under `debug_assertions` — on every batch
 //! compile, and in the background tail after every
@@ -37,14 +37,16 @@
 //! The analyzer is validated by a **mutation harness** (the
 //! `#[doc(hidden)]` surface below): seeded corruptions of a healthy
 //! plan or device — forge a wordline, drop a merge, skew a generation,
-//! alias an LPN, drop a parity member, orphan a unit — where each
+//! alias an LPN, drop a parity member, orphan a unit or a record — where each
 //! lint code must fire on its matching mutation and stay silent on
 //! healthy state. `LINTS.md` at the repo root catalogs every code.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use fc_bits::BitVec;
 use fc_nand::command::Command;
+use fc_nand::geometry::BlockAddr;
 use fc_ssd::ftl::PageMeta;
 use fc_ssd::topology::{PlaneId, Ppa};
 
@@ -53,6 +55,7 @@ use crate::crossdie::MergeTree;
 use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
 use crate::maintenance::{Job, RegroupJob};
+use crate::session::Stamp;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -103,12 +106,14 @@ pub enum LintCode {
     Fc103,
     /// ML pages outside the parity/scrub protection tiers (warn).
     Fc104,
-    /// Result-cache entry stamped with an impossible generation.
+    /// Result-cache entry whose stamp does not fit its query or the
+    /// device: operands other than its key's, another epoch, or a
+    /// generation the table has not reached.
     Fc105,
     /// Queued background job not stamped with live state.
     Fc106,
     /// Placement bookkeeping inconsistent (operand planes vs the FTL,
-    /// group and domain placements, wear table).
+    /// group and domain placements, the name table, wear counters).
     Fc107,
 }
 
@@ -571,34 +576,34 @@ fn lint_unit(
         }
     }
 
-    // FC005 — per-unit cache-key generations.
-    if unit.key.0 != compiled.epoch {
+    // FC005 — per-unit stamps.
+    if unit.stamp.epoch != compiled.epoch {
         out.push(finding(
             LintCode::Fc005,
             loc(""),
             format!(
-                "cache key stamped epoch {} in a batch compiled at {}",
-                unit.key.0, compiled.epoch
+                "unit stamped epoch {} in a batch compiled at {}",
+                unit.stamp.epoch, compiled.epoch
             ),
-            "unit keys must embed the compile-time epoch",
+            "unit stamps must embed the compile-time epoch",
         ));
     }
-    for &(id, gen) in &unit.key.2 {
+    for &(id, gen) in &unit.stamp.gens {
         let live = dev.operand_generation(id);
         if live != gen {
             out.push(finding(
                 LintCode::Fc005,
                 loc(""),
                 format!(
-                    "cache key holds v{id}@{gen} but the operand table holds generation {live}"
+                    "unit stamp holds v{id}@{gen} but the operand table holds generation {live}"
                 ),
-                "the key snapshot must be taken from the operand table at compile time",
+                "the stamp must be taken from the operand table at compile time",
             ));
         }
     }
 
     // FC004 — ML operands only route through controller-eval units.
-    let has_ml = unit.key.2.iter().any(|&(id, _)| dev.operands.get(id).is_some_and(|r| r.ml));
+    let has_ml = unit.stamp.gens.iter().any(|&(id, _)| dev.operands.get(id).is_some_and(|r| r.ml));
     if has_ml && matches!(unit.work, UnitWork::Execute { .. }) {
         out.push(finding(
             LintCode::Fc004,
@@ -629,7 +634,7 @@ fn lint_unit(
     }
 
     let cfg = dev.ssd.config();
-    for &(id, _) in &unit.key.2 {
+    for &(id, _) in &unit.stamp.gens {
         if let Some(flag) = scratch.in_unit.get_mut(id) {
             *flag = true;
         }
@@ -694,7 +699,7 @@ fn lint_unit(
                 "the leaf plane and its program's plane are one decision",
             ));
         }
-        let placed = unit.key.2.iter().any(|&(id, _)| {
+        let placed = unit.stamp.gens.iter().any(|&(id, _)| {
             dev.operands.get(id).is_some_and(|r| r.planes.get(slot) == Some(&leaf.plane))
         });
         if !placed {
@@ -845,7 +850,7 @@ fn lint_unit(
         }
     }
 
-    for &(id, _) in &unit.key.2 {
+    for &(id, _) in &unit.stamp.gens {
         if let Some(flag) = scratch.in_unit.get_mut(id) {
             *flag = false;
         }
@@ -1077,8 +1082,8 @@ fn tree_leaves(tree: &MergeTree, out: &mut Vec<usize>) {
 
 impl DeviceCore {
     /// Cross-checks whole-device metadata — FTL aliasing, parity-stripe
-    /// integrity and coverage, result-cache generations, queued-job
-    /// stamps, placement/wear bookkeeping — and returns the findings,
+    /// integrity and coverage, result-cache stamps, queued-job stamps,
+    /// placement, name and wear bookkeeping — and returns the findings,
     /// sorted by `(code, location)`. Inspects only; never executes or
     /// mutates. Wired in automatically after every drain or sync read
     /// that senses, in debug builds (see [`crate::audit`]).
@@ -1086,7 +1091,7 @@ impl DeviceCore {
         let mut out = Vec::new();
         self.audit_ftl_aliasing(&mut out);
         self.audit_parity(&mut out);
-        self.audit_cache_generations(&mut out);
+        self.audit_cache_stamps(&mut out);
         self.audit_job_stamps(&mut out);
         self.audit_placement(&mut out);
         sort_findings(&mut out);
@@ -1273,27 +1278,46 @@ impl DeviceCore {
         }
     }
 
-    /// FC105 — no result-cache entry references a stale epoch or a
-    /// generation newer than the operand table.
-    fn audit_cache_generations(&self, out: &mut Vec<Finding>) {
-        let keys: Vec<crate::session::CacheKey> = self.session.cache().keys().cloned().collect();
-        for key in &keys {
-            if key.0 != self.epoch {
+    /// FC105 — every result-cache entry's stamp names exactly the
+    /// operands of its query (a hit on stamp equality is sound only
+    /// then), carries the device's epoch, and holds no generation newer
+    /// than the operand table's. A stamp older than the table's is fine:
+    /// the entry is stale, misses, and its query's next execution
+    /// refreshes it in place.
+    fn audit_cache_stamps(&self, out: &mut Vec<Finding>) {
+        let cache = self.session.cache();
+        for (key, stamp) in cache.stamps() {
+            let named: Vec<OperandId> = key.operands().into_iter().collect();
+            if !stamp.gens.iter().map(|&(id, _)| id).eq(named.iter().copied()) {
+                let stamped: Vec<OperandId> = stamp.gens.iter().map(|&(id, _)| id).collect();
                 out.push(finding(
                     LintCode::Fc105,
                     "result cache".to_string(),
-                    format!("entry stamped epoch {} survived into epoch {}", key.0, self.epoch),
+                    format!(
+                        "entry for a query over {named:?} is stamped with operands {stamped:?}"
+                    ),
+                    "a unit's stamp holds one generation per operand of its query, ascending by id",
+                ));
+            }
+            if stamp.epoch != self.epoch {
+                out.push(finding(
+                    LintCode::Fc105,
+                    "result cache".to_string(),
+                    format!(
+                        "entry stamped epoch {} survived into epoch {}",
+                        stamp.epoch, self.epoch
+                    ),
                     "epoch bumps must clear the cache (the ssd_mut chokepoint)",
                 ));
             }
-            for &(id, gen) in &key.2 {
+            for &(id, gen) in &stamp.gens {
                 let live = self.operand_generation(id);
                 if id >= self.operands.len() {
                     out.push(finding(
                         LintCode::Fc105,
                         "result cache".to_string(),
                         format!("entry references unknown operand v{id}"),
-                        "cache keys are built from validated units only",
+                        "stamps are built from validated units only",
                     ));
                 } else if gen > live {
                     out.push(finding(
@@ -1449,14 +1473,67 @@ impl DeviceCore {
                 total_dies,
             );
         }
-        let wear = self.plane_wear();
-        if wear.len() != total_planes {
-            out.push(finding(
-                LintCode::Fc107,
-                "wear counters".to_string(),
-                format!("{} wear counters for {total_planes} planes", wear.len()),
-                "wear is tracked per flat plane",
-            ));
+        // Each plane's P/E counter, which maintenance plans with, against
+        // the sum over the plane's blocks.
+        for (plane, counted) in self.plane_wear().into_iter().enumerate() {
+            let pid = PlaneId::from_flat(plane, cfg);
+            let chip = self.ssd.chip(pid.die);
+            let scanned: u64 = (0..cfg.blocks_per_plane as u32)
+                .map(|b| chip.block_pec(BlockAddr::new(pid.plane, b)).map_or(0, u64::from))
+                .sum();
+            if counted != scanned {
+                out.push(finding(
+                    LintCode::Fc107,
+                    format!("plane {plane} wear"),
+                    format!("P/E counter reads {counted} but the plane's blocks sum to {scanned}"),
+                    "erases and cycle_block move the plane's counter by the block's actual increase",
+                ));
+            }
+        }
+        self.audit_names(out);
+    }
+
+    /// FC107's name-table check: the name table and the operand table are
+    /// one bijection — every operand's name maps back to its id, and every
+    /// name maps to the operand that bears it, so the table holds one
+    /// name per operand — and no operand name is also a durable record's
+    /// (operands and durable records share one namespace).
+    fn audit_names(&self, out: &mut Vec<Finding>) {
+        for (id, r) in self.operands.iter().enumerate() {
+            let loc = format!("operand v{id} ({:?})", r.name);
+            let message = match self.names.get(&r.name) {
+                Some(&mapped) if mapped == id => None,
+                Some(&mapped) => Some(format!("its name maps to operand v{mapped}")),
+                None => Some("the name table has no entry for it".to_string()),
+            };
+            if let Some(message) = message {
+                out.push(finding(
+                    LintCode::Fc107,
+                    loc.clone(),
+                    message,
+                    "a write registers the name with the record it creates, in one step",
+                ));
+            }
+            if self.recovery.durables.contains_key(&r.name) {
+                out.push(finding(
+                    LintCode::Fc107,
+                    loc,
+                    "a durable record has the same name".to_string(),
+                    "operand and durable writes both reject a taken name (name_taken)",
+                ));
+            }
+        }
+        let mut names: Vec<_> = self.names.iter().collect();
+        names.sort();
+        for (name, &id) in names {
+            if self.operands.get(id).is_none_or(|r| r.name != *name) {
+                out.push(finding(
+                    LintCode::Fc107,
+                    format!("name {name:?}"),
+                    format!("maps to operand v{id}, which is not named {name:?}"),
+                    "names are registered once, with the record they name",
+                ));
+            }
         }
     }
 }
@@ -1510,7 +1587,7 @@ pub enum PlanMutation {
     SkewThresholdK,
     /// Replace a controller-eval (ML) unit with an execute unit → `FC004`.
     RetagMlAsExecute,
-    /// Bump one generation stamp in a unit's cache key → `FC005`.
+    /// Bump one generation in a unit's stamp → `FC005`.
     SkewUnitGeneration,
     /// Re-queue a leaf on another die → `FC006` (and usually `FC001`).
     MisrouteLeafDie,
@@ -1531,12 +1608,17 @@ pub enum DeviceMutation {
     DropParityMember,
     /// Insert a cache entry stamped with a future generation → `FC105`.
     SkewCacheGeneration,
+    /// Drop one operand from a resident cache entry's stamp → `FC105`.
+    DropStampOperand,
     /// Queue a regroup job for a nonexistent operand → `FC106`.
     DeadJob,
     /// Queue a scrub for a never-allocated page → `FC106`.
     UnmappedScrub,
     /// Corrupt one slot of an operand's cached plane → `FC107`.
     SwapOperandPlane,
+    /// Remove an operand's name-table entry, orphaning its record →
+    /// `FC107`.
+    OrphanRecord,
 }
 
 impl DeviceCore {
@@ -1604,7 +1686,7 @@ impl DeviceCore {
                 true
             }),
             PlanMutation::SkewUnitGeneration => units.iter_mut().any(|u| {
-                let Some(stamp) = u.key.2.first_mut() else { return false };
+                let Some(stamp) = u.stamp.gens.first_mut() else { return false };
                 stamp.1 += 1;
                 true
             }),
@@ -1687,12 +1769,25 @@ impl DeviceCore {
                     return false;
                 }
                 let forged = self.operand_generation(0) + 7;
-                let key = (
-                    self.epoch,
-                    Nnf::Literal(crate::expr::Literal { id: 0, negated: false }),
-                    vec![(0usize, forged)],
-                );
-                self.session.cache().insert(&key, &BitVec::zeros(8), 1);
+                let key = Arc::new(Nnf::Literal(crate::expr::Literal { id: 0, negated: false }));
+                let stamp = Stamp { epoch: self.epoch, gens: vec![(0usize, forged)] };
+                self.session.cache().insert(&key, &stamp, &BitVec::zeros(8), 1);
+                true
+            }
+            DeviceMutation::DropStampOperand => {
+                // The eviction victim is the first resident entry: a
+                // seeded choice, unlike hash order. Re-inserting its query
+                // refreshes the entry in place with the shortened stamp.
+                let mut cache = self.session.cache();
+                let Some((key, mut stamp)) =
+                    cache.stamps().next().map(|(key, stamp)| (Arc::clone(key), stamp.clone()))
+                else {
+                    return false;
+                };
+                if stamp.gens.pop().is_none() {
+                    return false;
+                }
+                cache.insert(&key, &stamp, &BitVec::zeros(8), 1);
                 true
             }
             DeviceMutation::DeadJob => {
@@ -1719,14 +1814,18 @@ impl DeviceCore {
                 r.planes[0] = PlaneId::from_flat((flat + 1) % cfg.total_planes(), &cfg);
                 true
             }
+            DeviceMutation::OrphanRecord => {
+                let Some(r) = self.operands.first() else { return false };
+                self.names.remove(&r.name).is_some()
+            }
         }
     }
 }
 
 impl FlashCosmosDevice {
     /// Cross-checks whole-device metadata — FTL aliasing, parity-stripe
-    /// integrity and coverage, result-cache generations, queued-job
-    /// stamps, placement/wear bookkeeping — and returns the findings,
+    /// integrity and coverage, result-cache stamps, queued-job stamps,
+    /// placement, name and wear bookkeeping — and returns the findings,
     /// sorted by `(code, location)`. Inspects only; never executes or
     /// mutates. Runs under the shared device lock (the automatic hook in
     /// the background tail instead audits under the exclusive lock — a

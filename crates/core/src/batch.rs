@@ -44,7 +44,7 @@
 //! [`submit_into`]: FlashCosmosDevice::submit_into
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use fc_bits::BitVec;
 use fc_nand::command::{Command, MwsTarget};
@@ -56,6 +56,7 @@ use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Expr, Literal, Nnf, OperandId};
 use crate::parabit;
 use crate::planner::{self, PlannerCaps};
+use crate::session::{CacheKey, Stamp};
 
 /// Identifies one query inside a [`QueryBatch`] — the index of the
 /// matching entry in [`BatchResults::results`] / [`BatchStats::per_query`].
@@ -266,12 +267,12 @@ pub struct QueryFailure {
 
 /// One canonically distinct query of a batch, as dedup builds it: the
 /// first submitted form (what gets compiled), its canonical form (the
-/// dedup key, moved into the cache key so the hot warm-resubmit path
-/// never re-canonicalizes), its operands, its stripe count and every
-/// query id it answers.
+/// dedup key, shared as the cache key so the hot warm-resubmit path
+/// never re-canonicalizes or clones it), its operands, its stripe count
+/// and every query id it answers.
 struct Unit {
     nnf: Nnf,
-    canon: Nnf,
+    canon: CacheKey,
     ids: Vec<OperandId>,
     pages: usize,
     consumers: Vec<QueryId>,
@@ -279,13 +280,13 @@ struct Unit {
 
 /// How a planned unit obtains its result vector. Each variant holds only
 /// what the [`PlannedUnit`] does not: the unit's expression is its
-/// `nnf`, its operands are the ids of its cache key, and an executed
-/// unit's sense total is its leaf programs' ([`UnitWork::senses`]).
+/// `nnf`, its operands are the ids of its stamp, and an executed unit's
+/// sense total is its leaf programs' ([`UnitWork::senses`]).
 pub(crate) enum UnitWork {
     /// Served from the cross-batch result cache: the unit's full output
     /// (snapshotted at compile time — valid as long as the operand
-    /// generations in the unit key hold) plus the senses a cold execution
-    /// would have cost.
+    /// generations in the unit's stamp hold) plus the senses a cold
+    /// execution would have cost.
     Cached {
         /// The memoized unit output (`pages × page_bits` bits).
         result: BitVec,
@@ -339,8 +340,11 @@ pub(crate) struct PlannedUnit {
     /// cross-die and threshold-lowering contracts from it — see
     /// [`crate::audit`]).
     pub(crate) nnf: Nnf,
-    /// Result-cache key: epoch + canonical form + operand generations.
-    pub(crate) key: crate::session::CacheKey,
+    /// Result-cache key: the canonical form, shared with the cache.
+    pub(crate) key: CacheKey,
+    /// The data the unit reads: compile-time epoch and the generation of
+    /// each operand of `key`, ascending by id.
+    pub(crate) stamp: Stamp,
     pub(crate) work: UnitWork,
 }
 
@@ -412,15 +416,15 @@ impl DeviceCore {
 
         // Canonical dedup: queries with the same normal form share one
         // unit, compiled from the first submitted form. Its canonical form
-        // becomes the unit's cache key without being recomputed.
-        let mut key_index: HashMap<Nnf, usize> = HashMap::new();
+        // becomes the unit's cache key without being recomputed or cloned.
+        let mut key_index: HashMap<CacheKey, usize> = HashMap::new();
         let mut units: Vec<Unit> = Vec::new();
         let mut q_unit: Vec<usize> = Vec::with_capacity(n);
         for (qi, nnf) in q_nnf.iter().enumerate() {
-            let u = *key_index.entry(canonicalize(nnf)).or_insert_with_key(|canon| {
+            let u = *key_index.entry(Arc::new(canonicalize(nnf))).or_insert_with_key(|canon| {
                 units.push(Unit {
                     nnf: nnf.clone(),
-                    canon: canon.clone(),
+                    canon: Arc::clone(canon),
                     ids: nnf.operands().into_iter().collect(),
                     pages: q_pages[qi],
                     consumers: Vec::new(),
@@ -449,10 +453,13 @@ impl DeviceCore {
         // stripe into a cross-die plan whose leaves queue on their dies.
         let mut planned: Vec<PlannedUnit> = Vec::with_capacity(units.len());
         for unit in units {
-            let gens: Vec<(OperandId, u64)> =
-                unit.ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
-            let key: crate::session::CacheKey = (epoch, unit.canon, gens);
-            let cached = self.session.cache().lookup(&key).map(|e| (e.result.clone(), e.senses));
+            let gens = unit.ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
+            let stamp = Stamp { epoch, gens };
+            let cached = self
+                .session
+                .cache()
+                .lookup(&unit.canon, &stamp)
+                .map(|e| (e.result.clone(), e.senses));
             let work = if let Some((result, senses)) = cached {
                 UnitWork::Cached { result, senses }
             } else if self.touches_ml(&unit.ids) {
@@ -477,8 +484,9 @@ impl DeviceCore {
                 pages: unit.pages,
                 consumers: unit.consumers,
                 nnf: unit.nnf,
+                key: unit.canon,
+                stamp,
                 work,
-                key,
             });
         }
         // Serial reference (the paper's headline metric): what N
@@ -555,7 +563,8 @@ impl DeviceCore {
             units: vec![PlannedUnit {
                 pages,
                 consumers: vec![0],
-                key: (self.epoch, nnf.clone(), snapshot.clone()),
+                key: Arc::new(canonicalize(&nnf)),
+                stamp: Stamp { epoch: self.epoch, gens: snapshot.clone() },
                 nnf,
                 work,
             }],
@@ -588,15 +597,16 @@ impl DeviceCore {
     /// before earlier queued batches have executed — so a unit another
     /// in-flight batch also computes misses at compile; by drain time the
     /// earlier batch's execution has populated the cache and this swap
-    /// turns the duplicate work into a replay. Unit keys embed operand
-    /// generations, so a swapped-in entry is valid by construction (stale
-    /// batches are recompiled before this runs).
+    /// turns the duplicate work into a replay. A hit needs the unit's
+    /// stamp, which this drain just found current, so a swapped-in entry
+    /// is valid by construction (stale batches are recompiled instead).
     pub(crate) fn refresh_cache_hits(&self, compiled: &mut CompiledBatch) {
         for unit in &mut compiled.units {
             if !matches!(unit.work, UnitWork::Execute { .. }) {
                 continue;
             }
-            let hit = self.session.cache().peek_hit(&unit.key).map(|e| e.result.clone());
+            let hit =
+                self.session.cache().peek_hit(&unit.key, &unit.stamp).map(|e| e.result.clone());
             if let Some(result) = hit {
                 unit.work = UnitWork::Cached { result, senses: unit.work.senses() };
             }
@@ -651,7 +661,7 @@ impl DeviceCore {
         let mut unit_failed: Vec<Option<u64>> = vec![None; compiled.units.len()];
         if self.lost_page_count() > 0 {
             for (ui, unit) in compiled.units.iter().enumerate() {
-                'ids: for &(id, _) in &unit.key.2 {
+                'ids: for &(id, _) in &unit.stamp.gens {
                     for &lpn in &self.operands[id].lpns {
                         if self.is_lost_page(lpn) {
                             unit_failed[ui] = Some(lpn);
@@ -767,7 +777,7 @@ impl DeviceCore {
             let mut env: HashMap<OperandId, BitVec> = HashMap::new();
             for slot in 0..unit.pages {
                 env.clear();
-                for &(id, _) in &unit.key.2 {
+                for &(id, _) in &unit.stamp.gens {
                     let rec = &self.operands[id];
                     let lpn = rec.lpns[slot];
                     let die_flat = rec.planes[slot].die.flat(self.ssd.config());
@@ -846,7 +856,7 @@ impl DeviceCore {
                 outs[qi].or_assign(result);
             }
             if fresh && compiled.memoize {
-                self.session.cache().insert(&unit.key, result, unit.work.senses());
+                self.session.cache().insert(&unit.key, &unit.stamp, result, unit.work.senses());
             }
         }
         for (qi, out) in outs.iter_mut().enumerate() {

@@ -287,7 +287,7 @@ pub(crate) struct GroupPlace {
 pub(crate) struct DeviceCore {
     pub(crate) ssd: SsdDevice,
     pub(crate) operands: Vec<OperandRecord>,
-    names: HashMap<String, OperandId>,
+    pub(crate) names: HashMap<String, OperandId>,
     pub(crate) groups: HashMap<String, u64>,
     /// Base plane per placement group (by group index).
     pub(crate) group_place: HashMap<u64, GroupPlace>,
@@ -324,7 +324,7 @@ pub(crate) struct DeviceCore {
     pub(crate) recovery: crate::recovery::RecoveryState,
     /// Device epoch: bumped by any hazard the per-operand generations
     /// cannot see (raw [`Self::ssd_mut`] access — reliability-mode
-    /// changes, fault injection, erases). Part of every result-cache key,
+    /// changes, fault injection, erases). Part of every result-cache stamp,
     /// so an epoch bump structurally invalidates all cached results and
     /// queued compiled work.
     pub(crate) epoch: u64,
@@ -478,21 +478,16 @@ impl DeviceCore {
     }
 
     /// Summed per-block P/E-cycle counts per flat plane — the wear signal
-    /// the regrouping planner's target-die selection consumes. Fresh
-    /// placement groups ignore wear, so the per-block scan runs only
-    /// when maintenance plans (and in the device audit).
+    /// the regrouping planner's target-die selection consumes. Each chip
+    /// keeps its planes' sums as blocks age, so this reads one counter
+    /// per plane instead of scanning blocks (the device audit checks the
+    /// counters against a block scan, `FC107`).
     pub(crate) fn plane_wear(&self) -> Vec<u64> {
         let cfg = self.ssd.config();
         (0..cfg.total_planes())
             .map(|plane| {
                 let pid = PlaneId::from_flat(plane, cfg);
-                let chip = self.ssd.chip(pid.die);
-                (0..cfg.blocks_per_plane as u32)
-                    .map(|b| {
-                        chip.block_pec(fc_nand::geometry::BlockAddr::new(pid.plane, b))
-                            .map_or(0, u64::from)
-                    })
-                    .sum()
+                self.ssd.chip(pid.die).plane_pec(pid.plane).expect("a flat plane lies on its die")
             })
             .collect()
     }

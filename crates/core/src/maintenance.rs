@@ -26,7 +26,10 @@
 //!    the set into a fresh shared placement group on a **wear-aware**
 //!    target die (least summed per-block P/E cycles, block pressure as
 //!    the tie-break — see
-//!    [`plane_wear`](crate::device::FlashCosmosDevice::plane_wear)).
+//!    [`plane_wear`](crate::device::FlashCosmosDevice::plane_wear), which
+//!    reads one counter per plane that each chip keeps as its blocks
+//!    age). A planning pass walks only the sets hot enough to qualify,
+//!    and copies only those that also pass the scatter rule.
 //! 3. **Background execution** — the device keeps one job queue for all
 //!    of its background work: these regroup jobs and the retention
 //!    scrubber's page refreshes (see [`crate::recovery`]). Queued jobs
@@ -164,8 +167,9 @@ pub struct AffinityEntry {
 /// A heat index keeps every tracked set bucketed by its fuse count, ids
 /// ascending inside a bucket. The coldest set — fewest fuses, smallest
 /// ids on ties — is the first set of the first bucket, and walking the
-/// buckets hottest first ranks [`AffinityTracker::candidates`], so
-/// eviction finds its victim without a scan and ranking needs no sort.
+/// buckets hottest first down to `MIN_COFUSE` ranks
+/// [`AffinityTracker::regroup_candidates`], so eviction finds its victim
+/// without a scan and ranking needs no sort, nor a look at cold sets.
 /// A record or a consume moves a set between buckets in O(log n).
 #[derive(Debug)]
 pub struct AffinityTracker {
@@ -271,14 +275,22 @@ impl AffinityTracker {
         }
     }
 
-    /// All tracked sets as regrouping candidates, hottest first (most
-    /// fuses first, then ascending ids).
-    pub fn candidates(&self) -> Vec<HotSet> {
+    /// The sets the regrouping rule selects, hottest first (most fuses
+    /// first, then ascending ids): fused at least twice (`MIN_COFUSE`)
+    /// *and* still costing at least 1.5 senses per stripe
+    /// (`SCATTER_RATIO`). One walk over the heat buckets from the hottest
+    /// down to `MIN_COFUSE`; only the sets that also pass the scatter
+    /// rule are copied out.
+    pub fn regroup_candidates(&self) -> Vec<HotSet> {
         self.heat
-            .values()
+            .range(MIN_COFUSE..)
             .rev()
-            .flatten()
-            .map(|ids| HotSet { ids: ids.clone(), stats: self.entries[ids] })
+            .flat_map(|(_, sets)| sets)
+            .filter_map(|ids| {
+                let stats = self.entries[ids];
+                (stats.senses_per_stripe() >= SCATTER_RATIO)
+                    .then(|| HotSet { ids: ids.clone(), stats })
+            })
             .collect()
     }
 
@@ -289,7 +301,8 @@ impl AffinityTracker {
     }
 }
 
-/// One co-fused operand set, as ranked by [`AffinityTracker::candidates`].
+/// One co-fused operand set, as ranked by
+/// [`AffinityTracker::regroup_candidates`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotSet {
     /// The set's operand ids (sorted).
@@ -298,13 +311,15 @@ pub struct HotSet {
     pub stats: AffinityEntry,
 }
 
-impl HotSet {
+impl AffinityEntry {
     /// Modeled senses per stripe — 1.0 means already co-located, higher
     /// means scattered across blocks/planes.
     pub fn senses_per_stripe(&self) -> f64 {
-        self.stats.senses as f64 / self.stats.pages.max(1) as f64
+        self.senses as f64 / self.pages.max(1) as f64
     }
+}
 
+impl HotSet {
     /// Stable identity of the set (hash of the sorted ids) — names the
     /// gather group and keys the planned-set ledger.
     pub fn key(&self) -> u64 {
@@ -338,19 +353,6 @@ const RETIRED_LOG_CAPACITY: usize = 64;
 /// [`SLACK_FLOOR_US`].
 pub(crate) fn slack_budget_us(critical_path_us: f64) -> f64 {
     (critical_path_us * SLACK_FACTOR).max(SLACK_FLOOR_US)
-}
-
-/// The regrouping rule: indices into `candidates` worth gathering, in
-/// candidate order. A set qualifies when it was fused at least
-/// [`MIN_COFUSE`] times *and* its unit still costs at least
-/// [`SCATTER_RATIO`] senses per stripe.
-fn select_regroups(candidates: &[HotSet]) -> Vec<usize> {
-    candidates
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.stats.fused >= MIN_COFUSE && c.senses_per_stripe() >= SCATTER_RATIO)
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// One unit of background work in the device's job queue, run oldest
@@ -496,8 +498,7 @@ impl crate::device::DeviceCore {
     /// becomes plannable again. Returns the number of jobs queued by
     /// this pass.
     pub(crate) fn schedule_maintenance(&mut self) -> usize {
-        let candidates = self.session.affinity().candidates();
-        let picks = select_regroups(&candidates);
+        let picks = self.session.affinity().regroup_candidates();
         if picks.is_empty() {
             return 0;
         }
@@ -515,8 +516,7 @@ impl crate::device::DeviceCore {
             }
         }
         let mut queued = 0usize;
-        for idx in picks {
-            let set = &candidates[idx];
+        for set in &picks {
             let key = set.key();
             if self.jobs.iter().any(|j| matches!(j, Job::Regroup(j) if j.set_key == key)) {
                 continue; // already planned, still queued
@@ -881,10 +881,12 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.entry(&[3, 4]).is_none());
         assert!(t.entry(&[1, 2]).is_some());
-        // Candidates rank hottest first.
-        let c = t.candidates();
+        // Candidates rank hottest first, once hot enough to qualify.
+        assert_eq!(t.regroup_candidates().len(), 1, "[5,6] is fused once");
+        t.record(&[5, 6], 8, 2, 1);
+        let c = t.regroup_candidates();
         assert_eq!(c[0].ids, vec![1, 2]);
-        assert_eq!(c[1].senses_per_stripe(), 4.0, "8 senses over 2 stripes");
+        assert_eq!(c[1].stats.senses_per_stripe(), 4.0, "8 senses over 2 stripes");
         t.clear();
         assert!(t.is_empty());
     }
@@ -908,7 +910,8 @@ mod tests {
     }
 
     /// The tracker as it ran before its heat index: eviction by a full
-    /// scan for the `(fused, ids)` minimum, candidates by clone and sort.
+    /// scan for the `(fused, ids)` minimum, candidates by clone, sort and
+    /// the regrouping rule's filter.
     struct ScanTracker {
         entries: HashMap<Vec<OperandId>, AffinityEntry>,
         capacity: usize,
@@ -950,6 +953,9 @@ mod tests {
                 .map(|(ids, e)| HotSet { ids: ids.clone(), stats: *e })
                 .collect();
             out.sort_by(|a, b| (b.stats.fused, &a.ids).cmp(&(a.stats.fused, &b.ids)));
+            out.retain(|c| {
+                c.stats.fused >= MIN_COFUSE && c.stats.senses_per_stripe() >= SCATTER_RATIO
+            });
             out
         }
     }
@@ -992,7 +998,8 @@ mod tests {
                     }
                 }
                 assert_eq!(t.entries, scan.entries, "seed {seed} step {step}: tracked sets");
-                assert_eq!(t.candidates(), scan.candidates(), "seed {seed} step {step}: ranking");
+                let ranked = t.regroup_candidates();
+                assert_eq!(ranked, scan.candidates(), "seed {seed} step {step}: ranking");
             }
         }
     }
@@ -1124,16 +1131,18 @@ mod tests {
 
     #[test]
     fn hot_set_regrouper_filters_on_heat_and_scatter() {
-        let mk = |ids: Vec<usize>, fused, senses, pages| HotSet {
-            ids,
-            stats: AffinityEntry { fused, senses, pages },
-        };
-        let candidates = vec![
-            mk(vec![0, 1], 5, 4, 1), // hot and scattered → selected
-            mk(vec![2, 3], 1, 4, 1), // too cold
-            mk(vec![4, 5], 5, 1, 1), // already co-located
-            mk(vec![6, 7], 2, 3, 2), // exactly at both thresholds → selected
+        let mut t = AffinityTracker::default();
+        // (ids, fused, senses, pages)
+        let sets = [
+            ([6, 7], 2, 3, 2), // exactly at both thresholds → selected
+            ([4, 5], 5, 1, 1), // already co-located
+            ([2, 3], 1, 4, 1), // too cold
+            ([0, 1], 5, 4, 1), // hot and scattered → selected
         ];
-        assert_eq!(select_regroups(&candidates), vec![0, 3]);
+        for (ids, fused, senses, pages) in sets {
+            t.record(&ids, senses, pages, fused);
+        }
+        let picked: Vec<Vec<usize>> = t.regroup_candidates().into_iter().map(|c| c.ids).collect();
+        assert_eq!(picked, [vec![0, 1], vec![6, 7]], "hottest first");
     }
 }

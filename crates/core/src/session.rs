@@ -19,11 +19,15 @@
 //!   the batches' busy dies differ. Drain stats are per drain; the
 //!   cumulative reliability counters stay with
 //!   [`FlashCosmosDevice::health`].
-//! * **Cross-batch result cache** — every plan unit is keyed by
-//!   `(epoch, canonical NNF, [(operand, generation)])` and its result
-//!   vector memoized at execution. A later submit (sync or async) whose
-//!   unit key matches replays the memoized pages: zero senses, zero chip
-//!   time, bit-identical output.
+//! * **Cross-batch result cache** — every plan unit's result vector is
+//!   memoized at execution, keyed by the query (the unit's canonical NNF)
+//!   and stamped with the data it was computed from (the device epoch and
+//!   `[(operand, generation)]`). A later submit (sync or async) whose unit
+//!   finds its query resident under the unit's current stamp replays the
+//!   memoized pages: zero senses, zero chip time, bit-identical output. An
+//!   entry whose stamp went stale is a miss, and the unit's fresh
+//!   execution refreshes that same entry in place, so each query holds at
+//!   most one entry and overwrites never consume cache capacity.
 //!
 //! ## One serving path
 //!
@@ -54,21 +58,28 @@
 //!
 //! ## Why stale results are structurally impossible
 //!
-//! The cache key never compares data — it compares *generations*. Every
-//! mutation that could change what a compiled program senses bumps a
-//! stamp the key includes:
+//! The cache key names the query; the entry's stamp names the data. An
+//! entry answers only while its stamp equals the unit's current one, and
+//! stamps never compare data — they compare *generations*. Every mutation
+//! that could change what a compiled program senses bumps a value the
+//! stamp includes:
 //!
-//! | hazard | stamp bumped |
+//! | hazard | stamp value bumped |
 //! |---|---|
 //! | [`FlashCosmosDevice::fc_overwrite`] (name overwrite) | that operand's generation |
 //! | [`FlashCosmosDevice::migrate_operand`] (placement move) | that operand's generation |
-//! | raw [`FlashCosmosDevice::ssd_mut`] access (reliability-mode changes, wear/fault injection, erases) | the device epoch |
+//! | raw [`FlashCosmosDevice::ssd_mut`] access (reliability-mode changes, wear/fault injection, erases) | the device epoch (which also clears the cache) |
 //!
 //! A generation is drawn from a monotonic counter and never reused, so a
-//! key identifies one immutable snapshot of its operands; an old entry
-//! simply can never match again (PR 3's poisoned-placement-cache bug was
-//! this same hazard class — here the invalidation is designed in, not
-//! patched on). Queued async batches carry the same snapshot: at drain
+//! stamp identifies one immutable snapshot of its operands; an entry whose
+//! stamp went stale can never answer again (the placement cache's earlier
+//! poisoning bug was this same hazard class — here the invalidation is
+//! designed in, not patched on). It stays resident until its query next executes, and
+//! that execution overwrites its result and stamp in place. Every insert
+//! carries the live stamp — it runs under the read guard of its own
+//! compile or drain staleness check, and generations move only under the
+//! write guard — so a refresh never moves an entry back to older data.
+//! Queued async batches carry the same snapshot: at drain
 //! time a batch whose snapshot no longer matches is **recompiled**
 //! against current placement, so async queries always observe drain-time
 //! data — identical to what a synchronous submit at drain time would
@@ -113,16 +124,27 @@ use crate::device::{DeviceCore, FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
 use crate::maintenance::{slack_budget_us, AffinityTracker, MaintenanceStats};
 
-/// Result-cache key: device epoch, canonical normal form, and the
-/// placement generation of every referenced operand (ascending by id).
-/// Key equality implies the memoized result is bit-identical to what a
-/// fresh execution would produce.
-pub(crate) type CacheKey = (u64, Nnf, Vec<(OperandId, u64)>);
+/// Result-cache key: a plan unit's canonical normal form — the query,
+/// whatever data it last ran on. The compiled unit, the cache's map and
+/// its eviction index share this one `Arc`, so an insert clones no tree.
+pub(crate) type CacheKey = Arc<Nnf>;
+
+/// The data a unit's result is computed from: the device epoch and the
+/// placement generation of every operand the unit's key names (ascending
+/// by id). A cache entry whose stamp equals a unit's current stamp holds
+/// exactly what a fresh execution of the unit would produce.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    pub(crate) epoch: u64,
+    pub(crate) gens: Vec<(OperandId, u64)>,
+}
 
 /// One memoized unit result.
 pub(crate) struct CacheEntry {
     /// The unit's full output vector (`pages × page_bits` bits).
     pub(crate) result: BitVec,
+    /// The data `result` was computed from.
+    stamp: Stamp,
     /// Senses a cold execution of the unit runs (serial-cost accounting
     /// for hits).
     pub(crate) senses: u64,
@@ -156,7 +178,7 @@ impl CacheEntry {
 /// Applies `change` to a resident entry's hits or senses and moves the
 /// entry to its new slot in `order`.
 fn rescore(
-    order: &mut BTreeMap<Slot, Arc<CacheKey>>,
+    order: &mut BTreeMap<Slot, CacheKey>,
     entry: &mut CacheEntry,
     change: impl FnOnce(&mut CacheEntry),
 ) {
@@ -183,7 +205,9 @@ pub struct CacheStats {
     pub rejections: u64,
 }
 
-/// The generation-stamped result cache. Bounded, with cost-aware
+/// The generation-stamped result cache, one entry per query (its
+/// [`CacheKey`]) stamped with the data its result was computed from (its
+/// [`Stamp`]). Bounded, with cost-aware
 /// retention: an entry is worth what its future hits save, hit frequency
 /// × senses per cold execution. When the cache is full, the entry with
 /// the lowest score (oldest on ties) is the eviction victim, and a fresh
@@ -201,13 +225,15 @@ pub struct CacheStats {
 /// A decay halving can reorder entries, so it rebuilds the index from
 /// the entries once per window, without re-hashing any key.
 ///
-/// Invalidation is purely structural — stale keys can never match — so
-/// eviction is only a memory bound, never a correctness mechanism.
+/// Invalidation is purely structural — a stale stamp can never match —
+/// so eviction is only a memory bound, never a correctness mechanism. A
+/// stale entry keeps its slot until its query executes again and
+/// refreshes it in place, so an overwrite costs no capacity.
 pub(crate) struct ResultCache {
-    entries: HashMap<Arc<CacheKey>, CacheEntry>,
+    entries: HashMap<CacheKey, CacheEntry>,
     /// Every resident entry's key under its [`Slot`]; the first element
     /// is the eviction victim. The key is shared with `entries`.
-    order: BTreeMap<Slot, Arc<CacheKey>>,
+    order: BTreeMap<Slot, CacheKey>,
     capacity: usize,
     next_seq: u64,
     /// New-key insert attempts since creation; every
@@ -241,15 +267,29 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    pub(crate) fn lookup(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
+    /// The entry for query `key` if it was computed from the data `stamp`
+    /// names, counting a hit; a miss — no entry, or one whose stamp went
+    /// stale — is counted and earns the stale entry nothing.
+    pub(crate) fn lookup(&mut self, key: &Nnf, stamp: &Stamp) -> Option<&CacheEntry> {
+        self.answer(key, stamp, true)
+    }
+
+    /// Like [`ResultCache::lookup`] but for re-checking a unit that
+    /// already missed (and was counted) at compile time: a hit is
+    /// counted, a still-miss is not double-counted.
+    pub(crate) fn peek_hit(&mut self, key: &Nnf, stamp: &Stamp) -> Option<&CacheEntry> {
+        self.answer(key, stamp, false)
+    }
+
+    fn answer(&mut self, key: &Nnf, stamp: &Stamp, count_miss: bool) -> Option<&CacheEntry> {
         match self.entries.get_mut(key) {
-            Some(entry) => {
+            Some(entry) if entry.stamp == *stamp => {
                 rescore(&mut self.order, entry, |e| e.hits += 1);
                 self.hits += 1;
                 Some(entry)
             }
-            None => {
-                self.misses += 1;
+            _ => {
+                self.misses += u64::from(count_miss);
                 None
             }
         }
@@ -281,17 +321,24 @@ impl ResultCache {
         }
     }
 
-    /// Offers a freshly executed unit's result. The key and the result
-    /// are cloned only when the cache stores or refreshes an entry, not
-    /// when it refuses one.
-    pub(crate) fn insert(&mut self, key: &CacheKey, result: &BitVec, senses: u64) {
+    /// Offers a freshly executed unit's result for query `key`, computed
+    /// from the data `stamp` names. A resident entry for the same query —
+    /// stale after an overwrite or a migration, or current after a
+    /// capacity toggle — is refreshed in place: its result, stamp and
+    /// senses are replaced, its hit history and seq kept, and no insert
+    /// attempt, eviction or admission test is counted, so a query holds
+    /// at most one entry. Otherwise the result and stamp are cloned, and
+    /// the key shared, only when the cache admits the entry, not when it
+    /// refuses one. Callers pass the live stamp (inserts run under the
+    /// read guard their unit's stamp was checked under), so a refresh
+    /// never moves an entry back to older data.
+    pub(crate) fn insert(&mut self, key: &CacheKey, stamp: &Stamp, result: &BitVec, senses: u64) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(existing) = self.entries.get_mut(key) {
-            // Same key re-inserted (e.g. capacity was toggled): refresh
-            // the payload, keep the entry's history.
+        if let Some(existing) = self.entries.get_mut(&**key) {
             existing.result.clone_from(result);
+            existing.stamp.clone_from(stamp);
             rescore(&mut self.order, existing, |e| e.senses = senses);
             return;
         }
@@ -323,25 +370,16 @@ impl ResultCache {
             }
             self.evict_victim();
         }
-        let key = Arc::new(key.clone());
-        let entry = CacheEntry { result: result.clone(), senses, hits: 0, seq: self.next_seq };
+        let entry = CacheEntry {
+            result: result.clone(),
+            stamp: stamp.clone(),
+            senses,
+            hits: 0,
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
-        self.order.insert(entry.slot(), Arc::clone(&key));
-        self.entries.insert(key, entry);
-    }
-
-    /// Like [`ResultCache::lookup`] but for re-checking a unit that
-    /// already missed (and was counted) at compile time: a hit is
-    /// counted, a still-miss is not double-counted.
-    pub(crate) fn peek_hit(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                rescore(&mut self.order, entry, |e| e.hits += 1);
-                self.hits += 1;
-                Some(entry)
-            }
-            None => None,
-        }
+        self.order.insert(entry.slot(), Arc::clone(key));
+        self.entries.insert(Arc::clone(key), entry);
     }
 
     pub(crate) fn clear(&mut self) {
@@ -349,11 +387,11 @@ impl ResultCache {
         self.order.clear();
     }
 
-    /// Resident keys, in no particular order (the device audit
-    /// cross-checks every cached generation against the operand table —
-    /// see `crate::audit`).
-    pub(crate) fn keys(&self) -> impl Iterator<Item = &CacheKey> {
-        self.entries.keys().map(|key| &**key)
+    /// Every resident entry's key and stamp, in eviction order (the
+    /// device audit checks each stamp against its key and the operand
+    /// table — see `crate::audit`).
+    pub(crate) fn stamps(&self) -> impl Iterator<Item = (&CacheKey, &Stamp)> {
+        self.order.values().map(|key| (key, &self.entries[key].stamp))
     }
 
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
@@ -1028,6 +1066,16 @@ mod tests {
         assert!(s.senses > 0, "still disabled on the re-read");
     }
 
+    /// Query `k` of the cache unit tests: one operand, `Expr::var(k)`.
+    fn query(k: usize) -> CacheKey {
+        Arc::new(Expr::var(k).to_nnf())
+    }
+
+    /// Query `k`'s stamp after its operand reached generation `gen`.
+    fn stamp(k: usize, gen: u64) -> Stamp {
+        Stamp { epoch: 0, gens: vec![(k, gen)] }
+    }
+
     #[test]
     fn retention_weighs_hits_and_senses() {
         assert!(retention(9, 4) > retention(0, 4), "hits outweigh age");
@@ -1035,29 +1083,39 @@ mod tests {
         assert_eq!(retention(0, 0), retention(0, 1), "a free unit still costs one sense");
         // A full cache refuses a fresh insert scoring below its victim and
         // admits one scoring equal to it (the oldest entry makes way).
-        let key = |epoch| (epoch, Expr::var(0).to_nnf(), Vec::new());
         let mut cache = ResultCache::default();
         cache.set_capacity(1);
-        cache.insert(&key(0), &BitVec::zeros(8), 4);
+        cache.insert(&query(0), &stamp(0, 0), &BitVec::zeros(8), 4);
         for _ in 0..9 {
-            assert!(cache.lookup(&key(0)).is_some());
+            assert!(cache.lookup(&query(0), &stamp(0, 0)).is_some());
         }
-        cache.insert(&key(1), &BitVec::zeros(8), 4);
+        cache.insert(&query(1), &stamp(1, 0), &BitVec::zeros(8), 4);
         assert_eq!((cache.stats().rejections, cache.stats().evictions), (1, 0));
-        assert!(cache.lookup(&key(0)).is_some(), "the hot entry stays");
+        assert!(cache.lookup(&query(0), &stamp(0, 0)).is_some(), "the hot entry stays");
         cache.clear();
-        cache.insert(&key(2), &BitVec::zeros(8), 4);
-        cache.insert(&key(3), &BitVec::zeros(8), 4);
+        cache.insert(&query(2), &stamp(2, 0), &BitVec::zeros(8), 4);
+        cache.insert(&query(3), &stamp(3, 0), &BitVec::zeros(8), 4);
         assert_eq!((cache.stats().rejections, cache.stats().evictions), (1, 1));
-        assert!(cache.lookup(&key(3)).is_some(), "equal scores admit");
+        assert!(cache.lookup(&query(3), &stamp(3, 0)).is_some(), "equal scores admit");
+    }
+
+    /// One resident query of [`ScanCache`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct ScanEntry {
+        hits: u64,
+        senses: u64,
+        seq: u64,
+        /// The generation of the query's one operand its result is from.
+        gen: u64,
     }
 
     /// The retention rule by full scan, as the cache ran it before its
-    /// eviction index: `(hits, senses, seq)` per resident key, and the
-    /// victim found by a `min_by` over all of them.
+    /// eviction index: one [`ScanEntry`] per resident query index, the
+    /// victim found by a `min_by` over all of them, and a hit only at the
+    /// entry's own stamp.
     #[derive(Default)]
     struct ScanCache {
-        entries: HashMap<CacheKey, (u64, u64, u64)>,
+        entries: HashMap<usize, ScanEntry>,
         capacity: usize,
         next_seq: u64,
         attempts: u64,
@@ -1069,43 +1127,44 @@ mod tests {
         fn victim(&self) -> Option<(f64, u64)> {
             self.entries
                 .values()
-                .map(|&(hits, senses, seq)| (retention(hits, senses), seq))
+                .map(|e| (retention(e.hits, e.senses), e.seq))
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         }
 
         fn evict_victim(&mut self) {
             let (_, seq) = self.victim().expect("evicting from a non-empty cache");
-            self.entries.retain(|_, e| e.2 != seq);
+            self.entries.retain(|_, e| e.seq != seq);
             self.counters.evictions += 1;
         }
 
-        fn hit(&mut self, key: &CacheKey, count_miss: bool) -> bool {
-            match self.entries.get_mut(key) {
-                Some(e) => {
-                    e.0 += 1;
+        fn hit(&mut self, k: usize, gen: u64, count_miss: bool) -> bool {
+            match self.entries.get_mut(&k) {
+                Some(e) if e.gen == gen => {
+                    e.hits += 1;
                     self.counters.hits += 1;
                     true
                 }
-                None => {
+                _ => {
                     self.counters.misses += u64::from(count_miss);
                     false
                 }
             }
         }
 
-        fn insert(&mut self, key: &CacheKey, senses: u64) {
+        fn insert(&mut self, k: usize, gen: u64, senses: u64) {
             if self.capacity == 0 {
                 return;
             }
-            if let Some(e) = self.entries.get_mut(key) {
-                e.1 = senses;
+            if let Some(e) = self.entries.get_mut(&k) {
+                e.senses = senses;
+                e.gen = gen;
                 return;
             }
             self.attempts += 1;
             if self.attempts.is_multiple_of((self.capacity as u64 * 2).max(8)) {
                 self.decays += 1;
                 for e in self.entries.values_mut() {
-                    e.0 /= 2;
+                    e.hits /= 2;
                 }
             }
             if self.entries.len() >= self.capacity {
@@ -1116,7 +1175,7 @@ mod tests {
                 }
                 self.evict_victim();
             }
-            self.entries.insert(key.clone(), (0, senses, self.next_seq));
+            self.entries.insert(k, ScanEntry { hits: 0, senses, seq: self.next_seq, gen });
             self.next_seq += 1;
         }
 
@@ -1134,26 +1193,63 @@ mod tests {
 
     #[test]
     fn eviction_index_matches_a_full_scan() {
-        let key = |k: u64| (k, Expr::var(0).to_nnf(), Vec::new());
+        let queries: Vec<CacheKey> = (0..32).map(query).collect();
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut cache = ResultCache::default();
             let mut scan = ScanCache::default();
             cache.set_capacity(6);
             scan.set_capacity(6);
+            // Ops that met a resident query under another stamp: lookups,
+            // peeks and inserts.
+            let mut stale = [0usize; 3];
             for step in 0..2_000 {
-                // 16 distinct keys, skewed toward key 0, so some entries
-                // earn many hits while others churn.
-                let k = key(rng.gen_range(0..4u64) * rng.gen_range(0..8u64));
+                // 16 distinct queries, skewed toward query 0, so some
+                // entries earn many hits while others churn; each is drawn
+                // at one of three stamps (its operand's generation).
+                let k = rng.gen_range(0..4usize) * rng.gen_range(0..8usize);
+                let gen = rng.gen_range(0..3u64);
+                let (key, at) = (&queries[k], stamp(k, gen));
+                let resident = scan.entries.get(&k).copied();
+                let is_stale = resident.is_some_and(|e| e.gen != gen);
                 match rng.gen_range(0..100u32) {
-                    0..=29 => assert_eq!(cache.lookup(&k).is_some(), scan.hit(&k, true)),
-                    30..=44 => assert_eq!(cache.peek_hit(&k).is_some(), scan.hit(&k, false)),
-                    // A fresh insert, or a resident key's re-insert with
-                    // new senses (0 scores like 1, so scores tie often).
+                    0..=29 => {
+                        let hit = cache.lookup(key, &at).is_some();
+                        assert_eq!(hit, scan.hit(k, gen, true));
+                        if is_stale {
+                            assert!(!hit, "seed {seed} step {step}: a stale lookup hit");
+                            stale[0] += 1;
+                        }
+                    }
+                    30..=44 => {
+                        let before = cache.stats();
+                        let hit = cache.peek_hit(key, &at).is_some();
+                        assert_eq!(hit, scan.hit(k, gen, false));
+                        if is_stale {
+                            assert!(!hit, "seed {seed} step {step}: a stale peek hit");
+                            assert_eq!(cache.stats(), before, "a stale peek counts nothing");
+                            stale[1] += 1;
+                        }
+                    }
+                    // A fresh insert, or a resident query's re-insert with
+                    // new senses at its own or a newer stamp (0 scores
+                    // like 1, so scores tie often).
                     45..=96 => {
                         let senses = rng.gen_range(0..=6u64);
-                        cache.insert(&k, &BitVec::zeros(8), senses);
-                        scan.insert(&k, senses);
+                        let (before, attempts) = (cache.stats(), cache.attempts);
+                        cache.insert(key, &at, &BitVec::zeros(8), senses);
+                        scan.insert(k, gen, senses);
+                        if let Some(old) = resident.filter(|_| is_stale) {
+                            let entry = &cache.entries[key];
+                            assert_eq!(
+                                (entry.hits, entry.seq, &entry.stamp, entry.senses),
+                                (old.hits, old.seq, &at, senses),
+                                "seed {seed} step {step}: a stale insert refreshes in place"
+                            );
+                            assert_eq!(cache.stats(), before, "no eviction or rejection");
+                            assert_eq!(cache.attempts, attempts, "no insert attempt");
+                            stale[2] += 1;
+                        }
                     }
                     97..=98 => {
                         let capacity = rng.gen_range(0..=8usize);
@@ -1171,13 +1267,22 @@ mod tests {
                     .map(|(&(score, seq), _)| (f64::from_bits(score), seq));
                 assert_eq!(victim, scan.victim(), "seed {seed} step {step}: victim");
                 assert_eq!(cache.stats(), scan.stats(), "seed {seed} step {step}: counters");
-                let mut resident: Vec<_> =
-                    cache.entries.iter().map(|(k, e)| (k.0, e.hits, e.senses, e.seq)).collect();
-                let mut expected: Vec<_> = scan
-                    .entries
-                    .iter()
-                    .map(|(k, &(hits, senses, seq))| (k.0, hits, senses, seq))
+                let mut resident: Vec<_> = cache
+                    .stamps()
+                    .map(|(key, at)| {
+                        let k = queries.iter().position(|q| q == key).expect("a test query");
+                        let e = &cache.entries[key];
+                        assert_eq!(at.gens.len(), 1, "one operand per test query");
+                        let entry = ScanEntry {
+                            hits: e.hits,
+                            senses: e.senses,
+                            seq: e.seq,
+                            gen: at.gens[0].1,
+                        };
+                        (k, entry)
+                    })
                     .collect();
+                let mut expected: Vec<_> = scan.entries.iter().map(|(&k, &e)| (k, e)).collect();
                 resident.sort_unstable();
                 expected.sort_unstable();
                 assert_eq!(resident, expected, "seed {seed} step {step}: residents");
@@ -1190,6 +1295,10 @@ mod tests {
             assert!(scan.decays >= 3, "seed {seed}: only {} decay windows", scan.decays);
             let CacheStats { evictions, rejections, .. } = scan.counters;
             assert!(evictions > 0 && rejections > 0, "seed {seed}: both full-cache outcomes");
+            assert!(
+                stale.iter().all(|&n| n > 0),
+                "seed {seed}: stale lookups, peeks, inserts {stale:?}"
+            );
         }
     }
 

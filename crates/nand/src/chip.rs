@@ -78,6 +78,9 @@ impl Block {
 #[derive(Debug)]
 struct Plane {
     blocks: Vec<Block>,
+    /// Sum of `blocks[..].pec`, moved by each block's actual (saturating)
+    /// increase, so a wear read never scans the blocks.
+    pec_sum: u64,
     latches: LatchBank,
     /// Permanently defective bitline columns (stuck-at faults).
     faulty_mask: BitVec,
@@ -224,6 +227,7 @@ impl NandChip {
                     blocks: (0..config.geometry.blocks_per_plane)
                         .map(|_| Block::new(config.geometry.wls_per_block as usize))
                         .collect(),
+                    pec_sum: 0,
                     latches: LatchBank::new(page_bits),
                     faulty_mask,
                     faulty_stuck,
@@ -287,6 +291,17 @@ impl NandChip {
         Ok(self.planes[block.plane as usize].blocks[block.block as usize].pec)
     }
 
+    /// Summed P/E-cycle count of a plane's blocks — its wear. Kept as the
+    /// blocks age, so reading it scans nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an out-of-range plane.
+    pub fn plane_pec(&self, plane: u32) -> Result<u64, NandError> {
+        self.config.geometry.validate_block(BlockAddr::new(plane, 0))?;
+        Ok(self.planes[plane as usize].pec_sum)
+    }
+
     /// Ages a block by `cycles` program/erase cycles without simulating
     /// each one (the paper's PEC-conditioning loop, §5.1).
     ///
@@ -295,9 +310,18 @@ impl NandChip {
     /// Returns an error for an out-of-range address.
     pub fn cycle_block(&mut self, block: BlockAddr, cycles: u32) -> Result<(), NandError> {
         self.config.geometry.validate_block(block)?;
-        let b = &mut self.planes[block.plane as usize].blocks[block.block as usize];
-        b.pec = b.pec.saturating_add(cycles);
+        self.add_pec(block, cycles);
         Ok(())
+    }
+
+    /// Raises a (validated) block's P/E count by `cycles`, saturating,
+    /// and its plane's sum by the block's actual increase.
+    fn add_pec(&mut self, block: BlockAddr, cycles: u32) {
+        let plane = &mut self.planes[block.plane as usize];
+        let b = &mut plane.blocks[block.block as usize];
+        let before = b.pec;
+        b.pec = b.pec.saturating_add(cycles);
+        plane.pec_sum += u64::from(b.pec - before);
     }
 
     /// Reads since a block's last program/erase — the read-disturb state
@@ -603,8 +627,8 @@ impl NandChip {
         for p in &mut b.pages {
             *p = None;
         }
-        b.pec = b.pec.saturating_add(1);
         b.reads_since_program = 0;
+        self.add_pec(block, 1);
         self.stats.erases += 1;
         Ok(CmdOutput {
             latency_us: timing::T_BERS_US,
@@ -1385,6 +1409,36 @@ mod tests {
         assert!(chip.page_raw(blk.wordline(0)).is_none());
         chip.cycle_block(blk, 999).unwrap();
         assert_eq!(chip.block_pec(blk).unwrap(), 1000);
+    }
+
+    /// A plane's P/E sum moves by each block's actual increase: erases
+    /// and `cycle_block` near `u32::MAX` saturate the block and add only
+    /// what the block gained.
+    #[test]
+    fn plane_pec_tracks_saturating_block_wear() {
+        let mut chip = NandChip::new(ChipConfig::tiny_test());
+        let scan = |chip: &NandChip, plane: u32| -> u64 {
+            (0..chip.config().geometry.blocks_per_plane)
+                .map(|b| u64::from(chip.block_pec(BlockAddr::new(plane, b)).unwrap()))
+                .sum()
+        };
+        let (a, b) = (BlockAddr::new(1, 3), BlockAddr::new(1, 4));
+        chip.execute(Command::Erase { block: a }).unwrap();
+        chip.cycle_block(b, 7).unwrap();
+        assert_eq!(chip.plane_pec(1).unwrap(), 8);
+        // One cycle short of saturation, then past it twice over.
+        chip.cycle_block(a, u32::MAX - 2).unwrap();
+        assert_eq!(chip.block_pec(a).unwrap(), u32::MAX - 1);
+        chip.cycle_block(a, 5).unwrap();
+        chip.execute(Command::Erase { block: a }).unwrap();
+        assert_eq!(chip.block_pec(a).unwrap(), u32::MAX);
+        chip.cycle_block(b, u32::MAX).unwrap();
+        chip.execute(Command::Erase { block: b }).unwrap();
+        assert_eq!(chip.plane_pec(1).unwrap(), 2 * u64::from(u32::MAX));
+        assert_eq!(chip.plane_pec(1).unwrap(), scan(&chip, 1));
+        // Other planes are untouched, and a plane outside the die errs.
+        assert_eq!((chip.plane_pec(0).unwrap(), scan(&chip, 0)), (0, 0));
+        assert!(chip.plane_pec(chip.config().geometry.planes).is_err());
     }
 
     #[test]

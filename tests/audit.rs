@@ -236,6 +236,20 @@ fn fc105_fires_on_future_cache_generation() {
 }
 
 #[test]
+fn fc105_fires_on_a_stamp_missing_an_operand() {
+    let mut rng = StdRng::seed_from_u64(0xA115);
+    let mut dev = device();
+    let ids = store_group(&mut dev, "g", 2, None, &mut rng);
+    // One resident entry, then an overwrite leaves it stale — still a
+    // healthy entry: it misses until its query refreshes it.
+    dev.fc_read(&Expr::and_vars(ids)).unwrap();
+    let bits = dev.config().page_bits();
+    dev.fc_overwrite("g-0", &BitVec::random(bits, &mut rng)).unwrap();
+    assert_eq!(dev.session().cache_stats().entries, 1);
+    assert_device_mutation_fires(&mut dev, DeviceMutation::DropStampOperand, LintCode::Fc105);
+}
+
+#[test]
 fn fc106_fires_on_dead_maintenance_job() {
     let mut rng = StdRng::seed_from_u64(0xA106);
     let mut dev = device();
@@ -257,6 +271,16 @@ fn fc107_fires_on_corrupted_operand_plane_cache() {
     let mut dev = device();
     store_group(&mut dev, "g", 2, None, &mut rng);
     assert_device_mutation_fires(&mut dev, DeviceMutation::SwapOperandPlane, LintCode::Fc107);
+}
+
+#[test]
+fn fc107_fires_on_an_orphaned_record() {
+    let mut rng = StdRng::seed_from_u64(0xA117);
+    let mut dev = device();
+    store_group(&mut dev, "g", 2, None, &mut rng);
+    dev.store_durable("journal", &BitVec::random(64, &mut rng)).unwrap();
+    assert_device_mutation_fires(&mut dev, DeviceMutation::OrphanRecord, LintCode::Fc107);
+    assert!(dev.operand("g-0").is_none(), "the record is unreachable by name");
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@
 //! (`PROPTEST_SEED` env override, decimal or `0x`-hex), so a CI failure
 //! reproduces with `PROPTEST_SEED=<seed> cargo test --test concurrency`.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 use fc_bits::BitVec;
@@ -288,4 +289,85 @@ fn overloaded_retries_never_lose_or_duplicate_batches() {
     assert_eq!(dev.session().in_flight(), 0);
     assert_eq!(dev.session().retired(), 0);
     assert!(dev.audit().is_empty());
+}
+
+/// Freshness under concurrent writes: two readers query the same AND sets
+/// (sync `submit`, and `submit_async` → `wait`) while a writer overwrites
+/// one of their operands. The writer logs each new value before it
+/// writes and publishes the committed count after `fc_overwrite` returns;
+/// a reader notes that count before it submits, and its result must be
+/// the AND at some logged version at or above it — never older data from
+/// a cached result or a queued compilation.
+#[test]
+fn readers_never_observe_data_older_than_a_committed_overwrite() {
+    const READS: usize = 40;
+    const WRITES: usize = 40;
+    let mut rng = StdRng::seed_from_u64(seed() ^ 0xF4E5);
+    let dev = FlashCosmosDevice::new(SsdConfig::tiny_test());
+    let bits = dev.config().page_bits();
+    let data: Vec<BitVec> = (0..4).map(|_| BitVec::random(bits, &mut rng)).collect();
+    let ids: Vec<usize> = data
+        .iter()
+        .enumerate()
+        .map(|(i, v)| dev.fc_write(&format!("f{i}"), v, StoreHints::and_group("f")).unwrap().id)
+        .collect();
+    let updates: Vec<BitVec> = (0..WRITES).map(|_| BitVec::random(bits, &mut rng)).collect();
+    // Versions of operand f0, in write order; version 0 is its first write.
+    let log = Mutex::new(vec![data[0].clone()]);
+    let committed = AtomicUsize::new(1);
+    // Two queries read f0, one does not.
+    let batch: QueryBatch = [
+        Expr::and_vars([ids[0], ids[1]]),
+        Expr::and_vars([ids[0], ids[2], ids[3]]),
+        Expr::and_vars([ids[1], ids[2]]),
+    ]
+    .into_iter()
+    .collect();
+    let expect =
+        |f0: &BitVec| [f0.and(&data[1]), f0.and(&data[2]).and(&data[3]), data[1].and(&data[2])];
+    // All three threads start together, so the reads overlap the writes.
+    let start = Barrier::new(3);
+
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            for v in &updates {
+                log.lock().unwrap().push(v.clone());
+                dev.fc_overwrite("f0", v).unwrap();
+                committed.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        for reader in 0..2 {
+            let (dev, log, committed, batch, start) = (&dev, &log, &committed, &batch, &start);
+            scope.spawn(move || {
+                start.wait();
+                for read in 0..READS {
+                    let seen = committed.load(Ordering::SeqCst);
+                    let results = if (read + reader) % 2 == 0 {
+                        dev.submit(batch).unwrap().results
+                    } else {
+                        let ticket = loop {
+                            match dev.submit_async(batch) {
+                                Ok(t) => break t,
+                                Err(FcError::Overloaded { .. }) => {
+                                    dev.drain().unwrap();
+                                }
+                                Err(e) => panic!("submit_async failed: {e}"),
+                            }
+                        };
+                        ticket.wait(dev).unwrap().results
+                    };
+                    let log = log.lock().unwrap();
+                    assert!(
+                        log[seen - 1..].iter().any(|f0| results[..] == expect(f0)[..]),
+                        "reader {reader} read {read}: result matches no version at or above {seen}"
+                    );
+                }
+            });
+        }
+    });
+    dev.drain().unwrap();
+    assert!(dev.audit().is_empty());
+    let (fresh, _) = dev.fc_read(&Expr::and_vars([ids[0], ids[1]])).unwrap();
+    assert_eq!(fresh, updates[WRITES - 1].and(&data[1]), "the last overwrite is what reads see");
 }

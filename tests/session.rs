@@ -315,6 +315,42 @@ fn overwrite_and_migration_invalidate_cached_results() {
     ));
 }
 
+/// An overwrite leaves its query's cache entry stale, not dead: the next
+/// read of the query senses and refreshes that same entry in place, so a
+/// full cache neither evicts nor refuses anything, and every other
+/// query's entry keeps hitting.
+#[test]
+fn an_overwrite_refreshes_its_query_entry_in_place() {
+    let mut rng = StdRng::seed_from_u64(0x0F12);
+    let mut dev = device();
+    let (ids, data) = store_group(&mut dev, "g", 4, None, &mut rng);
+    dev.set_result_cache_capacity(2);
+    let first = Expr::and_vars(ids[..2].iter().copied());
+    let second = Expr::and_vars(ids[2..].iter().copied());
+    assert!(dev.fc_read(&first).unwrap().1.senses > 0);
+    assert!(dev.fc_read(&second).unwrap().1.senses > 0);
+    assert_eq!(dev.session().cache_stats().entries, 2);
+
+    let replacement = BitVec::random(dev.config().page_bits(), &mut rng);
+    dev.fc_overwrite("g-0", &replacement).unwrap();
+    let (got, s) = dev.fc_read(&first).unwrap();
+    assert!(s.senses > 0, "the stale entry is a miss");
+    assert_eq!(got, replacement.and(&data[1]));
+    let stats = dev.session().cache_stats();
+    assert_eq!(
+        (stats.entries, stats.evictions, stats.rejections),
+        (2, 0, 0),
+        "the read refreshed the query's entry in place"
+    );
+
+    let (got, s) = dev.fc_read(&first).unwrap();
+    assert_eq!((s.senses, s.cached_units), (0, 1), "the refreshed entry hits");
+    assert_eq!(got, replacement.and(&data[1]));
+    let (got, s) = dev.fc_read(&second).unwrap();
+    assert_eq!((s.senses, s.cached_units), (0, 1), "the other query's entry still hits");
+    assert_eq!(got, data[2].and(&data[3]));
+}
+
 /// Operations a random interleaving can apply to both devices.
 #[derive(Debug, Clone, Copy)]
 enum Op {
