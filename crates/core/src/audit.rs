@@ -484,7 +484,7 @@ pub(crate) fn lint_plan(dev: &DeviceCore, compiled: &CompiledBatch) -> Vec<Findi
     let mut out = Vec::new();
     let n = compiled.queries();
 
-    // FC005 — batch-level epoch and generation snapshot.
+    // FC005 — batch-level epoch and placement-generation snapshot.
     if compiled.epoch != dev.epoch {
         out.push(finding(
             LintCode::Fc005,
@@ -502,7 +502,9 @@ pub(crate) fn lint_plan(dev: &DeviceCore, compiled: &CompiledBatch) -> Vec<Findi
             out.push(finding(
                 LintCode::Fc005,
                 "batch snapshot".to_string(),
-                format!("operand v{id} snapshotted at generation {gen} but the table holds {live}"),
+                format!(
+                    "operand v{id} snapshotted at placement generation {gen} but the table holds {live}"
+                ),
                 "mutations must bump generations through the device chokepoints before compiling",
             ));
         }
@@ -576,7 +578,7 @@ fn lint_unit(
         }
     }
 
-    // FC005 — per-unit stamps.
+    // FC005 — per-unit stamps hold data generations.
     if unit.stamp.epoch != compiled.epoch {
         out.push(finding(
             LintCode::Fc005,
@@ -589,15 +591,15 @@ fn lint_unit(
         ));
     }
     for &(id, gen) in &unit.stamp.gens {
-        let live = dev.operand_generation(id);
+        let live = dev.operand_data_generation(id);
         if live != gen {
             out.push(finding(
                 LintCode::Fc005,
                 loc(""),
                 format!(
-                    "unit stamp holds v{id}@{gen} but the operand table holds generation {live}"
+                    "unit stamp holds v{id}@{gen} but the operand table holds data generation {live}"
                 ),
-                "the stamp must be taken from the operand table at compile time",
+                "the stamp must take data generations from the operand table at compile time",
             ));
         }
     }
@@ -1281,9 +1283,9 @@ impl DeviceCore {
     /// FC105 — every result-cache entry's stamp names exactly the
     /// operands of its query (a hit on stamp equality is sound only
     /// then), carries the device's epoch, and holds no generation newer
-    /// than the operand table's. A stamp older than the table's is fine:
-    /// the entry is stale, misses, and its query's next execution
-    /// refreshes it in place.
+    /// than the operand table's data generation. A stamp older than the
+    /// table's is fine: the entry is stale, misses, and its query's next
+    /// execution refreshes it in place.
     fn audit_cache_stamps(&self, out: &mut Vec<Finding>) {
         let cache = self.session.cache();
         for (key, stamp) in cache.stamps() {
@@ -1311,7 +1313,7 @@ impl DeviceCore {
                 ));
             }
             for &(id, gen) in &stamp.gens {
-                let live = self.operand_generation(id);
+                let live = self.operand_data_generation(id);
                 if id >= self.operands.len() {
                     out.push(finding(
                         LintCode::Fc105,
@@ -1324,7 +1326,7 @@ impl DeviceCore {
                         LintCode::Fc105,
                         "result cache".to_string(),
                         format!(
-                            "entry stamped v{id}@{gen}, newer than the table's generation {live}"
+                            "entry stamped v{id}@{gen}, newer than the table's data generation {live}"
                         ),
                         "generations are handed out by bump_generation only; never forge stamps",
                     ));
@@ -1589,6 +1591,9 @@ pub enum PlanMutation {
     RetagMlAsExecute,
     /// Bump one generation in a unit's stamp → `FC005`.
     SkewUnitGeneration,
+    /// Stamp a unit with an operand's placement generation where it
+    /// differs from the data generation (after a migration) → `FC005`.
+    StampPlacementGeneration,
     /// Re-queue a leaf on another die → `FC006` (and usually `FC001`).
     MisrouteLeafDie,
     /// Empty a unit's consumer list → `FC007` (its senses price no
@@ -1689,6 +1694,14 @@ impl DeviceCore {
                 let Some(stamp) = u.stamp.gens.first_mut() else { return false };
                 stamp.1 += 1;
                 true
+            }),
+            PlanMutation::StampPlacementGeneration => units.iter_mut().any(|u| {
+                u.stamp.gens.iter_mut().any(|(id, gen)| {
+                    let placement = self.operand_generation(*id);
+                    let moved = placement != *gen;
+                    *gen = placement;
+                    moved
+                })
             }),
             PlanMutation::MisrouteLeafDie => {
                 if cfg.total_dies() < 2 {

@@ -284,13 +284,15 @@ struct Unit {
 /// sense total is its leaf programs' ([`UnitWork::senses`]).
 pub(crate) enum UnitWork {
     /// Served from the cross-batch result cache: the unit's full output
-    /// (snapshotted at compile time — valid as long as the operand
-    /// generations in the unit's stamp hold) plus the senses a cold
-    /// execution would have cost.
+    /// (snapshotted at compile time — valid as long as the operand data
+    /// generations in the unit's stamp hold) plus the senses the hit
+    /// saved.
     Cached {
         /// The memoized unit output (`pages × page_bits` bits).
         result: BitVec,
-        /// Senses a cold execution costs (what the hit saved).
+        /// Senses the hit saved: what the execution that computed
+        /// `result` cost, or, for a unit a drain swaps to a replay, what
+        /// its own compiled programs cost.
         senses: u64,
     },
     /// Controller evaluation: the unit touches a multi-level operand
@@ -320,8 +322,8 @@ pub(crate) enum UnitWork {
 
 impl UnitWork {
     /// Senses the unit costs: its leaf programs' senses when executed,
-    /// its page reads' under controller evaluation, and what a cold
-    /// execution would cost when cached.
+    /// its page reads' under controller evaluation, and what the hit
+    /// saved when cached.
     pub(crate) fn senses(&self) -> u64 {
         match self {
             UnitWork::Cached { senses, .. } | UnitWork::Controller { senses } => *senses,
@@ -342,8 +344,8 @@ pub(crate) struct PlannedUnit {
     pub(crate) nnf: Nnf,
     /// Result-cache key: the canonical form, shared with the cache.
     pub(crate) key: CacheKey,
-    /// The data the unit reads: compile-time epoch and the generation of
-    /// each operand of `key`, ascending by id.
+    /// The data the unit reads: compile-time epoch and the data
+    /// generation of each operand of `key`, ascending by id.
     pub(crate) stamp: Stamp,
     pub(crate) work: UnitWork,
 }
@@ -361,8 +363,9 @@ pub(crate) struct CompiledBatch {
     pub(crate) deduped_queries: usize,
     /// [`BatchStats::serial_senses`].
     pub(crate) serial_senses: u64,
-    /// Generation of every operand the batch references, plus the device
-    /// epoch — the staleness check for queued batches.
+    /// Placement generation of every operand the batch references, plus
+    /// the device epoch — the staleness check for queued batches, whose
+    /// programs name the wordlines the operands sat on at compile time.
     pub(crate) epoch: u64,
     pub(crate) snapshot: Vec<(OperandId, u64)>,
     /// Whether executed unit results enter the result cache. Off for
@@ -439,7 +442,10 @@ impl DeviceCore {
         let caps = PlannerCaps::for_config(self.ssd.config());
 
         // Canonical duplicates name the same operands, so the units' ids
-        // cover the batch.
+        // cover the batch. The snapshot holds placement generations (a
+        // queued batch's programs name wordlines); unit stamps hold data
+        // generations (a cached result names bits), so a migration makes
+        // the batch stale while its units' entries stay valid.
         let epoch = self.epoch;
         let mut batch_ids: Vec<OperandId> =
             units.iter().flat_map(|u| u.ids.iter().copied()).collect();
@@ -453,7 +459,7 @@ impl DeviceCore {
         // stripe into a cross-die plan whose leaves queue on their dies.
         let mut planned: Vec<PlannedUnit> = Vec::with_capacity(units.len());
         for unit in units {
-            let gens = unit.ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
+            let gens = unit.ids.iter().map(|&id| (id, self.operand_data_generation(id))).collect();
             let stamp = Stamp { epoch, gens };
             let cached = self
                 .session
@@ -555,8 +561,8 @@ impl DeviceCore {
             .map_err(FcError::Plan)
         })?;
         let serial_senses = work.senses();
-        let snapshot: Vec<(OperandId, u64)> =
-            ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
+        let snapshot = ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
+        let gens = ids.iter().map(|&id| (id, self.operand_data_generation(id))).collect();
         Ok(CompiledBatch {
             q_bits: vec![bits],
             q_pages: vec![pages],
@@ -564,7 +570,7 @@ impl DeviceCore {
                 pages,
                 consumers: vec![0],
                 key: Arc::new(canonicalize(&nnf)),
-                stamp: Stamp { epoch: self.epoch, gens: snapshot.clone() },
+                stamp: Stamp { epoch: self.epoch, gens },
                 nnf,
                 work,
             }],
@@ -598,8 +604,10 @@ impl DeviceCore {
     /// in-flight batch also computes misses at compile; by drain time the
     /// earlier batch's execution has populated the cache and this swap
     /// turns the duplicate work into a replay. A hit needs the unit's
-    /// stamp, which this drain just found current, so a swapped-in entry
-    /// is valid by construction (stale batches are recompiled instead).
+    /// stamp, which is current because this drain just found the batch's
+    /// placement snapshot current (every data-generation bump also bumps
+    /// the placement generation), so a swapped-in entry is valid by
+    /// construction (stale batches are recompiled instead).
     pub(crate) fn refresh_cache_hits(&self, compiled: &mut CompiledBatch) {
         for unit in &mut compiled.units {
             if !matches!(unit.work, UnitWork::Execute { .. }) {

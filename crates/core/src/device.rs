@@ -252,11 +252,18 @@ pub(crate) struct OperandRecord {
     pub(crate) planes: Vec<PlaneId>,
     pub(crate) group_index: u64,
     /// Placement generation: bumped by every mutation of the operand's
-    /// data or placement (`fc_overwrite`, `migrate_operand`), so result-
-    /// cache entries and queued async work stamped with an older
-    /// generation can never be served stale (see
-    /// [`crate::session`]).
+    /// data or placement (`fc_overwrite`, `migrate_operand`, parity
+    /// rebuilds, fault injection). What reads physical placement is
+    /// stamped with it — a queued batch's snapshot and a regroup job's
+    /// expected generation — so queued work planned against old
+    /// wordlines is recompiled or retired (see [`crate::session`]).
     pub(crate) generation: u64,
+    /// Data generation: taken from the same counter as `generation`, by
+    /// every one of its bumps except a migration's, which moves pages
+    /// without changing what they read as. Result-cache stamps carry
+    /// it, so an entry stamped with an older data generation is never
+    /// served, and a regrouped query keeps answering from its entry.
+    pub(crate) data_generation: u64,
     /// Multi-level operand ([`FlashCosmosDevice::fc_write_ml`]): its pages
     /// are Gray-coded cell levels, not raw SLC bits, so it cannot join an
     /// MWS sense, be overwritten in place, or migrate — queries touching
@@ -328,9 +335,10 @@ pub(crate) struct DeviceCore {
     /// so an epoch bump structurally invalidates all cached results and
     /// queued compiled work.
     pub(crate) epoch: u64,
-    /// Monotonic source of placement generations — never reused, even
-    /// across operands, so a (operand, generation) pair identifies one
-    /// immutable snapshot of that operand's data and placement.
+    /// Monotonic source of placement and data generations — never
+    /// reused, even across operands, so an (operand, generation) pair
+    /// identifies one immutable snapshot of that operand's placement (or
+    /// of its data).
     generation_counter: u64,
 }
 
@@ -399,9 +407,24 @@ impl DeviceCore {
         self.operands.get(id).map_or(0, |r| r.generation)
     }
 
-    /// Stamps a fresh, never-reused generation on an operand after a data
-    /// or placement mutation.
+    /// The data generation of an operand (0 for ids never written).
+    pub(crate) fn operand_data_generation(&self, id: OperandId) -> u64 {
+        self.operands.get(id).map_or(0, |r| r.data_generation)
+    }
+
+    /// Stamps a fresh, never-reused generation on an operand after a
+    /// mutation that may change what its pages read as: its placement and
+    /// data generations both take it.
     pub(crate) fn bump_generation(&mut self, id: OperandId) {
+        self.bump_placement_generation(id);
+        let rec = &mut self.operands[id];
+        rec.data_generation = rec.generation;
+    }
+
+    /// Stamps a fresh, never-reused placement generation on an operand
+    /// whose pages moved but read as the same bits (a migration); its
+    /// data generation stays.
+    fn bump_placement_generation(&mut self, id: OperandId) {
         self.generation_counter += 1;
         self.operands[id].generation = self.generation_counter;
     }
@@ -574,6 +597,7 @@ impl DeviceCore {
             planes,
             group_index,
             generation: self.generation_counter,
+            data_generation: self.generation_counter,
             ml: false,
         });
         self.names.insert(name.to_string(), id);
@@ -685,6 +709,7 @@ impl DeviceCore {
                 planes: planes.clone(),
                 group_index,
                 generation: self.generation_counter,
+                data_generation: self.generation_counter,
                 ml: true,
             });
             self.names.insert((*name).to_string(), id);
@@ -699,11 +724,11 @@ impl DeviceCore {
     /// flash cannot program a wordline twice — and the old pages are
     /// trimmed.
     ///
-    /// The operand's placement **generation** is bumped, so every result-
-    /// cache entry and queued async compilation that observed the old
-    /// data is structurally invalidated (see [`crate::session`]). Queries
-    /// submitted after the overwrite (and async batches drained after it)
-    /// observe the new data.
+    /// The operand's placement and data **generations** are bumped, so
+    /// every result-cache entry and queued async compilation that
+    /// observed the old data is structurally invalidated (see
+    /// [`crate::session`]). Queries submitted after the overwrite (and
+    /// async batches drained after it) observe the new data.
     ///
     /// # Errors
     ///
@@ -813,7 +838,9 @@ impl DeviceCore {
     /// the wrong polarity) move into a shared block so a later `fc_read`
     /// needs fewer MWS commands. Each page keeps its programming scheme
     /// and takes its polarity from `hints`. Returns how many pages moved
-    /// via the chip's copyback fast path (vs controller rewrite).
+    /// via the chip's copyback fast path (vs controller rewrite). Bumps
+    /// the operand's placement generation only; its data generation, and
+    /// so every cached result over it, stays valid.
     ///
     /// # Errors
     ///
@@ -847,11 +874,13 @@ impl DeviceCore {
         }
         self.operands[id].group_index = group_index;
         self.operands[id].planes = planes;
-        // Placement moved (even though the data did not): conservatively
-        // retire every cached result and compiled program that referenced
-        // the old wordlines — the same hazard class as the poisoned
-        // placement cache, fixed structurally via generation stamping.
-        self.bump_generation(id);
+        // Placement moved but the data did not: a fresh placement
+        // generation retires every queued compiled program and regroup job
+        // planned against the old wordlines (the same hazard class as the
+        // poisoned placement cache, fixed structurally via generation
+        // stamping), while the data generation, and with it every cached
+        // result over this operand, stays valid.
+        self.bump_placement_generation(id);
         // Stripe geometry followed the pages: re-chunk the parity so the
         // die-disjointness invariant holds on the new placement.
         self.parity_unprotect_lpns(&lpns);
@@ -1103,6 +1132,12 @@ impl FlashCosmosDevice {
     /// Migrates a stored operand to new placement hints — the §10
     /// background gathering. Returns how many pages moved via the
     /// chip's copyback fast path (vs controller rewrite).
+    ///
+    /// The operand's pages read as the same bits afterwards, so only its
+    /// placement generation is bumped: async batches queued before the
+    /// move recompile at drain against the new wordlines, while result-
+    /// cache entries over the operand (stamped with its unchanged data
+    /// generation, see [`crate::session`]) keep answering.
     ///
     /// # Errors
     ///
@@ -1534,8 +1569,14 @@ mod tests {
             copybacks +=
                 dev.migrate_operand(&format!("op{i}"), StoreHints::and_group("gathered")).unwrap();
         }
-        let (result, after) = dev.fc_read(&expr).unwrap();
         let expect = vs.iter().skip(1).fold(vs[0].clone(), |a, v| a.and(v));
+        // The cached result survives the move (placement changed, data
+        // did not); a cold read senses the gathered layout.
+        let (replayed, replay) = dev.fc_read(&expr).unwrap();
+        assert_eq!(replayed, expect, "migration must preserve data");
+        assert_eq!((replay.senses, replay.cached_units), (0, 1), "a cache hit");
+        dev.clear_result_cache();
+        let (result, after) = dev.fc_read(&expr).unwrap();
         assert_eq!(result, expect, "migration must preserve data");
         assert_eq!(after.senses, 1, "gathered: single intra-block MWS");
         assert!(copybacks > 0, "same-polarity moves use copyback");

@@ -33,12 +33,15 @@
 //!   work queues and returns a [`Ticket`]; [`FlashCosmosDevice::drain`]
 //!   retires everything queued in one pass whose modeled critical path
 //!   overlaps batches on idle dies ([`DrainStats`]); and a cross-batch
-//!   **result cache** keyed by canonical form + per-operand *placement
-//!   generations* replays repeated units without sensing — overwrites
-//!   ([`FlashCosmosDevice::fc_overwrite`]), migrations and raw-SSD access
-//!   bump the stamps, so stale results are structurally unservable. The
-//!   cache retains by hit frequency × senses saved and refuses inserts
-//!   that score below every resident entry.
+//!   **result cache** keyed by canonical form and stamped with
+//!   per-operand *data generations* replays repeated units without
+//!   sensing — overwrites ([`FlashCosmosDevice::fc_overwrite`]) and
+//!   raw-SSD access bump the stamps, so stale results are structurally
+//!   unservable, while a migration moves only an operand's *placement
+//!   generation* (which queued batches are checked against), so a
+//!   regrouped query keeps its entry. The cache retains by hit
+//!   frequency × senses saved and refuses inserts that score below every
+//!   resident entry.
 //! * [`maintenance`] — the maintenance layer: an affinity tracker
 //!   records which operand sets get fused together (and what they
 //!   cost), a fixed regrouping rule turns hot scattered sets into
@@ -53,7 +56,8 @@
 //!   XOR parity stripes with out-of-place rebuild, retention scrubbing
 //!   of at-risk pages through that background job queue, and a
 //!   deterministic typed fault-injection harness ([`FaultPlan`]) whose
-//!   itemized faults bump only the touched operands' generations.
+//!   itemized faults bump only the touched operands' generations (both
+//!   of them).
 //!   [`FlashCosmosDevice::health`] snapshots which tiers fired
 //!   ([`DeviceHealth`]); queries that touch a page no tier
 //!   could save fail individually ([`FcError::QueryFailed`]) while the

@@ -80,10 +80,16 @@
 //! // ...maintenance gathers it into one block...
 //! let stats = dev.run_maintenance().unwrap();
 //! assert_eq!(stats.jobs_executed, 4, "one migration per operand");
-//! // ...and the warm query drops to a single sense.
+//! // ...the moved pages read as the same bits, so the warm query is
+//! // still a cache hit...
 //! let warm = dev.submit(&batch).unwrap();
 //! assert_eq!(warm.results, cold.results);
-//! assert!(warm.stats.senses < cold.stats.senses);
+//! assert_eq!(warm.stats.senses, 0);
+//! // ...and, with the cache cleared, it drops to a single sense.
+//! dev.clear_result_cache();
+//! let gathered = dev.submit(&batch).unwrap();
+//! assert_eq!(gathered.results, cold.results);
+//! assert!(gathered.stats.senses < cold.stats.senses);
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
@@ -621,10 +627,10 @@ impl crate::device::DeviceCore {
     /// within `budget_us` ([`DieQueues::try_fill`]). A job that does not
     /// fit is skipped over and stays queued, in order, so one oversized
     /// job never wedges the work behind it. A job left with nothing to do
-    /// books no die time: a regroup job whose operand's generation moved
-    /// is retired and logged (once the set is re-observed hot, a later
-    /// planning pass finishes it), and a refresh of an unmapped page is
-    /// dropped.
+    /// books no die time: a regroup job whose operand's placement
+    /// generation moved is retired and logged (once the set is
+    /// re-observed hot, a later planning pass finishes it), and a refresh
+    /// of an unmapped page is dropped.
     ///
     /// The pass stops at the first failing job and returns its error
     /// beside the pass's stats, which count it in `jobs_failed` (and the
@@ -1036,7 +1042,13 @@ mod tests {
         assert_eq!(drained.maintenance.jobs_executed, 4);
         assert!(drained.maintenance.critical_path_us <= drained.maintenance.budget_us);
         assert_eq!(dev.pending_jobs(), 0);
-        assert_eq!(dev.submit(&batch).unwrap().stats.senses, 1);
+        // The migrations kept the cached result; a cold read senses once.
+        let replayed = dev.submit(&batch).unwrap();
+        assert_eq!((replayed.stats.senses, replayed.stats.cached_units), (0, 1));
+        dev.clear_result_cache();
+        let gathered = dev.submit(&batch).unwrap();
+        assert_eq!(gathered.results, replayed.results);
+        assert_eq!(gathered.stats.senses, 1);
     }
 
     /// A failing job consumes only itself: the refresh skipped over before

@@ -22,12 +22,13 @@
 //! * **Cross-batch result cache** — every plan unit's result vector is
 //!   memoized at execution, keyed by the query (the unit's canonical NNF)
 //!   and stamped with the data it was computed from (the device epoch and
-//!   `[(operand, generation)]`). A later submit (sync or async) whose unit
-//!   finds its query resident under the unit's current stamp replays the
-//!   memoized pages: zero senses, zero chip time, bit-identical output. An
-//!   entry whose stamp went stale is a miss, and the unit's fresh
-//!   execution refreshes that same entry in place, so each query holds at
-//!   most one entry and overwrites never consume cache capacity.
+//!   `[(operand, data generation)]`). A later submit (sync or async) whose
+//!   unit finds its query resident under the unit's current stamp replays
+//!   the memoized pages: zero senses, zero chip time, bit-identical output,
+//!   also after a migration regrouped its operands. An entry whose stamp
+//!   went stale is a miss, and the unit's fresh execution refreshes that
+//!   same entry in place, so each query holds at most one entry and
+//!   overwrites never consume cache capacity.
 //!
 //! ## One serving path
 //!
@@ -60,30 +61,36 @@
 //!
 //! The cache key names the query; the entry's stamp names the data. An
 //! entry answers only while its stamp equals the unit's current one, and
-//! stamps never compare data — they compare *generations*. Every mutation
-//! that could change what a compiled program senses bumps a value the
-//! stamp includes:
+//! stamps never compare data — they compare *generations*. Each operand
+//! carries two, drawn from one monotonic counter: a **data** generation,
+//! which unit stamps and cache entries hold, and a **placement**
+//! generation, which a queued batch's snapshot holds (its programs name
+//! wordlines). Every mutation that could change what a compiled program
+//! senses bumps a value the snapshot includes; every mutation that could
+//! change what a query answers bumps a value the stamp includes:
 //!
-//! | hazard | stamp value bumped |
-//! |---|---|
-//! | [`FlashCosmosDevice::fc_overwrite`] (name overwrite) | that operand's generation |
-//! | [`FlashCosmosDevice::migrate_operand`] (placement move) | that operand's generation |
-//! | raw [`FlashCosmosDevice::ssd_mut`] access (reliability-mode changes, wear/fault injection, erases) | the device epoch (which also clears the cache) |
+//! | hazard | data generation (cache stamps) | placement generation (queued snapshots) |
+//! |---|---|---|
+//! | [`FlashCosmosDevice::fc_overwrite`] (name overwrite) | bumped | bumped |
+//! | [`FlashCosmosDevice::migrate_operand`] (placement move, same bits) | kept | bumped |
+//! | parity rebuilds and [`FlashCosmosDevice::inject_faults`] (itemized faults) | bumped | bumped |
+//! | raw [`FlashCosmosDevice::ssd_mut`] access (reliability-mode changes, wear/fault injection, erases) | the device epoch (which also clears the cache) | the device epoch |
 //!
 //! A generation is drawn from a monotonic counter and never reused, so a
-//! stamp identifies one immutable snapshot of its operands; an entry whose
-//! stamp went stale can never answer again (the placement cache's earlier
-//! poisoning bug was this same hazard class — here the invalidation is
-//! designed in, not patched on). It stays resident until its query next executes, and
-//! that execution overwrites its result and stamp in place. Every insert
-//! carries the live stamp — it runs under the read guard of its own
-//! compile or drain staleness check, and generations move only under the
-//! write guard — so a refresh never moves an entry back to older data.
-//! Queued async batches carry the same snapshot: at drain
-//! time a batch whose snapshot no longer matches is **recompiled**
-//! against current placement, so async queries always observe drain-time
-//! data — identical to what a synchronous submit at drain time would
-//! return.
+//! stamp identifies one immutable snapshot of its operands' data; an
+//! entry whose stamp went stale can never answer again (the placement
+//! cache's earlier poisoning bug was this same hazard class — here the
+//! invalidation is designed in, not patched on). It stays resident until
+//! its query next executes, and that execution overwrites its result and
+//! stamp in place. Every insert carries the live stamp — it runs under the
+//! read guard of its own compile or drain staleness check, and generations
+//! move only under the write guard — so a refresh never moves an entry
+//! back to older data. At drain time a queued batch whose snapshot no
+//! longer matches is **recompiled** against current placement, so async
+//! queries always observe drain-time data — identical to what a
+//! synchronous submit at drain time would return. A batch that went stale
+//! only through a migration recompiles, and its units still replay the
+//! entries resident for their queries.
 //!
 //! ```
 //! use flash_cosmos::device::{FlashCosmosDevice, StoreHints};
@@ -130,9 +137,10 @@ use crate::maintenance::{slack_budget_us, AffinityTracker, MaintenanceStats};
 pub(crate) type CacheKey = Arc<Nnf>;
 
 /// The data a unit's result is computed from: the device epoch and the
-/// placement generation of every operand the unit's key names (ascending
-/// by id). A cache entry whose stamp equals a unit's current stamp holds
-/// exactly what a fresh execution of the unit would produce.
+/// data generation of every operand the unit's key names (ascending by
+/// id). A cache entry whose stamp equals a unit's current stamp holds
+/// exactly what a fresh execution of the unit would produce, wherever
+/// its operands' pages have migrated since.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Stamp {
     pub(crate) epoch: u64,
@@ -145,8 +153,9 @@ pub(crate) struct CacheEntry {
     pub(crate) result: BitVec,
     /// The data `result` was computed from.
     stamp: Stamp,
-    /// Senses a cold execution of the unit runs (serial-cost accounting
-    /// for hits).
+    /// Senses the execution that computed `result` ran (serial-cost
+    /// accounting for hits). A later migration of an operand keeps the
+    /// entry valid but may change what a cold execution costs.
     pub(crate) senses: u64,
     /// Lookups this entry has served (feeds the retention score and the
     /// affinity tracker).
@@ -753,10 +762,13 @@ impl FlashCosmosDevice {
     /// [`FlashCosmosDevice::discard_retired`], or the parked results
     /// accumulate.
     ///
-    /// A queued batch whose operand generations (or the device epoch)
-    /// changed since submission is recompiled against current placement
-    /// first, so drained queries always observe drain-time data — a
-    /// queued program can never sense through a stale wordline map.
+    /// A queued batch whose operands' placement generations (or the
+    /// device epoch) changed since submission is recompiled against
+    /// current placement first, so drained queries always observe
+    /// drain-time data — a queued program can never sense through a stale
+    /// wordline map. The recompile consults the result cache like any
+    /// compile, so a batch that went stale through a migration alone
+    /// still replays its units' entries.
     ///
     /// Concurrency: the claim-and-serve phase runs under the shared
     /// (read) device lock, so drains from several threads proceed in

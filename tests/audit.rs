@@ -135,6 +135,23 @@ fn fc005_fires_on_skewed_unit_generation() {
 }
 
 #[test]
+fn fc005_fires_on_a_unit_stamped_with_a_placement_generation() {
+    let mut rng = StdRng::seed_from_u64(0xA015);
+    let mut dev = device();
+    let ids = store_group(&mut dev, "g", 3, None, &mut rng);
+    // A migration moves the operand's placement generation past its data
+    // generation; a healthy stamp keeps the data generation.
+    dev.migrate_operand("g-1", StoreHints::and_group("h")).unwrap();
+    let batch: QueryBatch = [Expr::and_vars(ids)].into_iter().collect();
+    assert_plan_mutation_fires(
+        &mut dev,
+        &batch,
+        PlanMutation::StampPlacementGeneration,
+        LintCode::Fc005,
+    );
+}
+
+#[test]
 fn fc006_fires_on_misrouted_leaf_die() {
     let mut rng = StdRng::seed_from_u64(0xA006);
     let mut dev = device();

@@ -371,3 +371,86 @@ fn readers_never_observe_data_older_than_a_committed_overwrite() {
     let (fresh, _) = dev.fc_read(&Expr::and_vars([ids[0], ids[1]])).unwrap();
     assert_eq!(fresh, updates[WRITES - 1].and(&data[1]), "the last overwrite is what reads see");
 }
+
+/// Migrations under concurrent readers: two reader threads loop
+/// `submit_async` → `drain` → `wait` over AND sets while a writer thread
+/// migrates their operands back and forth between two placement groups
+/// pinned to different dies. A migration moves pages without changing
+/// what they read as, so queued batches recompile against the new
+/// wordlines, cached results keep answering, and every result stays
+/// bit-exact against the software model. The device audit stays clean at
+/// the default `Deny` ruleset (in debug builds every drain that senses
+/// audits too, and a finding panics the reader).
+#[test]
+fn readers_stay_bit_exact_while_their_operands_migrate() {
+    const READS: usize = 40;
+    const MOVES: usize = 40;
+    let mut rng = StdRng::seed_from_u64(seed() ^ 0x316A);
+    let dev = FlashCosmosDevice::new(SsdConfig::tiny_test());
+    let bits = dev.config().page_bits();
+    let data: Vec<BitVec> = (0..4).map(|_| BitVec::random(bits, &mut rng)).collect();
+    let ids: Vec<usize> = data
+        .iter()
+        .enumerate()
+        .map(|(i, v)| dev.fc_write(&format!("m{i}"), v, StoreHints::and_group("m")).unwrap().id)
+        .collect();
+    let batch: QueryBatch = [
+        Expr::and_vars([ids[0], ids[1]]),
+        Expr::and_vars([ids[0], ids[2], ids[3]]),
+        Expr::and_vars(ids.iter().copied()),
+    ]
+    .into_iter()
+    .collect();
+    let expect = [
+        data[0].and(&data[1]),
+        data[0].and(&data[2]).and(&data[3]),
+        BitVec::and_fold(&data.iter().collect::<Vec<_>>()),
+    ];
+    // All three threads start together, so the reads overlap the moves.
+    let start = Barrier::new(3);
+
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            // Every operand in turn, to the east group and then back west.
+            for m in 0..MOVES {
+                let (group, die) =
+                    if (m / ids.len()).is_multiple_of(2) { ("east", 0) } else { ("west", 1) };
+                let hints = StoreHints::and_group(group).with_die(die);
+                dev.migrate_operand(&format!("m{}", m % ids.len()), hints).unwrap();
+            }
+        });
+        for reader in 0..2 {
+            let (dev, batch, expect, start) = (&dev, &batch, &expect, &start);
+            scope.spawn(move || {
+                start.wait();
+                for read in 0..READS {
+                    let ticket = loop {
+                        match dev.submit_async(batch) {
+                            Ok(t) => break t,
+                            Err(FcError::Overloaded { .. }) => {
+                                dev.drain().unwrap();
+                            }
+                            Err(e) => panic!("submit_async failed: {e}"),
+                        }
+                    };
+                    dev.drain().unwrap();
+                    let results = ticket.wait(dev).unwrap().results;
+                    assert_eq!(
+                        results[..],
+                        expect[..],
+                        "reader {reader} read {read}: result diverged from the bit model"
+                    );
+                }
+            });
+        }
+    });
+    dev.drain().unwrap();
+    let findings = dev.audit();
+    assert!(findings.is_empty(), "device audit after concurrent migrations: {findings:?}");
+    // The operands ended in the west group: a cold read senses it there.
+    dev.clear_result_cache();
+    let (cold, stats) = dev.fc_read(&Expr::and_vars(ids.iter().copied())).unwrap();
+    assert_eq!(cold, expect[2]);
+    assert_eq!(stats.senses, 1, "gathered in one block");
+}

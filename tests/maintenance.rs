@@ -6,7 +6,7 @@
 use fc_bits::BitVec;
 use fc_ssd::SsdConfig;
 use fc_workloads::skew::CoQueryWorkload;
-use flash_cosmos::{Expr, FlashCosmosDevice, QueryBatch, Severity, StoreHints};
+use flash_cosmos::{BatchResults, Expr, FlashCosmosDevice, QueryBatch, Severity, StoreHints};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +22,20 @@ fn assert_audit_clean(dev: &FlashCosmosDevice) -> Result<(), TestCaseError> {
         dev.audit().into_iter().filter(|f| f.severity == Severity::Error).collect();
     prop_assert!(errors.is_empty(), "device audit found errors: {errors:?}");
     Ok(())
+}
+
+/// Submits `batch` right after a migration, which moved placement but not
+/// data: every unit replays its cached entry and senses nothing. Then
+/// clears the result cache and submits `batch` again, so the returned run
+/// senses the regrouped layout; it answers with the replay's bits.
+fn replay_then_cold(dev: &FlashCosmosDevice, batch: &QueryBatch) -> BatchResults {
+    let replay = dev.submit(batch).unwrap();
+    assert_eq!(replay.stats.senses, 0, "a migration keeps cached results");
+    assert_eq!(replay.stats.cached_units, batch.len(), "every unit replays its entry");
+    dev.clear_result_cache();
+    let cold = dev.submit(batch).unwrap();
+    assert_eq!(cold.results, replay.results, "the replay holds the regrouped layout's bits");
+    cold
 }
 
 /// Writes `n` page-sized operands, each scattered into its own singleton
@@ -87,9 +101,10 @@ fn regrouping_converges_within_the_drain_slack_budget() {
     let results = ticket.wait(&w.dev).unwrap();
     assert_eq!(results.results[0], expected, "drained query still bit-exact");
 
-    // Warm path: the first post-migration submit cannot be served by the
-    // cache (generations moved), so its stats are the regrouped cost.
-    let warm = w.dev.submit(&batch).unwrap();
+    // Warm path: the first post-migration submit replays the cached
+    // entry; with the cache cleared, the next one runs at the regrouped
+    // cost.
+    let warm = replay_then_cold(&w.dev, &batch);
     assert_eq!(warm.results[0], expected, "migration preserves data");
     assert_eq!(warm.stats.senses, 1, "gathered set is one intra-block MWS");
     assert!(
@@ -144,7 +159,7 @@ fn overwritten_operand_retires_its_job_instead_of_migrating() {
     dev.submit(&batch).unwrap();
     let second = dev.run_maintenance().unwrap();
     assert!(second.jobs_executed >= 1, "re-armed set gathers the straggler");
-    let converged = dev.submit(&batch).unwrap();
+    let converged = replay_then_cold(&dev, &batch);
     assert_eq!(converged.results[0], data[0].and(&data[1]).and(&data[2]));
     assert_eq!(converged.stats.senses, 1, "fully gathered after the second pass");
 }
@@ -297,7 +312,7 @@ fn job_cap_defers_whole_sets_to_the_next_pass() {
     assert_eq!(dev.schedule_maintenance(), 8, "next pass picks up the deferred set");
     assert_eq!(dev.pending_jobs(), 72);
     dev.run_maintenance().unwrap();
-    let warm = dev.submit(&batch).unwrap();
+    let warm = replay_then_cold(&dev, &batch);
     assert_eq!(warm.stats.senses, 9, "every set gathered: one sense each");
 }
 
@@ -323,7 +338,7 @@ fn distinct_hot_sets_spread_their_gather_targets_across_dies() {
     assert_eq!(dev.operand_dies(ids[1]).unwrap()[0].flat(&cfg), die_a);
     assert_eq!(dev.operand_dies(ids[3]).unwrap()[0].flat(&cfg), die_b);
     assert_ne!(die_a, die_b, "disjoint gather groups must not share one die");
-    let warm = dev.submit(&batch).unwrap();
+    let warm = replay_then_cold(&dev, &batch);
     assert_eq!(warm.stats.senses, 2, "each set one sense");
     assert_eq!(warm.stats.dies_used, 2, "the sets sense on different dies concurrently");
 }
@@ -357,14 +372,16 @@ fn an_oversized_job_defers_without_wedging_the_queue() {
     assert!(drained.maintenance.critical_path_us <= drained.maintenance.budget_us + 1e-9);
     let mut small_batch = QueryBatch::new();
     small_batch.push(Expr::and_vars(small_ids.iter().copied()));
-    assert_eq!(dev.submit(&small_batch).unwrap().stats.senses, 1, "small set gathered");
-    // The foreground pass (no budget) finishes the big set.
+    assert_eq!(replay_then_cold(&dev, &small_batch).stats.senses, 1, "small set gathered");
+    // Re-cache the big set's query (clearing dropped its entry), then the
+    // foreground pass (no budget) finishes the big set.
+    let mut big_batch = QueryBatch::new();
+    big_batch.push(Expr::and_vars([0usize, 1]));
+    dev.submit(&big_batch).unwrap();
     let fg = dev.run_maintenance().unwrap();
     assert!(fg.jobs_executed >= 1);
     assert_eq!(dev.pending_jobs(), 0);
-    let mut big_batch = QueryBatch::new();
-    big_batch.push(Expr::and_vars([0usize, 1]));
-    let out = dev.submit(&big_batch).unwrap();
+    let out = replay_then_cold(&dev, &big_batch);
     assert_eq!(out.results[0], big[0].and(&big[1]));
     assert_eq!(out.stats.senses, 16, "big set gathered: one sense per stripe");
 }
@@ -377,36 +394,31 @@ fn a_regathered_member_stolen_by_an_overlapping_set_is_regathered_again() {
     let mut rng = StdRng::seed_from_u64(0x2F);
     let mut dev = device();
     let (ids, data) = scattered_operands(&mut dev, 3, &mut rng);
-    let s1 = Expr::and_vars([ids[0], ids[1]]);
-    let s2 = Expr::and_vars([ids[1], ids[2]]);
-    // Submits twice (co-fuse heat) and returns the *first* submit's
-    // senses — migrations bump generations, so the first post-migration
-    // submit is never cache-served and reports the layout's true cost.
-    let heat = |dev: &mut FlashCosmosDevice, e: &Expr| {
-        let mut b = QueryBatch::new();
-        b.push(e.clone());
-        let first = dev.submit(&b).unwrap().stats.senses;
-        dev.submit(&b).unwrap();
-        first
+    let s1: QueryBatch = [Expr::and_vars([ids[0], ids[1]])].into_iter().collect();
+    let s2: QueryBatch = [Expr::and_vars([ids[1], ids[2]])].into_iter().collect();
+    // Submitting a set twice heats it past the co-fuse threshold; so does
+    // `replay_then_cold`, whose cold submit reports the layout's true
+    // cost to the affinity tracker last.
+    let heat = |dev: &FlashCosmosDevice, b: &QueryBatch| {
+        dev.submit(b).unwrap();
+        dev.submit(b).unwrap();
     };
     // Gather S1 = {0, 1}.
-    heat(&mut dev, &s1);
+    heat(&dev, &s1);
     dev.run_maintenance().unwrap();
-    assert_eq!(heat(&mut dev, &s1), 1, "S1 gathered");
+    assert_eq!(replay_then_cold(&dev, &s1).stats.senses, 1, "S1 gathered");
     let s1_group = dev.group_index_of(ids[0]);
     // Gather S2 = {1, 2}: steals operand 1 from S1's block.
-    heat(&mut dev, &s2);
+    heat(&dev, &s2);
     let stats = dev.run_maintenance().unwrap();
     assert!(stats.jobs_executed >= 1);
     assert_ne!(dev.group_index_of(ids[1]), s1_group, "operand 1 moved out of S1's group");
     // S1 is scattered again; re-observing it must replan and regather.
-    let scattered_again = heat(&mut dev, &s1);
+    let scattered_again = replay_then_cold(&dev, &s1).stats.senses;
     assert!(scattered_again > 1, "S1 re-scattered after the steal");
     let stats = dev.run_maintenance().unwrap();
     assert!(stats.jobs_executed >= 1, "re-scattered set must be plannable again");
-    let mut b = QueryBatch::new();
-    b.push(s1);
-    let warm = dev.submit(&b).unwrap();
+    let warm = replay_then_cold(&dev, &s1);
     assert_eq!(warm.results[0], data[0].and(&data[1]));
     assert_eq!(warm.stats.senses, 1, "S1 regathered to a single sense");
 }
@@ -454,7 +466,7 @@ fn replanned_stragglers_target_the_existing_gather_die() {
         gather_die,
         "straggler must join the group's actual die, worn or not"
     );
-    let warm = dev.submit(&batch).unwrap();
+    let warm = replay_then_cold(&dev, &batch);
     assert_eq!(warm.stats.senses, 1, "fully gathered despite the wear shift");
 }
 

@@ -209,8 +209,9 @@ fn parabit_cross_die_regression() {
 }
 
 /// Migrating operands into a shared group gathers them from several dies
-/// onto one plane (die-internal moves via copyback where possible), and
-/// an `fc_read` after migration is back to a single sense.
+/// onto one plane (die-internal moves via copyback where possible). The
+/// migration keeps the cached result, and a cold `fc_read` after it is
+/// back to a single sense.
 #[test]
 fn migration_regathers_across_dies() {
     let dev = device();
@@ -232,6 +233,10 @@ fn migration_regathers_across_dies() {
     }
     let dies: Vec<_> = ids.iter().map(|&id| dev.operand_dies(id).unwrap()[0]).collect();
     assert!(dies.windows(2).all(|w| w[0] == w[1]), "gathered onto one die: {dies:?}");
+    let (replayed, replay_stats) = dev.fc_read(&expr).unwrap();
+    assert_eq!(replayed, before, "migration preserves data");
+    assert_eq!((replay_stats.senses, replay_stats.cached_units), (0, 1), "a cache hit");
+    dev.clear_result_cache();
     let (after, after_stats) = dev.fc_read(&expr).unwrap();
     assert_eq!(after, before);
     assert_eq!(after_stats.senses, 1, "gathered: single intra-block MWS");

@@ -102,6 +102,12 @@ fn sync_only_traffic_runs_queued_maintenance() {
     let served = dev.submit(&batch).unwrap();
     assert_eq!(served.results, cold.results);
     assert_eq!(dev.pending_jobs(), 0, "the sync read ran every job");
+    // The migrations moved placement, not data: the next read replays
+    // the cached entry, and with the cache cleared it runs gathered.
+    let replayed = dev.submit(&batch).unwrap();
+    assert_eq!(replayed.results, cold.results, "migration preserves data");
+    assert_eq!((replayed.stats.senses, replayed.stats.cached_units), (0, 1), "a cache hit");
+    dev.clear_result_cache();
     let gathered = dev.submit(&batch).unwrap();
     assert_eq!(gathered.results, cold.results, "migration preserves data");
     assert_eq!(gathered.stats.senses, 1, "gathered set is one intra-block MWS");

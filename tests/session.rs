@@ -249,6 +249,46 @@ fn drain_refreshes_a_queued_unit_from_an_earlier_batch() {
     assert_eq!(second.results[0], expect);
 }
 
+/// An async batch queued before a migration is stale by placement: its
+/// programs name the old wordlines, so the drain recompiles it. The
+/// recompile replays the query whose result was cached before the move
+/// (the moved pages read as the same bits), bit-exactly and with no
+/// sense, and senses the other query on the new layout.
+#[test]
+fn a_batch_queued_before_a_migration_recompiles_into_a_cache_hit() {
+    let mut rng = StdRng::seed_from_u64(0xD4A4);
+    let dev = device();
+    let bits = dev.config().page_bits();
+    let data: Vec<BitVec> = (0..3).map(|_| BitVec::random(bits, &mut rng)).collect();
+    let ids: Vec<usize> = (0..3)
+        .map(|i| {
+            let hints = StoreHints::and_group(&format!("solo{i}"));
+            dev.fc_write(&format!("op{i}"), &data[i], hints).unwrap().id
+        })
+        .collect();
+    let all = Expr::and_vars(ids.iter().copied());
+    let pair = Expr::and_vars([ids[0], ids[1]]);
+    // Cache the three-way AND, then queue it beside the uncached pair:
+    // scattered, the pair compiles to one sense per operand.
+    let (cached, _) = dev.fc_read(&all).unwrap();
+    let ticket = dev.submit_async(&[all, pair].into_iter().collect()).unwrap();
+    // Gather the pair's operands into one block.
+    for name in ["op0", "op1"] {
+        dev.migrate_operand(name, StoreHints::and_group("gathered")).unwrap();
+    }
+    let drained = dev.drain().unwrap();
+    let results = ticket.wait(&dev).unwrap();
+    assert_eq!(results.results[0], cached, "the replay is the cached result");
+    assert_eq!(results.results[0], data[0].and(&data[1]).and(&data[2]));
+    assert_eq!(results.results[1], data[0].and(&data[1]));
+    assert_eq!(results.stats.cached_units, 1, "the three-way AND replays its entry");
+    assert_eq!(results.stats.per_query[0].senses, 0.0, "the replay senses nothing");
+    // The pair senses once: the recompiled, gathered program, not the
+    // queued two-sense one.
+    assert_eq!(results.stats.senses, 1);
+    assert_eq!(drained.senses, 1);
+}
+
 /// A drain that fails on one batch drops only that batch: its ticket
 /// reports `UnknownTicket`, while the batch queued behind it stays
 /// pending and answers its own wait.
@@ -275,10 +315,11 @@ fn a_failing_drain_drops_only_its_batch() {
     assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
 }
 
-/// Overwrite and migration invalidation on the synchronous path, plus
-/// handle/geometry stability across `fc_overwrite`.
+/// On the synchronous path an overwrite invalidates cached results and a
+/// migration keeps them, plus handle/geometry stability across
+/// `fc_overwrite`.
 #[test]
-fn overwrite_and_migration_invalidate_cached_results() {
+fn an_overwrite_invalidates_cached_results_and_a_migration_keeps_them() {
     let mut rng = StdRng::seed_from_u64(0x0F11);
     let mut dev = device();
     let (ids, data) = store_group(&mut dev, "g", 3, None, &mut rng);
@@ -295,14 +336,18 @@ fn overwrite_and_migration_invalidate_cached_results() {
     assert!(s.senses > 0, "generation bump forces re-execution");
     assert_eq!(second, data[0].and(&replacement).and(&data[2]));
 
-    // Migration: data unchanged but placement moved — conservatively
-    // invalidated, still bit-exact afterwards.
+    // Migration: placement moved but data unchanged — the entry keeps
+    // answering, and a cold read of the moved layout agrees with it.
     let (warm, s) = dev.fc_read(&expr).unwrap();
     assert_eq!(s.senses, 0, "warm again before the migration");
     dev.migrate_operand("g-2", StoreHints::and_group("elsewhere")).unwrap();
     let (third, s) = dev.fc_read(&expr).unwrap();
-    assert!(s.senses > 0, "migration bump forces re-execution");
+    assert_eq!((s.senses, s.cached_units), (0, 1), "the migration keeps the entry");
     assert_eq!(third, warm, "migration preserves data");
+    dev.clear_result_cache();
+    let (cold, s) = dev.fc_read(&expr).unwrap();
+    assert!(s.senses > 0, "a cold read senses the moved layout");
+    assert_eq!(cold, warm, "migration preserves data");
 
     // Error paths: unknown names and geometry changes are rejected.
     assert!(matches!(
