@@ -16,8 +16,8 @@
 //!   runs on the output of `compile_batch` before any chip is touched
 //!   and checks the plan IR against the operand table: wordline
 //!   co-residency, cross-die merge structure, threshold lowering,
-//!   ML routing, generation snapshots, die-queue assignment, and
-//!   per-query accounting.
+//!   ML routing, unit stamps, die-queue assignment, and per-query
+//!   accounting.
 //! * **Pass 2 — device audit** ([`FlashCosmosDevice::audit`], codes
 //!   `FC101`–`FC107`) cross-checks whole-device metadata: FTL aliasing
 //!   discipline, parity-stripe integrity and coverage, result-cache
@@ -28,11 +28,11 @@
 //! compile, and in the background tail after every
 //! [`FlashCosmosDevice::drain`] or sync read that senses — so the whole
 //! test suite runs with the analyzer armed while release builds pay
-//! nothing. [`AuditConfig`] picks what a finding does per code:
-//! [`AuditMode::Deny`] (default) panics on error-severity findings,
-//! [`AuditMode::Warn`] prints them, [`AuditMode::Off`] skips the code.
-//! Warning-severity findings ([`LintCode::Fc103`] / [`LintCode::Fc104`])
-//! never panic: they flag honest, documented protection gaps.
+//! nothing. One fixed rule says what a finding does there: an
+//! error-severity finding panics at the hook, and a warning-severity one
+//! ([`LintCode::Fc103`] / [`LintCode::Fc104`]) prints and never panics —
+//! it flags an honest, documented protection gap. An explicit
+//! [`FlashCosmosDevice::audit`] call returns every finding instead.
 //!
 //! The analyzer is validated by a **mutation harness** (the
 //! `#[doc(hidden)]` surface below): seeded corruptions of a healthy
@@ -66,18 +66,6 @@ pub enum Severity {
     Error,
 }
 
-/// What the enforcement hooks do with findings of a lint code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AuditMode {
-    /// Panic on error-severity findings, print warning-severity ones.
-    #[default]
-    Deny,
-    /// Print every finding, never panic.
-    Warn,
-    /// Skip the code entirely.
-    Off,
-}
-
 /// The typed lint codes. `FC0xx` are plan-lint (pass 1) codes, `FC1xx`
 /// device-audit (pass 2) codes; see `LINTS.md` for the full catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,7 +79,8 @@ pub enum LintCode {
     Fc003,
     /// A multi-level operand routed into an in-flash execute unit.
     Fc004,
-    /// Compile-time generation/epoch snapshot disagrees with the table.
+    /// A unit stamp's epoch or data generations disagree with the
+    /// device.
     Fc005,
     /// Die-queue assignment disagrees with cached placement.
     Fc006,
@@ -118,7 +107,7 @@ pub enum LintCode {
 }
 
 impl LintCode {
-    /// Every code, plan pass first — iteration order for config and docs.
+    /// Every code, plan pass first — iteration order for docs and tests.
     pub const ALL: [LintCode; 14] = [
         LintCode::Fc001,
         LintCode::Fc002,
@@ -199,45 +188,6 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// The analyzer ruleset: a default [`AuditMode`] plus per-code
-/// overrides. The default configuration denies everything.
-#[derive(Debug, Clone, Default)]
-pub struct AuditConfig {
-    default: AuditMode,
-    overrides: HashMap<LintCode, AuditMode>,
-}
-
-impl AuditConfig {
-    /// Deny-by-default ruleset (what devices start with).
-    pub fn deny() -> Self {
-        Self::default()
-    }
-
-    /// Disarmed ruleset: the enforcement hooks do nothing. Explicit
-    /// [`FlashCosmosDevice::audit`] calls still report.
-    pub fn off() -> Self {
-        Self { default: AuditMode::Off, overrides: HashMap::new() }
-    }
-
-    /// Overrides the mode of one code.
-    #[must_use]
-    pub fn with_override(mut self, code: LintCode, mode: AuditMode) -> Self {
-        self.overrides.insert(code, mode);
-        self
-    }
-
-    /// The effective mode of a code.
-    pub fn mode_for(&self, code: LintCode) -> AuditMode {
-        self.overrides.get(&code).copied().unwrap_or(self.default)
-    }
-
-    /// Whether any code is armed at all (the hooks short-circuit when
-    /// everything is off).
-    pub fn armed(&self) -> bool {
-        self.default != AuditMode::Off || self.overrides.values().any(|&m| m != AuditMode::Off)
-    }
-}
-
 fn finding(code: LintCode, location: String, message: String, hint: &str) -> Finding {
     Finding { code, severity: code.default_severity(), location, message, hint: hint.to_string() }
 }
@@ -251,36 +201,26 @@ fn sort_findings(findings: &mut [Finding]) {
 // Enforcement hooks (wired under `debug_assertions` in batch/session).
 // ---------------------------------------------------------------------------
 
-/// Applies the device's ruleset to pass-1 findings over a freshly
-/// compiled batch: panic on denied errors, print the rest.
+/// Enforces pass-1 findings over a freshly compiled batch: panics on
+/// errors, prints warnings.
 #[cfg(debug_assertions)]
 pub(crate) fn enforce_plan(dev: &DeviceCore, compiled: &CompiledBatch) {
-    if !dev.audit_cfg.armed() {
-        return;
-    }
-    enforce(&dev.audit_cfg, lint_plan(dev, compiled), "plan");
+    enforce(lint_plan(dev, compiled), "plan");
 }
 
-/// Applies the device's ruleset to pass-2 findings after a drain.
+/// Enforces pass-2 findings after a serving pass.
 #[cfg(debug_assertions)]
 pub(crate) fn enforce_device(dev: &DeviceCore) {
-    if !dev.audit_cfg.armed() {
-        return;
-    }
-    enforce(&dev.audit_cfg, dev.audit(), "device");
+    enforce(dev.audit(), "device");
 }
 
 #[cfg(debug_assertions)]
-fn enforce(cfg: &AuditConfig, findings: Vec<Finding>, pass: &str) {
+fn enforce(findings: Vec<Finding>, pass: &str) {
     let mut fatal: Vec<Finding> = Vec::new();
     for f in findings {
-        match cfg.mode_for(f.code) {
-            AuditMode::Off => {}
-            AuditMode::Warn => eprintln!("[fc_audit:{pass}] {f}"),
-            AuditMode::Deny => match f.severity {
-                Severity::Warning => eprintln!("[fc_audit:{pass}] {f}"),
-                Severity::Error => fatal.push(f),
-            },
+        match f.severity {
+            Severity::Warning => eprintln!("[fc_audit:{pass}] {f}"),
+            Severity::Error => fatal.push(f),
         }
     }
     if !fatal.is_empty() {
@@ -453,7 +393,8 @@ fn batch_residency(dev: &DeviceCore, compiled: &CompiledBatch) -> ResidencyMap {
     let cfg = dev.ssd.config();
     let wpb = cfg.wls_per_block;
     let mut page_of: Vec<Option<(OperandId, usize)>> = vec![None; dev.next_lpn as usize];
-    for &(id, _) in &compiled.snapshot {
+    let stamped = compiled.units.iter().flat_map(|unit| &unit.stamp.gens);
+    for &(id, _) in stamped {
         let Some(record) = dev.operands.get(id) else { continue };
         if record.ml {
             continue; // ML wordlines never join an MWS sense (FC004)
@@ -483,38 +424,11 @@ fn batch_residency(dev: &DeviceCore, compiled: &CompiledBatch) -> ResidencyMap {
 pub(crate) fn lint_plan(dev: &DeviceCore, compiled: &CompiledBatch) -> Vec<Finding> {
     let mut out = Vec::new();
     let n = compiled.queries();
-
-    // FC005 — batch-level epoch and placement-generation snapshot.
-    if compiled.epoch != dev.epoch {
-        out.push(finding(
-            LintCode::Fc005,
-            "batch".to_string(),
-            format!(
-                "compiled at epoch {} but the device is at epoch {}",
-                compiled.epoch, dev.epoch
-            ),
-            "recompile the batch; stale queued batches must go through recompile_batch",
-        ));
-    }
-    for &(id, gen) in &compiled.snapshot {
-        let live = dev.operand_generation(id);
-        if live != gen {
-            out.push(finding(
-                LintCode::Fc005,
-                "batch snapshot".to_string(),
-                format!(
-                    "operand v{id} snapshotted at placement generation {gen} but the table holds {live}"
-                ),
-                "mutations must bump generations through the device chokepoints before compiling",
-            ));
-        }
-    }
-
     let residency = batch_residency(dev, compiled);
     let mut scratch = UnitScratch::new(dev.operands.len());
     let mut covered = vec![false; n];
     for (ui, unit) in compiled.units.iter().enumerate() {
-        lint_unit(dev, compiled, &residency, ui, unit, &mut covered, &mut scratch, &mut out);
+        lint_unit(dev, &residency, ui, unit, &mut covered, &mut scratch, &mut out);
     }
     for (qi, seen) in covered.iter().enumerate() {
         if !seen {
@@ -530,10 +444,8 @@ pub(crate) fn lint_plan(dev: &DeviceCore, compiled: &CompiledBatch) -> Vec<Findi
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lint_unit(
     dev: &DeviceCore,
-    compiled: &CompiledBatch,
     residency: &ResidencyMap,
     ui: usize,
     unit: &PlannedUnit,
@@ -578,14 +490,14 @@ fn lint_unit(
         }
     }
 
-    // FC005 — per-unit stamps hold data generations.
-    if unit.stamp.epoch != compiled.epoch {
+    // FC005 — unit stamps hold the device epoch and data generations.
+    if unit.stamp.epoch != dev.epoch {
         out.push(finding(
             LintCode::Fc005,
             loc(""),
             format!(
-                "unit stamped epoch {} in a batch compiled at {}",
-                unit.stamp.epoch, compiled.epoch
+                "unit stamped epoch {} but the device is at epoch {}",
+                unit.stamp.epoch, dev.epoch
             ),
             "unit stamps must embed the compile-time epoch",
         ));
@@ -1628,11 +1540,10 @@ pub enum DeviceMutation {
 
 impl DeviceCore {
     /// Compiles a batch into a [`PlanProbe`] for the mutation harness
-    /// (and the plan-lint benchmarks). Uses the recompile path, so the
-    /// maintenance affinity tracker is not fed.
+    /// (and the plan-lint benchmarks), the way every read compiles it.
     #[doc(hidden)]
     pub fn compile_probe(&self, batch: &QueryBatch) -> Result<PlanProbe, FcError> {
-        Ok(PlanProbe { compiled: self.recompile_batch(batch)? })
+        Ok(PlanProbe { compiled: self.compile_batch(batch)? })
     }
 
     /// Runs pass 1 over a probe without enforcement.
@@ -1848,8 +1759,7 @@ impl FlashCosmosDevice {
     }
 
     /// Compiles a batch into a [`PlanProbe`] for the mutation harness
-    /// (and the plan-lint benchmarks). Uses the recompile path, so the
-    /// maintenance affinity tracker is not fed.
+    /// (and the plan-lint benchmarks), the way every read compiles it.
     #[doc(hidden)]
     pub fn compile_probe(&self, batch: &QueryBatch) -> Result<PlanProbe, FcError> {
         self.core().compile_probe(batch)

@@ -283,16 +283,15 @@ struct Unit {
 /// `nnf`, its operands are the ids of its stamp, and an executed unit's
 /// sense total is its leaf programs' ([`UnitWork::senses`]).
 pub(crate) enum UnitWork {
-    /// Served from the cross-batch result cache: the unit's full output
-    /// (snapshotted at compile time — valid as long as the operand data
-    /// generations in the unit's stamp hold) plus the senses the hit
-    /// saved.
+    /// Served from the cross-batch result cache: the unit's full output,
+    /// copied at compile time under the read guard the batch is served
+    /// under (so the data generations in the unit's stamp still hold when
+    /// it replays), plus the senses the hit saved.
     Cached {
         /// The memoized unit output (`pages × page_bits` bits).
         result: BitVec,
         /// Senses the hit saved: what the execution that computed
-        /// `result` cost, or, for a unit a drain swaps to a replay, what
-        /// its own compiled programs cost.
+        /// `result` cost.
         senses: u64,
     },
     /// Controller evaluation: the unit touches a multi-level operand
@@ -351,8 +350,9 @@ pub(crate) struct PlannedUnit {
 }
 
 /// A batch compiled against the current placement and cache state, ready
-/// to execute — immediately ([`FlashCosmosDevice::submit_into`]) or
-/// queued ([`FlashCosmosDevice::submit_async`]).
+/// to execute under the read guard it was compiled under — by a sync read
+/// ([`FlashCosmosDevice::submit_into`]) or by the drain that claimed it
+/// ([`FlashCosmosDevice::drain`]).
 pub(crate) struct CompiledBatch {
     pub(crate) q_bits: Vec<usize>,
     pub(crate) q_pages: Vec<usize>,
@@ -363,11 +363,6 @@ pub(crate) struct CompiledBatch {
     pub(crate) deduped_queries: usize,
     /// [`BatchStats::serial_senses`].
     pub(crate) serial_senses: u64,
-    /// Placement generation of every operand the batch references, plus
-    /// the device epoch — the staleness check for queued batches, whose
-    /// programs name the wordlines the operands sat on at compile time.
-    pub(crate) epoch: u64,
-    pub(crate) snapshot: Vec<(OperandId, u64)>,
     /// Whether executed unit results enter the result cache. Off for
     /// ParaBit plans: a baseline run must not turn a later Flash-Cosmos
     /// read of the same expression into a cache hit.
@@ -385,27 +380,10 @@ impl DeviceCore {
     /// Compiles a batch against the current placement, one plan unit per
     /// canonically distinct query, consulting the cross-batch result
     /// cache per unit — the planning half of every Flash-Cosmos read,
-    /// sync or async. Records each unit's
-    /// operand set with the maintenance affinity tracker — one
-    /// observation per *submission*, so the drain-time recompile of a
-    /// stale async batch uses [`Self::recompile_batch`] instead (the
-    /// client queried once, no matter how often the batch recompiles).
+    /// sync or async (a drain compiles each batch it claims). Records
+    /// each unit's operand set with the maintenance affinity tracker:
+    /// every submission compiles once, so it is one observation.
     pub(crate) fn compile_batch(&self, batch: &QueryBatch) -> Result<CompiledBatch, FcError> {
-        self.compile_batch_inner(batch, true)
-    }
-
-    /// [`Self::compile_batch`] for drain-time recompilation of a stale
-    /// queued batch: identical plan, but the affinity tracker is not fed
-    /// a second time.
-    pub(crate) fn recompile_batch(&self, batch: &QueryBatch) -> Result<CompiledBatch, FcError> {
-        self.compile_batch_inner(batch, false)
-    }
-
-    fn compile_batch_inner(
-        &self,
-        batch: &QueryBatch,
-        record_affinity: bool,
-    ) -> Result<CompiledBatch, FcError> {
         let n = batch.len();
 
         // Validate every query and capture its geometry.
@@ -441,26 +419,15 @@ impl DeviceCore {
 
         let caps = PlannerCaps::for_config(self.ssd.config());
 
-        // Canonical duplicates name the same operands, so the units' ids
-        // cover the batch. The snapshot holds placement generations (a
-        // queued batch's programs name wordlines); unit stamps hold data
-        // generations (a cached result names bits), so a migration makes
-        // the batch stale while its units' entries stay valid.
-        let epoch = self.epoch;
-        let mut batch_ids: Vec<OperandId> =
-            units.iter().flat_map(|u| u.ids.iter().copied()).collect();
-        batch_ids.sort_unstable();
-        batch_ids.dedup();
-        let snapshot: Vec<(OperandId, u64)> =
-            batch_ids.into_iter().map(|id| (id, self.operand_generation(id))).collect();
-
-        // Compile every unit: a cache hit snapshots the memoized result
-        // (no plans compiled, no senses queued); a miss compiles each
-        // stripe into a cross-die plan whose leaves queue on their dies.
+        // Compile every unit: a cache hit copies the memoized result (no
+        // plans compiled, no senses queued); a miss compiles each stripe
+        // into a cross-die plan whose leaves queue on their dies. Unit
+        // stamps hold data generations (a cached result names bits), so a
+        // migration leaves a unit's entry valid.
         let mut planned: Vec<PlannedUnit> = Vec::with_capacity(units.len());
         for unit in units {
             let gens = unit.ids.iter().map(|&id| (id, self.operand_data_generation(id))).collect();
-            let stamp = Stamp { epoch, gens };
+            let stamp = Stamp { epoch: self.epoch, gens };
             let cached = self
                 .session
                 .cache()
@@ -478,14 +445,12 @@ impl DeviceCore {
             };
             // The maintenance layer's observation stream: this set was
             // fused again (a cache hit counts too).
-            if record_affinity {
-                self.session.affinity().record(
-                    &unit.ids,
-                    work.senses(),
-                    unit.pages as u64,
-                    unit.consumers.len() as u64,
-                );
-            }
+            self.session.affinity().record(
+                &unit.ids,
+                work.senses(),
+                unit.pages as u64,
+                unit.consumers.len() as u64,
+            );
             planned.push(PlannedUnit {
                 pages: unit.pages,
                 consumers: unit.consumers,
@@ -531,8 +496,6 @@ impl DeviceCore {
             units: planned,
             deduped_queries,
             serial_senses,
-            epoch,
-            snapshot,
             memoize: true,
         };
         // Pass 1 of the static analyzer: lint the plan IR before any chip
@@ -561,7 +524,6 @@ impl DeviceCore {
             .map_err(FcError::Plan)
         })?;
         let serial_senses = work.senses();
-        let snapshot = ids.iter().map(|&id| (id, self.operand_generation(id))).collect();
         let gens = ids.iter().map(|&id| (id, self.operand_data_generation(id))).collect();
         Ok(CompiledBatch {
             q_bits: vec![bits],
@@ -576,16 +538,16 @@ impl DeviceCore {
             }],
             deduped_queries: 0,
             serial_senses,
-            epoch: self.epoch,
-            snapshot,
             memoize: false,
         })
     }
 
     /// A query's vector length and stripe count, after checking that it
     /// names at least one operand and that every operand it names exists
-    /// and has the same geometry.
-    fn query_geometry(&self, expr: &Expr) -> Result<(usize, usize), FcError> {
+    /// and has the same geometry — the admission check of
+    /// [`FlashCosmosDevice::submit_async`], and the first step of every
+    /// compile.
+    pub(crate) fn query_geometry(&self, expr: &Expr) -> Result<(usize, usize), FcError> {
         let ids = expr.operands();
         let first = self.record(*ids.first().ok_or(FcError::SizeMismatch)?)?;
         let (bits, pages) = (first.bits, first.lpns.len());
@@ -596,29 +558,6 @@ impl DeviceCore {
             }
         }
         Ok((bits, pages))
-    }
-
-    /// Re-consults the result cache for every still-executable unit of a
-    /// compiled batch. Async batches compile at `submit_async` time —
-    /// before earlier queued batches have executed — so a unit another
-    /// in-flight batch also computes misses at compile; by drain time the
-    /// earlier batch's execution has populated the cache and this swap
-    /// turns the duplicate work into a replay. A hit needs the unit's
-    /// stamp, which is current because this drain just found the batch's
-    /// placement snapshot current (every data-generation bump also bumps
-    /// the placement generation), so a swapped-in entry is valid by
-    /// construction (stale batches are recompiled instead).
-    pub(crate) fn refresh_cache_hits(&self, compiled: &mut CompiledBatch) {
-        for unit in &mut compiled.units {
-            if !matches!(unit.work, UnitWork::Execute { .. }) {
-                continue;
-            }
-            let hit =
-                self.session.cache().peek_hit(&unit.key, &unit.stamp).map(|e| e.result.clone());
-            if let Some(result) = hit {
-                unit.work = UnitWork::Cached { result, senses: unit.work.senses() };
-            }
-        }
     }
 
     /// Executes a compiled batch on the chips: leaves run die-major (each

@@ -253,10 +253,11 @@ pub(crate) struct OperandRecord {
     pub(crate) group_index: u64,
     /// Placement generation: bumped by every mutation of the operand's
     /// data or placement (`fc_overwrite`, `migrate_operand`, parity
-    /// rebuilds, fault injection). What reads physical placement is
-    /// stamped with it — a queued batch's snapshot and a regroup job's
-    /// expected generation — so queued work planned against old
-    /// wordlines is recompiled or retired (see [`crate::session`]).
+    /// rebuilds, fault injection). A regroup job is stamped with it, so a
+    /// job planned against old wordlines is retired (see
+    /// [`crate::maintenance`]). Queued async batches need no stamp: the
+    /// drain that claims one compiles it against current placement (see
+    /// [`crate::session`]).
     pub(crate) generation: u64,
     /// Data generation: taken from the same counter as `generation`, by
     /// every one of its bumps except a migration's, which moves pages
@@ -281,7 +282,7 @@ pub(crate) struct GroupPlace {
 
 /// The single-owner state of the Flash-Cosmos device: operand and
 /// placement tables, the functional SSD, the background job queue, the
-/// audit ruleset, the recovery state, and the epoch/generation counters.
+/// recovery state, and the epoch/generation counters.
 ///
 /// Everything here is guarded by the `RwLock` inside
 /// [`FlashCosmosDevice`]: the hot serving path (batch compile and the
@@ -314,9 +315,6 @@ pub(crate) struct DeviceCore {
     pub(crate) jobs_retired_total: u64,
     /// Background jobs that ever failed.
     pub(crate) jobs_failed_total: u64,
-    /// Ruleset of the static analyzer (see [`crate::audit`]): what the
-    /// debug-build plan-lint and device-audit hooks do per lint code.
-    pub(crate) audit_cfg: crate::audit::AuditConfig,
     pub(crate) next_lpn: u64,
     /// Async submission queues + cross-batch result cache (see
     /// [`crate::session`]). Shared with the [`FlashCosmosDevice`]
@@ -332,8 +330,7 @@ pub(crate) struct DeviceCore {
     /// Device epoch: bumped by any hazard the per-operand generations
     /// cannot see (raw [`Self::ssd_mut`] access — reliability-mode
     /// changes, fault injection, erases). Part of every result-cache stamp,
-    /// so an epoch bump structurally invalidates all cached results and
-    /// queued compiled work.
+    /// so an epoch bump structurally invalidates all cached results.
     pub(crate) epoch: u64,
     /// Monotonic source of placement and data generations — never
     /// reused, even across operands, so an (operand, generation) pair
@@ -370,7 +367,6 @@ impl DeviceCore {
             retired_jobs: VecDeque::new(),
             jobs_retired_total: 0,
             jobs_failed_total: 0,
-            audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
             session: Arc::new(crate::session::Session::default()),
             die_load,
@@ -385,8 +381,8 @@ impl DeviceCore {
     ///
     /// Raw mutable access can change anything the result cache depends on
     /// (retention age, block wear, even stored bits), so taking it bumps
-    /// the device epoch: every cached result and queued async compilation
-    /// is structurally invalidated — same hazard discipline as the
+    /// the device epoch: every cached result is structurally
+    /// invalidated — same hazard discipline as the
     /// per-operand generations, applied to mutations the device cannot
     /// itemize.
     pub fn ssd_mut(&mut self) -> &mut SsdDevice {
@@ -394,8 +390,7 @@ impl DeviceCore {
         &mut self.ssd
     }
 
-    /// Bumps the device epoch, invalidating the result cache and any
-    /// compiled-but-not-drained async batches.
+    /// Bumps the device epoch, invalidating the result cache.
     pub(crate) fn bump_epoch(&mut self) {
         self.epoch += 1;
         self.session.cache().clear();
@@ -725,10 +720,11 @@ impl DeviceCore {
     /// trimmed.
     ///
     /// The operand's placement and data **generations** are bumped, so
-    /// every result-cache entry and queued async compilation that
-    /// observed the old data is structurally invalidated (see
-    /// [`crate::session`]). Queries submitted after the overwrite (and
-    /// async batches drained after it) observe the new data.
+    /// every result-cache entry that observed the old data is
+    /// structurally invalidated, and every queued regroup job over the
+    /// operand is retired (see [`crate::session`]). Queries submitted
+    /// after the overwrite, and async batches drained after it (a drain
+    /// compiles the batches it claims), observe the new data.
     ///
     /// # Errors
     ///
@@ -875,11 +871,11 @@ impl DeviceCore {
         self.operands[id].group_index = group_index;
         self.operands[id].planes = planes;
         // Placement moved but the data did not: a fresh placement
-        // generation retires every queued compiled program and regroup job
-        // planned against the old wordlines (the same hazard class as the
-        // poisoned placement cache, fixed structurally via generation
-        // stamping), while the data generation, and with it every cached
-        // result over this operand, stays valid.
+        // generation retires every regroup job planned against the old
+        // wordlines (the same hazard class as the poisoned placement
+        // cache, fixed structurally via generation stamping), while the
+        // data generation, and with it every cached result over this
+        // operand, stays valid.
         self.bump_placement_generation(id);
         // Stripe geometry followed the pages: re-chunk the parity so the
         // die-disjointness invariant holds on the new placement.
@@ -990,8 +986,8 @@ impl FlashCosmosDevice {
     ///
     /// Raw mutable access can change anything the result cache depends on
     /// (retention age, block wear, even stored bits), so taking it bumps
-    /// the device epoch: every cached result and queued async compilation
-    /// is structurally invalidated — same hazard discipline as the
+    /// the device epoch: every cached result is structurally
+    /// invalidated — same hazard discipline as the
     /// per-operand generations, applied to mutations the device cannot
     /// itemize. Requires `&mut self`: raw SSD access is exclusive by
     /// construction and never contends with the serving path.
@@ -1014,13 +1010,6 @@ impl FlashCosmosDevice {
     /// [`crate::maintenance`]; fresh placement groups ignore wear).
     pub fn plane_wear(&self) -> Vec<u64> {
         self.core().plane_wear()
-    }
-
-    /// Replaces the static analyzer's ruleset (see [`crate::audit`]):
-    /// the default mode and any per-code overrides the debug-build
-    /// plan-lint and device-audit hooks apply.
-    pub fn set_audit_config(&mut self, cfg: crate::audit::AuditConfig) {
-        self.core_mut().audit_cfg = cfg;
     }
 
     /// Stores an operand vector for in-flash computation.
@@ -1064,11 +1053,12 @@ impl FlashCosmosDevice {
 
     /// Overwrites a stored operand's data in place (same name, same
     /// handle, same placement group, polarity and programming scheme).
-    /// Takes the device write lock; the operand's placement generation is
-    /// bumped, so cached results and queued async compilations that
-    /// observed the old data are structurally invalidated — concurrent
-    /// submitters racing this overwrite observe either the old or the new
-    /// data, never a mix (see [`crate::session`]).
+    /// Takes the device write lock; the operand's placement and data
+    /// generations are bumped, so cached results that observed the old
+    /// data are structurally invalidated — concurrent submitters racing
+    /// this overwrite observe either the old or the new data, never a
+    /// mix, and a queued async batch observes whatever its drain compiles
+    /// against (see [`crate::session`]).
     ///
     /// # Errors
     ///
@@ -1134,10 +1124,11 @@ impl FlashCosmosDevice {
     /// chip's copyback fast path (vs controller rewrite).
     ///
     /// The operand's pages read as the same bits afterwards, so only its
-    /// placement generation is bumped: async batches queued before the
-    /// move recompile at drain against the new wordlines, while result-
-    /// cache entries over the operand (stamped with its unchanged data
-    /// generation, see [`crate::session`]) keep answering.
+    /// placement generation is bumped: regroup jobs planned against the
+    /// old wordlines retire, while result-cache entries over the operand
+    /// (stamped with its unchanged data generation, see
+    /// [`crate::session`]) keep answering. Async batches queued before
+    /// the move compile at drain, against the new wordlines.
     ///
     /// # Errors
     ///

@@ -29,16 +29,17 @@
 //!   ([`BatchStats`] — the one per-pass stats record:
 //!   `fc_read`, `parabit_read` and [`FcCluster`] passes return it too).
 //! * [`session`] — queue-first submission on top of the batch API:
-//!   [`FlashCosmosDevice::submit_async`] compiles batches into per-die
-//!   work queues and returns a [`Ticket`]; [`FlashCosmosDevice::drain`]
-//!   retires everything queued in one pass whose modeled critical path
-//!   overlaps batches on idle dies ([`DrainStats`]); and a cross-batch
+//!   [`FlashCosmosDevice::submit_async`] checks and queues batches and
+//!   returns a [`Ticket`]; [`FlashCosmosDevice::drain`] compiles each
+//!   queued batch into per-die work queues and retires everything in one
+//!   pass whose modeled critical path overlaps batches on idle dies
+//!   ([`DrainStats`]); and a cross-batch
 //!   **result cache** keyed by canonical form and stamped with
 //!   per-operand *data generations* replays repeated units without
 //!   sensing — overwrites ([`FlashCosmosDevice::fc_overwrite`]) and
 //!   raw-SSD access bump the stamps, so stale results are structurally
 //!   unservable, while a migration moves only an operand's *placement
-//!   generation* (which queued batches are checked against), so a
+//!   generation* (which queued regroup jobs are checked against), so a
 //!   regrouped query keeps its entry. The cache retains by hit
 //!   frequency × senses saved and refuses inserts that score below every
 //!   resident entry.
@@ -147,7 +148,7 @@ pub mod reliability;
 pub mod session;
 pub mod timeline;
 
-pub use audit::{AuditConfig, AuditMode, Finding, LintCode, Severity};
+pub use audit::{Finding, LintCode, Severity};
 pub use batch::{
     BatchResults, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId, QueryStats,
 };

@@ -6,11 +6,12 @@
 //! predicates across them. This module adds both halves:
 //!
 //! * **Async ticketed submission** —
-//!   [`FlashCosmosDevice::submit_async`] compiles a batch into per-die
-//!   program queues *without executing anything* and returns a
-//!   [`Ticket`]. [`FlashCosmosDevice::drain`] retires everything queued
-//!   in one pass; [`Ticket::wait`] drains (if needed) and hands back that
-//!   batch's [`BatchResults`]. Dies execute their queues independently,
+//!   [`FlashCosmosDevice::submit_async`] checks a batch's operands and
+//!   queues it *without compiling or executing anything*, returning a
+//!   [`Ticket`]. [`FlashCosmosDevice::drain`] compiles each queued batch
+//!   into per-die program queues and retires everything in one pass;
+//!   [`Ticket::wait`] drains (if needed) and hands back that batch's
+//!   [`BatchResults`]. Dies execute their queues independently,
 //!   so two in-flight batches interleave on idle dies: the combined
 //!   modeled critical path ([`DrainStats::combined_critical_path_us`],
 //!   busiest die of the summed [`DieQueues`] occupancy) sits at or below
@@ -39,12 +40,13 @@
 //! device's queued background jobs (regroup migrations and scrub refreshes,
 //! see [`crate::maintenance`]) into that pass's idle-die slack and runs the
 //! debug-build device audit; a failing job is counted, not returned, so it
-//! never costs the pass its results. A drain runs serve once per claimed
-//! batch (after its staleness recompile and cache refresh) and the tail
-//! once per drain. `submit`, `submit_into`, `fc_read`, `fc_read_into` and
-//! `parabit_read` compile under the read guard, serve, drop the guard and
-//! run the tail — the same sequence, without the queue, so a sync caller
-//! never runs other clients' batches or meets `Overloaded`. The tail takes
+//! never costs the pass its results. A drain compiles and serves each
+//! batch it claims under its read guard, and runs the tail once per drain.
+//! `submit`, `submit_into`, `fc_read`, `fc_read_into` and `parabit_read`
+//! compile under the read guard, serve, drop the guard and run the tail —
+//! the same sequence, without the queue, so a sync caller never runs
+//! other clients' batches or meets `Overloaded`. Every batch therefore
+//! compiles once, against the placement it is sensed on. The tail takes
 //! the write lock only when background jobs are due, or, in debug builds,
 //! for the audit after a pass that sensed (a pure cache replay changes
 //! nothing the audit checks).
@@ -64,17 +66,18 @@
 //! stamps never compare data — they compare *generations*. Each operand
 //! carries two, drawn from one monotonic counter: a **data** generation,
 //! which unit stamps and cache entries hold, and a **placement**
-//! generation, which a queued batch's snapshot holds (its programs name
-//! wordlines). Every mutation that could change what a compiled program
-//! senses bumps a value the snapshot includes; every mutation that could
-//! change what a query answers bumps a value the stamp includes:
+//! generation, which a queued regroup job holds (it moves pages planned
+//! against the operand's old wordlines, see [`crate::maintenance`]).
+//! Every mutation that could change what a query answers bumps a value
+//! the stamp includes; every mutation that could move an operand's pages
+//! bumps a value the job includes:
 //!
-//! | hazard | data generation (cache stamps) | placement generation (queued snapshots) |
+//! | hazard | data generation (cache stamps) | placement generation (regroup jobs) |
 //! |---|---|---|
 //! | [`FlashCosmosDevice::fc_overwrite`] (name overwrite) | bumped | bumped |
 //! | [`FlashCosmosDevice::migrate_operand`] (placement move, same bits) | kept | bumped |
 //! | parity rebuilds and [`FlashCosmosDevice::inject_faults`] (itemized faults) | bumped | bumped |
-//! | raw [`FlashCosmosDevice::ssd_mut`] access (reliability-mode changes, wear/fault injection, erases) | the device epoch (which also clears the cache) | the device epoch |
+//! | raw [`FlashCosmosDevice::ssd_mut`] access (reliability-mode changes, wear/fault injection, erases) | the device epoch (which also clears the cache) | kept |
 //!
 //! A generation is drawn from a monotonic counter and never reused, so a
 //! stamp identifies one immutable snapshot of its operands' data; an
@@ -83,14 +86,17 @@
 //! invalidation is designed in, not patched on). It stays resident until
 //! its query next executes, and that execution overwrites its result and
 //! stamp in place. Every insert carries the live stamp — it runs under the
-//! read guard of its own compile or drain staleness check, and generations
-//! move only under the write guard — so a refresh never moves an entry
-//! back to older data. At drain time a queued batch whose snapshot no
-//! longer matches is **recompiled** against current placement, so async
-//! queries always observe drain-time data — identical to what a
-//! synchronous submit at drain time would return. A batch that went stale
-//! only through a migration recompiles, and its units still replay the
-//! entries resident for their queries.
+//! read guard its unit was compiled under, and generations move only
+//! under the write guard — so a refresh never moves an entry back to
+//! older data.
+//!
+//! A queued async batch holds no compiled state at all, only its source
+//! queries: the drain that claims it compiles it under the same read
+//! guard it serves it under. So async queries observe drain-time data by
+//! construction — identical to what a synchronous submit at drain time
+//! would return — and their units consult the cache like any compile: a
+//! unit that an earlier batch of the same drain computed, or that was
+//! cached before a migration regrouped its operands, replays its entry.
 //!
 //! ```
 //! use flash_cosmos::device::{FlashCosmosDevice, StoreHints};
@@ -280,17 +286,6 @@ impl ResultCache {
     /// names, counting a hit; a miss — no entry, or one whose stamp went
     /// stale — is counted and earns the stale entry nothing.
     pub(crate) fn lookup(&mut self, key: &Nnf, stamp: &Stamp) -> Option<&CacheEntry> {
-        self.answer(key, stamp, true)
-    }
-
-    /// Like [`ResultCache::lookup`] but for re-checking a unit that
-    /// already missed (and was counted) at compile time: a hit is
-    /// counted, a still-miss is not double-counted.
-    pub(crate) fn peek_hit(&mut self, key: &Nnf, stamp: &Stamp) -> Option<&CacheEntry> {
-        self.answer(key, stamp, false)
-    }
-
-    fn answer(&mut self, key: &Nnf, stamp: &Stamp, count_miss: bool) -> Option<&CacheEntry> {
         match self.entries.get_mut(key) {
             Some(entry) if entry.stamp == *stamp => {
                 rescore(&mut self.order, entry, |e| e.hits += 1);
@@ -298,7 +293,7 @@ impl ResultCache {
                 Some(entry)
             }
             _ => {
-                self.misses += u64::from(count_miss);
+                self.misses += 1;
                 None
             }
         }
@@ -339,8 +334,8 @@ impl ResultCache {
     /// at most one entry. Otherwise the result and stamp are cloned, and
     /// the key shared, only when the cache admits the entry, not when it
     /// refuses one. Callers pass the live stamp (inserts run under the
-    /// read guard their unit's stamp was checked under), so a refresh
-    /// never moves an entry back to older data.
+    /// read guard their unit was compiled and stamped under), so a
+    /// refresh never moves an entry back to older data.
     pub(crate) fn insert(&mut self, key: &CacheKey, stamp: &Stamp, result: &BitVec, senses: u64) {
         if self.capacity == 0 {
             return;
@@ -429,14 +424,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A batch queued by [`FlashCosmosDevice::submit_async`], waiting for a
-/// drain.
+/// A batch queued by [`FlashCosmosDevice::submit_async`], waiting for the
+/// drain that compiles and serves it.
 pub(crate) struct PendingBatch {
     seq: u64,
-    /// The source queries, kept so a stale compilation can be redone
-    /// against drain-time placement.
     source: QueryBatch,
-    compiled: CompiledBatch,
 }
 
 /// Handle to one async-submitted batch. Obtained from
@@ -460,8 +452,8 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// [`FcError::UnknownTicket`] when waited on twice, plus anything
-    /// [`FlashCosmosDevice::drain`] can return.
+    /// [`FcError::UnknownTicket`] when waited on twice, plus what
+    /// [`FlashCosmosDevice::wait`] returns.
     pub fn wait(self, dev: &FlashCosmosDevice) -> Result<BatchResults, FcError> {
         dev.wait(self)
     }
@@ -630,20 +622,16 @@ impl Session {
         self.admission_capacity.store(capacity, Ordering::Relaxed);
     }
 
-    /// Admits a compiled batch into the pending queue, or refuses with
+    /// Admits a checked batch into the pending queue, or refuses with
     /// [`FcError::Overloaded`] when the queue is at capacity.
-    pub(crate) fn enqueue(
-        &self,
-        source: QueryBatch,
-        compiled: CompiledBatch,
-    ) -> Result<Ticket, FcError> {
+    pub(crate) fn enqueue(&self, source: QueryBatch) -> Result<Ticket, FcError> {
         let mut tickets = lock(&self.tickets);
         if tickets.pending.len() >= self.admission_capacity() {
             return Err(FcError::Overloaded { queued: tickets.pending.len() });
         }
         let seq = tickets.next_seq;
         tickets.next_seq += 1;
-        tickets.pending.push_back(PendingBatch { seq, source, compiled });
+        tickets.pending.push_back(PendingBatch { seq, source });
         Ok(Ticket { seq })
     }
 
@@ -719,13 +707,14 @@ impl DeviceCore {
 }
 
 impl FlashCosmosDevice {
-    /// Queues a batch for execution without blocking: the batch is
-    /// compiled (canonical dedup, cache consultation, per-die program
-    /// queues) but **no chip executes anything** until
-    /// [`FlashCosmosDevice::drain`] or [`Ticket::wait`]. Batches queued
-    /// together retire in one pass, interleaving on idle dies — see
-    /// [`crate::session`] for the overlap model and the staleness rules.
-    /// Runs under the shared device lock: N threads submit concurrently.
+    /// Queues a batch for execution without blocking: every query is
+    /// checked — it names operands that exist and share one geometry —
+    /// and the batch is queued, but **nothing is compiled or executed**
+    /// until [`FlashCosmosDevice::drain`] or [`Ticket::wait`] claims it.
+    /// Batches queued together retire in one pass, interleaving on idle
+    /// dies — see [`crate::session`] for the overlap model and the
+    /// staleness rules. Runs under the shared device lock: N threads
+    /// submit concurrently.
     ///
     /// ## Backpressure contract
     ///
@@ -739,13 +728,18 @@ impl FlashCosmosDevice {
     ///
     /// # Errors
     ///
-    /// [`FcError::Overloaded`] when the admission queue is full, plus
-    /// compile-time failures (unknown operands, size mismatches,
-    /// planner rejections) — the same set [`FlashCosmosDevice::submit`]
-    /// reports before executing.
+    /// [`FcError::Overloaded`] when the admission queue is full, plus the
+    /// operand checks every compile starts with (unknown operands,
+    /// queries naming no operand, size mismatches within a query). A
+    /// planner rejection surfaces from the drain that compiles the batch.
     pub fn submit_async(&self, batch: &QueryBatch) -> Result<Ticket, FcError> {
-        let compiled = self.core().compile_batch(batch)?;
-        self.session.enqueue(batch.clone(), compiled)
+        {
+            let core = self.core();
+            for expr in batch.queries() {
+                core.query_geometry(expr)?;
+            }
+        }
+        self.session.enqueue(batch.clone())
     }
 
     /// Bounds the async admission queue ([`Self::submit_async`]'s
@@ -762,15 +756,13 @@ impl FlashCosmosDevice {
     /// [`FlashCosmosDevice::discard_retired`], or the parked results
     /// accumulate.
     ///
-    /// A queued batch whose operands' placement generations (or the
-    /// device epoch) changed since submission is recompiled against
-    /// current placement first, so drained queries always observe
-    /// drain-time data — a queued program can never sense through a stale
-    /// wordline map. The recompile consults the result cache like any
-    /// compile, so a batch that went stale through a migration alone
-    /// still replays its units' entries.
+    /// Each claimed batch compiles here, under the read guard it is
+    /// served under — the same two calls a sync submit makes — so
+    /// drained queries observe drain-time data and placement, and a unit
+    /// that an earlier batch of this drain computed replays from the
+    /// result cache instead of sensing again.
     ///
-    /// Concurrency: the claim-and-serve phase runs under the shared
+    /// Concurrency: the claim-compile-serve phase runs under the shared
     /// (read) device lock, so drains from several threads proceed in
     /// parallel — each claims whatever is pending at that instant, and
     /// per-die chip mutexes arbitrate the sensing. Only the background
@@ -780,10 +772,18 @@ impl FlashCosmosDevice {
     ///
     /// # Errors
     ///
-    /// Compile or chip failures of any queued batch; the failing batch
-    /// is dropped (its ticket reports [`FcError::UnknownTicket`]) while
-    /// batches still queued behind it stay pending for the next drain.
+    /// Compile failures (planner rejections included) or chip failures
+    /// of any queued batch; the failing batch is dropped (its ticket
+    /// reports [`FcError::UnknownTicket`]) while batches still queued
+    /// behind it stay pending for the next drain.
     pub fn drain(&self) -> Result<DrainStats, FcError> {
+        self.drain_pass().map_err(|(_, e)| e)
+    }
+
+    /// [`Self::drain`], with a failure tagged by the seq of the batch it
+    /// dropped, so [`Self::wait`] tells its own batch's failure from
+    /// another's.
+    fn drain_pass(&self) -> Result<DrainStats, (u64, FcError)> {
         let mut stats = DrainStats::default();
         let mut combined;
         let due;
@@ -799,33 +799,14 @@ impl FlashCosmosDevice {
             // every draining thread in parallel (per-die chip mutexes
             // arbitrate the sensing) rather than by whichever drain got
             // there first.
-            while let Some(mut pb) = self.session.claim_next() {
-                let step = (|| {
-                    let stale = pb.compiled.epoch != core.epoch
-                        || pb
-                            .compiled
-                            .snapshot
-                            .iter()
-                            .any(|&(id, gen)| core.operand_generation(id) != gen);
-                    if stale {
-                        // Recompile against drain-time placement —
-                        // without re-feeding the affinity tracker (one
-                        // submission is one observation, however often
-                        // it recompiles).
-                        pb.compiled = core.recompile_batch(&pb.source)?;
-                    } else {
-                        // Earlier batches in this drain may have
-                        // populated the cache since this batch compiled
-                        // — replay their results instead of re-sensing.
-                        core.refresh_cache_hits(&mut pb.compiled);
-                    }
-                    let mut outs: Vec<BitVec> =
-                        (0..pb.compiled.queries()).map(|_| BitVec::zeros(0)).collect();
-                    let (batch_stats, failures, own) = core.serve(&pb.compiled, &mut outs)?;
-                    Ok((outs, batch_stats, failures, own))
-                })();
-                match step {
-                    Ok((outs, batch_stats, failures, own)) => {
+            while let Some(pb) = self.session.claim_next() {
+                let mut outs: Vec<BitVec> =
+                    (0..pb.source.len()).map(|_| BitVec::zeros(0)).collect();
+                let served = core
+                    .compile_batch(&pb.source)
+                    .and_then(|compiled| core.serve(&compiled, &mut outs));
+                match served {
+                    Ok((batch_stats, failures, own)) => {
                         stats.batches += 1;
                         stats.senses += batch_stats.senses;
                         stats.merge_us += batch_stats.merge_us;
@@ -846,7 +827,7 @@ impl FlashCosmosDevice {
                         // instead of parking. Batches still pending stay
                         // queued for the next drain.
                         self.session.abandon(pb.seq);
-                        return Err(e);
+                        return Err((pb.seq, e));
                     }
                 }
             }
@@ -933,10 +914,16 @@ impl FlashCosmosDevice {
     /// device lock — until the batch lands (or its drain fails, in
     /// which case the ticket reports [`FcError::UnknownTicket`]).
     ///
+    /// A drain this wait runs may fail on an older batch queued ahead of
+    /// this one. That error belongs to the older batch's ticket: the
+    /// wait rechecks its own batch, which stayed queued, and drains
+    /// again.
+    ///
     /// # Errors
     ///
     /// [`FcError::UnknownTicket`] for an already-waited (or foreign)
-    /// ticket, plus anything [`FlashCosmosDevice::drain`] can return.
+    /// ticket, plus the compile or chip error of the drain that failed
+    /// on this ticket's own batch.
     pub fn wait(&self, ticket: Ticket) -> Result<BatchResults, FcError> {
         let seq = ticket.seq;
         let mut tickets = lock(&self.session.tickets);
@@ -949,7 +936,13 @@ impl FlashCosmosDevice {
                     self.session.retired_cv.wait(tickets).unwrap_or_else(PoisonError::into_inner);
             } else if tickets.pending.iter().any(|p| p.seq == seq) {
                 drop(tickets);
-                self.drain()?;
+                // A drain that fails on an older batch drops only that
+                // batch: its error is not this ticket's, so recheck.
+                if let Err((failed, e)) = self.drain_pass() {
+                    if failed == seq {
+                        return Err(e);
+                    }
+                }
                 tickets = lock(&self.session.tickets);
             } else {
                 return Err(FcError::UnknownTicket(seq));
@@ -1149,7 +1142,7 @@ mod tests {
             self.counters.evictions += 1;
         }
 
-        fn hit(&mut self, k: usize, gen: u64, count_miss: bool) -> bool {
+        fn hit(&mut self, k: usize, gen: u64) -> bool {
             match self.entries.get_mut(&k) {
                 Some(e) if e.gen == gen => {
                     e.hits += 1;
@@ -1157,7 +1150,7 @@ mod tests {
                     true
                 }
                 _ => {
-                    self.counters.misses += u64::from(count_miss);
+                    self.counters.misses += 1;
                     false
                 }
             }
@@ -1212,9 +1205,9 @@ mod tests {
             let mut scan = ScanCache::default();
             cache.set_capacity(6);
             scan.set_capacity(6);
-            // Ops that met a resident query under another stamp: lookups,
-            // peeks and inserts.
-            let mut stale = [0usize; 3];
+            // Ops that met a resident query under another stamp: lookups
+            // and inserts.
+            let mut stale = [0usize; 2];
             for step in 0..2_000 {
                 // 16 distinct queries, skewed toward query 0, so some
                 // entries earn many hits while others churn; each is drawn
@@ -1225,22 +1218,12 @@ mod tests {
                 let resident = scan.entries.get(&k).copied();
                 let is_stale = resident.is_some_and(|e| e.gen != gen);
                 match rng.gen_range(0..100u32) {
-                    0..=29 => {
+                    0..=44 => {
                         let hit = cache.lookup(key, &at).is_some();
-                        assert_eq!(hit, scan.hit(k, gen, true));
+                        assert_eq!(hit, scan.hit(k, gen));
                         if is_stale {
                             assert!(!hit, "seed {seed} step {step}: a stale lookup hit");
                             stale[0] += 1;
-                        }
-                    }
-                    30..=44 => {
-                        let before = cache.stats();
-                        let hit = cache.peek_hit(key, &at).is_some();
-                        assert_eq!(hit, scan.hit(k, gen, false));
-                        if is_stale {
-                            assert!(!hit, "seed {seed} step {step}: a stale peek hit");
-                            assert_eq!(cache.stats(), before, "a stale peek counts nothing");
-                            stale[1] += 1;
                         }
                     }
                     // A fresh insert, or a resident query's re-insert with
@@ -1260,7 +1243,7 @@ mod tests {
                             );
                             assert_eq!(cache.stats(), before, "no eviction or rejection");
                             assert_eq!(cache.attempts, attempts, "no insert attempt");
-                            stale[2] += 1;
+                            stale[1] += 1;
                         }
                     }
                     97..=98 => {
@@ -1307,10 +1290,7 @@ mod tests {
             assert!(scan.decays >= 3, "seed {seed}: only {} decay windows", scan.decays);
             let CacheStats { evictions, rejections, .. } = scan.counters;
             assert!(evictions > 0 && rejections > 0, "seed {seed}: both full-cache outcomes");
-            assert!(
-                stale.iter().all(|&n| n > 0),
-                "seed {seed}: stale lookups, peeks, inserts {stale:?}"
-            );
+            assert!(stale.iter().all(|&n| n > 0), "seed {seed}: stale lookups, inserts {stale:?}");
         }
     }
 

@@ -134,8 +134,9 @@ pub fn append_die_jobs(batch: &mut Vec<Vec<SenseJob>>, jobs: Vec<Vec<SenseJob>>)
 /// Per-die occupancy of queued sense work: how much latency each die has
 /// accumulated in its work queue.
 ///
-/// The async submission path (`flash_cosmos::session`) compiles each
-/// batch into per-die command queues; this tracker models their timeline.
+/// A drain on the async submission path (`flash_cosmos::session`)
+/// compiles each queued batch into per-die command queues; this tracker
+/// models their timeline.
 /// Dies execute their queues independently and concurrently, so the
 /// completion time of everything queued is the **busiest** die
 /// ([`DieQueues::busiest_us`]), not the sum — two batches whose busy dies

@@ -1,15 +1,13 @@
 //! The `fc_audit` static analyzer end to end: healthy plans and devices
 //! are finding-free, every lint code fires on its matching seeded
-//! corruption (the mutation harness), and the ruleset modes route
-//! findings correctly (deny panics, warn prints, off skips).
+//! corruption (the mutation harness), and an error finding panics at the
+//! debug-build hook.
 
 use fc_bits::BitVec;
 use fc_nand::ispp::ProgramScheme;
 use fc_ssd::SsdConfig;
 use flash_cosmos::audit::{DeviceMutation, PlanMutation};
-use flash_cosmos::{
-    AuditConfig, AuditMode, Expr, FlashCosmosDevice, LintCode, QueryBatch, Severity, StoreHints,
-};
+use flash_cosmos::{Expr, FlashCosmosDevice, LintCode, QueryBatch, Severity, StoreHints};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -345,7 +343,7 @@ fn healthy_device_audits_clean_after_maintenance_and_scrub() {
 }
 
 // ---------------------------------------------------------------------------
-// Ruleset modes: deny panics, warn and off do not.
+// Enforcement: an error finding panics at the debug-build hook.
 // ---------------------------------------------------------------------------
 
 #[cfg(debug_assertions)]
@@ -361,35 +359,6 @@ fn deny_mode_panics_on_corrupted_device_at_drain() {
     let batch: QueryBatch = [Expr::and_vars(ids)].into_iter().collect();
     let _ticket = dev.submit_async(&batch).unwrap();
     dev.drain().unwrap(); // debug-build enforcement hook fires FC101
-}
-
-#[test]
-fn warn_override_downgrades_a_denied_code() {
-    let mut rng = StdRng::seed_from_u64(0xD043);
-    let mut dev = device();
-    dev.set_audit_config(AuditConfig::deny().with_override(LintCode::Fc101, AuditMode::Warn));
-    store_group(&mut dev, "g", 2, None, &mut rng);
-    assert!(dev.corrupt_for_audit(DeviceMutation::AliasLpn));
-    dev.drain().unwrap(); // FC101 only prints now
-                          // The finding itself is still reported by the explicit pass.
-    assert!(dev.audit().iter().any(|f| f.code == LintCode::Fc101));
-}
-
-#[test]
-fn off_mode_disarms_the_hooks_entirely() {
-    let mut rng = StdRng::seed_from_u64(0x0FF);
-    let mut dev = device();
-    dev.set_audit_config(AuditConfig::off());
-    // The corrupted record is a bystander: the queried group comes later.
-    store_group(&mut dev, "bystander", 1, None, &mut rng);
-    let ids = store_group(&mut dev, "g", 2, None, &mut rng);
-    assert!(dev.corrupt_for_audit(DeviceMutation::SwapOperandPlane));
-    let batch: QueryBatch = [Expr::or_vars(ids)].into_iter().collect();
-    let ticket = dev.submit_async(&batch).unwrap();
-    dev.drain().unwrap(); // the armed hook would have denied FC107 here
-    dev.wait(ticket).unwrap();
-    // Explicit audits still see everything; only enforcement is off.
-    assert!(dev.audit().iter().any(|f| f.code == LintCode::Fc107));
 }
 
 // ---------------------------------------------------------------------------

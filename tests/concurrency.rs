@@ -2,8 +2,8 @@
 //! `Arc<FlashCosmosDevice>` with interleaved `submit_async` / `wait` /
 //! `fc_overwrite` / `drain` traffic and every thread's results must stay
 //! bit-exact against (a) a software fold model and (b) a single-threaded
-//! replay of the identical schedule on a fresh device — plus a clean
-//! `fc_audit` device pass at the default `Deny` ruleset afterwards.
+//! replay of the identical schedule on a fresh device — plus a
+//! finding-free `fc_audit` device pass afterwards.
 //!
 //! Schedules are generated up front from a pinned seed
 //! (`PROPTEST_SEED` env override, decimal or `0x`-hex), so a CI failure
@@ -159,8 +159,8 @@ fn run_schedule(
 /// submit/wait/overwrite/drain on one shared device are bit-exact
 /// against the software model *and* against a single-threaded replay of
 /// the same schedules, and the post-run `fc_audit` device pass is
-/// finding-free at `Deny` (which also means every debug-build drain
-/// audit along the way stayed silent — a finding panics the worker).
+/// finding-free (which also means every debug-build drain audit along
+/// the way stayed silent — an error finding panics the worker).
 #[test]
 fn concurrent_serving_is_bit_exact_and_audit_clean() {
     let seed = seed();
@@ -183,8 +183,8 @@ fn concurrent_serving_is_bit_exact_and_audit_clean() {
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
 
-    // Settle any still-queued work, then the full device audit: the
-    // default ruleset is Deny, and a healthy device reports nothing.
+    // Settle any still-queued work, then the full device audit: a
+    // healthy device reports nothing.
     dev.drain().unwrap();
     let findings = dev.audit();
     assert!(findings.is_empty(), "device audit after concurrent serving: {findings:?}");
@@ -376,11 +376,11 @@ fn readers_never_observe_data_older_than_a_committed_overwrite() {
 /// `submit_async` → `drain` → `wait` over AND sets while a writer thread
 /// migrates their operands back and forth between two placement groups
 /// pinned to different dies. A migration moves pages without changing
-/// what they read as, so queued batches recompile against the new
+/// what they read as, so queued batches compile at drain against the new
 /// wordlines, cached results keep answering, and every result stays
-/// bit-exact against the software model. The device audit stays clean at
-/// the default `Deny` ruleset (in debug builds every drain that senses
-/// audits too, and a finding panics the reader).
+/// bit-exact against the software model. The device audit stays clean
+/// (in debug builds every drain that senses audits too, and an error
+/// finding panics the reader).
 #[test]
 fn readers_stay_bit_exact_while_their_operands_migrate() {
     const READS: usize = 40;

@@ -273,26 +273,25 @@ fn regroup_target_avoids_worn_dies() {
     }
 }
 
-/// A stale async batch recompiled at drain must not re-feed the
-/// affinity tracker: one submission is one observation, so a single
-/// queued query never crosses the default co-fuse threshold just
-/// because an overwrite forced its recompilation.
+/// An async batch compiles once, at drain, so it feeds the affinity
+/// tracker once: one submission is one observation, so a single queued
+/// query never crosses the default co-fuse threshold, also when an
+/// overwrite lands between its submission and its drain.
 #[test]
-fn drain_time_recompile_does_not_double_count_affinity() {
+fn an_async_submission_is_one_affinity_observation() {
     let mut rng = StdRng::seed_from_u64(0x2C);
     let mut dev = device();
     let (ids, _) = scattered_operands(&mut dev, 3, &mut rng);
     let mut batch = QueryBatch::new();
     batch.push(Expr::and_vars(ids.iter().copied()));
     let ticket = dev.submit_async(&batch).unwrap();
-    // Overwrite a member: the queued compilation goes stale and drain
-    // recompiles it.
+    // Overwrite a member while the batch is queued.
     let v = BitVec::random(dev.config().page_bits(), &mut rng);
     dev.fc_overwrite("op0", &v).unwrap();
     dev.drain().unwrap();
     ticket.wait(&dev).unwrap();
     let entry = dev.session().affinity().entry(&ids).unwrap();
-    assert_eq!(entry.fused, 1, "one submission = one observation, recompile or not");
+    assert_eq!(entry.fused, 1, "one submission = one observation");
     assert_eq!(dev.schedule_maintenance(), 0, "a once-queried set is not hot");
 }
 
@@ -580,8 +579,8 @@ proptest! {
                 }
                 Op::Maintain => {
                     // Plans against current heat and migrates immediately —
-                    // possibly while async batches are in flight (they must
-                    // recompile at drain).
+                    // possibly while async batches are in flight (they
+                    // compile at drain, against the moved layout).
                     maint.run_maintenance().map_err(|e| TestCaseError::fail(e.to_string()))?;
                 }
                 Op::Overwrite(i) => {

@@ -84,9 +84,9 @@ fn scrub_keeps_zipf_workload_at_zero_uncorrectable() {
 }
 
 /// ISSUE scenario 4: faults injected *between* async submission and the
-/// drain are observed by the drained queries — the generation bump from
-/// the injection-time rebuild forces a drain-time recompile, so the
-/// results match the clean ground truth, not the poisoned wordlines.
+/// drain are observed by the drained queries — the drain compiles the
+/// batch after the injection-time rebuild, so the results match the clean
+/// ground truth, not the poisoned wordlines.
 #[test]
 fn faults_between_submit_and_drain_observe_ground_truth() {
     let mut dev = FlashCosmosDevice::new(SsdConfig::tiny_test());

@@ -52,7 +52,7 @@ fn sync_submit_matches_async_submit_and_wait() {
     let (sync_dev, batch) = fixture();
     let (async_dev, _) = fixture();
     // Round 1 is cold; round 2 replays cached units; round 3 follows an
-    // overwrite, so part of the batch recompiles against new placement.
+    // overwrite, so part of the batch senses the new placement.
     for round in 0..3 {
         if round == 2 {
             let v = BitVec::ones(2 * sync_dev.config().page_bits());

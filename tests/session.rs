@@ -196,9 +196,8 @@ fn overlapped_async_batches_beat_serial_submits() {
     assert_eq!(rb.results, sb.results);
 }
 
-/// An overwrite between `submit_async` and `drain` must not let the
-/// queued (already compiled) programs sense stale wordlines: the drain
-/// recompiles and observes drain-time data.
+/// An overwrite between `submit_async` and `drain` is what the queued
+/// batch observes: the drain compiles it against drain-time data.
 #[test]
 fn async_batches_observe_drain_time_data() {
     let mut rng = StdRng::seed_from_u64(0xD8A1);
@@ -214,7 +213,7 @@ fn async_batches_observe_drain_time_data() {
     assert_eq!(
         results.results[0],
         replacement.and(&data[1]),
-        "drained queries observe the overwrite, not the stale compile"
+        "drained queries observe the overwrite"
     );
 
     // Same, via the cache: the pre-overwrite result was cached, but its
@@ -224,18 +223,20 @@ fn async_batches_observe_drain_time_data() {
 }
 
 /// A batch queued behind an identical one replays the result the earlier
-/// batch just cached: the drain refreshes its unit into a cache hit, and
-/// the hit reports the senses it saved.
+/// batch just cached: the drain compiles each batch when it claims it, so
+/// the second compile finds the first one's entry, and the hit reports
+/// the senses it saved. The two batches cost one cache lookup each.
 #[test]
-fn drain_refreshes_a_queued_unit_from_an_earlier_batch() {
+fn a_queued_batch_replays_a_unit_an_earlier_batch_of_its_drain_cached() {
     let mut rng = StdRng::seed_from_u64(0xD4A2);
     let mut dev = device();
     let (ids, data) = store_group(&mut dev, "g", 3, None, &mut rng);
     let batch: QueryBatch = [Expr::and_vars(ids.iter().copied())].into_iter().collect();
-    // Both batches compile before either executes, so both miss the cache.
     let t1 = dev.submit_async(&batch).unwrap();
     let t2 = dev.submit_async(&batch).unwrap();
     dev.drain().unwrap();
+    let cache = dev.session().cache_stats();
+    assert_eq!((cache.misses, cache.hits), (1, 1), "one lookup per unit per batch");
     let first = t1.wait(&dev).unwrap();
     let second = t2.wait(&dev).unwrap();
     assert!(first.stats.senses > 0);
@@ -249,13 +250,13 @@ fn drain_refreshes_a_queued_unit_from_an_earlier_batch() {
     assert_eq!(second.results[0], expect);
 }
 
-/// An async batch queued before a migration is stale by placement: its
-/// programs name the old wordlines, so the drain recompiles it. The
-/// recompile replays the query whose result was cached before the move
-/// (the moved pages read as the same bits), bit-exactly and with no
-/// sense, and senses the other query on the new layout.
+/// An async batch queued before a migration compiles at drain, against
+/// the new wordlines. Its compile replays the query whose result was
+/// cached before the move (the moved pages read as the same bits),
+/// bit-exactly and with no sense, and senses the other query on the new
+/// layout.
 #[test]
-fn a_batch_queued_before_a_migration_recompiles_into_a_cache_hit() {
+fn a_batch_queued_before_a_migration_compiles_into_a_cache_hit() {
     let mut rng = StdRng::seed_from_u64(0xD4A4);
     let dev = device();
     let bits = dev.config().page_bits();
@@ -283,17 +284,18 @@ fn a_batch_queued_before_a_migration_recompiles_into_a_cache_hit() {
     assert_eq!(results.results[1], data[0].and(&data[1]));
     assert_eq!(results.stats.cached_units, 1, "the three-way AND replays its entry");
     assert_eq!(results.stats.per_query[0].senses, 0.0, "the replay senses nothing");
-    // The pair senses once: the recompiled, gathered program, not the
-    // queued two-sense one.
+    // The pair senses once: the gathered program, not the two-sense one
+    // the scattered layout at submission would have compiled to.
     assert_eq!(results.stats.senses, 1);
     assert_eq!(drained.senses, 1);
 }
 
-/// A drain that fails on one batch drops only that batch: its ticket
-/// reports `UnknownTicket`, while the batch queued behind it stays
-/// pending and answers its own wait.
-#[test]
-fn a_failing_drain_drops_only_its_batch() {
+/// Queues a threshold over 20 voters and an AND behind it, then moves one
+/// voter to another die: the threshold's drain-time compile must expand
+/// C(20, 10) terms, over the planner's cap. Returns the device, the
+/// voters' data and the two tickets.
+fn queue_an_unplannable_batch_first(
+) -> (FlashCosmosDevice, Vec<BitVec>, flash_cosmos::Ticket, flash_cosmos::Ticket) {
     let mut rng = StdRng::seed_from_u64(0xD4A3);
     // 48 wordlines per block: all 20 voters share one block.
     let config = SsdConfig { wls_per_block: 48, ..SsdConfig::tiny_test() };
@@ -303,16 +305,85 @@ fn a_failing_drain_drops_only_its_batch() {
     let and: QueryBatch = [Expr::and_vars(ids[..2].iter().copied())].into_iter().collect();
     let first = dev.submit_async(&threshold).unwrap();
     let second = dev.submit_async(&and).unwrap();
-    // Moving one voter to another die makes the queued threshold stale,
-    // and its drain-time recompile must expand C(20, 10) terms: over the
-    // planner's cap.
     let home = dev.operand_dies(ids[19]).unwrap()[0].flat(&config);
     let away = (home + 1) % config.total_dies();
     dev.migrate_operand("g-19", StoreHints::and_group("away").with_die(away)).unwrap();
-    assert!(dev.drain().is_err(), "the stale threshold cannot recompile");
+    (dev, data, first, second)
+}
+
+/// A drain that fails on one batch drops only that batch: its ticket
+/// reports `UnknownTicket`, while the batch queued behind it stays
+/// pending and answers its own wait. `submit_async` admits a batch the
+/// planner will reject: the drain that compiles it is what fails.
+#[test]
+fn a_failing_drain_drops_only_its_batch() {
+    let (dev, data, first, second) = queue_an_unplannable_batch_first();
+    assert!(dev.drain().is_err(), "the threshold cannot compile");
     assert_eq!(dev.session().in_flight(), 1, "the batch behind the failure stays queued");
     assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
     assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
+
+    // Voters scattered from the start: admission checks operands only.
+    let mut rng = StdRng::seed_from_u64(0xD4A5);
+    let voters: Vec<usize> = (0..20)
+        .map(|i| {
+            let v = BitVec::random(dev.config().page_bits(), &mut rng);
+            let hints = StoreHints::and_group(&format!("voter{i}")).with_die(i % 2);
+            dev.fc_write(&format!("voter{i}"), &v, hints).unwrap().id
+        })
+        .collect();
+    let scattered: QueryBatch = [Expr::threshold_vars(10, voters)].into_iter().collect();
+    let ticket = dev.submit_async(&scattered).expect("admission does not plan");
+    assert_eq!(dev.session().in_flight(), 1);
+    let err = dev.drain().unwrap_err();
+    assert!(matches!(err, FcError::Plan(_)), "the drain's compile fails: {err:?}");
+    assert_eq!(dev.session().in_flight(), 0);
+    assert!(matches!(dev.wait(ticket).unwrap_err(), FcError::UnknownTicket(_)));
+}
+
+/// A wait whose drain fails on an older batch queued ahead of its own
+/// does not report that batch's error: it drains again and returns its
+/// own batch's results, and the failed batch's ticket reports
+/// `UnknownTicket`.
+#[test]
+fn a_wait_behind_a_failing_batch_returns_its_own_results() {
+    let (dev, data, first, second) = queue_an_unplannable_batch_first();
+    let results = dev.wait(second).expect("the older batch's failure is not this wait's");
+    assert_eq!(results.results[0], data[0].and(&data[1]));
+    assert_eq!(dev.session().in_flight(), 0);
+    assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
+}
+
+/// `submit_async` runs the operand checks every compile starts with and
+/// queues nothing it rejects: an unknown operand, a query naming no
+/// operand, and a query over operands of different lengths.
+#[test]
+fn submit_async_rejects_invalid_queries_without_queueing() {
+    let mut rng = StdRng::seed_from_u64(0xD4A6);
+    let mut dev = device();
+    let (ids, _) = store_group(&mut dev, "g", 2, None, &mut rng);
+    let bits = dev.config().page_bits();
+    let long = BitVec::random(2 * bits, &mut rng);
+    let long = dev.fc_write("long", &long, StoreHints::and_group("long")).unwrap().id;
+    let valid = Expr::and_vars(ids.iter().copied());
+    // The invalid query rides behind a valid one: the whole batch is
+    // refused.
+    let refused = |query: Expr| {
+        let batch: QueryBatch = [valid.clone(), query].into_iter().collect();
+        let err = dev.submit_async(&batch).unwrap_err();
+        assert_eq!(dev.session().in_flight(), 0, "nothing queued after {err:?}");
+        err
+    };
+    let unknown = refused(Expr::and(vec![valid.clone(), Expr::var(999)]));
+    assert!(matches!(unknown, FcError::UnknownOperand(999)), "{unknown:?}");
+    let empty = refused(Expr::And(Vec::new()));
+    assert!(matches!(empty, FcError::SizeMismatch), "{empty:?}");
+    let mixed = refused(Expr::and_vars([ids[0], long]));
+    assert!(matches!(mixed, FcError::SizeMismatch), "{mixed:?}");
+    // Queries of different lengths may share a batch.
+    let lengths: QueryBatch = [valid, Expr::var(long)].into_iter().collect();
+    let ticket = dev.submit_async(&lengths).unwrap();
+    assert_eq!(dev.wait(ticket).unwrap().results[1].len(), 2 * bits);
 }
 
 /// On the synchronous path an overwrite invalidates cached results and a
