@@ -15,7 +15,7 @@
 //!   exactly as a serial `fc_read` would compile it.
 //! * **Cross-die execution** — a unit whose operands live on several
 //!   dies (die-aware placement spreads distinct groups on purpose) is
-//!   split into per-die sub-programs ([`crate::crossdie`]); the partial
+//!   split into per-die sub-programs (`crate::crossdie`); the partial
 //!   pages AND/OR/XOR-merge in the controller, so spanning queries
 //!   execute instead of failing with `PlaneMismatch`.
 //! * **Die-aware ordering** — per-stripe programs are scheduled die by
@@ -153,9 +153,9 @@ pub struct BatchStats {
     /// `busiest_die_us` when the batch is transfer-bound (many pages
     /// streamed out per sense).
     pub busiest_channel_us: f64,
-    /// Wall time the controller spent merging cross-die / cross-shard
-    /// partial pages, µs. When this rivals `critical_path_us`, the
-    /// controller merge — not the flash — is the scaling bottleneck.
+    /// Wall time the controller spent merging cross-die partial pages,
+    /// µs. When this rivals `critical_path_us`, the controller merge —
+    /// not the flash — is the scaling bottleneck.
     pub merge_us: f64,
     /// Total NAND energy, µJ.
     pub energy_uj: f64,
@@ -206,7 +206,7 @@ pub enum Bottleneck {
     Die,
     /// Output transfers on the busiest channel bus dominate.
     Channel,
-    /// The controller's serial cross-die / cross-shard merge dominates.
+    /// The controller's serial cross-die merge dominates.
     Merge,
 }
 

@@ -1,5 +1,5 @@
-//! Cross-partition execution plans: splitting one query over the planes
-//! (or cluster shards) its operands live on.
+//! Cross-plane execution plans: splitting one query over the planes its
+//! operands live on.
 //!
 //! Die-aware placement (this crate's `device` module) spreads distinct
 //! placement groups across dies so independent queries execute in
@@ -8,22 +8,20 @@
 //! planner's [`PlanError::PlaneMismatch`] used to be a hard error. This
 //! module turns that error into a *planned* split execution:
 //!
-//! * the normalized expression is partitioned by a key — the plane inside
-//!   a device, the home shard in [`crate::cluster`]. Children of an
-//!   AND/OR that share a key run **together** (keeping every intra-plane
-//!   MWS fusion the planner can find), children that themselves span
-//!   keys recurse;
-//! * each single-key piece becomes a leaf — inside a device a [`Leaf`]
-//!   holding an ordinary [`MwsProgram`] for that plane's chip;
+//! * the normalized expression is partitioned by plane. Children of an
+//!   AND/OR that share a plane run **together** (keeping every
+//!   intra-plane MWS fusion the planner can find), children that
+//!   themselves span planes recurse;
+//! * each single-plane piece becomes a [`Leaf`] holding an ordinary
+//!   [`MwsProgram`] for that plane's chip;
 //! * the controller combines the partial result pages per the
 //!   [`MergeTree`] (AND/OR/XOR — the same operator that joined the
 //!   pieces in the expression).
 //!
-//! One XOR rule holds for every key: an XOR whose sides span keys is a
-//! controller XOR of its two sides' full partial pages, at any depth and
-//! with any sides. The latch rule (only a top-level XOR of two literals
-//! lowers onto one chip) is the planner's, and it still applies inside
-//! each single-plane leaf.
+//! An XOR whose sides span planes is a controller XOR of its two sides'
+//! full partial pages, at any depth and with any sides. The latch rule
+//! (only a top-level XOR of two literals lowers onto one chip) is the
+//! planner's, and it still applies inside each single-plane leaf.
 //!
 //! Leaves on different dies sense concurrently, so a split query's
 //! critical path is the busiest die, not the sum — exactly the
@@ -32,7 +30,7 @@
 //! the ParaBit baseline compiler both plug in as the leaf compiler, so
 //! the baseline stops silently executing cross-die operands on one chip.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fc_bits::BitVec;
 use fc_ssd::topology::PlaneId;
@@ -42,7 +40,7 @@ use crate::planner::{MwsProgram, PlanError};
 
 /// How the controller combines partial result pages of a split query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeOp {
+pub(crate) enum MergeOp {
     /// Bitwise AND of the partials.
     And,
     /// Bitwise OR of the partials.
@@ -54,7 +52,7 @@ pub enum MergeOp {
 /// One single-plane piece of a spanning plan: a compiled program plus the
 /// SSD-level plane (die + in-die plane) it runs on.
 #[derive(Debug, Clone)]
-pub struct Leaf {
+pub(crate) struct Leaf {
     /// The plane whose chip executes the program.
     pub plane: PlaneId,
     /// The compiled single-plane program.
@@ -62,18 +60,18 @@ pub struct Leaf {
 }
 
 /// A split execution plan for one expression stripe: either a single
-/// leaf (all operands in one partition — inside a device, one chip
-/// program) or a controller merge over sub-plans.
+/// leaf (all operands on one plane — one chip program) or a controller
+/// merge over sub-plans.
 #[derive(Debug, Clone)]
-pub enum ExecPlan<L = Leaf> {
-    /// Runs entirely in one partition.
-    Chip(L),
+pub(crate) enum ExecPlan {
+    /// Runs entirely on one plane.
+    Chip(Leaf),
     /// Controller-side combination of concurrently executable parts.
     Merge {
         /// Combining operator.
         op: MergeOp,
         /// Sub-plans (each a leaf or a nested merge).
-        parts: Vec<ExecPlan<L>>,
+        parts: Vec<ExecPlan>,
     },
 }
 
@@ -84,7 +82,7 @@ pub enum ExecPlan<L = Leaf> {
 /// stripe to exactly one recipe consuming exactly its leaves, once
 /// each — partial or double consumption merges wrong bits silently.
 #[derive(Debug, Clone)]
-pub enum MergeTree {
+pub(crate) enum MergeTree {
     /// The executed page of leaf `i`.
     Leaf(usize),
     /// Combine the children's pages with the operator.
@@ -101,31 +99,9 @@ impl ExecPlan {
         }
     }
 
-    /// Distinct dies the plan touches.
-    pub fn die_count(&self) -> usize {
-        let mut dies = BTreeSet::new();
-        self.collect_dies(&mut dies);
-        dies.len()
-    }
-
-    fn collect_dies(&self, dies: &mut BTreeSet<fc_ssd::topology::DieId>) {
-        match self {
-            ExecPlan::Chip(leaf) => {
-                dies.insert(leaf.plane.die);
-            }
-            ExecPlan::Merge { parts, .. } => {
-                for p in parts {
-                    p.collect_dies(dies);
-                }
-            }
-        }
-    }
-}
-
-impl<L> ExecPlan<L> {
     /// Decomposes the plan into its leaves (appended to `leaves` in
     /// pre-order) and the merge recipe referencing them by index.
-    pub fn flatten(self, leaves: &mut Vec<L>) -> MergeTree {
+    pub fn flatten(self, leaves: &mut Vec<Leaf>) -> MergeTree {
         match self {
             ExecPlan::Chip(leaf) => {
                 leaves.push(leaf);
@@ -145,7 +121,7 @@ impl<L> ExecPlan<L> {
 ///
 /// Panics if a referenced page is missing or already consumed — the
 /// recipe and the page list must come from the same [`ExecPlan`].
-pub fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
+pub(crate) fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
     match tree {
         MergeTree::Leaf(i) => pages[*i].take().expect("each leaf page is consumed exactly once"),
         MergeTree::Node(op, parts) => {
@@ -164,18 +140,26 @@ pub fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
 }
 
 /// Compiles `nnf` into an [`ExecPlan`], splitting across planes where the
-/// operand placement requires it — [`split`] keyed by plane. `plane_of`
-/// resolves every operand to the SSD-level plane its stripe page lives
-/// on (`None` for unplaced operands); `leaf_compile` lowers a
-/// single-plane sub-expression to a chip program (the Flash-Cosmos
-/// planner or the ParaBit compiler).
+/// operand placement requires it. `plane_of` resolves every operand to
+/// the SSD-level plane its stripe page lives on (`None` for unplaced
+/// operands); `leaf_compile` lowers a single-plane sub-expression to a
+/// chip program (the Flash-Cosmos planner or the ParaBit compiler).
+///
+/// An expression on one plane is one leaf. A spanning n-ary AND/OR
+/// buckets its single-plane children per plane (one leaf per plane, in
+/// plane order) after recursing into its spanning children; a spanning
+/// XOR merges its two sides; a spanning threshold expands to the exact
+/// OR-of-combinations form first (no Boolean merge carries partial
+/// *counts*) — more senses, never a silently wrong page.
 ///
 /// # Errors
 ///
-/// As [`split`]: [`PlanError::NoPlacement`] for operands `plane_of`
-/// cannot resolve, and whatever `leaf_compile` reports for a piece it
-/// cannot lower (a nested XOR *inside* one plane, for instance).
-pub fn compile_spanning<P, F>(
+/// [`PlanError::NoPlacement`] for operands `plane_of` cannot resolve,
+/// [`PlanError::Unplannable`] for an expression that names no operand
+/// or whose threshold expansion is too large, and whatever
+/// `leaf_compile` reports for a piece it cannot lower (a nested XOR
+/// *inside* one plane, for instance).
+pub(crate) fn compile_spanning<P, F>(
     nnf: &Nnf,
     plane_of: &P,
     leaf_compile: &mut F,
@@ -184,106 +168,80 @@ where
     P: Fn(OperandId) -> Option<PlaneId>,
     F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
 {
-    split(nnf, plane_of, &mut |plane, sub: &Nnf| Ok(Leaf { plane, program: leaf_compile(sub)? }))
-}
-
-/// Splits `nnf` by partition key: `part_of` resolves every operand to
-/// its key (`None` for unplaced operands), and `leaf` turns each
-/// single-key sub-expression into a leaf. An expression within one key
-/// is one leaf. A spanning n-ary AND/OR buckets its single-key children
-/// per key (one leaf per key, in key order) after recursing into its
-/// spanning children; a spanning XOR merges its two sides; a spanning
-/// threshold expands to the exact OR-of-combinations form first (no
-/// Boolean merge carries partial *counts*) — more senses, never a
-/// silently wrong page.
-///
-/// # Errors
-///
-/// [`PlanError::NoPlacement`] for operands `part_of` cannot resolve,
-/// [`PlanError::Unplannable`] for an expression that names no operand
-/// or whose threshold expansion is too large, and whatever `leaf`
-/// reports.
-pub fn split<K, L, E, P, F>(nnf: &Nnf, part_of: &P, leaf: &mut F) -> Result<ExecPlan<L>, E>
-where
-    K: Ord + Copy,
-    E: From<PlanError>,
-    P: Fn(OperandId) -> Option<K>,
-    F: FnMut(K, &Nnf) -> Result<L, E>,
-{
     let mut span = Vec::with_capacity(2);
-    collect_span(nnf, part_of, &mut span)?;
+    collect_span(nnf, plane_of, &mut span)?;
     match (span.as_slice(), nnf) {
-        ([], _) => Err(PlanError::Unplannable("expression names no operand".to_string()).into()),
-        (&[key], _) => Ok(ExecPlan::Chip(leaf(key, nnf)?)),
-        (_, Nnf::Literal(_)) => unreachable!("a literal lives in exactly one partition"),
-        (_, Nnf::And(cs)) => split_nary(cs, MergeOp::And, part_of, leaf),
-        (_, Nnf::Or(cs)) => split_nary(cs, MergeOp::Or, part_of, leaf),
+        ([], _) => Err(PlanError::Unplannable("expression names no operand".to_string())),
+        (&[plane], _) => Ok(ExecPlan::Chip(Leaf { plane, program: leaf_compile(nnf)? })),
+        (_, Nnf::Literal(_)) => unreachable!("a literal lives on exactly one plane"),
+        (_, Nnf::And(cs)) => split_nary(cs, MergeOp::And, plane_of, leaf_compile),
+        (_, Nnf::Or(cs)) => split_nary(cs, MergeOp::Or, plane_of, leaf_compile),
         (_, Nnf::Xor(a, b)) => Ok(ExecPlan::Merge {
             op: MergeOp::Xor,
-            parts: vec![split(a, part_of, leaf)?, split(b, part_of, leaf)?],
+            parts: vec![
+                compile_spanning(a, plane_of, leaf_compile)?,
+                compile_spanning(b, plane_of, leaf_compile)?,
+            ],
         }),
         (_, Nnf::Threshold { .. }) => {
-            split(&crate::planner::expand_thresholds(nnf)?, part_of, leaf)
+            compile_spanning(&crate::planner::expand_thresholds(nnf)?, plane_of, leaf_compile)
         }
     }
 }
 
-/// Collects the distinct keys an expression's operands live in into
+/// Collects the distinct planes an expression's operands live on into
 /// `span` (a small vector with linear dedup — expressions touch a
-/// handful of planes or shards, and this path runs once per plan node,
-/// so it stays allocation-light on the hot single-key case).
-fn collect_span<K, P>(nnf: &Nnf, part_of: &P, span: &mut Vec<K>) -> Result<(), PlanError>
+/// handful of planes, and this path runs once per plan node, so it stays
+/// allocation-light on the hot single-plane case).
+fn collect_span<P>(nnf: &Nnf, plane_of: &P, span: &mut Vec<PlaneId>) -> Result<(), PlanError>
 where
-    K: Ord + Copy,
-    P: Fn(OperandId) -> Option<K>,
+    P: Fn(OperandId) -> Option<PlaneId>,
 {
     match nnf {
         Nnf::Literal(l) => {
-            let k = part_of(l.id).ok_or(PlanError::NoPlacement(l.id))?;
-            if !span.contains(&k) {
-                span.push(k);
+            let plane = plane_of(l.id).ok_or(PlanError::NoPlacement(l.id))?;
+            if !span.contains(&plane) {
+                span.push(plane);
             }
         }
         Nnf::And(cs) | Nnf::Or(cs) | Nnf::Threshold { children: cs, .. } => {
             for c in cs {
-                collect_span(c, part_of, span)?;
+                collect_span(c, plane_of, span)?;
             }
         }
         Nnf::Xor(a, b) => {
-            collect_span(a, part_of, span)?;
-            collect_span(b, part_of, span)?;
+            collect_span(a, plane_of, span)?;
+            collect_span(b, plane_of, span)?;
         }
     }
     Ok(())
 }
 
 /// Splits an n-ary AND/OR: spanning children recurse, and children
-/// sharing a key run together (so intra-plane MWS fusion survives).
-fn split_nary<K, L, E, P, F>(
+/// sharing a plane run together (so intra-plane MWS fusion survives).
+fn split_nary<P, F>(
     children: &[Nnf],
     op: MergeOp,
-    part_of: &P,
-    leaf: &mut F,
-) -> Result<ExecPlan<L>, E>
+    plane_of: &P,
+    leaf_compile: &mut F,
+) -> Result<ExecPlan, PlanError>
 where
-    K: Ord + Copy,
-    E: From<PlanError>,
-    P: Fn(OperandId) -> Option<K>,
-    F: FnMut(K, &Nnf) -> Result<L, E>,
+    P: Fn(OperandId) -> Option<PlaneId>,
+    F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
 {
-    let mut buckets: BTreeMap<K, Vec<Nnf>> = BTreeMap::new();
+    let mut buckets: BTreeMap<PlaneId, Vec<Nnf>> = BTreeMap::new();
     let mut parts = Vec::new();
     let mut span = Vec::with_capacity(2);
     for child in children {
         span.clear();
-        collect_span(child, part_of, &mut span)?;
-        if let [key] = span[..] {
-            buckets.entry(key).or_default().push(child.clone());
+        collect_span(child, plane_of, &mut span)?;
+        if let [plane] = span[..] {
+            buckets.entry(plane).or_default().push(child.clone());
         } else {
-            parts.push(split(child, part_of, leaf)?);
+            parts.push(compile_spanning(child, plane_of, leaf_compile)?);
         }
     }
-    for (key, mut bucket) in buckets {
+    for (plane, mut bucket) in buckets {
         let sub = if bucket.len() == 1 {
             bucket.pop().expect("non-empty bucket")
         } else {
@@ -293,7 +251,7 @@ where
                 MergeOp::Xor => unreachable!("XOR is not n-ary"),
             }
         };
-        parts.push(ExecPlan::Chip(leaf(key, &sub)?));
+        parts.push(ExecPlan::Chip(Leaf { plane, program: leaf_compile(&sub)? }));
     }
     Ok(ExecPlan::Merge { op, parts })
 }
@@ -305,9 +263,17 @@ mod tests {
     use crate::planner::{self, PlacementMap, PlannerCaps};
     use fc_nand::geometry::WlAddr;
     use fc_ssd::topology::DieId;
+    use std::collections::BTreeSet;
 
     fn caps() -> PlannerCaps {
         PlannerCaps { max_inter_blocks: 4, wls_per_block: 8 }
+    }
+
+    /// Distinct dies the plan's leaves run on.
+    fn die_count(plan: &ExecPlan) -> usize {
+        let mut leaves = Vec::new();
+        plan.clone().flatten(&mut leaves);
+        leaves.iter().map(|leaf| leaf.plane.die).collect::<BTreeSet<_>>().len()
     }
 
     /// Places operand `i` on (die i/2, in-die plane 0), block i, wl 0.
@@ -333,7 +299,7 @@ mod tests {
         .unwrap();
         assert!(matches!(plan, ExecPlan::Chip(_)));
         assert_eq!(plan.sense_count(), 1, "Eq. 1 fusion survives");
-        assert_eq!(plan.die_count(), 1);
+        assert_eq!(die_count(&plan), 1);
     }
 
     #[test]
@@ -345,7 +311,7 @@ mod tests {
             planner::compile(sub, &map, caps())
         })
         .unwrap();
-        assert_eq!(plan.die_count(), 2);
+        assert_eq!(die_count(&plan), 2);
         let ExecPlan::Merge { op: MergeOp::And, ref parts } = plan else {
             panic!("expected an AND merge, got {plan:?}");
         };
@@ -400,7 +366,7 @@ mod tests {
             planner::compile(sub, &map, caps())
         })
         .unwrap();
-        assert_eq!(plan.die_count(), 2);
+        assert_eq!(die_count(&plan), 2);
         assert!(matches!(plan, ExecPlan::Merge { op: MergeOp::Or, .. }));
     }
 

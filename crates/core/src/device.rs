@@ -34,7 +34,7 @@
 //!
 //! A query whose operands end up on several dies still executes: the
 //! batch compiler splits it into per-die programs and merges the partial
-//! pages in the controller (see [`crate::crossdie`]).
+//! pages in the controller (see `crate::crossdie`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -1076,7 +1076,7 @@ impl FlashCosmosDevice {
     /// batch them so the planner can amortize senses across them. Runs
     /// under the shared (read) lock: concurrent readers proceed in
     /// parallel, serialized only at the per-die chip mutexes and the
-    /// result-cache shard.
+    /// result-cache mutex.
     ///
     /// # Errors
     ///

@@ -26,8 +26,8 @@
 //! * [`batch`] — the query-session API: a [`QueryBatch`] of many
 //!   expressions submitted as one jointly planned device pass, with
 //!   cross-query canonical dedup and per-query cost attribution
-//!   ([`BatchStats`] — the one per-pass stats record:
-//!   `fc_read`, `parabit_read` and [`FcCluster`] passes return it too).
+//!   ([`BatchStats`] — the one per-pass stats record: `fc_read` and
+//!   `parabit_read` passes return it too).
 //! * [`session`] — queue-first submission on top of the batch API:
 //!   [`FlashCosmosDevice::submit_async`] checks and queues batches and
 //!   returns a [`Ticket`]; [`FlashCosmosDevice::drain`] compiles each
@@ -63,11 +63,10 @@
 //!   ([`DeviceHealth`]); queries that touch a page no tier
 //!   could save fail individually ([`FcError::QueryFailed`]) while the
 //!   rest of their batch completes.
-//! * [`crossdie`] — the one expression splitter: a query whose operands
-//!   span planes splits into per-plane programs merged by the
-//!   controller, so die-aware placement (see [`device`]) never turns
-//!   into a `PlaneMismatch` error; keyed by home shard instead of
-//!   plane, the same splitter plans [`cluster`] queries across shards.
+//! * `crossdie` (crate-private) — the one expression splitter: a query
+//!   whose operands span planes splits into per-plane programs merged by
+//!   the controller, so die-aware placement (see [`device`]) never turns
+//!   into a `PlaneMismatch` error.
 //! * [`engines`] — the four evaluated platforms (OSP/ISP/PB/FC) as
 //!   pipeline-model job builders (Figs. 17/18), including batched
 //!   multi-workload evaluation; each evaluation returns the pipeline's
@@ -134,8 +133,7 @@
 
 pub mod audit;
 pub mod batch;
-pub mod cluster;
-pub mod crossdie;
+pub(crate) mod crossdie;
 pub mod device;
 pub mod engines;
 pub mod expr;
@@ -152,7 +150,6 @@ pub use audit::{Finding, LintCode, Severity};
 pub use batch::{
     BatchResults, BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId, QueryStats,
 };
-pub use cluster::FcCluster;
 pub use device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 pub use engines::{Engines, Platform, WorkloadShape};
 pub use expr::{Expr, Nnf, OperandId};

@@ -259,9 +259,8 @@ fn contains_threshold(nnf: &Nnf) -> bool {
     }
 }
 
-/// Cap on the number of AND terms one threshold may expand into,
-/// mirroring `ops::at_least_k_of`.
-const MAX_THRESHOLD_COMBOS: usize = 10_000;
+/// Cap on the number of AND terms one threshold may expand into.
+pub(crate) const MAX_THRESHOLD_COMBOS: usize = 10_000;
 
 /// Rewrites every threshold node into its exact `OR` of `C(n, k)`
 /// size-`k` `AND` combinations so the latch strategies can lower it.
@@ -301,7 +300,7 @@ pub(crate) fn expand_thresholds(nnf: &Nnf) -> Result<Nnf, PlanError> {
 }
 
 /// `C(n, k)`, saturating far above [`MAX_THRESHOLD_COMBOS`].
-fn binomial(n: usize, k: usize) -> usize {
+pub(crate) fn binomial(n: usize, k: usize) -> usize {
     let k = k.min(n - k);
     let mut c: usize = 1;
     for i in 0..k {
@@ -316,7 +315,7 @@ fn binomial(n: usize, k: usize) -> usize {
 }
 
 /// All size-`k` index subsets of `0..n`, lexicographic.
-fn index_combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+pub(crate) fn index_combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
     fn rec(start: usize, n: usize, k: usize, stack: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
         if stack.len() == k {
             out.push(stack.clone());

@@ -775,7 +775,9 @@ impl FlashCosmosDevice {
     /// Compile failures (planner rejections included) or chip failures
     /// of any queued batch; the failing batch is dropped (its ticket
     /// reports [`FcError::UnknownTicket`]) while batches still queued
-    /// behind it stay pending for the next drain.
+    /// behind it stay pending for the next drain. The batches served
+    /// before it retire normally, and the pass still runs its background
+    /// tail; only their [`DrainStats`] are lost with the error.
     pub fn drain(&self) -> Result<DrainStats, FcError> {
         self.drain_pass().map_err(|(_, e)| e)
     }
@@ -787,6 +789,7 @@ impl FlashCosmosDevice {
         let mut stats = DrainStats::default();
         let mut combined;
         let due;
+        let mut failed = None;
         {
             let core = self.core();
             due = core.background_due();
@@ -825,9 +828,11 @@ impl FlashCosmosDevice {
                         // The failed batch never retires; release its
                         // claim so waiters wake and report UnknownTicket
                         // instead of parking. Batches still pending stay
-                        // queued for the next drain.
+                        // queued for the next drain, and the pass still
+                        // ends in the background tail.
                         self.session.abandon(pb.seq);
-                        return Err((pb.seq, e));
+                        failed = Some((pb.seq, e));
+                        break;
                     }
                 }
             }
@@ -837,7 +842,10 @@ impl FlashCosmosDevice {
             stats.busiest_channel_us = combined.busiest_channel_us();
         }
         stats.maintenance = self.background_tail(&mut combined, due, stats.senses > 0);
-        Ok(stats)
+        match failed {
+            Some(failure) => Err(failure),
+            None => Ok(stats),
+        }
     }
 
     /// The sync serving path — what a drain runs for one claimed batch,

@@ -292,11 +292,6 @@ impl SsdDevice {
         self.read_retry_budget
     }
 
-    /// Reconfigures the retry budget (0 disables tier-1 recovery).
-    pub fn set_read_retry_budget(&mut self, budget: usize) {
-        self.read_retry_budget = budget;
-    }
-
     /// Swaps the page ECC code. Changes
     /// [`logical_page_bits`](Self::logical_page_bits), so it must happen
     /// before the first ECC-protected write — pages already stored under
@@ -820,7 +815,7 @@ mod tests {
     #[test]
     fn zero_retry_budget_surfaces_uncorrectable() {
         let (mut dev, data) = aged_physics_device(8);
-        dev.set_read_retry_budget(0);
+        dev.read_retry_budget = 0; // tier-1 recovery off
         let mut failures = 0;
         for _ in 0..200 {
             match dev.read(5) {

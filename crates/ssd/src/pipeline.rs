@@ -271,19 +271,9 @@ impl DieQueues {
         self.busy_us.iter().filter(|&&b| b > 0.0).count()
     }
 
-    /// Number of channels with non-empty transfer lanes.
-    pub fn channels_busy(&self) -> usize {
-        self.chan_us.iter().filter(|&&b| b > 0.0).count()
-    }
-
     /// Per-die occupancy, µs, indexed by flat die id.
     pub fn occupancy_us(&self) -> &[f64] {
         &self.busy_us
-    }
-
-    /// Per-channel bus occupancy, µs, indexed by channel id.
-    pub fn channel_occupancy_us(&self) -> &[f64] {
-        &self.chan_us
     }
 
     /// Empties every queue.
@@ -641,8 +631,7 @@ mod tests {
         q.push_transfer(2, 20.0); // channel 1, no contention
         assert_eq!(q.busiest_us(), 25.0, "transfers do not occupy dies");
         assert_eq!(q.busiest_channel_us(), 40.0);
-        assert_eq!(q.channel_occupancy_us(), &[40.0, 20.0]);
-        assert_eq!(q.channels_busy(), 2);
+        assert_eq!(q.chan_us, [40.0, 20.0]);
         assert_eq!(q.critical_path_us(), 40.0, "channel bus bounds the drain");
         assert!(q.channel_bound());
         // merge folds channel lanes, so the combined path sees bus
@@ -652,10 +641,10 @@ mod tests {
         assert_eq!(q.critical_path_us() + other.critical_path_us(), 55.0, "40 + 15 back to back");
         q.merge(&other);
         assert_eq!(q.critical_path_us(), 40.0, "disjoint channels overlap");
-        assert_eq!(q.channel_occupancy_us(), &[40.0, 35.0]);
+        assert_eq!(q.chan_us, [40.0, 35.0]);
         q.clear();
         assert_eq!(q.busiest_channel_us(), 0.0);
-        assert_eq!(q.channels_busy(), 0);
+        assert_eq!(q.chan_us, [0.0, 0.0]);
     }
 
     #[test]

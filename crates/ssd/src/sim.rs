@@ -52,11 +52,6 @@ impl Resource {
         (start, end)
     }
 
-    /// The earliest time a new reservation could begin.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
     /// Total reserved (busy) time.
     pub fn busy_time(&self) -> SimTime {
         self.busy

@@ -242,14 +242,62 @@ fn migration_regathers_across_dies() {
     assert_eq!(after_stats.senses, 1, "gathered: single intra-block MWS");
 }
 
+/// A 4-channel single-die-per-channel geometry: every die is its own
+/// channel, so group spreading is channel spreading.
+fn four_channel_config() -> SsdConfig {
+    let mut cfg = SsdConfig::tiny_test();
+    cfg.channels = 4;
+    cfg.dies_per_channel = 1;
+    cfg
+}
+
+/// A batch whose queries combine groups homed on different channels
+/// answers bit-exactly, and the channel lane sees the output transfers.
+#[test]
+fn cross_channel_batch_is_bit_exact() {
+    let dev = FlashCosmosDevice::new(four_channel_config());
+    let bits = dev.config().page_bits();
+    let mut rng = StdRng::seed_from_u64(0xC4A7);
+    let vectors: Vec<BitVec> = (0..8).map(|_| BitVec::random(bits, &mut rng)).collect();
+    // One group per operand: channel-first placement spreads them over
+    // all four channels before reusing a die.
+    let ids: Vec<usize> = vectors
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            dev.fc_write(&format!("v{i}"), v, StoreHints::and_group(&format!("solo{i}")))
+                .unwrap()
+                .id
+        })
+        .collect();
+
+    let mut batch = QueryBatch::new();
+    // Adjacent operand indices land on different channels under the
+    // channel-first rotation, so every query spans channels.
+    batch.push(Expr::and(vec![Expr::var(ids[0]), Expr::var(ids[1]), Expr::var(ids[2])]));
+    batch.push(Expr::or(vec![Expr::var(ids[3]), Expr::var(ids[4])]));
+    batch.push(Expr::xor(Expr::var(ids[5]), Expr::var(ids[6])));
+    batch.push(Expr::and(vec![Expr::var(ids[7]), Expr::not(Expr::var(ids[0]))]));
+
+    let out = dev.submit(&batch).unwrap();
+    assert!(out.failures.is_empty());
+    let lookup = |i: usize| vectors[i].clone();
+    for (q, expr) in batch.queries().iter().enumerate() {
+        assert_eq!(out.results[q], expr.eval(&lookup), "query {q} diverged");
+    }
+    assert!(out.stats.busiest_channel_us > 0.0, "output transfers must occupy the channel lane");
+}
+
 /// Builds a random expression over per-operand singleton groups (so
-/// operands scatter across dies as widely as possible).
+/// operands scatter across dies as widely as possible). The XOR arm
+/// pairs two distinct operands at any depth, so each such XOR spans
+/// planes and merges on the controller.
 fn random_expr(rng: &mut StdRng, ids: &[usize], depth: usize) -> Expr {
     let leaf = |rng: &mut StdRng| Expr::var(ids[rng.gen_range(0..ids.len())]);
     if depth == 0 {
         return leaf(rng);
     }
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..7) {
         0 | 1 => {
             let k = rng.gen_range(2..=ids.len().min(4));
             let start = rng.gen_range(0..=ids.len() - k);
@@ -263,6 +311,11 @@ fn random_expr(rng: &mut StdRng, ids: &[usize], depth: usize) -> Expr {
         2 => Expr::or(vec![random_expr(rng, ids, depth - 1), random_expr(rng, ids, depth - 1)]),
         3 => Expr::and(vec![random_expr(rng, ids, depth - 1), random_expr(rng, ids, depth - 1)]),
         4 => Expr::not(random_expr(rng, ids, depth - 1)),
+        5 => {
+            let a = rng.gen_range(0..ids.len());
+            let b = (a + rng.gen_range(1..ids.len())) % ids.len();
+            Expr::xor(Expr::var(ids[a]), Expr::var(ids[b]))
+        }
         _ => leaf(rng),
     }
 }

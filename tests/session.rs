@@ -354,6 +354,28 @@ fn a_wait_behind_a_failing_batch_returns_its_own_results() {
     assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
 }
 
+/// A failing drain still ends in its background tail: the regroup jobs
+/// queued before it run in that pass, not only in the next one.
+#[test]
+fn a_failing_drain_still_runs_its_background_jobs() {
+    let (dev, ..) = queue_an_unplannable_batch_first();
+    // A pair in two groups, read twice: a hot scattered set.
+    let mut rng = StdRng::seed_from_u64(0xD4A6);
+    let pair: Vec<usize> = (0..2)
+        .map(|i| {
+            let v = BitVec::random(dev.config().page_bits(), &mut rng);
+            let hints = StoreHints::and_group(&format!("pair{i}"));
+            dev.fc_write(&format!("pair{i}"), &v, hints).unwrap().id
+        })
+        .collect();
+    for _ in 0..2 {
+        dev.fc_read(&Expr::and_vars(pair.iter().copied())).unwrap();
+    }
+    assert!(dev.schedule_maintenance() > 0, "the hot pair queues regroup jobs");
+    assert!(dev.drain().is_err(), "the threshold cannot compile");
+    assert_eq!(dev.pending_jobs(), 0, "the failing pass ran the queued jobs");
+}
+
 /// `submit_async` runs the operand checks every compile starts with and
 /// queues nothing it rejects: an unknown operand, a query naming no
 /// operand, and a query over operands of different lengths.
