@@ -712,22 +712,12 @@ impl DeviceCore {
         for &die in &plan.failed_dies {
             self.recovery.failed_dies.insert(die);
             let page_bits = self.ssd.config().page_bits();
-            let planes = self.ssd.config().planes_per_die;
-            let blocks = self.ssd.config().blocks_per_plane;
             let die_id = DieId::from_flat(die, self.ssd.config());
-            for plane in 0..planes {
-                for b in 0..blocks {
-                    let block = BlockAddr::new(plane as u32, b as u32);
-                    self.ssd
-                        .chip_mut(die_id)
-                        .set_block_stuck(
-                            block,
-                            BitVec::zeros(page_bits).not(),
-                            BitVec::zeros(page_bits),
-                        )
-                        .map_err(DeviceError::Nand)?;
-                }
-            }
+            // Every column of every block reads 0: one defect, shared.
+            self.ssd
+                .chip_mut(die_id)
+                .set_all_blocks_stuck(BitVec::ones(page_bits), BitVec::zeros(page_bits))
+                .map_err(DeviceError::Nand)?;
             self.rebuild_mapped_where(|p| p.plane.die == die_id, &mut report, &mut touched)?;
         }
         touched.sort_unstable();
@@ -1126,6 +1116,23 @@ mod tests {
         for die in dev.operand_dies(h.id).unwrap() {
             assert_ne!(die.flat(&cfg), victim_die);
         }
+    }
+
+    /// A failed die holds one stuck-column defect that all its blocks
+    /// share, not two pages per block; the other dies stay healthy.
+    #[test]
+    fn a_failed_die_shares_one_stuck_defect_across_its_blocks() {
+        let dev = device();
+        dev.inject_faults(&FaultPlan::new().fail_die(1)).unwrap();
+        let cfg = SsdConfig::tiny_test();
+        let core = dev.core();
+        let chip = core.ssd.chip(DieId::from_flat(1, &cfg));
+        let first = chip.block_stuck(BlockAddr::new(0, 0)).expect("failed die is stuck");
+        let last = BlockAddr::new(cfg.planes_per_die as u32 - 1, cfg.blocks_per_plane as u32 - 1);
+        assert!(std::ptr::eq(first, chip.block_stuck(last).unwrap()), "one shared defect");
+        assert!(first.mask.is_all_ones() && first.value.is_all_zeros(), "every column reads 0");
+        let healthy = core.ssd.chip(DieId::from_flat(0, &cfg));
+        assert!(healthy.block_stuck(BlockAddr::new(0, 0)).is_none());
     }
 
     #[test]

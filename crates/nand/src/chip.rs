@@ -6,6 +6,8 @@
 //! real chips); blocks track P/E cycles and reads since their last program
 //! so the stress and RBER models see the right conditions.
 
+use std::sync::Arc;
+
 use fc_bits::BitVec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,20 +60,45 @@ pub struct StuckColumns {
     pub value: BitVec,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One erase block. Its page slots are allocated at the block's first
+/// program and released by its erase, so a block that holds no page
+/// costs only its counters: building a device pays for the pages it
+/// programs, not for its geometry. Every page read goes through
+/// [`Block::page`], which reads a missing slot as unwritten.
+#[derive(Debug)]
 struct Block {
+    /// One slot per wordline of the string once the block has been
+    /// programmed since its last erase; empty (capacity 0) before.
     pages: Vec<Option<PageState>>,
     pec: u32,
     reads_since_program: u64,
     /// Grown stuck-at columns, if the block has failed (fault injection /
-    /// grown defects). `None` for healthy blocks.
-    #[serde(default)]
-    stuck: Option<StuckColumns>,
+    /// grown defects). `None` for healthy blocks; every block of a failed
+    /// die shares one value.
+    stuck: Option<Arc<StuckColumns>>,
 }
 
 impl Block {
-    fn new(wls: usize) -> Self {
-        Self { pages: vec![None; wls], pec: 0, reads_since_program: 0, stuck: None }
+    fn new() -> Self {
+        Self { pages: Vec::new(), pec: 0, reads_since_program: 0, stuck: None }
+    }
+
+    /// The page stored on wordline `wl`, `None` if it is unwritten —
+    /// which every wordline of a block not programmed since its last
+    /// erase is.
+    fn page(&self, wl: u32) -> Option<&PageState> {
+        self.pages.get(wl as usize)?.as_ref()
+    }
+
+    /// Stores `page` on wordline `wl`, first sizing the slots to the
+    /// string length `wls` if this is the block's first program since
+    /// its erase, and restarts the read-disturb count.
+    fn store(&mut self, wl: u32, wls: usize, page: PageState) {
+        if self.pages.is_empty() {
+            self.pages = vec![None; wls];
+        }
+        self.pages[wl as usize] = Some(page);
+        self.reads_since_program = 0;
     }
 }
 
@@ -207,7 +234,10 @@ impl std::fmt::Debug for NandChip {
 impl NandChip {
     /// Creates a chip in the fully erased state. Fabrication defects
     /// (stuck-at bitline columns) are sampled per plane from the
-    /// configured fraction.
+    /// configured fraction. No page storage is allocated here: a block's
+    /// page slots are allocated at its first program and released at its
+    /// erase, so the chip costs memory for the pages it holds, not for
+    /// its geometry.
     pub fn new(config: ChipConfig) -> Self {
         let page_bits = config.geometry.page_bits();
         let mut fab_rng = StdRng::seed_from_u64(config.seed ^ 0xFAB);
@@ -224,9 +254,7 @@ impl NandChip {
                 };
                 let faulty_stuck = BitVec::random(page_bits, &mut fab_rng).and(&faulty_mask);
                 Plane {
-                    blocks: (0..config.geometry.blocks_per_plane)
-                        .map(|_| Block::new(config.geometry.wls_per_block as usize))
-                        .collect(),
+                    blocks: (0..config.geometry.blocks_per_plane).map(|_| Block::new()).collect(),
                     pec_sum: 0,
                     latches: LatchBank::new(page_bits),
                     faulty_mask,
@@ -367,20 +395,42 @@ impl NandChip {
         value: BitVec,
     ) -> Result<(), NandError> {
         self.config.geometry.validate_block(block)?;
+        let stuck = self.stuck_columns(mask, value)?;
+        self.planes[block.plane as usize].blocks[block.block as usize].stuck = Some(stuck);
+        Ok(())
+    }
+
+    /// Marks every block of the die stuck-at with one shared defect, as
+    /// [`NandChip::set_block_stuck`] does for one block: a failed die.
+    /// The blocks share a single [`StuckColumns`] value, so failing a die
+    /// costs two pages, not two per block.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for masks that do not match the page size.
+    pub fn set_all_blocks_stuck(&mut self, mask: BitVec, value: BitVec) -> Result<(), NandError> {
+        let stuck = self.stuck_columns(mask, value)?;
+        for block in self.planes.iter_mut().flat_map(|p| &mut p.blocks) {
+            block.stuck = Some(Arc::clone(&stuck));
+        }
+        Ok(())
+    }
+
+    /// Checks a stuck-at mask and value against the page size and builds
+    /// the defect they describe (the value cleared outside the mask).
+    fn stuck_columns(&self, mask: BitVec, value: BitVec) -> Result<Arc<StuckColumns>, NandError> {
         let expected = self.config.geometry.page_bits();
         if mask.len() != expected || value.len() != expected {
             return Err(NandError::PageSizeMismatch { got: mask.len(), expected });
         }
-        let stuck = StuckColumns { value: value.and(&mask), mask };
-        self.planes[block.plane as usize].blocks[block.block as usize].stuck = Some(stuck);
-        Ok(())
+        Ok(Arc::new(StuckColumns { value: value.and(&mask), mask }))
     }
 
     /// The grown stuck-column state of a block, if it has been marked
     /// failed.
     pub fn block_stuck(&self, block: BlockAddr) -> Option<&StuckColumns> {
         self.config.geometry.validate_block(block).ok()?;
-        self.planes[block.plane as usize].blocks[block.block as usize].stuck.as_ref()
+        self.planes[block.plane as usize].blocks[block.block as usize].stuck.as_deref()
     }
 
     /// Senses one wordline at a recalibrated read reference voltage —
@@ -412,10 +462,7 @@ impl NandChip {
     /// Raw stored bits of a page, if programmed. Post-randomization if the
     /// page was scrambled; no error injection (this is the ground truth).
     pub fn page_raw(&self, addr: WlAddr) -> Option<&BitVec> {
-        self.config.geometry.validate_wl(addr).ok()?;
-        self.planes[addr.plane as usize].blocks[addr.block as usize].pages[addr.wl as usize]
-            .as_ref()
-            .map(|p| &p.data)
+        self.page_state(addr).map(|p| &p.data)
     }
 
     /// Convenience: reads a page and undoes randomization if it was
@@ -441,8 +488,7 @@ impl NandChip {
 
     fn page_state(&self, addr: WlAddr) -> Option<&PageState> {
         self.config.geometry.validate_wl(addr).ok()?;
-        self.planes[addr.plane as usize].blocks[addr.block as usize].pages[addr.wl as usize]
-            .as_ref()
+        self.planes[addr.plane as usize].blocks[addr.block as usize].page(addr.wl)
     }
 
     /// Profiles the permanently faulty bitline columns of a plane by the
@@ -590,19 +636,24 @@ impl NandChip {
             None
         };
 
-        let latency = scheme.program_latency_us();
-        let energy = power::program_energy_uj(latency);
-        let block = &mut self.planes[addr.plane as usize].blocks[addr.block as usize];
-        block.pages[addr.wl as usize] =
-            Some(PageState { data: stored, scheme, randomized: randomize, vth, levels: None });
-        block.reads_since_program = 0;
+        self.store_page(
+            addr,
+            PageState { data: stored, scheme, randomized: randomize, vth, levels: None },
+        );
+        Ok(Self::program_output(scheme))
+    }
 
-        // Physics: programming disturbs the neighbouring wordlines
-        // (program interference, §2.2).
+    /// The shared tail of `Program` and `ProgramMl`: stores a (validated,
+    /// unwritten) wordline's page and counts the program. In physics
+    /// mode, programming disturbs the neighbouring wordlines (program
+    /// interference, §2.2).
+    fn store_page(&mut self, addr: WlAddr, page: PageState) {
+        let wls = self.config.geometry.wls_per_block as usize;
+        let block = &mut self.planes[addr.plane as usize].blocks[addr.block as usize];
+        block.store(addr.wl, wls, page);
         if matches!(self.config.fidelity, Fidelity::Physics) {
             let model = self.config.stress_model;
             let wl = addr.wl as usize;
-            let block = &mut self.planes[addr.plane as usize].blocks[addr.block as usize];
             for neighbour in [wl.checked_sub(1), Some(wl + 1)].into_iter().flatten() {
                 if let Some(Some(p)) = block.pages.get_mut(neighbour) {
                     if let Some(vth) = p.vth.as_mut() {
@@ -611,22 +662,25 @@ impl NandChip {
                 }
             }
         }
-
         self.stats.programs += 1;
-        Ok(CmdOutput {
+    }
+
+    /// Latency, energy and power of one program with `scheme`.
+    fn program_output(scheme: ProgramScheme) -> CmdOutput {
+        let latency = scheme.program_latency_us();
+        CmdOutput {
             latency_us: latency,
-            energy_uj: energy,
+            energy_uj: power::program_energy_uj(latency),
             norm_power: power::program_power_norm(),
             page: None,
-        })
+        }
     }
 
     fn exec_erase(&mut self, block: BlockAddr) -> Result<CmdOutput, NandError> {
         self.config.geometry.validate_block(block)?;
         let b = &mut self.planes[block.plane as usize].blocks[block.block as usize];
-        for p in &mut b.pages {
-            *p = None;
-        }
+        // Release the page slots; the next program allocates them again.
+        b.pages = Vec::new();
         b.reads_since_program = 0;
         self.add_pec(block, 1);
         self.stats.erases += 1;
@@ -855,10 +909,8 @@ impl NandChip {
             // count the stored pages and complement.
             let Self { planes, scratch, .. } = self;
             let block_ref = &planes[plane as usize].blocks[target.block.block as usize];
-            let stored: Vec<&BitVec> = target
-                .wls()
-                .map(|wl| &block_ref.pages[wl as usize].as_ref().expect("validated above").data)
-                .collect();
+            let stored: Vec<&BitVec> =
+                target.wls().map(|wl| &block_ref.page(wl).expect("validated above").data).collect();
             let SenseScratch { threshold, sensed, .. } = scratch;
             mlsense::threshold_ge_into(&stored, (n_wls + 1).saturating_sub(k), threshold, sensed);
             sensed.not_assign();
@@ -875,7 +927,7 @@ impl NandChip {
             }
             let SenseScratch { votes, flip_idx, stress_buf, .. } = scratch;
             for (vote, wl) in votes.iter_mut().zip(target.wls()) {
-                let p = block_ref.pages[wl as usize].as_ref().expect("validated above");
+                let p = block_ref.page(wl).expect("validated above");
                 match config.fidelity {
                     Fidelity::Functional { inject_errors } => {
                         // A programmed cell (stored 0) casts a vote.
@@ -989,33 +1041,11 @@ impl NandChip {
             None
         };
 
-        let latency = scheme.program_latency_us();
-        let energy = power::program_energy_uj(latency);
-        let block = &mut self.planes[addr.plane as usize].blocks[addr.block as usize];
-        block.pages[addr.wl as usize] =
-            Some(PageState { data, scheme, randomized: false, vth, levels: Some(levels) });
-        block.reads_since_program = 0;
-
-        if matches!(self.config.fidelity, Fidelity::Physics) {
-            let model = self.config.stress_model;
-            let wl = addr.wl as usize;
-            let block = &mut self.planes[addr.plane as usize].blocks[addr.block as usize];
-            for neighbour in [wl.checked_sub(1), Some(wl + 1)].into_iter().flatten() {
-                if let Some(Some(p)) = block.pages.get_mut(neighbour) {
-                    if let Some(vth) = p.vth.as_mut() {
-                        model.apply_interference(vth, &mut self.rng);
-                    }
-                }
-            }
-        }
-
-        self.stats.programs += 1;
-        Ok(CmdOutput {
-            latency_us: latency,
-            energy_uj: energy,
-            norm_power: power::program_power_norm(),
-            page: None,
-        })
+        self.store_page(
+            addr,
+            PageState { data, scheme, randomized: false, vth, levels: Some(levels) },
+        );
+        Ok(Self::program_output(scheme))
     }
 
     /// Sense one wordline at an explicit level boundary: bit `i` is 1 iff
@@ -1047,7 +1077,7 @@ impl NandChip {
                 retention_months: *retention_months,
                 reads_since_program: block_ref.reads_since_program,
             };
-            let p = block_ref.pages[addr.wl as usize].as_ref().expect("validated above");
+            let p = block_ref.page(addr.wl).expect("validated above");
             let SenseScratch { sensed, flip_idx, stress_buf, .. } = scratch;
             match config.fidelity {
                 Fidelity::Functional { inject_errors } => {
@@ -1142,7 +1172,7 @@ fn sense_block_and_into(
             // snapshot clones. A page is copied (into the reusable
             // `corrupt` buffer) only when it actually receives errors.
             for wl in target.wls() {
-                let page = match &block_ref.pages[wl as usize] {
+                let page = match block_ref.page(wl) {
                     Some(p) => Some(p),
                     None if allow_unwritten => None, // fully erased: all ones
                     None => unreachable!("validated above"),
@@ -1201,7 +1231,7 @@ fn sense_block_and_into(
             // highest V_REF among the target wordlines' schemes.
             let mut vref = f64::NEG_INFINITY;
             for wl in target.wls() {
-                if let Some(p) = &block_ref.pages[wl as usize] {
+                if let Some(p) = block_ref.page(wl) {
                     vref = vref.max(p.scheme.read_vref());
                 }
             }
@@ -1215,7 +1245,7 @@ fn sense_block_and_into(
             let model = config.stress_model;
             for wl in target.wls() {
                 stress_buf.clear();
-                match &block_ref.pages[wl as usize] {
+                match block_ref.page(wl) {
                     Some(p) => stress_buf.extend_from_slice(
                         p.vth.as_ref().expect("physics mode stores V_TH populations"),
                     ),
@@ -1409,6 +1439,65 @@ mod tests {
         assert!(chip.page_raw(blk.wordline(0)).is_none());
         chip.cycle_block(blk, 999).unwrap();
         assert_eq!(chip.block_pec(blk).unwrap(), 1000);
+    }
+
+    /// Page-slot capacity of every block, plane-major.
+    fn slot_capacities(chip: &NandChip) -> Vec<usize> {
+        chip.planes.iter().flat_map(|p| &p.blocks).map(|b| b.pages.capacity()).collect()
+    }
+
+    #[test]
+    fn page_slots_are_allocated_at_a_blocks_first_program() {
+        let mut chip = NandChip::new(ChipConfig::tiny_test());
+        assert!(slot_capacities(&chip).iter().all(|&c| c == 0), "a fresh chip holds no slots");
+        assert!(std::mem::size_of::<Block>() <= 48, "an untouched block is its counters");
+        let geom = chip.config().geometry;
+        let (wls, per_plane) = (geom.wls_per_block as usize, geom.blocks_per_plane as usize);
+        let (blk, ml) = (BlockAddr::new(1, 5), BlockAddr::new(0, 2));
+        write_pages(&mut chip, blk, 1, 4000);
+        let bits = geom.page_bits();
+        chip.execute(Command::ProgramMl {
+            addr: ml.wordline(3),
+            pages: vec![BitVec::zeros(bits), BitVec::ones(bits)],
+            scheme: ProgramScheme::Mlc,
+        })
+        .unwrap();
+        let index = |b: BlockAddr| b.plane as usize * per_plane + b.block as usize;
+        for (i, &cap) in slot_capacities(&chip).iter().enumerate() {
+            let sized = i == index(blk) || i == index(ml);
+            assert_eq!(cap, if sized { wls } else { 0 }, "block {i}");
+        }
+        // A sized block's unwritten wordline still reads as unwritten.
+        assert!(chip.page_raw(blk.wordline(1)).is_none());
+        let err =
+            chip.execute(Command::Read { addr: blk.wordline(1), inverse: false }).unwrap_err();
+        assert_eq!(err, NandError::ReadOfUnwrittenPage { plane: 1, block: 5, wl: 1 });
+        let err = chip
+            .execute(Command::Mws {
+                flags: IscmFlags::single_read(),
+                targets: vec![MwsTarget::new(blk, &[0, 1])],
+            })
+            .unwrap_err();
+        assert!(matches!(err, NandError::ReadOfUnwrittenPage { wl: 1, .. }));
+    }
+
+    #[test]
+    fn erase_releases_page_slots_and_the_block_programs_again() {
+        let mut chip = NandChip::new(ChipConfig::tiny_test());
+        let blk = BlockAddr::new(0, 7);
+        let wls = chip.config().geometry.wls_per_block as usize;
+        write_pages(&mut chip, blk, 3, 4100);
+        chip.execute(Command::Erase { block: blk }).unwrap();
+        assert!(slot_capacities(&chip).iter().all(|&c| c == 0), "erase drops the slots");
+        let err =
+            chip.execute(Command::Read { addr: blk.wordline(0), inverse: false }).unwrap_err();
+        assert!(matches!(err, NandError::ReadOfUnwrittenPage { .. }));
+        let data = page(&chip, 4110);
+        chip.execute(Command::esp_program(blk.wordline(4), data.clone())).unwrap();
+        assert_eq!(chip.planes[0].blocks[7].pages.capacity(), wls);
+        let out = chip.execute(Command::Read { addr: blk.wordline(4), inverse: false }).unwrap();
+        assert_eq!(out.page().unwrap(), &data);
+        assert!(chip.page_raw(blk.wordline(0)).is_none(), "the old pages stay erased");
     }
 
     /// A plane's P/E sum moves by each block's actual increase: erases

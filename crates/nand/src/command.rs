@@ -153,6 +153,8 @@ pub enum Command {
         randomize: bool,
     },
     /// Erase a block (resets every wordline, increments its P/E count).
+    /// The simulator releases the block's page storage here; the block's
+    /// next `Program` or `ProgramMl` allocates it again.
     Erase {
         /// Block to erase.
         block: BlockAddr,
