@@ -1591,7 +1591,10 @@ impl DeviceCore {
                 })
             }),
             PlanMutation::RetagMlAsExecute => units.iter_mut().any(|u| {
-                if !matches!(u.work, UnitWork::Controller { .. }) {
+                // Planner refusals run in the controller too: pick a unit
+                // over an ML operand, which FC004 is about.
+                let ml = u.stamp.gens.iter().any(|&(id, _)| self.operands[id].ml);
+                if !ml || !matches!(u.work, UnitWork::Controller { .. }) {
                     return false;
                 }
                 u.work = UnitWork::Execute {

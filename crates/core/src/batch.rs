@@ -294,13 +294,17 @@ pub(crate) enum UnitWork {
         /// `result` cost.
         senses: u64,
     },
-    /// Controller evaluation: the unit touches a multi-level operand
-    /// ([`FlashCosmosDevice::fc_write_ml`]), whose pages are Gray-coded
-    /// cell levels rather than raw SLC bits — no MWS sense can combine
-    /// them, so the controller reads every page of the unit's operands
-    /// (2–4 senses per MLC/TLC page) and evaluates the unit expression
-    /// itself. This is the density side of the §6.3 trade, priced
-    /// honestly against in-flash sensing.
+    /// Controller evaluation: the controller reads every page of the
+    /// unit's operands and evaluates the unit expression itself, priced
+    /// at those page reads (1 sense per SLC/ESP page, 2–4 per MLC/TLC
+    /// page). Two kinds of unit run this way. A unit touching a
+    /// multi-level operand ([`FlashCosmosDevice::fc_write_ml`]), whose
+    /// pages are Gray-coded cell levels that no MWS sense can combine:
+    /// the density side of the §6.3 trade, priced honestly against
+    /// in-flash sensing. And a unit the planner refuses on the current
+    /// placement (an XOR over a compound operand on one plane, a
+    /// threshold whose cross-die expansion is too large): it answers
+    /// like any other unit instead of failing its batch.
     Controller {
         /// Total senses the page reads cost across all stripes.
         senses: u64,
@@ -380,9 +384,11 @@ impl DeviceCore {
     /// Compiles a batch against the current placement, one plan unit per
     /// canonically distinct query, consulting the cross-batch result
     /// cache per unit — the planning half of every Flash-Cosmos read,
-    /// sync or async (a drain compiles each batch it claims). Records
-    /// each unit's operand set with the maintenance affinity tracker:
-    /// every submission compiles once, so it is one observation.
+    /// sync or async (a drain compiles each batch it claims). A unit the
+    /// planner refuses becomes a controller-evaluation unit, so a batch
+    /// whose operands passed admission always compiles. Records each
+    /// unit's operand set with the maintenance affinity tracker: every
+    /// submission compiles once, so it is one observation.
     pub(crate) fn compile_batch(&self, batch: &QueryBatch) -> Result<CompiledBatch, FcError> {
         let n = batch.len();
 
@@ -433,15 +439,9 @@ impl DeviceCore {
                 .cache()
                 .lookup(&unit.canon, &stamp)
                 .map(|e| (e.result.clone(), e.senses));
-            let work = if let Some((result, senses)) = cached {
-                UnitWork::Cached { result, senses }
-            } else if self.touches_ml(&unit.ids) {
-                // Units touching a multi-level operand bypass the
-                // planner: their pages cannot join an MWS sense (see
-                // [`UnitWork::Controller`]).
-                UnitWork::Controller { senses: self.controller_senses(&unit.ids)? }
-            } else {
-                stripe_work(unit.pages, |slot| self.stripe_plan(&unit.nnf, &unit.ids, slot, caps))?
+            let work = match cached {
+                Some((result, senses)) => UnitWork::Cached { result, senses },
+                None => self.unit_work(&unit.nnf, &unit.ids, unit.pages, caps)?,
             };
             // The maintenance layer's observation stream: this set was
             // fused again (a cache hit counts too).
@@ -466,7 +466,7 @@ impl DeviceCore {
         // costs what the unit executes. A canonical duplicate written
         // differently (reordered or repeated literals) can compile to a
         // different sense count, so it is priced by its own form: one
-        // stripe-0 compile per distinct form, projected across slots
+        // stripe-0 plan per distinct form, projected across slots
         // (stripe structure is slot-invariant — placement groups fill
         // every slot the same way). (Found by the pinned-seed proptest
         // replay: pricing every consumer at its unit's cost drifted from
@@ -481,11 +481,7 @@ impl DeviceCore {
                 cost
             } else {
                 let ids: Vec<OperandId> = nnf.operands().into_iter().collect();
-                let cost = if self.touches_ml(&ids) {
-                    self.controller_senses(&ids)?
-                } else {
-                    self.stripe_plan(nnf, &ids, 0, caps)?.sense_count() as u64 * q_pages[qi] as u64
-                };
+                let cost = self.unit_work(nnf, &ids, 1, caps)?.senses() * q_pages[qi] as u64;
                 form_cost.insert(nnf, cost);
                 cost
             };
@@ -929,18 +925,33 @@ impl DeviceCore {
         Ok((page, latency, energy))
     }
 
-    /// Whether any of `ids` is a multi-level operand, which no MWS sense
-    /// can combine (see [`UnitWork::Controller`]).
-    fn touches_ml(&self, ids: &[OperandId]) -> bool {
-        ids.iter().any(|&id| self.operands.get(id).is_some_and(|r| r.ml))
+    /// How the first `stripes` stripes of a unit over `ids` run: in
+    /// flash when the planner lowers every stripe, else in the controller
+    /// ([`UnitWork::Controller`]). A unit touching a multi-level operand
+    /// skips the planner, since no MWS sense can combine its pages.
+    fn unit_work(
+        &self,
+        nnf: &Nnf,
+        ids: &[OperandId],
+        stripes: usize,
+        caps: PlannerCaps,
+    ) -> Result<UnitWork, FcError> {
+        if !ids.iter().any(|&id| self.record(id).is_ok_and(|r| r.ml)) {
+            match stripe_work(stripes, |slot| self.stripe_plan(nnf, ids, slot, caps)) {
+                Err(FcError::Plan(_)) => {}
+                work => return work,
+            }
+        }
+        Ok(UnitWork::Controller { senses: self.controller_senses(ids, stripes)? })
     }
 
-    /// Senses a controller evaluation costs: every operand page is read
-    /// once, at its real page-read price ([`Self::page_read_senses`]).
-    fn controller_senses(&self, ids: &[OperandId]) -> Result<u64, FcError> {
+    /// Senses a controller evaluation of the first `stripes` stripes
+    /// costs: every operand page is read once, at its real page-read
+    /// price ([`Self::page_read_senses`]).
+    fn controller_senses(&self, ids: &[OperandId], stripes: usize) -> Result<u64, FcError> {
         let mut senses = 0u64;
         for &id in ids {
-            for &lpn in &self.record(id)?.lpns {
+            for &lpn in &self.record(id)?.lpns[..stripes] {
                 senses += self.page_read_senses(lpn) as u64;
             }
         }
@@ -1065,8 +1076,10 @@ impl FlashCosmosDevice {
     ///
     /// Fails like [`FlashCosmosDevice::fc_read`] would on the offending
     /// query: unknown operands, operand size mismatches *within* a query,
-    /// planner rejections, or chip errors. Queries of different vector
-    /// lengths may share a batch.
+    /// or an execution error (a chip error, or a controller page read
+    /// that ECC cannot correct). Queries of different vector lengths may
+    /// share a batch; a query the planner cannot lower on the current
+    /// placement is evaluated in the controller.
     ///
     /// A query that depends on a page the recovery layer lost (unreadable
     /// after read-retry *and* parity rebuild) does **not** fail the

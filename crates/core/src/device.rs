@@ -133,7 +133,9 @@ impl StoreHints {
 pub enum FcError {
     /// Propagated SSD/chip error.
     Device(DeviceError),
-    /// Planner failure (often fixable by different store hints).
+    /// Planner failure. Only the ParaBit baseline
+    /// ([`FlashCosmosDevice::parabit_read`]) returns it: a Flash-Cosmos
+    /// read evaluates a unit the planner refuses in the controller.
     Plan(PlanError),
     /// Operands referenced by the expression have different sizes.
     SizeMismatch,
@@ -1080,8 +1082,11 @@ impl FlashCosmosDevice {
     ///
     /// # Errors
     ///
-    /// Fails if operands mismatch, the planner rejects the layout, or a
-    /// chip op fails.
+    /// Fails if operands mismatch, on an execution error (a chip error,
+    /// or a controller page read that ECC cannot correct), or with
+    /// [`FcError::QueryFailed`] when the query depends on a lost page.
+    /// A query the planner cannot lower on the current placement is
+    /// evaluated in the controller.
     pub fn fc_read(&self, expr: &Expr) -> Result<(BitVec, BatchStats), FcError> {
         let mut result = BitVec::zeros(0);
         let stats = self.fc_read_into(expr, &mut result)?;
@@ -1109,7 +1114,8 @@ impl FlashCosmosDevice {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::fc_read`].
+    /// Same as [`Self::fc_read`], plus [`FcError::Plan`] when the ParaBit
+    /// compiler cannot lower the expression.
     pub fn parabit_read(&self, expr: &Expr) -> Result<(BitVec, BatchStats), FcError> {
         let mut result = BitVec::zeros(0);
         let (mut stats, failures) =

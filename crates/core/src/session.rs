@@ -53,11 +53,13 @@
 //!
 //! ## One ticket table
 //!
-//! Queued batches, claimed seqs and retired results share one mutex and
-//! one condvar. A waiter whose batch another thread is executing parks on
-//! the condvar; `retire` and `abandon` wake every parked waiter, and each
-//! rechecks its own seq. Serving traffic holds the mutex only to push,
-//! pop or move one entry, never while a batch executes.
+//! Queued batches, claimed seqs and retired outcomes share one mutex and
+//! one condvar. Every batch a drain claims retires with its own outcome:
+//! its results, or the execution error that stopped it. A waiter whose
+//! batch another thread is executing parks on the condvar; only `retire`
+//! wakes parked waiters, and each rechecks its own seq. Serving traffic
+//! holds the mutex only to push, pop or move one entry, never while a
+//! batch executes.
 //!
 //! ## Why stale results are structurally impossible
 //!
@@ -452,7 +454,8 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// [`FcError::UnknownTicket`] when waited on twice, plus what
+    /// [`FcError::UnknownTicket`] when waited on twice, plus the
+    /// execution error of its own batch, as
     /// [`FlashCosmosDevice::wait`] returns.
     pub fn wait(self, dev: &FlashCosmosDevice) -> Result<BatchResults, FcError> {
         dev.wait(self)
@@ -463,9 +466,11 @@ impl Ticket {
 /// batch.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DrainStats {
-    /// Batches retired by this drain.
+    /// Batches this drain served: those it claimed that retired with
+    /// results. A batch stopped by an execution error retires with that
+    /// error and is not counted here.
     pub batches: usize,
-    /// Sensing operations executed across all retired batches.
+    /// Sensing operations executed across the batches this drain served.
     pub senses: u64,
     /// Modeled critical path of the combined per-die queues, µs: dies run
     /// their queues concurrently, so this is the busiest die's total
@@ -521,11 +526,11 @@ impl DrainStats {
 struct Tickets {
     /// Admitted batches no drain has claimed yet, oldest first.
     pending: VecDeque<PendingBatch>,
-    /// Seqs a drain has claimed but not yet retired (or abandoned):
-    /// `wait` parks on these instead of re-draining.
+    /// Seqs a drain has claimed but not yet retired: `wait` parks on
+    /// these instead of re-draining.
     executing: HashSet<u64>,
-    /// Drained results awaiting their ticket's `wait`.
-    retired: HashMap<u64, BatchResults>,
+    /// Each drained batch's outcome, awaiting its ticket's `wait`.
+    retired: HashMap<u64, Result<BatchResults, FcError>>,
     next_seq: u64,
 }
 
@@ -555,8 +560,7 @@ pub struct Session {
     /// regrouping planner's input (fed by every batch compile).
     affinity: Mutex<AffinityTracker>,
     tickets: Mutex<Tickets>,
-    /// Notified by `retire` and `abandon`: a parked waiter rechecks its
-    /// own seq.
+    /// Notified by `retire`: a parked waiter rechecks its own seq.
     retired_cv: Condvar,
     /// Bound on `pending` — admission above it fails with
     /// [`FcError::Overloaded`].
@@ -652,21 +656,12 @@ impl Session {
         Some(pb)
     }
 
-    /// Parks a claimed batch's results for its ticket, releases the
+    /// Parks a claimed batch's outcome for its ticket, releases the
     /// executing claim, and wakes the parked waiters.
-    pub(crate) fn retire(&self, seq: u64, results: BatchResults) {
+    pub(crate) fn retire(&self, seq: u64, outcome: Result<BatchResults, FcError>) {
         let mut tickets = lock(&self.tickets);
-        tickets.retired.insert(seq, results);
+        tickets.retired.insert(seq, outcome);
         tickets.executing.remove(&seq);
-        self.retired_cv.notify_all();
-    }
-
-    /// Releases the executing claim of a batch that will never retire (a
-    /// drain hit an error on it): its waiters wake and report
-    /// [`FcError::UnknownTicket`], mirroring the single-threaded
-    /// dropped-batch semantics.
-    pub(crate) fn abandon(&self, seq: u64) {
-        lock(&self.tickets).executing.remove(&seq);
         self.retired_cv.notify_all();
     }
 
@@ -730,8 +725,9 @@ impl FlashCosmosDevice {
     ///
     /// [`FcError::Overloaded`] when the admission queue is full, plus the
     /// operand checks every compile starts with (unknown operands,
-    /// queries naming no operand, size mismatches within a query). A
-    /// planner rejection surfaces from the drain that compiles the batch.
+    /// queries naming no operand, size mismatches within a query). An
+    /// admitted batch always retires; an execution error reaches only its
+    /// own ticket's [`FlashCosmosDevice::wait`].
     pub fn submit_async(&self, batch: &QueryBatch) -> Result<Ticket, FcError> {
         {
             let core = self.core();
@@ -770,26 +766,19 @@ impl FlashCosmosDevice {
     /// write lock, and only when there is such work — the same tail every
     /// sync read ends in.
     ///
+    /// Every batch the drain claims retires with its own outcome: its
+    /// results, or the execution error that stopped it (a chip error, or
+    /// a controller page read that ECC cannot correct), which only its
+    /// ticket's [`Self::wait`] reports. The returned [`DrainStats`] cover
+    /// every batch served.
+    ///
     /// # Errors
     ///
-    /// Compile failures (planner rejections included) or chip failures
-    /// of any queued batch; the failing batch is dropped (its ticket
-    /// reports [`FcError::UnknownTicket`]) while batches still queued
-    /// behind it stay pending for the next drain. The batches served
-    /// before it retire normally, and the pass still runs its background
-    /// tail; only their [`DrainStats`] are lost with the error.
+    /// None: a failing batch retires with its error.
     pub fn drain(&self) -> Result<DrainStats, FcError> {
-        self.drain_pass().map_err(|(_, e)| e)
-    }
-
-    /// [`Self::drain`], with a failure tagged by the seq of the batch it
-    /// dropped, so [`Self::wait`] tells its own batch's failure from
-    /// another's.
-    fn drain_pass(&self) -> Result<DrainStats, (u64, FcError)> {
         let mut stats = DrainStats::default();
         let mut combined;
         let due;
-        let mut failed = None;
         {
             let core = self.core();
             due = core.background_due();
@@ -808,33 +797,18 @@ impl FlashCosmosDevice {
                 let served = core
                     .compile_batch(&pb.source)
                     .and_then(|compiled| core.serve(&compiled, &mut outs));
-                match served {
-                    Ok((batch_stats, failures, own)) => {
-                        stats.batches += 1;
-                        stats.senses += batch_stats.senses;
-                        stats.merge_us += batch_stats.merge_us;
-                        stats.serial_critical_path_us += own.critical_path_us();
-                        combined.merge(&own);
-                        // Per-query failure isolation carries through
-                        // the async path: the ticket's results report
-                        // which queries were unanswerable while the
-                        // rest of the batch retired normally.
-                        self.session.retire(
-                            pb.seq,
-                            BatchResults { results: outs, stats: batch_stats, failures },
-                        );
-                    }
-                    Err(e) => {
-                        // The failed batch never retires; release its
-                        // claim so waiters wake and report UnknownTicket
-                        // instead of parking. Batches still pending stay
-                        // queued for the next drain, and the pass still
-                        // ends in the background tail.
-                        self.session.abandon(pb.seq);
-                        failed = Some((pb.seq, e));
-                        break;
-                    }
-                }
+                // Per-query failure isolation carries through the async
+                // path: the ticket's results report which queries were
+                // unanswerable while the rest of the batch retired.
+                let outcome = served.map(|(batch_stats, failures, own)| {
+                    stats.batches += 1;
+                    stats.senses += batch_stats.senses;
+                    stats.merge_us += batch_stats.merge_us;
+                    stats.serial_critical_path_us += own.critical_path_us();
+                    combined.merge(&own);
+                    BatchResults { results: outs, stats: batch_stats, failures }
+                });
+                self.session.retire(pb.seq, outcome);
             }
             stats.combined_critical_path_us = combined.critical_path_us();
             stats.dies_used = combined.dies_busy();
@@ -842,32 +816,32 @@ impl FlashCosmosDevice {
             stats.busiest_channel_us = combined.busiest_channel_us();
         }
         stats.maintenance = self.background_tail(&mut combined, due, stats.senses > 0);
-        match failed {
-            Some(failure) => Err(failure),
-            None => Ok(stats),
-        }
+        Ok(stats)
     }
 
     /// The sync serving path — what a drain runs for one claimed batch,
     /// without the queue: `compile` and [`DeviceCore::serve`] run under
     /// the read guard, the guard drops, and then the
-    /// [`Self::background_tail`] runs when it is due. The caller's batch
-    /// never waits behind other clients' queued batches, and never meets
-    /// the admission bound.
+    /// [`Self::background_tail`] runs when it is due, whatever serving
+    /// returned (a failed pass offers the tail idle queues). The caller's
+    /// batch never waits behind other clients' queued batches, and never
+    /// meets the admission bound.
     pub(crate) fn serve_now(
         &self,
         outs: &mut [BitVec],
         compile: impl FnOnce(&DeviceCore) -> Result<CompiledBatch, FcError>,
     ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
-        let (stats, failures, mut own, due) = {
+        let (served, mut queues, due) = {
             let core = self.core();
             let due = core.background_due();
-            let compiled = compile(&core)?;
-            let (stats, failures, own) = core.serve(&compiled, outs)?;
-            (stats, failures, own, due)
+            match compile(&core).and_then(|compiled| core.serve(&compiled, outs)) {
+                Ok((stats, failures, own)) => (Ok((stats, failures)), own, due),
+                Err(e) => (Err(e), DieQueues::for_config(core.ssd.config()), due),
+            }
         };
-        self.background_tail(&mut own, due, stats.senses > 0);
-        Ok((stats, failures))
+        let sensed = served.as_ref().is_ok_and(|(stats, _)| stats.senses > 0);
+        self.background_tail(&mut queues, due, sensed);
+        served
     }
 
     /// The write-locked tail every serving pass ends in: it queues due
@@ -914,43 +888,32 @@ impl FlashCosmosDevice {
     }
 
     /// Retires one async batch: drains the queues if the ticket is still
-    /// in flight, then hands back its [`BatchResults`]. Each ticket can
-    /// be waited on once.
+    /// in flight, then hands back its outcome. Each ticket can be waited
+    /// on once.
     ///
     /// If another thread has already claimed the ticket's batch, this
     /// parks on the session's retire condvar — **without** holding the
-    /// device lock — until the batch lands (or its drain fails, in
-    /// which case the ticket reports [`FcError::UnknownTicket`]).
-    ///
-    /// A drain this wait runs may fail on an older batch queued ahead of
-    /// this one. That error belongs to the older batch's ticket: the
-    /// wait rechecks its own batch, which stayed queued, and drains
-    /// again.
+    /// device lock — until the batch retires.
     ///
     /// # Errors
     ///
-    /// [`FcError::UnknownTicket`] for an already-waited (or foreign)
-    /// ticket, plus the compile or chip error of the drain that failed
-    /// on this ticket's own batch.
+    /// [`FcError::UnknownTicket`] for an already-waited, discarded (or
+    /// foreign) ticket, plus the execution error that stopped this
+    /// ticket's own batch: a chip error ([`FcError::Device`]) or a
+    /// controller page read that ECC cannot correct.
     pub fn wait(&self, ticket: Ticket) -> Result<BatchResults, FcError> {
         let seq = ticket.seq;
         let mut tickets = lock(&self.session.tickets);
         loop {
-            if let Some(results) = tickets.retired.remove(&seq) {
-                return Ok(results);
+            if let Some(outcome) = tickets.retired.remove(&seq) {
+                return outcome;
             }
             if tickets.executing.contains(&seq) {
                 tickets =
                     self.session.retired_cv.wait(tickets).unwrap_or_else(PoisonError::into_inner);
             } else if tickets.pending.iter().any(|p| p.seq == seq) {
                 drop(tickets);
-                // A drain that fails on an older batch drops only that
-                // batch: its error is not this ticket's, so recheck.
-                if let Err((failed, e)) = self.drain_pass() {
-                    if failed == seq {
-                        return Err(e);
-                    }
-                }
+                self.drain()?;
                 tickets = lock(&self.session.tickets);
             } else {
                 return Err(FcError::UnknownTicket(seq));

@@ -403,16 +403,14 @@ proptest! {
         let mut serial_senses = 0;
         while queries.len() < 6 {
             let e = random_expr(&mut rng, &ids, 2);
-            match dev.fc_read(&e) {
-                Ok((r, s)) => {
-                    let lookup = |i: usize| vectors[i].clone();
-                    prop_assert_eq!(&r, &e.eval(&lookup), "serial diverged from eval on {}", e);
-                    queries.push(e);
-                    serial_results.push(r);
-                    serial_senses += s.senses;
-                }
-                Err(_) => continue, // layout-dependent rejection: fine
-            }
+            let (r, s) = dev
+                .fc_read(&e)
+                .map_err(|err| TestCaseError::fail(format!("query {e}: {err}")))?;
+            let lookup = |i: usize| vectors[i].clone();
+            prop_assert_eq!(&r, &e.eval(&lookup), "serial diverged from eval on {}", e);
+            queries.push(e);
+            serial_results.push(r);
+            serial_senses += s.senses;
         }
         let batch: QueryBatch = queries.iter().cloned().collect();
         let out = dev.submit(&batch).unwrap();

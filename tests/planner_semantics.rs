@@ -89,8 +89,9 @@ proptest! {
         prop_assert_eq!(expr.to_nnf().eval(&lookup), expr.eval(&lookup));
     }
 
-    /// The device API computes any accepted expression exactly, for
-    /// arbitrary grouping choices.
+    /// The device API answers every expression exactly, for arbitrary
+    /// grouping choices: what the planner refuses on a placement is
+    /// evaluated in the controller.
     #[test]
     fn device_reads_match_reference(
         expr in arb_expr(5),
@@ -111,16 +112,11 @@ proptest! {
             )
             .unwrap();
         }
-        match dev.fc_read(&expr) {
-            Ok((result, _)) => {
-                let lookup = |i: usize| vectors[i].clone();
-                prop_assert_eq!(result, expr.eval(&lookup), "expr {}", expr);
-            }
-            Err(flash_cosmos::device::FcError::Plan(_)) => {
-                // Layout-dependent rejection: fine.
-            }
-            Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other}"))),
-        }
+        let (result, _) = dev
+            .fc_read(&expr)
+            .map_err(|e| TestCaseError::fail(format!("expr {expr}: unexpected error {e}")))?;
+        let lookup = |i: usize| vectors[i].clone();
+        prop_assert_eq!(result, expr.eval(&lookup), "expr {}", expr);
     }
 
     /// ParaBit and Flash-Cosmos agree wherever both accept the shape.

@@ -6,8 +6,10 @@
 use std::time::Instant;
 
 use fc_bits::BitVec;
+use fc_nand::command::Command;
+use fc_nand::geometry::BlockAddr;
 use fc_ssd::SsdConfig;
-use flash_cosmos::{Expr, FcError, FlashCosmosDevice, QueryBatch, Severity, StoreHints};
+use flash_cosmos::{Expr, FcError, FlashCosmosDevice, QueryBatch, Severity, StoreHints, Ticket};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -291,11 +293,12 @@ fn a_batch_queued_before_a_migration_compiles_into_a_cache_hit() {
 }
 
 /// Queues a threshold over 20 voters and an AND behind it, then moves one
-/// voter to another die: the threshold's drain-time compile must expand
-/// C(20, 10) terms, over the planner's cap. Returns the device, the
-/// voters' data and the two tickets.
-fn queue_an_unplannable_batch_first(
-) -> (FlashCosmosDevice, Vec<BitVec>, flash_cosmos::Ticket, flash_cosmos::Ticket) {
+/// voter to another die: the threshold's drain-time compile would expand
+/// C(20, 10) terms, over the planner's cap, so the unit is evaluated in
+/// the controller. Returns the device, the voters' ids and data, and the
+/// two tickets.
+fn queue_a_threshold_over_a_migrated_voter(
+) -> (FlashCosmosDevice, Vec<usize>, Vec<BitVec>, Ticket, Ticket) {
     let mut rng = StdRng::seed_from_u64(0xD4A3);
     // 48 wordlines per block: all 20 voters share one block.
     let config = SsdConfig { wls_per_block: 48, ..SsdConfig::tiny_test() };
@@ -308,62 +311,83 @@ fn queue_an_unplannable_batch_first(
     let home = dev.operand_dies(ids[19]).unwrap()[0].flat(&config);
     let away = (home + 1) % config.total_dies();
     dev.migrate_operand("g-19", StoreHints::and_group("away").with_die(away)).unwrap();
+    (dev, ids, data, first, second)
+}
+
+/// `Expr::eval` over operands `ids` holding `data`.
+fn truth<'a>(ids: &'a [usize], data: &'a [BitVec]) -> impl Fn(usize) -> BitVec + 'a {
+    move |id| data[ids.iter().position(|&i| i == id).expect("a stored operand")].clone()
+}
+
+/// A batch the planner cannot lower on the current placement still
+/// answers: the threshold whose voter migrated away is evaluated in the
+/// controller, one page read per voter, and it and the AND queued behind
+/// it retire from one drain. So does a threshold over voters scattered
+/// over two dies from the start: admission checks operands only.
+#[test]
+fn a_failing_drain_drops_only_its_batch() {
+    let (dev, ids, data, first, second) = queue_a_threshold_over_a_migrated_voter();
+    let drained = dev.drain().unwrap();
+    assert_eq!(drained.batches, 2, "both batches retire from one drain");
+    assert_eq!(dev.session().in_flight(), 0);
+    let threshold = dev.wait(first).unwrap();
+    let expect = Expr::threshold_vars(10, ids.clone()).eval(&truth(&ids, &data));
+    assert_eq!(threshold.results[0], expect);
+    assert_eq!(threshold.stats.senses, 20, "one page read per voter");
+    assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
+
+    // Voters scattered from the start.
+    let mut rng = StdRng::seed_from_u64(0xD4A5);
+    let mut voters = Vec::new();
+    let mut votes = Vec::new();
+    for i in 0..20 {
+        let v = BitVec::random(dev.config().page_bits(), &mut rng);
+        let hints = StoreHints::and_group(&format!("voter{i}")).with_die(i % 2);
+        voters.push(dev.fc_write(&format!("voter{i}"), &v, hints).unwrap().id);
+        votes.push(v);
+    }
+    let query = Expr::threshold_vars(10, voters.clone());
+    let ticket = dev.submit_async(&[query.clone()].into_iter().collect()).unwrap();
+    assert_eq!(dev.drain().unwrap().batches, 1);
+    assert_eq!(dev.wait(ticket).unwrap().results[0], query.eval(&truth(&voters, &votes)));
+}
+
+/// A device whose first operand's block was erased under it: any sense
+/// of that operand reads an unwritten wordline, a chip error. Returns the
+/// device, that operand, and two operands of one group with their data.
+fn device_with_an_erased_operand(
+    rng: &mut StdRng,
+) -> (FlashCosmosDevice, usize, Vec<usize>, Vec<BitVec>) {
+    let mut dev = device();
+    // A fresh device hands out logical pages from 0, so the first
+    // operand written holds page 0.
+    let (broken, _) = store_group(&mut dev, "broken", 1, None, rng);
+    let (ids, data) = store_group(&mut dev, "g", 2, None, rng);
+    let ssd = dev.ssd_mut();
+    let ppa = ssd.translate(0).expect("the first operand's page is mapped");
+    let block = BlockAddr::new(ppa.plane.plane, ppa.block);
+    ssd.chip_mut(ppa.plane.die).execute(Command::Erase { block }).unwrap();
+    (dev, broken[0], ids, data)
+}
+
+/// Queues a batch over an erased page and a good AND behind it.
+fn queue_a_batch_over_an_erased_page(
+    rng: &mut StdRng,
+) -> (FlashCosmosDevice, Vec<BitVec>, Ticket, Ticket) {
+    let (dev, broken, ids, data) = device_with_an_erased_operand(rng);
+    let failing: QueryBatch = [Expr::and_vars([broken, ids[0]])].into_iter().collect();
+    let good: QueryBatch = [Expr::and_vars(ids.iter().copied())].into_iter().collect();
+    let first = dev.submit_async(&failing).unwrap();
+    let second = dev.submit_async(&good).unwrap();
     (dev, data, first, second)
 }
 
-/// A drain that fails on one batch drops only that batch: its ticket
-/// reports `UnknownTicket`, while the batch queued behind it stays
-/// pending and answers its own wait. `submit_async` admits a batch the
-/// planner will reject: the drain that compiles it is what fails.
-#[test]
-fn a_failing_drain_drops_only_its_batch() {
-    let (dev, data, first, second) = queue_an_unplannable_batch_first();
-    assert!(dev.drain().is_err(), "the threshold cannot compile");
-    assert_eq!(dev.session().in_flight(), 1, "the batch behind the failure stays queued");
-    assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
-    assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
-
-    // Voters scattered from the start: admission checks operands only.
-    let mut rng = StdRng::seed_from_u64(0xD4A5);
-    let voters: Vec<usize> = (0..20)
-        .map(|i| {
-            let v = BitVec::random(dev.config().page_bits(), &mut rng);
-            let hints = StoreHints::and_group(&format!("voter{i}")).with_die(i % 2);
-            dev.fc_write(&format!("voter{i}"), &v, hints).unwrap().id
-        })
-        .collect();
-    let scattered: QueryBatch = [Expr::threshold_vars(10, voters)].into_iter().collect();
-    let ticket = dev.submit_async(&scattered).expect("admission does not plan");
-    assert_eq!(dev.session().in_flight(), 1);
-    let err = dev.drain().unwrap_err();
-    assert!(matches!(err, FcError::Plan(_)), "the drain's compile fails: {err:?}");
-    assert_eq!(dev.session().in_flight(), 0);
-    assert!(matches!(dev.wait(ticket).unwrap_err(), FcError::UnknownTicket(_)));
-}
-
-/// A wait whose drain fails on an older batch queued ahead of its own
-/// does not report that batch's error: it drains again and returns its
-/// own batch's results, and the failed batch's ticket reports
-/// `UnknownTicket`.
-#[test]
-fn a_wait_behind_a_failing_batch_returns_its_own_results() {
-    let (dev, data, first, second) = queue_an_unplannable_batch_first();
-    let results = dev.wait(second).expect("the older batch's failure is not this wait's");
-    assert_eq!(results.results[0], data[0].and(&data[1]));
-    assert_eq!(dev.session().in_flight(), 0);
-    assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
-}
-
-/// A failing drain still ends in its background tail: the regroup jobs
-/// queued before it run in that pass, not only in the next one.
-#[test]
-fn a_failing_drain_still_runs_its_background_jobs() {
-    let (dev, ..) = queue_an_unplannable_batch_first();
-    // A pair in two groups, read twice: a hot scattered set.
-    let mut rng = StdRng::seed_from_u64(0xD4A6);
+/// Writes a pair in two groups and reads it twice, a hot scattered set,
+/// and queues its regroup jobs. Returns how many were queued.
+fn queue_regroup_jobs(dev: &FlashCosmosDevice, rng: &mut StdRng) -> usize {
     let pair: Vec<usize> = (0..2)
         .map(|i| {
-            let v = BitVec::random(dev.config().page_bits(), &mut rng);
+            let v = BitVec::random(dev.config().page_bits(), rng);
             let hints = StoreHints::and_group(&format!("pair{i}"));
             dev.fc_write(&format!("pair{i}"), &v, hints).unwrap().id
         })
@@ -371,9 +395,120 @@ fn a_failing_drain_still_runs_its_background_jobs() {
     for _ in 0..2 {
         dev.fc_read(&Expr::and_vars(pair.iter().copied())).unwrap();
     }
-    assert!(dev.schedule_maintenance() > 0, "the hot pair queues regroup jobs");
-    assert!(dev.drain().is_err(), "the threshold cannot compile");
+    dev.schedule_maintenance()
+}
+
+/// A batch stopped by a chip error retires with that error: its own wait
+/// reports it once, and `UnknownTicket` after that. The batch queued
+/// behind it answers from the same drain, whether a drain or the failing
+/// batch's own wait runs the pass.
+#[test]
+fn a_wait_behind_a_failing_batch_returns_its_own_results() {
+    let mut rng = StdRng::seed_from_u64(0xD4A7);
+    let (dev, data, first, second) = queue_a_batch_over_an_erased_page(&mut rng);
+    assert_eq!(dev.drain().unwrap().batches, 1, "only the good batch is served");
+    assert_eq!(dev.session().in_flight(), 0);
+    let err = dev.wait(first).unwrap_err();
+    assert!(matches!(err, FcError::Device(_)), "a chip error: {err:?}");
+    assert!(matches!(dev.wait(first).unwrap_err(), FcError::UnknownTicket(_)));
+    assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
+
+    let (dev, data, first, second) = queue_a_batch_over_an_erased_page(&mut rng);
+    assert!(matches!(dev.wait(first).unwrap_err(), FcError::Device(_)));
+    assert_eq!(dev.session().in_flight(), 0, "the failing batch's wait drained both");
+    assert_eq!(dev.wait(second).unwrap().results[0], data[0].and(&data[1]));
+}
+
+/// The drain that retires a failing batch still ends in its background
+/// tail: the regroup jobs queued before it run in that pass.
+#[test]
+fn a_failing_drain_still_runs_its_background_jobs() {
+    let mut rng = StdRng::seed_from_u64(0xD4A6);
+    let (dev, _, first, _) = queue_a_batch_over_an_erased_page(&mut rng);
+    let queued = queue_regroup_jobs(&dev, &mut rng);
+    assert!(queued > 0, "the hot pair queues regroup jobs");
+    let drained = dev.drain().unwrap();
+    assert_eq!(drained.batches, 1);
+    assert_eq!(drained.maintenance.jobs_executed, queued);
     assert_eq!(dev.pending_jobs(), 0, "the failing pass ran the queued jobs");
+    assert!(matches!(dev.wait(first).unwrap_err(), FcError::Device(_)));
+}
+
+/// A sync read that fails on a chip error still runs its due background
+/// tail.
+#[test]
+fn a_failing_sync_read_still_runs_its_background_jobs() {
+    let mut rng = StdRng::seed_from_u64(0xD4A9);
+    let (dev, broken, ..) = device_with_an_erased_operand(&mut rng);
+    assert!(queue_regroup_jobs(&dev, &mut rng) > 0, "the hot pair queues regroup jobs");
+    let err = dev.fc_read(&Expr::var(broken)).unwrap_err();
+    assert!(matches!(err, FcError::Device(_)), "a chip error: {err:?}");
+    assert_eq!(dev.pending_jobs(), 0, "the failing pass ran the queued jobs");
+}
+
+/// The two shapes the planner refuses on their placement answer
+/// bit-exactly through every submission path, beside a query it plans:
+/// `(g0 ∧ g1) ⊕ g2` on one plane (the latch XOR takes two literals) and a
+/// 10-of-20 threshold over voters on two dies (its expansion exceeds the
+/// planner's cap). Each is evaluated in the controller at its page reads.
+#[test]
+fn unplannable_queries_answer_through_every_path() {
+    let mut rng = StdRng::seed_from_u64(0xD4AA);
+    let mut dev = device();
+    let (mut ids, mut data) = store_group(&mut dev, "g", 3, None, &mut rng);
+    let and = Expr::and_vars([ids[0], ids[1]]);
+    let xor = Expr::xor(and.clone(), Expr::var(ids[2]));
+    let mut voters = Vec::new();
+    for i in 0..20 {
+        let (id, v) = store_group(&mut dev, &format!("voter{i}"), 1, Some(i % 2), &mut rng);
+        voters.push(id[0]);
+        ids.extend(id);
+        data.extend(v);
+    }
+    let batches: [QueryBatch; 2] = [
+        [and.clone(), xor].into_iter().collect(),
+        [and, Expr::threshold_vars(10, voters)].into_iter().collect(),
+    ];
+    let lookup = truth(&ids, &data);
+    for batch in &batches {
+        let expect: Vec<BitVec> = batch.queries().iter().map(|q| q.eval(&lookup)).collect();
+        dev.clear_result_cache();
+        assert_eq!(dev.submit(batch).unwrap().results, expect, "submit");
+        dev.clear_result_cache();
+        let ticket = dev.submit_async(batch).unwrap();
+        assert_eq!(ticket.wait(&dev).unwrap().results, expect, "submit_async");
+        dev.clear_result_cache();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let ticket = dev.submit_async(batch).unwrap();
+                    assert_eq!(ticket.wait(&dev).unwrap().results, expect, "two threads");
+                });
+            }
+        });
+    }
+    // One sense for the AND, one page read per operand of the XOR.
+    dev.clear_result_cache();
+    let stats = dev.submit(&batches[0]).unwrap().stats;
+    assert_eq!((stats.senses, stats.serial_senses), (4, 4));
+}
+
+/// A controller-evaluated unit feeds the affinity tracker at its page
+/// reads, so the scatter rule regroups its set and a later cold read
+/// senses it in flash.
+#[test]
+fn a_controller_evaluated_threshold_feeds_maintenance() {
+    let (dev, ids, data, first, _) = queue_a_threshold_over_a_migrated_voter();
+    assert_eq!(dev.wait(first).unwrap().stats.senses, 20);
+    let query = Expr::threshold_vars(10, ids.clone());
+    let (_, again) = dev.fc_read(&query).unwrap();
+    assert_eq!((again.cached_units, again.cached_senses), (1, 20), "the hit reports 20 senses");
+    let ran = dev.run_maintenance().unwrap();
+    assert_eq!((ran.jobs_executed, ran.pages_moved), (20, 20), "the voters gather");
+    dev.clear_result_cache();
+    let (result, cold) = dev.fc_read(&query).unwrap();
+    assert_eq!(cold.senses, 1, "one threshold sense over the gathered block");
+    assert_eq!(result, query.eval(&truth(&ids, &data)));
 }
 
 /// `submit_async` runs the operand checks every compile starts with and
@@ -543,10 +678,10 @@ proptest! {
         // Async batches queue on the cached device; the cold reference
         // submits them at drain time (drained queries observe drain-time
         // data by contract).
-        let mut in_flight: Vec<(flash_cosmos::Ticket, QueryBatch)> = Vec::new();
+        let mut in_flight: Vec<(Ticket, QueryBatch)> = Vec::new();
         let drain_and_compare = |cached: &mut FlashCosmosDevice,
                                      cold: &mut FlashCosmosDevice,
-                                     in_flight: &mut Vec<(flash_cosmos::Ticket, QueryBatch)>,
+                                     in_flight: &mut Vec<(Ticket, QueryBatch)>,
                                      truth: &[BitVec]|
          -> Result<(), TestCaseError> {
             cached.drain().map_err(|e| TestCaseError::fail(e.to_string()))?;
